@@ -2,33 +2,40 @@
 
 A photoreceptive molecule switches its electric dipole field when it absorbs
 a photon; a nearby two-level spin sensor precesses differently under the two
-fields. This package evolves the sensor state under either hypothesis
-(closed forms, fixed-step RK4, or a superoperator exponential), builds the
-minimal-error projector pair that decides between them, and quantifies error
+fields. This package evolves the sensor state under either hypothesis (a
+batched Bloch-vector propagator in production; closed forms, fixed-step RK4
+and a superoperator exponential as cross-checks), builds the minimal-error
+projector pair that decides between them, and quantifies error
 probabilities, optimal measurement times, multi-sensor suppression, and the
 arrival-time jitter of the underlying photon.
 """
 
 from .discrimination import (
     DiscriminationReport,
+    ErrorCurve,
     HelstromDecomposition,
     PovmPair,
     helstrom_operator,
     min_error,
+    min_error_grid,
     optimal_time_analytic,
     optimal_time_search,
     povm_pair,
     standard_basis_error,
+    standard_basis_error_grid,
     write_reports_csv,
 )
 from .dynamics import (
     EvolutionSpec,
     Method,
     Trajectory,
+    bloch_generator,
+    bloch_propagators,
     evolve_closed_axial_field,
     evolve_closed_dephasing,
     evolve_closed_transverse,
     evolve_pair,
+    evolve_pair_grid,
     integrate_master_equation,
     liouvillian,
     propagate_superoperator,
@@ -50,6 +57,8 @@ from .linalg import (
     DensityMatrix2,
     EigenPair2,
     bloch_vector,
+    check_bloch_norms,
+    expm_batch,
     expm_small,
     herm_eigen2,
 )
@@ -77,6 +86,7 @@ __all__ = [
     "DetectionRun",
     "DiscriminationReport",
     "EigenPair2",
+    "ErrorCurve",
     "EvolutionSpec",
     "FieldConfig",
     "HamiltonianSpectrum",
@@ -92,11 +102,16 @@ __all__ = [
     "PreparationState",
     "Trajectory",
     "array_error_curve",
+    "bloch_generator",
+    "bloch_propagators",
     "bloch_vector",
+    "check_bloch_norms",
     "evolve_closed_axial_field",
     "evolve_closed_dephasing",
     "evolve_closed_transverse",
     "evolve_pair",
+    "evolve_pair_grid",
+    "expm_batch",
     "expm_small",
     "fit_decay_rate",
     "hamiltonian_full",
@@ -108,6 +123,7 @@ __all__ = [
     "liouvillian",
     "majority_vote_error",
     "min_error",
+    "min_error_grid",
     "optimal_time_analytic",
     "optimal_time_search",
     "povm_pair",
@@ -116,6 +132,7 @@ __all__ = [
     "simulate_click",
     "spectrum",
     "standard_basis_error",
+    "standard_basis_error_grid",
     "superposition_bz_sweep",
     "write_reports_csv",
     "write_trajectory_csv",

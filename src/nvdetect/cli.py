@@ -20,18 +20,16 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import config as config_mod
 from .config import RunConfig, format_float
-from .discrimination import min_error, standard_basis_error
-from .dynamics import Method, evolve_pair
+from .discrimination import min_error, min_error_grid, standard_basis_error_grid
+from .dynamics import Method, evolve_pair, evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError
 from .hamiltonian import FieldConfig, NoiseModel
-from .linalg import bloch_vector
 from .protocol import Click, run_turn_on_protocol, superposition_bz_sweep
 
 _METHODS = {
@@ -53,7 +51,7 @@ def _noise_for(config: RunConfig, kappa: float) -> NoiseModel:
     return NoiseModel(config.noise.kind, kappa)
 
 
-def cmd_perr_time(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
+def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     """Error-versus-time sweep for each configured field pair."""
     method = _METHODS[config.method]
     params = config.parameters
@@ -81,19 +79,19 @@ def cmd_perr_time(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
                         break
                     tmin_rows.add(int(np.argmin(np.abs(times - t_opt))))
                     n += 1
+            r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
+            curve = min_error_grid(r0, r1, fields.priors)
+            p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
             for k, t in enumerate(times):
-                r0, r1 = evolve_pair(fields, params, noise, rho0, float(t), method=method)
-                report = min_error(r0, r1, fields.priors, t=float(t))
-                p_std = standard_basis_error(r0, r1, fields.priors, best_assignment=True)
                 writer.writerow(
                     [
                         str(index),
                         format_float(pair.kappa),
                         format_float(t),
-                        format_float(report.p_err),
-                        format_float(p_std),
-                        format_float(report.p_dc),
-                        format_float(report.p_fn),
+                        format_float(curve.p_err[k]),
+                        format_float(p_std[k]),
+                        format_float(curve.p_dc[k]),
+                        format_float(curve.p_fn[k]),
                         "1" if k in tmin_rows else "0",
                     ]
                 )
@@ -108,7 +106,7 @@ def cmd_perr_time(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
     return [csv_path, manifest]
 
 
-def cmd_bz_sensitivity(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
+def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     """Error shift p_err(B_z) - p_err(0) on the configured time grid."""
     method = _METHODS[config.method]
     if method is Method.CLOSED:
@@ -118,34 +116,33 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path, jobs: int = 1) -> list[Path
     noise = config.noise
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
 
-    base = []
-    fields0 = dataclasses.replace(config.fields, b_z=0.0)
-    for t in times:
-        r0, r1 = evolve_pair(fields0, params, noise, rho0, float(t), method=method)
-        base.append(min_error(r0, r1, fields0.priors).p_err)
+    def p_err(b_z: float) -> np.ndarray:
+        fields = dataclasses.replace(config.fields, b_z=b_z)
+        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
+        return min_error_grid(r0, r1, fields.priors).p_err
+
+    base = p_err(0.0)
 
     csv_path = out / "bz_sensitivity.csv"
     fh, writer = _writer(csv_path)
     with fh:
         writer.writerow(["b_z", "t", "p_err", "p_err_b0", "dp_err"])
         for b_z in config.b_z_values:
-            fields = dataclasses.replace(config.fields, b_z=float(b_z))
+            curve = p_err(float(b_z))
             for k, t in enumerate(times):
-                r0, r1 = evolve_pair(fields, params, noise, rho0, float(t), method=method)
-                p = min_error(r0, r1, fields.priors).p_err
                 writer.writerow(
                     [
                         format_float(b_z),
                         format_float(t),
-                        format_float(p),
+                        format_float(curve[k]),
                         format_float(base[k]),
-                        format_float(p - base[k]),
+                        format_float(curve[k] - base[k]),
                     ]
                 )
     return [csv_path]
 
 
-def cmd_array(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
+def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     """Fused error versus sensor count at the optimal single-shot time."""
     params = config.parameters
     rho0 = config.preparation.density_matrix()
@@ -184,7 +181,7 @@ def cmd_array(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
     return [csv_path, json_path]
 
 
-def cmd_protocol(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
+def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     """Seeded turn-on runs: per-cycle transcripts plus a summary."""
     params = config.parameters
     fields = config.fields
@@ -258,74 +255,50 @@ def cmd_protocol(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _bz_sweep_cell(payload) -> tuple[int, tuple]:
-    """Worker for one (orientation, magnitude, B_z) cell of the axial sweep."""
-    index, config_dict, orientation, e_mag, b_z = payload
-    config = config_mod.parse(config_dict)
-    point = superposition_bz_sweep(
-        [e_mag],
-        [b_z],
-        orientations=(orientation,),
-        params=config.parameters,
-        noise=config.bz_sweep_noise(),
-        preparation=config.bz_sweep.preparation,
-        window=config.bz_sweep.t_window,
-    )[0]
-    return index, (point.orientation, point.e_magnitude, point.b_z, point.t_opt, point.p_err_min)
-
-
-def cmd_appendix_b(config: RunConfig, out: Path, jobs: int = 1) -> list[Path]:
+def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     """Superposition-prepared sensor under axial magnetic dephasing: minimal
     error versus axial field, per field magnitude and orientation."""
     sweep = config.bz_sweep
-    cells = [
-        (orientation, e_mag, b_z)
-        for orientation in sweep.orientations
-        for e_mag in sweep.e_magnitudes
-        for b_z in sweep.b_z_values
-    ]
-    config_dict = config_mod.serialize(config)
-    payloads = [(i, config_dict, *cell) for i, cell in enumerate(cells)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_bz_sweep_cell, payloads))
-    else:
-        results = dict(map(_bz_sweep_cell, payloads))
+    sweep_noise = config.bz_sweep_noise()
+    points = superposition_bz_sweep(
+        sweep.e_magnitudes,
+        sweep.b_z_values,
+        orientations=sweep.orientations,
+        params=config.parameters,
+        noise=sweep_noise,
+        preparation=sweep.preparation,
+        window=sweep.t_window,
+    )
 
     csv_path = out / "bz_error_sweep.csv"
     fh, writer = _writer(csv_path)
     with fh:
         writer.writerow(["orientation", "e_magnitude", "b_z", "t_opt", "p_err_min"])
-        for i in range(len(cells)):
-            orientation, e_mag, b_z, t_opt, p_min = results[i]
+        for p in points:
             writer.writerow(
-                [orientation, format_float(e_mag), format_float(b_z),
-                 format_float(t_opt), format_float(p_min)]
+                [p.orientation, format_float(p.e_magnitude), format_float(p.b_z),
+                 format_float(p.t_opt), format_float(p.p_err_min)]
             )
     written = [csv_path]
 
     if sweep.bloch_traces:
-        sweep_noise = config.bz_sweep_noise()
         rho0 = sweep.preparation.density_matrix()
-        for i, (orientation, e_mag, b_z) in enumerate(cells):
-            de = (e_mag, 0.0, 0.0) if orientation == "x" else (0.0, e_mag, 0.0)
-            fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=b_z)
-            times = np.linspace(0.0, sweep.t_window[1], 201)
-            rows = []
-            for t in times:
-                _, r1 = evolve_pair(fields, config.parameters, sweep_noise, rho0, float(t))
-                rows.append((t, *bloch_vector(r1)))
+        times = np.linspace(0.0, sweep.t_window[1], 201)
+        for i, p in enumerate(points):
+            de = (p.e_magnitude, 0.0, 0.0) if p.orientation == "x" else (0.0, p.e_magnitude, 0.0)
+            fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=p.b_z)
+            _, r1 = evolve_pair_grid(fields, config.parameters, sweep_noise, rho0, times)
             path = out / f"bz_sweep_bloch_{i:03d}.csv"
             bh, bwriter = _writer(path)
             with bh:
                 bwriter.writerow(["t", "x", "y", "z"])
-                for row in rows:
-                    bwriter.writerow([format_float(v) for v in row])
+                for t, r in zip(times, r1):
+                    bwriter.writerow([format_float(v) for v in (t, *r)])
             written.append(path)
     return written
 
 
-def cmd_bloch(config: RunConfig, out: Path, jobs: int = 1, hypothesis: int = 1) -> list[Path]:
+def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     """Bloch trajectory (t, x, y, z) for the selected hypothesis."""
     params = config.parameters
     rho0 = config.preparation.density_matrix()
@@ -335,10 +308,8 @@ def cmd_bloch(config: RunConfig, out: Path, jobs: int = 1, hypothesis: int = 1) 
     fh, writer = _writer(csv_path)
     with fh:
         writer.writerow(["t", "x", "y", "z"])
-        for t in times:
-            pair = evolve_pair(config.fields, params, config.noise, rho0, float(t), method=method)
-            state = pair[1] if hypothesis == 1 else pair[0]
-            x, y, z = bloch_vector(state)
+        pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times, method=method)
+        for t, (x, y, z) in zip(times, pair[hypothesis]):
             writer.writerow([format_float(t), format_float(x), format_float(y), format_float(z)])
     return [csv_path]
 
@@ -364,12 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted for compatibility; sweeps run in this process and start no workers",
+        )
         p.add_argument(
             "--method",
             choices=sorted(_METHODS),
             default=None,
-            help="propagator: closed, rk4, superop, or auto",
+            help="propagator: auto (the batched Bloch-vector kernel) or a cross-check "
+            "route: closed, rk4, superop",
         )
         if name == "bloch":
             p.add_argument("--hypothesis", type=int, choices=(0, 1), default=1)
@@ -390,9 +367,7 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, method=args.method)
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        kwargs = {"jobs": max(1, args.jobs)}
-        if args.command == "bloch":
-            kwargs["hypothesis"] = args.hypothesis
+        kwargs = {"hypothesis": args.hypothesis} if args.command == "bloch" else {}
         written = _COMMANDS[args.command](config, out, **kwargs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -264,6 +264,9 @@ def parse(data: dict) -> RunConfig:
         sweep_preparation = PreparationState(sweep_prep)
     except ValueError as exc:
         raise ConfigError(f"bz_sweep.preparation invalid: {sweep_prep!r}") from exc
+    bloch_traces = node.get("bloch_traces", False)
+    if not isinstance(bloch_traces, bool):
+        raise ConfigError(f"bz_sweep.bloch_traces must be true or false, got {bloch_traces!r}")
     sweep_kind = node.get("noise_kind", "magnetic_axial")
     if sweep_kind not in _NOISE_NAMES:
         raise ConfigError(f"bz_sweep.noise_kind must be one of {sorted(_NOISE_NAMES)}")
@@ -275,7 +278,7 @@ def parse(data: dict) -> RunConfig:
         preparation=sweep_preparation,
         noise_kind=_NOISE_NAMES[sweep_kind],
         noise_rate=_get_number(node, "noise_rate", None, "bz_sweep", allow_none=True),
-        bloch_traces=bool(node.get("bloch_traces", False)),
+        bloch_traces=bloch_traces,
     )
 
     method = data.get("method", "auto")

@@ -1,14 +1,20 @@
 """Time evolution of the two-level sensor state under each field hypothesis.
 
-Three closed-form propagators cover the analytically solvable regimes
-(pure transverse field; transverse field plus axial magnetic field; transverse
-field with collinear dephasing). A fixed-step RK4 integrator and a 4x4
-superoperator-exponential propagator solve the general master equation
+Production route: every modeled hypothesis has a time-independent
+Hamiltonian and a Hermitian jump operator, so the master equation
 
     drho/dt = -i [H, rho] + L rho L' - (1/2) {L' L, rho},   L' = adjoint of L,
 
-with H in rad/s. The numeric routes are deliberately independent of the
-closed forms and of each other so they can cross-validate.
+(H in rad/s) is a linear map r' = M r on the Bloch vector, with M a real
+3x3 matrix. :func:`evolve_pair_grid` builds M once per hypothesis and
+evaluates exp(M t) over a whole time array with one batched
+scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
+
+Cross-check routes, chosen by ``method``: three closed-form propagators for
+the analytically solvable regimes (pure transverse field; transverse field
+plus axial magnetic field; transverse field with collinear dephasing), a
+fixed-step RK4 integrator, and a 4x4 superoperator exponential. They are
+deliberately independent of the Bloch kernel and of each other.
 """
 from __future__ import annotations
 
@@ -28,7 +34,18 @@ from .hamiltonian import (
     hamiltonian_two_level,
     lindblad_operator,
 )
-from .linalg import DensityMatrix2, IDENTITY_2, bloch_vector, dagger, expm_small
+from .linalg import (
+    DensityMatrix2,
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    bloch_vector,
+    check_bloch_norms,
+    dagger,
+    expm_batch,
+    expm_small,
+)
 
 #: Default internal step: 1/200 of the fastest precession period and of T2.
 DEFAULT_STEP_DIVISOR = 200.0
@@ -43,7 +60,7 @@ class Method(enum.Enum):
     CLOSED = "closed"  # whichever closed form applies; error if none does
     RK4 = "rk4"
     SUPEROPERATOR = "superoperator"
-    AUTO = "auto"
+    AUTO = "auto"  # the batched Bloch-vector kernel
 
 
 @dataclass(frozen=True)
@@ -314,14 +331,19 @@ def liouvillian(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndar
     conj(L) kron L - (1/2)(I kron L^dag L + (L^dag L)^T kron I).
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    gen = -1j * (np.kron(IDENTITY_2, h) - np.kron(h.T, IDENTITY_2))
+    gen = -1j * (_kron2(IDENTITY_2, h) - _kron2(h.T, IDENTITY_2))
     if lindblad is not None:
         l = np.asarray(lindblad, dtype=complex)
         if float(np.max(np.abs(l))) > 0.0:
             lsq = dagger(l) @ l
-            gen = gen + np.kron(np.conj(l), l)
-            gen = gen - 0.5 * (np.kron(IDENTITY_2, lsq) + np.kron(lsq.T, IDENTITY_2))
+            gen = gen + _kron2(np.conj(l), l)
+            gen = gen - 0.5 * (_kron2(IDENTITY_2, lsq) + _kron2(lsq.T, IDENTITY_2))
     return gen
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for two 2x2 matrices (the same products, without its overhead)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def propagate_superoperator(spec: EvolutionSpec, t: float) -> DensityMatrix2:
@@ -347,6 +369,82 @@ def _noise_direction_fields(fields: FieldConfig):
     dir0 = e0 if abs(t0) > 0 else e1
     dir1 = e1 if abs(t1) > 0 else e0
     return dir0, dir1
+
+
+def _hypothesis_operators(fields: FieldConfig, params: NvParameters, noise: NoiseModel):
+    """((H0, L0), (H1, L1)) of the baseline and switched hypotheses; a jump
+    operator is None without noise. The electric-noise axis follows each
+    hypothesis's own static field direction."""
+    h0 = hamiltonian_two_level(params, fields.e0, fields.b_z)
+    h1 = hamiltonian_two_level(params, fields.e1, fields.b_z)
+    if noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and noise.rate > 0.0:
+        dir0, dir1 = _noise_direction_fields(fields)
+        l0 = lindblad_operator(dir0, noise)
+        l1 = lindblad_operator(dir1, noise)
+    elif noise.kind is NoiseKind.MAGNETIC_AXIAL and noise.rate > 0.0:
+        l0 = lindblad_operator(fields.e0, noise)
+        l1 = lindblad_operator(fields.e1, noise)
+    else:
+        l0 = l1 = None
+    return (h0, l0), (h1, l1)
+
+
+#: vec(I) and the columns vec(sigma_x), vec(sigma_y), vec(sigma_z), column-stacked
+#: like :func:`liouvillian`, so vec(rho) = (vec(I) + PAULI_VEC r) / 2.
+_IDENTITY_VEC = IDENTITY_2.flatten(order="F")
+_PAULI_VEC = np.column_stack([s.flatten(order="F") for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def bloch_generator(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndarray:
+    """Real 3x3 generator M of r' = M r, projected from :func:`liouvillian`.
+
+    With r_k = Tr(sigma_k rho) = vec(sigma_k)^H vec(rho) the master equation
+    becomes r' = (S^H G S / 2) r + S^H G vec(I) / 2, S the Pauli columns and
+    G the 4x4 generator. The drift term vanishes because a Hermitian jump
+    operator makes the dissipator unital; it is checked, not assumed.
+    """
+    gen = liouvillian(hamiltonian, lindblad)
+    proj = dagger(_PAULI_VEC) @ gen
+    drift = float(np.max(np.abs(proj @ _IDENTITY_VEC)))
+    if drift > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+        raise PreconditionError(f"the channel is not unital (Bloch drift {drift!r}); "
+                                "the jump operator must be Hermitian")
+    return 0.5 * (proj @ _PAULI_VEC).real
+
+
+def bloch_propagators(
+    fields: FieldConfig, params: NvParameters, noise: NoiseModel, times
+) -> np.ndarray:
+    """exp(M_h t) of both hypotheses h at every time: shape (2, n, 3, 3)."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(times < 0.0):
+        raise PreconditionError("times must be a 1-d array of nonnegative values")
+    ops = _hypothesis_operators(fields, params, noise)
+    gens = np.stack([bloch_generator(h, l) for h, l in ops])
+    return expm_batch(gens[:, None] * times[None, :, None, None])
+
+
+def evolve_pair_grid(
+    fields: FieldConfig,
+    params: NvParameters,
+    noise: NoiseModel,
+    rho0: DensityMatrix2,
+    times,
+    method: Method = Method.AUTO,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors of both hypotheses at every time, as two (n, 3) arrays.
+
+    ``Method.AUTO`` is the production kernel: one batched exponential of each
+    hypothesis's Bloch generator over the whole array. Any other method
+    loops :func:`evolve_pair` over the points as a cross-check. Output
+    vectors longer than 1 + 1e-12 raise NumericalInvariantError.
+    """
+    if method is not Method.AUTO:
+        pairs = [evolve_pair(fields, params, noise, rho0, float(t), method=method) for t in times]
+        return tuple(np.array([bloch_vector(p[k]) for p in pairs]).reshape(-1, 3) for k in (0, 1))
+    maps = bloch_propagators(fields, params, noise, times)
+    r = check_bloch_norms(maps @ np.array(bloch_vector(rho0)))
+    return r[0], r[1]
 
 
 def _applicable_closed_form(
@@ -386,9 +484,7 @@ def _single_hypothesis(
 ) -> DensityMatrix2:
     kappa, _ = _lindblad_parts(lindblad)
 
-    if method is Method.AUTO:
-        method = _applicable_closed_form(hamiltonian, lindblad, rho0) or Method.SUPEROPERATOR
-    elif method is Method.CLOSED:
+    if method is Method.CLOSED:
         resolved = _applicable_closed_form(hamiltonian, lindblad, rho0)
         if resolved is None:
             raise PreconditionError("no closed-form propagator applies to this configuration")
@@ -427,21 +523,15 @@ def evolve_pair(
 ) -> tuple[DensityMatrix2, DensityMatrix2]:
     """Evolve the shared initial state under both hypotheses for time t.
 
-    Dispatches each hypothesis to the fastest applicable propagator (or the
-    one forced by ``method``; ``dt`` overrides the RK4 step). The
+    ``Method.AUTO`` is a one-point :func:`evolve_pair_grid`; any other method
+    forces that cross-check route (``dt`` overrides the RK4 step). The
     electric-noise axis follows each hypothesis's own static field direction.
     """
-    h0 = hamiltonian_two_level(params, fields.e0, fields.b_z)
-    h1 = hamiltonian_two_level(params, fields.e1, fields.b_z)
-    if noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and noise.rate > 0.0:
-        dir0, dir1 = _noise_direction_fields(fields)
-        l0 = lindblad_operator(dir0, noise)
-        l1 = lindblad_operator(dir1, noise)
-    elif noise.kind is NoiseKind.MAGNETIC_AXIAL and noise.rate > 0.0:
-        l0 = lindblad_operator(fields.e0, noise)
-        l1 = lindblad_operator(fields.e1, noise)
-    else:
-        l0 = l1 = None
-    rho_0t = _single_hypothesis(h0, l0, rho0, t, method, dt=dt)
-    rho_1t = _single_hypothesis(h1, l1, rho0, t, method, dt=dt)
-    return rho_0t, rho_1t
+    if method is Method.AUTO:
+        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, np.array([float(t)]))
+        return DensityMatrix2.from_bloch(r0[0]), DensityMatrix2.from_bloch(r1[0])
+    (h0, l0), (h1, l1) = _hypothesis_operators(fields, params, noise)
+    return (
+        _single_hypothesis(h0, l0, rho0, t, method, dt=dt),
+        _single_hypothesis(h1, l1, rho0, t, method, dt=dt),
+    )

@@ -187,11 +187,14 @@ def lindblad_operator(e_field, noise: NoiseModel) -> np.ndarray:
     amp = math.sqrt(noise.rate / 2.0)
     if noise.kind is NoiseKind.MAGNETIC_AXIAL:
         return amp * SIGMA_Z.copy()
-    transverse = complex(float(e_field[0]), float(e_field[1]))
-    mag = abs(transverse)
-    if mag == 0.0:
+    ex, ey = float(e_field[0]), float(e_field[1])
+    if ex == 0.0 and ey == 0.0:
         raise PreconditionError(
             "electric noise direction undefined: hypothesis has no transverse field"
         )
-    unit = transverse / mag
+    # an exact power-of-two rescale first, so a subnormal field still has a
+    # unit direction (|5e-324 + 5e-324 i| rounds to 5e-324)
+    _, exponent = math.frexp(max(abs(ex), abs(ey)))
+    transverse = complex(math.ldexp(ex, -exponent), math.ldexp(ey, -exponent))
+    unit = transverse / abs(transverse)
     return amp * np.array([[0.0, np.conj(unit)], [unit, 0.0]], dtype=complex)

@@ -1,5 +1,6 @@
 """Small dense complex linear algebra: 2x2 Hermitian eigenproblems, matrix
-exponentials up to 4x4, and the Bloch-vector map.
+exponentials up to 4x4 (one at a time, or batched over stacks), and the
+Bloch-vector map.
 
 The two-level basis is ordered (|+1>, |-1>) everywhere, so the Bloch +z pole
 is the |+1> population. Angular quantities are angular frequencies (rad/s);
@@ -15,6 +16,8 @@ import numpy as np
 from .errors import NumericalInvariantError, PreconditionError
 
 HERMITICITY_ATOL = 1e-12
+#: Taylor terms of :func:`expm_batch`: (1/2)^18 / 18! < 1e-21.
+TAYLOR_TERMS = 17
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -100,6 +103,13 @@ class DensityMatrix2:
     def maximally_mixed(cls) -> "DensityMatrix2":
         return cls(0.5 * IDENTITY_2)
 
+    @classmethod
+    def from_bloch(cls, r) -> "DensityMatrix2":
+        """(I + x sigma_x + y sigma_y + z sigma_z) / 2, the inverse of
+        :func:`bloch_vector`; |r| must not exceed 1 + 1e-12."""
+        x, y, z = check_bloch_norms(np.asarray(r, dtype=float))
+        return cls(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
+
     def is_close_to(self, other: "DensityMatrix2", atol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix - other.matrix)) <= atol)
 
@@ -184,6 +194,15 @@ def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:
     return (x, y, z)
 
 
+def check_bloch_norms(r: np.ndarray) -> np.ndarray:
+    """Return Bloch vectors (last axis x, y, z) after checking that none is
+    longer than 1 + 1e-12."""
+    worst = float(np.max(np.sqrt(np.sum(r * r, axis=-1)), initial=0.0))
+    if worst > 1.0 + 1e-12:
+        raise NumericalInvariantError(f"Bloch norm {worst!r} exceeds 1")
+    return r
+
+
 def expm_small(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * m) for matrices up to 4x4.
 
@@ -212,3 +231,35 @@ def expm_small(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return np.exp(mu) * result
+
+
+def expm_batch(a: np.ndarray) -> np.ndarray:
+    """exp(a) for every matrix of a stack of shape (..., d, d), d <= 4.
+
+    The scaling and squaring of :func:`expm_small` along the leading axes:
+    each matrix sheds its mean diagonal as a scalar factor, is scaled by its
+    own power of two to a 1-norm <= 1/2, and is squared back its own number
+    of times. The Taylor series has a fixed TAYLOR_TERMS terms (Horner form):
+    at norm 1/2 the first omitted term is below 1e-21, and a matrix's result
+    does not depend on the rest of the stack.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] > 4:
+        raise PreconditionError(f"expected a stack of square matrices up to 4x4, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise PreconditionError("matrix entries must be finite")
+    dim = a.shape[-1]
+    eye = np.eye(dim, dtype=a.dtype)
+    mu = np.trace(a, axis1=-2, axis2=-1) / dim
+    a = a - mu[..., None, None] * eye
+
+    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
+    b = a / np.exp2(squarings)[..., None, None]
+
+    result = eye + b / TAYLOR_TERMS
+    for k in range(TAYLOR_TERMS - 1, 0, -1):
+        result = eye + (b @ result) / k
+    for j in range(int(np.max(squarings, initial=0.0))):
+        result = np.where((squarings > j)[..., None, None], result @ result, result)
+    return np.exp(mu)[..., None, None] * result

@@ -19,17 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrimination import PovmPair, helstrom_operator, min_error, optimal_time_search, povm_pair
-from .dynamics import EvolutionSpec, propagate_superoperator
+from .dynamics import bloch_propagators, evolve_pair
 from .errors import PreconditionError
-from .hamiltonian import (
-    FieldConfig,
-    NoiseKind,
-    NoiseModel,
-    NvParameters,
-    hamiltonian_two_level,
-    lindblad_operator,
-)
-from .linalg import DensityMatrix2
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters
+from .linalg import DensityMatrix2, bloch_vector
 
 
 class Click(enum.Enum):
@@ -193,16 +186,6 @@ def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Gene
     return Click.BRIGHT if rng.random() < p_bright else Click.DARK
 
 
-def _segment_lindblad(e_field, other_field, noise: NoiseModel):
-    if noise.kind is NoiseKind.NONE or noise.rate == 0.0:
-        return None
-    if noise.kind is NoiseKind.MAGNETIC_AXIAL:
-        return lindblad_operator(e_field, noise)
-    if abs(complex(e_field[0], e_field[1])) > 0.0:
-        return lindblad_operator(e_field, noise)
-    return lindblad_operator(other_field, noise)
-
-
 def _cycle_state(
     fields: FieldConfig,
     params: NvParameters,
@@ -214,22 +197,12 @@ def _cycle_state(
 ) -> DensityMatrix2:
     """Propagate a freshly prepared sensor across one cycle of the piecewise
     field (baseline before t_star, switched after), noise axis following the
-    active field in each segment."""
-    h0 = hamiltonian_two_level(params, fields.e0, fields.b_z)
-    h1 = hamiltonian_two_level(params, fields.e1, fields.b_z)
-    l0 = _segment_lindblad(fields.e0, fields.e1, noise)
-    l1 = _segment_lindblad(fields.e1, fields.e0, noise)
-    rho = rho_init
-    if t_star >= t_end:
-        segments = [(h0, l0, t_end - t_start)]
-    elif t_star <= t_start:
-        segments = [(h1, l1, t_end - t_start)]
-    else:
-        segments = [(h0, l0, t_star - t_start), (h1, l1, t_end - t_star)]
-    for h, l, duration in segments:
-        if duration > 0.0:
-            rho = propagate_superoperator(EvolutionSpec(hamiltonian=h, lindblad=l, rho0=rho), duration)
-    return rho
+    active field in each segment. The cycle's Bloch map is the switched map
+    over [t_switch, t_end] times the baseline map over [t_start, t_switch],
+    with t_switch = t_star clipped to the cycle."""
+    t_switch = min(max(t_star, t_start), t_end)
+    maps = bloch_propagators(fields, params, noise, [t_switch - t_start, t_end - t_switch])
+    return DensityMatrix2.from_bloch(maps[1, 1] @ maps[0, 0] @ np.array(bloch_vector(rho_init)))
 
 
 def run_turn_on_protocol(
@@ -264,8 +237,7 @@ def run_turn_on_protocol(
         t_cycle = math.pi / (2.0 * de_mag)
 
     rho_init = preparation.density_matrix()
-    rho_dark = _cycle_state(fields, params, noise, rho_init, 0.0, t_cycle, math.inf)
-    rho_bright = _cycle_state(fields, params, noise, rho_init, 0.0, t_cycle, 0.0)
+    rho_dark, rho_bright = evolve_pair(fields, params, noise, rho_init, t_cycle)
     povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
     p_single = min_error(rho_dark, rho_bright, fields.priors).p_err
     informative = p_single < 0.5 - 1e-6

@@ -1,0 +1,181 @@
+"""The production Bloch-vector kernel against the independent routes.
+
+``evolve_pair_grid`` + ``min_error_grid`` must reproduce the 4x4
+superoperator propagator + ``min_error`` per point, including at the
+exceptional point of the axial-noise generator, where it is defective.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvdetect import (
+    DensityMatrix2,
+    FieldConfig,
+    Method,
+    NoiseModel,
+    NvParameters,
+    PreconditionError,
+    evolve_pair,
+    evolve_pair_grid,
+    expm_batch,
+    expm_small,
+    min_error,
+    min_error_grid,
+    standard_basis_error,
+    standard_basis_error_grid,
+)
+from nvdetect.dynamics import bloch_generator
+from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
+from nvdetect.linalg import bloch_vector
+
+PARAMS = NvParameters()
+PREPARATIONS = (DensityMatrix2.pole_plus(), DensityMatrix2.equal_superposition())
+
+
+def transverse(magnitude, angle):
+    return (magnitude * math.cos(angle), magnitude * math.sin(angle), 0.0)
+
+
+@st.composite
+def scenarios(draw):
+    """A field pair, noise model, initial state and time grid.
+
+    Covers electric and axial-magnetic noise, nonzero B_z, skewed priors, a
+    zero switch, random initial Bloch states, and axial noise within 1e-6
+    relative of the exceptional point kappa = 4 |coupling| of the switched
+    hypothesis (its y-z block [[-kappa, -2w], [2w, 0]] is then defective).
+    """
+    angle = st.floats(0.0, 2.0 * math.pi)
+    e0_scale = draw(st.sampled_from([0.0, 1e5, 1e6]))
+    e0 = transverse(e0_scale * draw(st.floats(0.0, 1.0)), draw(angle))
+    kind = draw(st.sampled_from(["electric", "magnetic", "critical", "zero_switch"]))
+    b_z = draw(st.one_of(st.just(0.0), st.floats(-3e-5, 3e-5)))
+    if kind == "critical":
+        e0, b_z = (0.0, 0.0, 0.0), 0.0
+        de = transverse(draw(st.floats(2e4, 2e5)), draw(angle))
+        coupling = abs(PARAMS.transverse_coupling(de))
+        noise = NoiseModel.magnetic(4.0 * coupling * (1.0 + draw(st.floats(-1e-6, 1e-6))))
+    else:
+        de = transverse(draw(st.floats(1e4, 3e6)), draw(angle))
+        if kind == "zero_switch":
+            de = (0.0, 0.0, 0.0)
+            if e0[:2] == (0.0, 0.0):
+                e0 = transverse(1e6, draw(angle))  # electric noise needs a field axis
+        rate = draw(st.floats(0.0, 3e5))
+        noise = NoiseModel.magnetic(rate) if kind == "magnetic" else NoiseModel.electric(rate)
+    p0 = draw(st.sampled_from([0.5, 0.1, 0.3, 0.7, 0.95]))
+    fields = FieldConfig(e0=e0, de=de, b_z=b_z, priors=(p0, 1.0 - p0))
+
+    direction = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if np.linalg.norm(direction) < 1e-3:
+        direction = np.array([0.0, 0.0, 1.0])
+    radius = draw(st.sampled_from([1.0, 0.5])) * draw(st.floats(0.0, 1.0))
+    rho0 = DensityMatrix2.from_bloch(radius * direction / np.linalg.norm(direction))
+    times = np.linspace(0.0, draw(st.floats(1e-7, 1e-5)), draw(st.integers(2, 12)))
+    return fields, noise, rho0, times
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_grid_kernel_matches_superoperator_and_min_error(scenario):
+    fields, noise, rho0, times = scenario
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    curve = min_error_grid(r0, r1, fields.priors)
+    p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
+    for k, t in enumerate(times):
+        s0, s1 = evolve_pair(fields, PARAMS, noise, rho0, float(t), method=Method.SUPEROPERATOR)
+        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[k])) <= 1e-12
+        report = min_error(s0, s1, fields.priors)
+        assert abs(report.p_err - curve.p_err[k]) <= 1e-12
+        p_std_ref = standard_basis_error(s0, s1, fields.priors, best_assignment=True)
+        assert abs(p_std_ref - p_std[k]) <= 1e-12
+        # p_dc and p_fn follow the direction of v = P1 r1 - P0 r0, so a
+        # rounding difference in the states moves them by about 1e-16 / |v|,
+        # and they jump where an eigenvalue crosses zero. Where neither
+        # applies they must agree as tightly as p_err.
+        v = fields.priors[1] * r1[k] - fields.priors[0] * r0[k]
+        smallest_eigenvalue = min(abs(curve.lambda_plus[k]), abs(curve.lambda_minus[k]))
+        if np.linalg.norm(v) >= 1e-3 and smallest_eigenvalue >= 1e-9:
+            assert abs(report.p_dc - curve.p_dc[k]) <= 1e-12
+            assert abs(report.p_fn - curve.p_fn[k]) <= 1e-12
+
+    k = len(times) // 2
+    p0, p1 = evolve_pair(fields, PARAMS, noise, rho0, float(times[k]))
+    assert np.max(np.abs(np.array(bloch_vector(p0)) - r0[k])) <= 1e-13
+    assert np.max(np.abs(np.array(bloch_vector(p1)) - r1[k])) <= 1e-13
+
+
+@pytest.mark.parametrize("rho0", PREPARATIONS, ids=["pole_plus", "equal_superposition"])
+@pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7), (0.0, 1.0), (0.7, 0.3), (1.0, 0.0)])
+def test_identical_states_at_time_zero(rho0, priors):
+    # at t = 0 both hypotheses still hold the prepared state; these are the
+    # first rows of perr_time.csv
+    fields = FieldConfig(de=(1e6, 0.0, 0.0), priors=priors)
+    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), rho0, [0.0])
+    assert np.array_equal(r0, r1)
+    curve = min_error_grid(r0, r1, priors)
+    report = min_error(rho0, rho0, priors)
+    p0, p1 = priors
+    if p1 >= p0:  # zero eigenvalues go to pi1: pi1 is the identity
+        assert (curve.p_dc[0], curve.p_fn[0]) == (1.0, 0.0)
+        assert (curve.p_dc[0], curve.p_fn[0]) == (report.p_dc, report.p_fn)
+    else:
+        # pi0 projects onto the prepared state; min_error builds it from the
+        # eigenvector, whose irrational components (1/sqrt 2 for the
+        # superposition) leave Tr(rho pi0) at most a few ulp below 1
+        assert (curve.p_dc[0], curve.p_fn[0]) == (0.0, 1.0)
+        assert report.p_dc == 0.0
+        assert report.p_fn == pytest.approx(1.0, abs=1e-15)
+    assert curve.p_err[0] == pytest.approx(min(p0, p1), abs=1e-15)
+
+
+def test_zero_switch_gives_identical_grids():
+    fields = FieldConfig(e0=(1e6, 0.0, 0.0), de=(0.0, 0.0, 0.0), priors=(0.3, 0.7))
+    times = np.linspace(0.0, 4e-6, 33)
+    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), PREPARATIONS[1], times)
+    assert np.array_equal(r0, r1)
+    curve = min_error_grid(r0, r1, fields.priors)
+    assert np.all(curve.p_dc == 1.0) and np.all(curve.p_fn == 0.0)
+    np.testing.assert_allclose(curve.p_err, 0.3, atol=1e-15)
+
+
+def test_other_methods_loop_the_cross_check_routes():
+    fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=(1e6, 0.0, 0.0))
+    noise = NoiseModel.electric(1e5)
+    times = np.linspace(0.0, 3e-6, 7)
+    auto = evolve_pair_grid(fields, PARAMS, noise, PREPARATIONS[0], times)
+    for method in (Method.CLOSED, Method.SUPEROPERATOR):
+        routed = evolve_pair_grid(fields, PARAMS, noise, PREPARATIONS[0], times, method=method)
+        for a, b in zip(auto, routed):
+            assert b.shape == (7, 3)
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_negative_times_rejected():
+    with pytest.raises(PreconditionError):
+        evolve_pair_grid(FieldConfig(), PARAMS, NoiseModel.none(), PREPARATIONS[0], [-1e-9])
+
+
+def test_bloch_generator_of_axial_noise():
+    # sigma_z noise at rate kappa damps x and y at kappa; a real coupling w
+    # rotates y and z at 2w
+    w = abs(PARAMS.transverse_coupling((1e6, 0.0, 0.0)))
+    h = hamiltonian_two_level(PARAMS, (1e6, 0.0, 0.0), 0.0)
+    m = bloch_generator(h, lindblad_operator((1e6, 0.0, 0.0), NoiseModel.magnetic(1e5)))
+    expected = [[-1e5, 0.0, 0.0], [0.0, -1e5, -2 * w], [0.0, 2 * w, 0.0]]
+    np.testing.assert_allclose(m, expected, atol=1e-6)
+
+
+def test_expm_batch_matches_expm_small_per_matrix():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(5, 4, 4)) * rng.uniform(0.0, 5.0, size=(5, 1, 1))
+    stack = stack + 1j * rng.normal(size=(5, 4, 4))
+    batched = expm_batch(stack)
+    for a, got in zip(stack, batched):
+        want = expm_small(a)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert np.array_equal(expm_batch(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))

@@ -84,6 +84,14 @@ class TestCliExitCodes:
         code = main(["bloch", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_bloch_traces_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "bad.json", {"bz_sweep": {"bloch_traces": value}})
+        code = main(["appendix-b", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bz_sweep.bloch_traces" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -114,6 +122,22 @@ class TestPerrTimeCommand:
         assert float(marked[0][3]) == min(float(r[3]) for r in rows)
         manifest = json.loads((tmp_path / "out" / "perr_time_pairs.json").read_text())
         assert manifest[0]["de"] == [1e6, 0, 0]
+
+    @pytest.mark.parametrize("priors", [[0.5, 0.5], [0.3, 0.7]])
+    def test_first_row_assigns_identical_states_to_switched(self, tmp_path, priors):
+        # at t = 0 the hypotheses coincide and zero eigenvalues go to pi1
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {
+                "time_grid": SMALL_GRID,
+                "fields": {"priors": priors},
+                "field_pairs": [{"e0": [0, 0, 0], "de": [1e6, 0, 0], "kappa": 1e5}],
+            },
+        )
+        main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")])
+        first = (tmp_path / "out" / "perr_time.csv").read_text().splitlines()[1].split(",")
+        assert float(first[2]) == 0.0
+        assert (float(first[3]), float(first[5]), float(first[6])) == (priors[0], 1.0, 0.0)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(
