@@ -72,6 +72,7 @@ from .protocol import (
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,
+    run_turn_on_batch,
     run_turn_on_protocol,
     simulate_click,
     superposition_bz_sweep,
@@ -128,6 +129,7 @@ __all__ = [
     "optimal_time_search",
     "povm_pair",
     "propagate_superoperator",
+    "run_turn_on_batch",
     "run_turn_on_protocol",
     "simulate_click",
     "spectrum",

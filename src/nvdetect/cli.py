@@ -28,9 +28,9 @@ from . import config as config_mod
 from .config import RunConfig, format_float
 from .discrimination import min_error, min_error_grid, standard_basis_error_grid
 from .dynamics import Method, evolve_pair, evolve_pair_grid
-from .errors import ConfigError, NumericalInvariantError
+from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
-from .protocol import Click, run_turn_on_protocol, superposition_bz_sweep
+from .protocol import Click, run_turn_on_batch, superposition_bz_sweep
 
 _METHODS = {
     "auto": Method.AUTO,
@@ -148,12 +148,10 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     rho0 = config.preparation.density_matrix()
     fields = config.fields
     noise = config.noise
-    t_meas = config.protocol.t_cycle
-    if t_meas is None:
-        de_mag = abs(params.transverse_coupling(fields.de))
-        if de_mag == 0.0:
-            raise ConfigError("array command needs a nonzero transverse field switch")
-        t_meas = math.pi / (2.0 * de_mag)
+    try:
+        t_meas = config.protocol.schedule().cycle_time(fields, params)
+    except PreconditionError as exc:
+        raise ConfigError("array command needs a nonzero transverse field switch") from exc
     r0, r1 = evolve_pair(fields, params, noise, rho0, t_meas, method=_METHODS[config.method])
     report = min_error(r0, r1, fields.priors, t=t_meas)
 
@@ -186,16 +184,22 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     params = config.parameters
     fields = config.fields
     noise = config.noise
-    schedule = config.protocol.schedule()
     proto = config.protocol
-
-    t_cycle = proto.t_cycle
-    if t_cycle is None:
-        de_mag = abs(params.transverse_coupling(fields.de))
-        if de_mag == 0.0:
-            raise ConfigError("protocol command needs a nonzero transverse field switch")
-        t_cycle = math.pi / (2.0 * de_mag)
+    schedule = proto.schedule()
+    try:
+        t_cycle = schedule.cycle_time(fields, params)
+    except PreconditionError as exc:
+        raise ConfigError("protocol command needs a nonzero transverse field switch") from exc
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
+    runs = run_turn_on_batch(
+        fields, params, noise, schedule, true_t_star, proto.n_sensors,
+        range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
+        preparation=config.preparation,
+    )
+    bounds = [
+        (format_float(cycle * t_cycle), format_float((cycle + 1) * t_cycle))
+        for cycle in range(proto.n_cycles)
+    ]
 
     csv_path = out / "protocol_runs.csv"
     fh, writer = _writer(csv_path)
@@ -204,22 +208,16 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
         writer.writerow(
             ["run", "cycle", "t_start", "t_end", "clicks", "n_bright", "majority", "confident"]
         )
-        for run_index in range(proto.n_runs):
-            seed = config.seed + run_index  # documented per-run seed offset
-            run = run_turn_on_protocol(
-                fields, params, noise, schedule, true_t_star, proto.n_sensors, seed,
-                preparation=config.preparation,
-            )
+        for run_index, run in enumerate(runs):
             for cycle, votes in enumerate(run.sensor_clicks):
                 pattern = "".join("B" if v is Click.BRIGHT else "D" for v in votes)
                 writer.writerow(
                     [
                         str(run_index),
                         str(cycle),
-                        format_float(cycle * run.t_cycle),
-                        format_float((cycle + 1) * run.t_cycle),
+                        *bounds[cycle],
                         pattern,
-                        str(sum(v is Click.BRIGHT for v in votes)),
+                        str(pattern.count("B")),
                         "B" if run.clicks[cycle] is Click.BRIGHT else "D",
                         "1" if run.confident[cycle] else "0",
                     ]
@@ -231,7 +229,7 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
             run_summaries.append(
                 {
                     "run": run_index,
-                    "seed": seed,
+                    "seed": run.seed,
                     "status": run.status,
                     "interval": list(run.estimated_interval) if run.estimated_interval else None,
                     "true_t_star": true_t_star,

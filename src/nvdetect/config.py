@@ -38,6 +38,13 @@ def _get_number(node: dict, key: str, default, path: str, allow_none: bool = Fal
     return float(value)
 
 
+def _get_count(node: dict, key: str, default: int, path: str) -> int:
+    value = node.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{path}.{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _get_vec3(node: dict, key: str, default, path: str) -> tuple[float, float, float]:
     value = node.get(key, default)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
@@ -231,20 +238,23 @@ def parse(data: dict) -> RunConfig:
     sensor_counts = data.get("sensor_counts", [1, 3, 5, 7, 9, 11, 13, 15])
     if not isinstance(sensor_counts, (list, tuple)) or not sensor_counts:
         raise ConfigError("sensor_counts must be a non-empty list")
-    if any((not isinstance(n, int)) or n < 1 or n % 2 == 0 for n in sensor_counts):
-        raise ConfigError("sensor_counts must be odd integers >= 1")
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0
+           for n in sensor_counts):
+        raise ConfigError(f"sensor_counts must be odd integers >= 1, got {sensor_counts!r}")
 
     node = data.get("protocol", {})
     _check_keys(node, {"t_cycle", "n_cycles", "n_sensors", "true_t_star", "n_runs"}, "protocol")
     protocol = ProtocolConfig(
         t_cycle=_get_number(node, "t_cycle", None, "protocol", allow_none=True),
-        n_cycles=int(node.get("n_cycles", 8)),
-        n_sensors=int(node.get("n_sensors", 15)),
+        n_cycles=_get_count(node, "n_cycles", 8, "protocol"),
+        n_sensors=_get_count(node, "n_sensors", 15, "protocol"),
         true_t_star=_get_number(node, "true_t_star", None, "protocol", allow_none=True),
-        n_runs=int(node.get("n_runs", 200)),
+        n_runs=_get_count(node, "n_runs", 200, "protocol"),
     )
-    if protocol.n_cycles < 1 or protocol.n_sensors < 1 or protocol.n_runs < 1:
-        raise ConfigError("protocol counts must be >= 1")
+    if protocol.t_cycle is not None and not protocol.t_cycle > 0.0:
+        raise ConfigError(f"protocol.t_cycle must be > 0, got {protocol.t_cycle!r}")
+    if protocol.true_t_star is not None and not protocol.true_t_star >= 0.0:
+        raise ConfigError(f"protocol.true_t_star must be >= 0, got {protocol.true_t_star!r}")
 
     node = data.get("bz_sweep", {})
     _check_keys(

@@ -5,14 +5,22 @@ error exponentially; the turn-on protocol repeats the static-field
 measurement on a refreshed sensor every cycle and brackets the switch time
 from the dark-to-bright transition of the fused record.
 
-Random streams: the generator for cycle c (0-based) and sensor s is
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c, s)))``,
-so transcripts are reproducible and sensors/cycles are independent.
+Random streams: the click of cycle c (0-based) and sensor s in the run with
+seed ``seed`` is bright when the first ``random()`` draw of
+``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c, s)))``
+falls below the cycle's bright probability, so transcripts are reproducible
+and sensors/cycles are independent. The protocol does not build those
+generators: ``_click_uniforms`` reproduces the draws bit for bit in one
+vectorized pass over integer arrays (SeedSequence mixing, PCG64 seeding,
+one XSL-RR output), and a test pins it against numpy so that a change of
+numpy's SeedSequence, PCG64 or ``Generator.random`` fails loudly instead of
+moving the transcripts.
 """
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,6 +78,15 @@ class MeasurementSchedule:
             raise PreconditionError("n_cycles must be >= 1")
         if not self.reinit:
             raise PreconditionError("only refresh-and-reinitialize cycles are modeled")
+
+    def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
+        """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
+        if self.t_cycle is not None:
+            return self.t_cycle
+        de_mag = abs(params.transverse_coupling(fields.de))
+        if de_mag == 0.0:
+            raise PreconditionError("cannot derive a cycle time from a zero field switch")
+        return math.pi / (2.0 * de_mag)
 
 
 @dataclass(frozen=True)
@@ -176,14 +193,123 @@ def fit_decay_rate(points) -> float:
     return float(slope)
 
 
+def _bright_probability(rho: DensityMatrix2, povm: PovmPair) -> float:
+    """Tr(rho Pi1), clipped to [0, 1]."""
+    p_bright = float(np.trace(rho.matrix @ povm.pi1).real)
+    return min(max(p_bright, 0.0), 1.0)
+
+
 def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Generator) -> Click:
     """One stochastic readout: bright with probability Tr(rho Pi1).
 
-    Readout is treated as instantaneous relative to the spin dynamics.
+    Readout is treated as instantaneous relative to the spin dynamics. This
+    is the per-click reference of the turn-on protocol, which draws the same
+    ``rng.random()`` values in bulk with :func:`_click_uniforms`.
     """
-    p_bright = float(np.trace(rho_true.matrix @ povm.pi1).real)
-    p_bright = min(max(p_bright, 0.0), 1.0)
-    return Click.BRIGHT if rng.random() < p_bright else Click.DARK
+    return Click.BRIGHT if rng.random() < _bright_probability(rho_true, povm) else Click.DARK
+
+
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+#: Click streams evaluated together; bounds the kernel's working arrays
+#: (a few dozen arrays of this many 64-bit words) whatever n_runs is.
+_BLOCK_STREAMS = 4096
+
+
+def _hash_constants(h: int, mult: int):
+    """SeedSequence's running hash constant: (value, value * mult) pairs."""
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor_const, mult_const = next(constants)
+    value = (value ^ xor_const) * mult_const
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """state * multiplier + inc mod 2**128 on (high, low) uint64 words; the
+    high word of the low product comes from 32-bit limbs."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = lo & m32, lo >> s32
+    b0, b1 = np.uint64(_PCG_MULT_LO & _MASK32), np.uint64(_PCG_MULT_LO >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> s32) + (p01 & m32) + (p10 & m32)
+    carry = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    hi = hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + carry
+    return _add128(hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    total = lo + add_lo
+    return hi + add_hi + (total < lo).astype(np.uint64), total
+
+
+def _click_uniforms(seeds, cycles: range, n_sensors: int) -> np.ndarray:
+    """First ``random()`` draw of every (seed, cycle, sensor) click stream.
+
+    Entry [i, k, s] is bitwise equal to ``numpy.random.default_rng(
+    SeedSequence(entropy=seeds[i], spawn_key=(cycles[k], s))).random()``:
+    the SeedSequence pool mixing of [seed words padded to 4, cycle, sensor],
+    ``generate_state(4, uint64)``, PCG64 seeding, one XSL-RR output and
+    (x >> 11) * 2**-53, all in 32/64-bit integer arrays.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
+        raise PreconditionError("seeds must be non-negative integers")
+    if cycles.stop > _MASK32 + 1 or n_sensors > _MASK32 + 1:
+        raise PreconditionError("cycle and sensor indices must fit in 32 bits")
+    out = np.empty((len(seeds), len(cycles), n_sensors))
+    n_words = [max(_POOL_SIZE, (seed.bit_length() + 31) // 32) for seed in seeds]
+    for length in set(n_words):
+        rows = [i for i, n in enumerate(n_words) if n == length]
+        entropy = np.array(
+            [[(seeds[i] >> (32 * k)) & _MASK32 for k in range(length)] for i in rows],
+            dtype=np.uint32,
+        ).reshape(len(rows), length, 1, 1)
+        hash_a = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(entropy[:, k], hash_a) for k in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a))
+        spawn_key = (
+            *(entropy[:, k] for k in range(_POOL_SIZE, length)),
+            np.arange(cycles.start, cycles.stop, dtype=np.uint32).reshape(1, -1, 1),
+            np.arange(n_sensors, dtype=np.uint32).reshape(1, 1, -1),
+        )
+        for word in spawn_key:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(word, hash_a))
+        hash_b = _hash_constants(_INIT_B, _MULT_B)
+        state = [_hashmix(pool[k % _POOL_SIZE], hash_b).astype(np.uint64) for k in range(8)]
+        init_hi, init_lo, seq_hi, seq_lo = (
+            state[k] | (state[k + 1] << np.uint64(32)) for k in range(0, 8, 2)
+        )
+        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+        inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)  # the step from state 0 gives inc
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # the first draw's step
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[rows] = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return out
 
 
 def _cycle_state(
@@ -205,6 +331,112 @@ def _cycle_state(
     return DensityMatrix2.from_bloch(maps[1, 1] @ maps[0, 0] @ np.array(bloch_vector(rho_init)))
 
 
+def _bracket(bright: list[bool], confident: list[bool], t_cycle: float):
+    """Switch interval (lo, hi) from the per-cycle majorities, or None
+    without a confident bright cycle."""
+    first_bright = next((i for i, (b, conf) in enumerate(zip(bright, confident)) if conf and b), None)
+    if first_bright is None:
+        return None
+    last_dark = next(
+        (i for i in range(first_bright - 1, -1, -1) if confident[i] and not bright[i]), None
+    )
+    hi = (first_bright + 1) * t_cycle
+    if last_dark is None:
+        return (max(0.0, hi - 2.0 * t_cycle), hi)
+    lo = last_dark * t_cycle
+    if hi - lo > 2.0 * t_cycle:
+        center = 0.5 * (lo + hi)
+        lo, hi = center - t_cycle, center + t_cycle
+    return (lo, hi)
+
+
+def run_turn_on_batch(
+    fields: FieldConfig,
+    params: NvParameters,
+    noise: NoiseModel,
+    schedule: MeasurementSchedule,
+    true_t_star: float,
+    n_sensors: int,
+    seeds,
+    preparation: PreparationState = PreparationState.POLE_PLUS,
+) -> list[DetectionRun]:
+    """Run the turn-on detection protocol once per seed.
+
+    Each cycle k covers [(k-1) t_cycle, k t_cycle]; a fresh sensor is
+    prepared at the cycle start and read out at its end with the projector
+    pair of the static-field problem at t_cycle. The per-cycle majority vote
+    is "confident" when its margin is at least two votes (the single vote
+    counts when n_sensors = 1); the estimated switch interval runs from the
+    start of the last confident dark cycle to the end of the first confident
+    bright cycle, clipped symmetrically to a width of two cycles.
+
+    The cycle physics (bright probability per cycle, the informative flag)
+    depends only on the configuration and is computed once; the clicks of
+    all runs are then drawn in blocks of at most ``_BLOCK_STREAMS`` streams.
+    """
+    if not true_t_star >= 0.0:
+        raise PreconditionError("true_t_star must be >= 0")
+    if n_sensors < 1:
+        raise PreconditionError("n_sensors must be >= 1")
+    seeds = list(seeds)
+    t_cycle = schedule.cycle_time(fields, params)
+    n_cycles = schedule.n_cycles
+
+    rho_init = preparation.density_matrix()
+    rho_dark, rho_bright = evolve_pair(fields, params, noise, rho_init, t_cycle)
+    povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
+    informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
+    p_cycle = np.empty(n_cycles)
+    for cycle in range(n_cycles):
+        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
+        if true_t_star >= t_end:
+            rho = rho_dark
+        elif true_t_star <= t_start:
+            rho = rho_bright
+        else:
+            rho = _cycle_state(fields, params, noise, rho_init, t_start, t_end, true_t_star)
+        p_cycle[cycle] = _bright_probability(rho, povm)
+
+    runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
+    cycles_per_block = max(1, _BLOCK_STREAMS // n_sensors)
+    votes_of: dict[tuple[bool, ...], tuple[Click, ...]] = {}
+    runs: list[DetectionRun] = []
+    for first in range(0, len(seeds), runs_per_block):
+        block = seeds[first:first + runs_per_block]
+        bright = np.concatenate(
+            [
+                _click_uniforms(block, range(c, min(c + cycles_per_block, n_cycles)), n_sensors)
+                < p_cycle[c:c + cycles_per_block, None]
+                for c in range(0, n_cycles, cycles_per_block)
+            ],
+            axis=1,
+        )
+        n_bright = bright.sum(axis=2)
+        majority = (2 * n_bright > n_sensors).tolist()
+        confident = ((np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)).tolist()
+        for seed, sensors, maj, conf in zip(block, bright.tolist(), majority, confident):
+            sensor_clicks = []
+            for row in map(tuple, sensors):
+                if row not in votes_of:
+                    votes_of[row] = tuple(Click.BRIGHT if b else Click.DARK for b in row)
+                sensor_clicks.append(votes_of[row])
+            interval = _bracket(maj, conf, t_cycle) if informative else None
+            runs.append(
+                DetectionRun(
+                    true_t_star=true_t_star,
+                    clicks=tuple(Click.BRIGHT if b else Click.DARK for b in maj),
+                    estimated_interval=interval,
+                    seed=seed,
+                    status="no_detection" if interval is None else "detected",
+                    t_cycle=t_cycle,
+                    n_sensors=n_sensors,
+                    sensor_clicks=tuple(sensor_clicks),
+                    confident=tuple(conf),
+                )
+            )
+    return runs
+
+
 def run_turn_on_protocol(
     fields: FieldConfig,
     params: NvParameters,
@@ -215,96 +447,11 @@ def run_turn_on_protocol(
     seed: int,
     preparation: PreparationState = PreparationState.POLE_PLUS,
 ) -> DetectionRun:
-    """Run the turn-on detection protocol once.
-
-    Each cycle k covers [(k-1) t_cycle, k t_cycle]; a fresh sensor is
-    prepared at the cycle start and read out at its end with the projector
-    pair of the static-field problem at t_cycle. The per-cycle majority vote
-    is "confident" when its margin is at least two votes (the single vote
-    counts when n_sensors = 1); the estimated switch interval runs from the
-    start of the last confident dark cycle to the end of the first confident
-    bright cycle, clipped symmetrically to a width of two cycles.
-    """
-    if true_t_star < 0.0:
-        raise PreconditionError("true_t_star must be >= 0")
-    if n_sensors < 1:
-        raise PreconditionError("n_sensors must be >= 1")
-    t_cycle = schedule.t_cycle
-    if t_cycle is None:
-        de_mag = abs(params.transverse_coupling(fields.de))
-        if de_mag == 0.0:
-            raise PreconditionError("cannot derive a cycle time from a zero field switch")
-        t_cycle = math.pi / (2.0 * de_mag)
-
-    rho_init = preparation.density_matrix()
-    rho_dark, rho_bright = evolve_pair(fields, params, noise, rho_init, t_cycle)
-    povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
-    p_single = min_error(rho_dark, rho_bright, fields.priors).p_err
-    informative = p_single < 0.5 - 1e-6
-
-    clicks: list[Click] = []
-    sensor_clicks: list[tuple[Click, ...]] = []
-    confident: list[bool] = []
-    for cycle in range(schedule.n_cycles):
-        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
-        if true_t_star >= t_end:
-            rho = rho_dark
-        elif true_t_star <= t_start:
-            rho = rho_bright
-        else:
-            rho = _cycle_state(fields, params, noise, rho_init, t_start, t_end, true_t_star)
-        votes = tuple(
-            simulate_click(
-                rho,
-                povm,
-                np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, s))),
-            )
-            for s in range(n_sensors)
-        )
-        sensor_clicks.append(votes)
-        n_bright = sum(v is Click.BRIGHT for v in votes)
-        margin = abs(2 * n_bright - n_sensors)
-        clicks.append(Click.BRIGHT if 2 * n_bright > n_sensors else Click.DARK)
-        confident.append(margin >= 2 or n_sensors == 1)
-
-    interval = None
-    status = "no_detection"
-    if informative:
-        first_bright = next(
-            (i for i, (c, conf) in enumerate(zip(clicks, confident)) if conf and c is Click.BRIGHT),
-            None,
-        )
-        if first_bright is not None:
-            last_dark = next(
-                (
-                    i
-                    for i in range(first_bright - 1, -1, -1)
-                    if confident[i] and clicks[i] is Click.DARK
-                ),
-                None,
-            )
-            hi = (first_bright + 1) * t_cycle
-            if last_dark is None:
-                lo = max(0.0, hi - 2.0 * t_cycle)
-            else:
-                lo = last_dark * t_cycle
-                if hi - lo > 2.0 * t_cycle:
-                    center = 0.5 * (lo + hi)
-                    lo, hi = center - t_cycle, center + t_cycle
-            interval = (lo, hi)
-            status = "detected"
-
-    return DetectionRun(
-        true_t_star=true_t_star,
-        clicks=tuple(clicks),
-        estimated_interval=interval,
-        seed=seed,
-        status=status,
-        t_cycle=t_cycle,
-        n_sensors=n_sensors,
-        sensor_clicks=tuple(sensor_clicks),
-        confident=tuple(confident),
-    )
+    """Run the turn-on detection protocol once: :func:`run_turn_on_batch`
+    with a single seed."""
+    return run_turn_on_batch(
+        fields, params, noise, schedule, true_t_star, n_sensors, (seed,), preparation
+    )[0]
 
 
 @dataclass(frozen=True)

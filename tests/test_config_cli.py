@@ -92,6 +92,40 @@ class TestCliExitCodes:
         assert "bz_sweep.bloch_traces" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            ("protocol", {"protocol": {"n_runs": "x"}}, "protocol.n_runs"),
+            ("protocol", {"protocol": {"n_runs": True}}, "protocol.n_runs"),
+            ("protocol", {"protocol": {"n_runs": 2.0}}, "protocol.n_runs"),
+            ("protocol", {"protocol": {"n_cycles": 2.9}}, "protocol.n_cycles"),
+            ("protocol", {"protocol": {"n_cycles": 1e9}}, "protocol.n_cycles"),
+            ("protocol", {"protocol": {"n_cycles": 0}}, "protocol.n_cycles"),
+            ("protocol", {"protocol": {"n_sensors": "15"}}, "protocol.n_sensors"),
+            ("protocol", {"protocol": {"n_sensors": False}}, "protocol.n_sensors"),
+            ("protocol", {"protocol": {"n_sensors": None}}, "protocol.n_sensors"),
+            ("protocol", {"protocol": {"true_t_star": -1e-7}}, "protocol.true_t_star"),
+            ("protocol", {"protocol": {"true_t_star": float("nan")}}, "protocol.true_t_star"),
+            ("protocol", {"protocol": {"t_cycle": -1e-7}}, "protocol.t_cycle"),
+            ("protocol", {"protocol": {"t_cycle": 0}}, "protocol.t_cycle"),
+            ("array", {"sensor_counts": [True]}, "sensor_counts"),
+            ("array", {"sensor_counts": [1, 3.0, 5]}, "sensor_counts"),
+        ],
+    )
+    def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
+        cfg = write_config(tmp_path / "bad.json", data)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "array"])
+    def test_zero_switch_without_cycle_time_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", {"fields": {"e0": [1e6, 0, 0], "de": [0, 0, 0]}})
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "nonzero transverse field switch" in capsys.readouterr().err
+
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
