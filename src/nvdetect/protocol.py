@@ -19,9 +19,11 @@ moving the transcripts.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,10 @@ from .linalg import DensityMatrix2, bloch_vector
 class Click(enum.Enum):
     DARK = "dark"
     BRIGHT = "bright"
+
+
+#: Click by outcome: _CLICK[bright].
+_CLICK = (Click.DARK, Click.BRIGHT)
 
 
 class PreparationState(enum.Enum):
@@ -359,7 +365,7 @@ def run_turn_on_batch(
     n_sensors: int,
     seeds,
     preparation: PreparationState = PreparationState.POLE_PLUS,
-) -> list[DetectionRun]:
+) -> Iterator[DetectionRun]:
     """Run the turn-on detection protocol once per seed.
 
     Each cycle k covers [(k-1) t_cycle, k t_cycle]; a fresh sensor is
@@ -371,14 +377,15 @@ def run_turn_on_batch(
     bright cycle, clipped symmetrically to a width of two cycles.
 
     The cycle physics (bright probability per cycle, the informative flag)
-    depends only on the configuration and is computed once; the clicks of
-    all runs are then drawn in blocks of at most ``_BLOCK_STREAMS`` streams.
+    depends only on the configuration and is computed once, by this call.
+    The returned iterator draws the runs lazily, in blocks of at most
+    ``_BLOCK_STREAMS`` click streams, so a consumer that handles each run
+    and drops it holds one block whatever the number of seeds.
     """
     if not true_t_star >= 0.0:
         raise PreconditionError("true_t_star must be >= 0")
     if n_sensors < 1:
         raise PreconditionError("n_sensors must be >= 1")
-    seeds = list(seeds)
     t_cycle = schedule.cycle_time(fields, params)
     n_cycles = schedule.n_cycles
 
@@ -397,12 +404,16 @@ def run_turn_on_batch(
             rho = _cycle_state(fields, params, noise, rho_init, t_start, t_end, true_t_star)
         p_cycle[cycle] = _bright_probability(rho, povm)
 
+    return _draw_runs(p_cycle, informative, t_cycle, true_t_star, n_sensors, iter(seeds))
+
+
+def _draw_runs(p_cycle, informative, t_cycle, true_t_star, n_sensors, seeds):
+    """The runs of :func:`run_turn_on_batch`, drawn one block of seeds at a
+    time as they are consumed."""
+    n_cycles = len(p_cycle)
     runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
     cycles_per_block = max(1, _BLOCK_STREAMS // n_sensors)
-    votes_of: dict[tuple[bool, ...], tuple[Click, ...]] = {}
-    runs: list[DetectionRun] = []
-    for first in range(0, len(seeds), runs_per_block):
-        block = seeds[first:first + runs_per_block]
+    while block := list(itertools.islice(seeds, runs_per_block)):
         bright = np.concatenate(
             [
                 _click_uniforms(block, range(c, min(c + cycles_per_block, n_cycles)), n_sensors)
@@ -415,26 +426,18 @@ def run_turn_on_batch(
         majority = (2 * n_bright > n_sensors).tolist()
         confident = ((np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)).tolist()
         for seed, sensors, maj, conf in zip(block, bright.tolist(), majority, confident):
-            sensor_clicks = []
-            for row in map(tuple, sensors):
-                if row not in votes_of:
-                    votes_of[row] = tuple(Click.BRIGHT if b else Click.DARK for b in row)
-                sensor_clicks.append(votes_of[row])
             interval = _bracket(maj, conf, t_cycle) if informative else None
-            runs.append(
-                DetectionRun(
-                    true_t_star=true_t_star,
-                    clicks=tuple(Click.BRIGHT if b else Click.DARK for b in maj),
-                    estimated_interval=interval,
-                    seed=seed,
-                    status="no_detection" if interval is None else "detected",
-                    t_cycle=t_cycle,
-                    n_sensors=n_sensors,
-                    sensor_clicks=tuple(sensor_clicks),
-                    confident=tuple(conf),
-                )
+            yield DetectionRun(
+                true_t_star=true_t_star,
+                clicks=tuple(_CLICK[b] for b in maj),
+                estimated_interval=interval,
+                seed=seed,
+                status="no_detection" if interval is None else "detected",
+                t_cycle=t_cycle,
+                n_sensors=n_sensors,
+                sensor_clicks=tuple(tuple(_CLICK[b] for b in row) for row in sensors),
+                confident=tuple(conf),
             )
-    return runs
 
 
 def run_turn_on_protocol(
@@ -449,9 +452,9 @@ def run_turn_on_protocol(
 ) -> DetectionRun:
     """Run the turn-on detection protocol once: :func:`run_turn_on_batch`
     with a single seed."""
-    return run_turn_on_batch(
+    return next(run_turn_on_batch(
         fields, params, noise, schedule, true_t_star, n_sensors, (seed,), preparation
-    )[0]
+    ))
 
 
 @dataclass(frozen=True)

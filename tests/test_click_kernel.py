@@ -7,6 +7,7 @@ built from ``simulate_click`` and one such generator per sensor. If numpy
 ever changes SeedSequence, PCG64 or ``Generator.random``, these tests fail
 instead of the protocol's transcripts moving silently.
 """
+import itertools
 import math
 
 import numpy as np
@@ -185,7 +186,7 @@ class TestTurnOnBatch:
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_transcripts_match_per_click_loop(self, case):
         fields, noise, schedule, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
-        runs = run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds, preparation)
+        runs = list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds, preparation))
         assert [run.seed for run in runs] == list(seeds)
         for run in runs:
             want = reference_transcript(fields, noise, schedule, t_star, n_sensors, run.seed, preparation)
@@ -193,8 +194,8 @@ class TestTurnOnBatch:
                 assert getattr(run, name) == value, (case, run.seed, name)
 
     def test_cases_cover_certain_clicks_and_block_splits(self):
-        zero = run_turn_on_batch(*_call_args("p_bright_zero"))
-        one = run_turn_on_batch(*_call_args("p_bright_one"))
+        zero = list(run_turn_on_batch(*_call_args("p_bright_zero")))
+        one = list(run_turn_on_batch(*_call_args("p_bright_one")))
         assert all(v is Click.DARK for run in zero for votes in run.sensor_clicks for v in votes)
         assert all(v is Click.BRIGHT for run in one for votes in run.sensor_clicks for v in votes)
         _, _, schedule, _, n_sensors, seeds, _ = BATCH_CASES["cycles_split_across_blocks"]
@@ -208,15 +209,20 @@ class TestTurnOnBatch:
         (batched,) = run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, [17], preparation)
         assert single == batched
 
+    def test_runs_are_drawn_lazily(self):
+        fields, noise, schedule, t_star, n_sensors, _, preparation = BATCH_CASES["interior_switch"]
+        endless = run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, itertools.count(5), preparation)
+        assert [run.seed for run in itertools.islice(endless, 3)] == [5, 6, 7]
+
     def test_rejects_bad_arguments(self):
         fields, noise, schedule, _, _, _, _ = BATCH_CASES["interior_switch"]
         for t_star, n_sensors, seeds in ((-1e-9, 3, [0]), (math.nan, 3, [0]), (0.0, 0, [0]), (0.0, 3, [-1])):
             with pytest.raises(PreconditionError):
-                run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds)
+                list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds))
 
     def test_no_seeds_give_no_runs(self):
         fields, noise, schedule, t_star, _, _, _ = BATCH_CASES["interior_switch"]
-        assert run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, 3, []) == []
+        assert list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, 3, [])) == []
 
 
 def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
