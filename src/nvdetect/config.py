@@ -38,18 +38,37 @@ def _get_number(node: dict, key: str, default, path: str, allow_none: bool = Fal
     return float(value)
 
 
-def _get_count(node: dict, key: str, default: int, path: str) -> int:
+def _get_count(node: dict, key: str, default: int, path: str, minimum: int = 1) -> int:
     value = node.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{path}.{key} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path}.{key} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
-def _get_vec3(node: dict, key: str, default, path: str) -> tuple[float, float, float]:
+def _get_numbers(node: dict, key: str, default, path: str, length: int | None = None):
+    """A list of numbers as a tuple of floats, of exactly ``length`` entries if given."""
     value = node.get(key, default)
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{path}.{key} must be a 3-element list, got {value!r}")
+    where = f"{path}.{key}" if path else key
+    if not isinstance(value, (list, tuple)) or (length is not None and len(value) != length):
+        size = "a list" if length is None else f"a {length}-element list"
+        raise ConfigError(f"{where} must be {size} of numbers, got {value!r}")
+    for i, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where}[{i}] must be a number, got {v!r}")
     return tuple(float(v) for v in value)
+
+
+def _check_finite(node, path: str) -> None:
+    """Reject NaN and infinite numbers anywhere in the raw config, naming
+    their path (``json.load`` accepts NaN, Infinity and overflowing literals)."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path} must be a finite number, got {node!r}")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{path}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -153,6 +172,7 @@ def parse(data: dict) -> RunConfig:
         },
         "",
     )
+    _check_finite(data, "")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
@@ -175,16 +195,12 @@ def parse(data: dict) -> RunConfig:
 
     node = data.get("fields", {})
     _check_keys(node, {"e0", "de", "b_z", "priors"}, "fields")
-    priors = node.get("priors", [0.5, 0.5])
-    if not isinstance(priors, (list, tuple)) or len(priors) != 2:
-        raise ConfigError(f"fields.priors must be a 2-element list, got {priors!r}")
+    e0 = _get_numbers(node, "e0", (0.0, 0.0, 0.0), "fields", length=3)
+    de = _get_numbers(node, "de", (1e6, 0.0, 0.0), "fields", length=3)
+    b_z = _get_number(node, "b_z", 0.0, "fields")
+    priors = _get_numbers(node, "priors", (0.5, 0.5), "fields", length=2)
     try:
-        fields = FieldConfig(
-            e0=_get_vec3(node, "e0", (0.0, 0.0, 0.0), "fields"),
-            de=_get_vec3(node, "de", (1e6, 0.0, 0.0), "fields"),
-            b_z=_get_number(node, "b_z", 0.0, "fields"),
-            priors=(float(priors[0]), float(priors[1])),
-        )
+        fields = FieldConfig(e0=e0, de=de, b_z=b_z, priors=priors)
     except ValueError as exc:
         raise ConfigError(f"fields: {exc}") from exc
 
@@ -213,10 +229,10 @@ def parse(data: dict) -> RunConfig:
     _check_keys(node, {"t_max", "n_points"}, "time_grid")
     time_grid = TimeGrid(
         t_max=_get_number(node, "t_max", 4e-6, "time_grid"),
-        n_points=int(node.get("n_points", 801)),
+        n_points=_get_count(node, "n_points", 801, "time_grid", minimum=2),
     )
-    if time_grid.t_max <= 0 or time_grid.n_points < 2:
-        raise ConfigError("time_grid requires t_max > 0 and n_points >= 2")
+    if time_grid.t_max <= 0:
+        raise ConfigError(f"time_grid.t_max must be > 0, got {time_grid.t_max!r}")
 
     pairs = []
     for i, raw in enumerate(data.get("field_pairs", [])):
@@ -225,19 +241,20 @@ def parse(data: dict) -> RunConfig:
         _check_keys(raw, {"e0", "de", "kappa"}, f"field_pairs[{i}]")
         pairs.append(
             FieldPair(
-                e0=_get_vec3(raw, "e0", (0.0, 0.0, 0.0), f"field_pairs[{i}]"),
-                de=_get_vec3(raw, "de", (1e6, 0.0, 0.0), f"field_pairs[{i}]"),
+                e0=_get_numbers(raw, "e0", (0.0, 0.0, 0.0), f"field_pairs[{i}]", length=3),
+                de=_get_numbers(raw, "de", (1e6, 0.0, 0.0), f"field_pairs[{i}]", length=3),
                 kappa=_get_number(raw, "kappa", 0.0, f"field_pairs[{i}]"),
             )
         )
 
-    b_z_values = data.get("b_z_values", [1e-5, 2e-5])
-    if not isinstance(b_z_values, (list, tuple)) or not b_z_values:
+    b_z_values = _get_numbers(data, "b_z_values", (1e-5, 2e-5), "")
+    if not b_z_values:
         raise ConfigError("b_z_values must be a non-empty list")
 
     sensor_counts = data.get("sensor_counts", [1, 3, 5, 7, 9, 11, 13, 15])
-    if not isinstance(sensor_counts, (list, tuple)) or not sensor_counts:
-        raise ConfigError("sensor_counts must be a non-empty list")
+    if not isinstance(sensor_counts, (list, tuple)) or len(sensor_counts) < 3:
+        # the decay-rate fit of the array command needs three points
+        raise ConfigError(f"sensor_counts must list at least 3 sensor counts, got {sensor_counts!r}")
     if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 or n % 2 == 0
            for n in sensor_counts):
         raise ConfigError(f"sensor_counts must be odd integers >= 1, got {sensor_counts!r}")
@@ -266,9 +283,12 @@ def parse(data: dict) -> RunConfig:
     orientations = tuple(node.get("orientations", ("x", "y")))
     if any(o not in ("x", "y") for o in orientations):
         raise ConfigError("bz_sweep.orientations entries must be 'x' or 'y'")
-    window = node.get("t_window", (1e-9, 1e-5))
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigError("bz_sweep.t_window must be [t_lo, t_hi]")
+    window = _get_numbers(node, "t_window", (1e-9, 1e-5), "bz_sweep", length=2)
+    if not 0.0 <= window[0] < window[1] <= 10.0 * params.t2:
+        raise ConfigError(
+            f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "
+            f"10 * parameters.t2 = {10.0 * params.t2!r}, got {list(window)!r}"
+        )
     sweep_prep = node.get("preparation", "equal_superposition")
     try:
         sweep_preparation = PreparationState(sweep_prep)
@@ -281,10 +301,10 @@ def parse(data: dict) -> RunConfig:
     if sweep_kind not in _NOISE_NAMES:
         raise ConfigError(f"bz_sweep.noise_kind must be one of {sorted(_NOISE_NAMES)}")
     bz_sweep = BzSweepConfig(
-        e_magnitudes=tuple(float(v) for v in node.get("e_magnitudes", (1e6,))),
+        e_magnitudes=_get_numbers(node, "e_magnitudes", (1e6,), "bz_sweep"),
         orientations=orientations,
-        b_z_values=tuple(float(v) for v in node.get("b_z_values", BzSweepConfig.b_z_values)),
-        t_window=(float(window[0]), float(window[1])),
+        b_z_values=_get_numbers(node, "b_z_values", BzSweepConfig.b_z_values, "bz_sweep"),
+        t_window=window,
         preparation=sweep_preparation,
         noise_kind=_NOISE_NAMES[sweep_kind],
         noise_rate=_get_number(node, "noise_rate", None, "bz_sweep", allow_none=True),
@@ -308,7 +328,7 @@ def parse(data: dict) -> RunConfig:
         preparation=preparation,
         time_grid=time_grid,
         field_pairs=tuple(pairs),
-        b_z_values=tuple(float(v) for v in b_z_values),
+        b_z_values=b_z_values,
         sensor_counts=tuple(int(n) for n in sensor_counts),
         protocol=protocol,
         bz_sweep=bz_sweep,

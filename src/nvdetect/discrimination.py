@@ -21,13 +21,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .dynamics import Method, evolve_pair_grid
+from .dynamics import Method, bloch_generators, evolve_bloch, evolve_pair_grid
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, TWO_PI
-from .linalg import IDENTITY_2, DensityMatrix2, herm_eigen2
+from .linalg import IDENTITY_2, DensityMatrix2, bloch_vector, herm_eigen2
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -259,7 +260,9 @@ def optimal_time_search(
 
     Dense sampling (n_grid + 1 >= 2001 points, one grid propagation)
     locates the basin; golden section refines it to 1e-10 s with one-point
-    propagations. Exact ties break toward smaller t.
+    propagations. On the production route the generator pair and the
+    initial Bloch vector are built once per search. Exact ties break toward
+    smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -269,8 +272,13 @@ def optimal_time_search(
     if n_grid < 2000:
         raise PreconditionError("dense sampling requires at least 2000 intervals")
 
+    if method is Method.AUTO:
+        states = partial(evolve_bloch, bloch_generators(fields, params, noise), bloch_vector(rho0))
+    else:
+        states = partial(evolve_pair_grid, fields, params, noise, rho0, method=method)
+
     def p_err(times) -> np.ndarray:
-        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
+        r0, r1 = states(times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
     def objective(t: float) -> float:

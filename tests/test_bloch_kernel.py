@@ -2,7 +2,9 @@
 
 ``evolve_pair_grid`` + ``min_error_grid`` must reproduce the 4x4
 superoperator propagator + ``min_error`` per point, including at the
-exceptional point of the axial-noise generator, where it is defective.
+exceptional point of the axial-noise generator, where it is defective. A
+uniform grid's product of two exponential stacks must agree with one
+exponential per time, and every other time array must get exactly that.
 """
 import math
 
@@ -27,9 +29,15 @@ from nvdetect import (
     standard_basis_error,
     standard_basis_error_grid,
 )
-from nvdetect.dynamics import bloch_generator
+from nvdetect import discrimination, dynamics
+from nvdetect.dynamics import (
+    PRODUCT_MIN_POINTS,
+    bloch_generator,
+    bloch_generators,
+    propagate_generators,
+)
 from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
-from nvdetect.linalg import bloch_vector
+from nvdetect.linalg import bloch_vector, check_bloch_norms
 
 PARAMS = NvParameters()
 PREPARATIONS = (DensityMatrix2.pole_plus(), DensityMatrix2.equal_superposition())
@@ -179,3 +187,98 @@ def test_expm_batch_matches_expm_small_per_matrix():
         want = expm_small(a)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     assert np.array_equal(expm_batch(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def per_time_stack(gens, times):
+    """One exponential per time: the route every non-uniform array takes."""
+    times = np.asarray(times, dtype=float)
+    return expm_batch(gens[:, None] * times[None, :, None, None])
+
+
+@st.composite
+def uniform_windows(draw):
+    """A scenario of :func:`scenarios` on a window [t_lo, t_hi], t_lo >= 0."""
+    fields, noise, rho0, _ = draw(scenarios())
+    t_hi = draw(st.floats(1e-7, 1e-5))
+    t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9).map(lambda f: f * t_hi)))
+    return fields, noise, rho0, (t_lo, t_hi)
+
+
+@pytest.mark.parametrize("n", [PRODUCT_MIN_POINTS - 1, PRODUCT_MIN_POINTS, 100, 2049])
+@given(case=uniform_windows())
+@settings(max_examples=25, deadline=None)
+def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
+    fields, noise, rho0, window = case
+    times = np.linspace(*window, n)
+    gens = bloch_generators(fields, PARAMS, noise)
+    maps = propagate_generators(gens, times)
+    reference = per_time_stack(gens, times)
+    if n < PRODUCT_MIN_POINTS:
+        assert np.array_equal(maps, reference)
+    assert np.max(np.abs(maps - reference)) <= 1e-12
+
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    block = math.isqrt(n - 1) + 1
+    for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1}):
+        s0, s1 = evolve_pair(fields, PARAMS, noise, rho0, float(times[k]), method=Method.SUPEROPERATOR)
+        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[k])) <= 1e-12
+
+
+def test_product_route_is_taken_only_on_uniform_grids(monkeypatch):
+    shapes = []
+
+    def recording_expm_batch(a):
+        shapes.append(a.shape)
+        return expm_batch(a)
+
+    monkeypatch.setattr(dynamics, "expm_batch", recording_expm_batch)
+    gens = bloch_generators(FieldConfig(de=(1e6, 0.0, 0.0), b_z=4e-6), PARAMS, NoiseModel.magnetic(1e5))
+    for n in (PRODUCT_MIN_POINTS, 2049):
+        shapes.clear()
+        propagate_generators(gens, np.linspace(1e-9, 1e-5, n))
+        block = math.isqrt(n - 1) + 1
+        assert shapes == [(2, -(-n // block) + block, 3, 3)]
+    shapes.clear()
+    propagate_generators(gens, np.linspace(1e-9, 1e-5, PRODUCT_MIN_POINTS - 1))
+    assert shapes == [(2, PRODUCT_MIN_POINTS - 1, 3, 3)]
+
+
+@pytest.mark.parametrize("n", [PRODUCT_MIN_POINTS, 2049])
+def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
+    fields = FieldConfig(e0=(2e5, 1e5, 0.0), de=(1.2e6, 3e5, 0.0), b_z=1e-5)
+    noise = NoiseModel.electric(1e5)
+    gens = bloch_generators(fields, PARAMS, noise)
+    nudged = np.linspace(1e-9, 1e-5, n)
+    nudged[n // 2] = np.nextafter(nudged[n // 2], 1.0)  # one ulp off the grid
+    geometric = np.geomspace(1e-9, 1e-5, n)
+    for times in (nudged, geometric, [3.7e-6], [0.0]):
+        assert np.array_equal(propagate_generators(gens, times), per_time_stack(gens, times))
+
+    rho0 = PREPARATIONS[1]
+    r_init = np.array(bloch_vector(rho0))
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [3.7e-6])
+    expected = check_bloch_norms(per_time_stack(gens, [3.7e-6]) @ r_init)
+    assert np.array_equal(r0, expected[0]) and np.array_equal(r1, expected[1])
+
+
+def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
+    counts = {"generator": 0, "norms": 0, "decisions": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "bloch_generator", counted("generator", dynamics.bloch_generator))
+    monkeypatch.setattr(dynamics, "check_bloch_norms", counted("norms", check_bloch_norms))
+    monkeypatch.setattr(
+        discrimination, "min_error_grid", counted("decisions", discrimination.min_error_grid)
+    )
+    fields = FieldConfig(de=(1.2e6, 0.0, 0.0), b_z=4e-6)
+    discrimination.optimal_time_search(
+        fields, PARAMS, NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5)
+    )
+    assert counts["generator"] == 2  # one per hypothesis, for the whole search
+    assert counts["norms"] == counts["decisions"] > 10  # the dense scan and every golden step

@@ -110,6 +110,23 @@ class TestCliExitCodes:
             ("protocol", {"protocol": {"t_cycle": 0}}, "protocol.t_cycle"),
             ("array", {"sensor_counts": [True]}, "sensor_counts"),
             ("array", {"sensor_counts": [1, 3.0, 5]}, "sensor_counts"),
+            ("array", {"sensor_counts": [1, 3]}, "sensor_counts"),
+            ("appendix-b", {"bz_sweep": {"t_window": [1e-5, 1e-9]}}, "bz_sweep.t_window"),
+            ("appendix-b", {"bz_sweep": {"t_window": [-1e-9, 1e-5]}}, "bz_sweep.t_window"),
+            ("appendix-b", {"bz_sweep": {"t_window": [1e-9, 2e-4]}}, "bz_sweep.t_window"),
+            ("appendix-b", {"bz_sweep": {"t_window": [1e-9]}}, "bz_sweep.t_window"),
+            ("appendix-b", {"bz_sweep": {"t_window": ["0", 1e-5]}}, "bz_sweep.t_window[0]"),
+            ("appendix-b", {"bz_sweep": {"t_window": [1e-9, float("inf")]}},
+             "bz_sweep.t_window[1]"),
+            ("appendix-b", {"bz_sweep": {"e_magnitudes": "ab"}}, "bz_sweep.e_magnitudes"),
+            ("appendix-b", {"bz_sweep": {"b_z_values": [0.0, "x"]}}, "bz_sweep.b_z_values[1]"),
+            ("perr-time", {"time_grid": {"n_points": "abc"}}, "time_grid.n_points"),
+            ("perr-time", {"time_grid": {"n_points": 50.5}}, "time_grid.n_points"),
+            ("bloch", {"fields": {"de": [float("nan"), 0, 0]}}, "fields.de[0]"),
+            ("bloch", {"fields": {"e0": [0, "1e5", 0]}}, "fields.e0[1]"),
+            ("bloch", {"fields": {"priors": [0.5, None]}}, "fields.priors[1]"),
+            ("perr-time", {"noise": {"rate": float("inf")}}, "noise.rate"),
+            ("bz-sensitivity", {"b_z_values": [float("-inf")]}, "b_z_values[0]"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
