@@ -30,7 +30,7 @@ from .discrimination import min_error, min_error_grid, standard_basis_error_grid
 from .dynamics import Method, evolve_pair, evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
-from .protocol import Click, run_turn_on_batch, superposition_bz_sweep
+from .protocol import Click, array_error_curve, run_turn_on_batch, superposition_bz_sweep
 
 _METHODS = {
     "auto": Method.AUTO,
@@ -155,9 +155,10 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     r0, r1 = evolve_pair(fields, params, noise, rho0, t_meas, method=_METHODS[config.method])
     report = min_error(r0, r1, fields.priors, t=t_meas)
 
-    from .protocol import array_error_curve
-
-    curve = array_error_curve(config.sensor_counts, report.p_dc, report.p_fn, fields.priors)
+    try:
+        curve = array_error_curve(config.sensor_counts, report.p_dc, report.p_fn, fields.priors)
+    except PreconditionError as exc:  # the fused error underflows to 0 at large counts
+        raise ConfigError(f"sensor_counts: {exc}") from exc
     csv_path = out / "array_scaling.csv"
     fh, writer = _writer(csv_path)
     with fh:

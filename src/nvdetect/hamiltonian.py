@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,22 +35,23 @@ class NvParameters:
     zero_field_splitting : Hz, gap between m=0 and m=+-1 at zero field
     d_parallel, d_perp   : Hz m/V, axial / transverse dipole coefficients
     t2                   : s, dephasing time (kappa = 1/t2); may be inf
-    t1                   : s, population relaxation; inf (spin flips ignored)
     g_factor             : dimensionless electron g-factor
+
+    Population relaxation (T1) is not modelled: spin flips are ignored. The
+    field metadata is the range the run config admits (see :mod:`.config`).
     """
 
-    zero_field_splitting: float = 2.87e9
-    d_parallel: float = 0.0035
-    d_perp: float = 0.17
-    t2: float = 10e-6
-    t1: float = math.inf
-    g_factor: float = 2.0028
+    zero_field_splitting: float = field(default=2.87e9, metadata={"above": 0.0})
+    d_parallel: float = field(default=0.0035, metadata={"above": 0.0})
+    d_perp: float = field(default=0.17, metadata={"above": 0.0})
+    t2: float = field(default=10e-6, metadata={"above": 0.0, "null": math.inf})
+    g_factor: float = field(default=2.0028, metadata={"above": 0.0})
 
     def __post_init__(self) -> None:
-        for name in ("zero_field_splitting", "d_parallel", "d_perp", "t2", "t1", "g_factor"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not value > 0.0:
-                raise PreconditionError(f"NvParameters.{name} must be strictly positive, got {value!r}")
+                raise PreconditionError(f"NvParameters.{f.name} must be strictly positive, got {value!r}")
 
     @property
     def kappa(self) -> float:
@@ -108,7 +109,7 @@ class NoiseModel:
     """Markovian dephasing channel: which axis fluctuates and how fast (1/s)."""
 
     kind: NoiseKind = NoiseKind.ELECTRIC_ALONG_FIELD
-    rate: float = 1e5
+    rate: float = field(default=1e5, metadata={"min": 0.0})
 
     def __post_init__(self) -> None:
         if self.rate < 0.0:

@@ -1,10 +1,17 @@
+import dataclasses
+import enum
 import json
 import math
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from nvdetect import ConfigError
+from nvdetect import ConfigError, PreconditionError
 from nvdetect import config as config_mod
 from nvdetect.cli import main
 
@@ -18,6 +25,51 @@ def write_config(path, data):
 
 
 SMALL_GRID = {"t_max": 2.0e-6, "n_points": 41}
+
+
+def _build(cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except PreconditionError:  # e.g. priors that do not sum to 1
+        return None
+
+
+def from_schema(tp, meta=types.MappingProxyType({})):
+    """Values of annotation ``tp`` drawn from the declarations that
+    ``config.parse`` walks (annotations, defaults, range metadata), so a new
+    config key is drawn without listing it here. Each field takes its default
+    half the time."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        keys = {}
+        for f in dataclasses.fields(tp):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            keys[f.name] = st.one_of(st.just(default), from_schema(hints[f.name], f.metadata))
+        built = st.fixed_dictionaries(keys).map(lambda kw: _build(tp, kw))
+        return built.filter(lambda c: c is not None)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:
+        return st.one_of(st.none(), from_schema(args[0], meta))
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            entries = st.lists(from_schema(args[0], meta), min_size=meta.get("min_len", 0), max_size=4)
+            return entries.map(tuple)
+        return st.tuples(*(from_schema(a, meta) for a in args))
+    if issubclass(tp, enum.Enum):
+        return st.sampled_from(tp)
+    if "choices" in meta:
+        return st.sampled_from(meta["choices"])
+    if tp is bool:
+        return st.booleans()
+    if tp is str:
+        return st.text(max_size=8)
+    if tp is int:
+        ints = st.integers(meta.get("min"), meta.get("max"))
+        return ints.filter(lambda n: n % 2 == 1) if meta.get("odd") else ints
+    bounds = {"min_value": meta["above"], "exclude_min": True} if "above" in meta else {
+        "min_value": meta.get("min")}
+    floats = st.floats(max_value=meta.get("max"), allow_nan=False, allow_infinity=False, **bounds)
+    return st.one_of(st.just(meta["null"]), floats) if "null" in meta else floats
 
 
 class TestConfig:
@@ -58,6 +110,30 @@ class TestConfig:
             config_mod.parse({"seed": -1})
         with pytest.raises(ConfigError):
             config_mod.parse({"seed": 2 ** 64})
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=from_schema(config_mod.RunConfig))
+    def test_parse_inverts_serialize(self, config):
+        data = json.loads(json.dumps(config_mod.serialize(config), allow_nan=False))
+        try:
+            parsed = config_mod.parse(data)
+        except ConfigError as exc:
+            # only the rules that tie two keys together reject a declared value
+            assert "bz_sweep.t_window" in str(exc) or "noise.kind is none" in str(exc), exc
+            reject()
+        assert parsed == config
+        assert config_mod.serialize(parsed) == data
+
+    def test_readme_configuration_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert config_mod.parse(json.loads(block)) == config_mod.parse({})
+
+    def test_partial_parameters_keep_the_other_defaults(self):
+        # a missing t2 is the default 10 us, not null (no dephasing)
+        cfg = config_mod.parse({"parameters": {"d_perp": 0.17}})
+        assert cfg == config_mod.parse({})
+        assert cfg.noise.rate == pytest.approx(1e5)
 
     def test_null_t2_means_no_dephasing(self):
         cfg = config_mod.parse({"parameters": {"t2": None}})
@@ -127,6 +203,30 @@ class TestCliExitCodes:
             ("bloch", {"fields": {"priors": [0.5, None]}}, "fields.priors[1]"),
             ("perr-time", {"noise": {"rate": float("inf")}}, "noise.rate"),
             ("bz-sensitivity", {"b_z_values": [float("-inf")]}, "b_z_values[0]"),
+            ("perr-time", {"parameters": []}, "parameters"),
+            ("perr-time", {"fields": 3}, "fields"),
+            ("perr-time", {"noise": {"kind": ["x"]}}, "noise.kind"),
+            ("appendix-b", {"bz_sweep": {"noise_kind": ["x"]}}, "bz_sweep.noise_kind"),
+            ("perr-time", {"field_pairs": [{"kappa": -1}]}, "field_pairs[0].kappa"),
+            ("appendix-b", {"bz_sweep": {"noise_rate": -5}}, "bz_sweep.noise_rate"),
+            ("protocol", {"seed": True}, "seed"),
+            ("appendix-b", {"bz_sweep": {"orientations": "xy"}}, "bz_sweep.orientations"),
+            ("appendix-b", {"bz_sweep": {"e_magnitudes": []}}, "bz_sweep.e_magnitudes"),
+            ("appendix-b", {"bz_sweep": {"b_z_values": []}}, "bz_sweep.b_z_values"),
+            ("appendix-b", {"bz_sweep": {"orientations": []}}, "bz_sweep.orientations"),
+            ("appendix-b", {"bz_sweep": {"orientations": ["z"]}}, "bz_sweep.orientations"),
+            ("perr-time", {"method": "fast"}, "method"),
+            ("perr-time", {"noise": {"kind": "none", "rate": 1e5}}, "noise.rate"),
+            ("perr-time", {"noise": {"kind": "none"}, "field_pairs": [{"kappa": 1e5}]},
+             "field_pairs[0].kappa"),
+            ("perr-time", {"parameters": {"t1": 1e-3}}, "parameters.t1"),
+            ("protocol", {"protocol": {"n_sensors": config_mod.MAX_PROTOCOL_SENSORS + 1}},
+             "protocol.n_sensors"),
+            ("protocol", {"protocol": {"n_cycles": config_mod.MAX_CYCLES + 1}}, "protocol.n_cycles"),
+            ("protocol", {"protocol": {"n_runs": config_mod.MAX_RUNS + 1}}, "protocol.n_runs"),
+            ("perr-time", {"time_grid": {"n_points": config_mod.MAX_GRID_POINTS + 1}},
+             "time_grid.n_points"),
+            ("array", {"sensor_counts": [1, 3, config_mod.MAX_FUSED_SENSORS + 2]}, "sensor_counts[2]"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -142,6 +242,13 @@ class TestCliExitCodes:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nonzero transverse field switch" in capsys.readouterr().err
+
+    def test_underflowing_sensor_count_exits_2(self, tmp_path, capsys):
+        # the fused error of 5001 sensors is 0.0, which leaves two points to fit
+        cfg = write_config(tmp_path / "cfg.json", {"sensor_counts": [1, 3, 5001]})
+        code = main(["array", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "sensor_counts" in capsys.readouterr().err
 
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(
