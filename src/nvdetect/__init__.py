@@ -23,7 +23,6 @@ from .discrimination import (
     povm_pair,
     standard_basis_error,
     standard_basis_error_grid,
-    write_reports_csv,
 )
 from .dynamics import (
     EvolutionSpec,
@@ -39,7 +38,6 @@ from .dynamics import (
     integrate_master_equation,
     liouvillian,
     propagate_superoperator,
-    write_trajectory_csv,
 )
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import (
@@ -136,8 +134,6 @@ __all__ = [
     "standard_basis_error",
     "standard_basis_error_grid",
     "superposition_bz_sweep",
-    "write_reports_csv",
-    "write_trajectory_csv",
 ]
 
 __version__ = "0.1.0"

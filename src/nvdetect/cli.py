@@ -15,8 +15,9 @@ Identical config and seed reproduce byte-identical output files. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import sys
@@ -25,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .config import RunConfig, format_float
+from .config import RunConfig
 from .discrimination import min_error, min_error_grid, standard_basis_error_grid
 from .dynamics import Method, evolve_pair, evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
-from .protocol import Click, array_error_curve, run_turn_on_batch, superposition_bz_sweep
+from .protocol import array_error_curve, superposition_bz_sweep, turn_on_blocks
 
 _METHODS = {
     "auto": Method.AUTO,
@@ -40,9 +41,42 @@ _METHODS = {
 }
 
 
-def _writer(path: Path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+#: Rows formatted per write: bounds the text held at once on large grids.
+_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
+    """Write the ``header`` line, then every block of ``blocks`` (an iterable
+    of row tuples) with one write, each row as ``row_format % row``.
+
+    The cells follow one format: ``%.17g`` for floats (17 significant digits,
+    byte-equal to ``format(float(x), ".17g")``), ``%d`` for integers and
+    ``%s`` for text, with LF line endings, as ``csv.writer`` would
+    write them; no text cell holds a comma, quote or line break, so none
+    needs quoting. The directory is created here, on the first write.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for rows in blocks:
+            fh.write("".join([row_format % row for row in rows]))
+    return path
+
+
+def _column_blocks(*columns):
+    """Rows of equal-length array columns, in blocks of ``_BLOCK_ROWS`` rows;
+    a scalar column repeats its value on every row."""
+    n = len(next(c for c in columns if isinstance(c, np.ndarray)))
+    for lo in range(0, n, _BLOCK_ROWS):
+        yield zip(*(
+            c[lo:lo + _BLOCK_ROWS].tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+            for c in columns
+        ))
+
+
+def _write_json(path: Path, data) -> Path:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _noise_for(config: RunConfig, kappa: float) -> NoiseModel:
@@ -59,50 +93,36 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
     pairs = config.default_field_pairs()
 
-    csv_path = out / "perr_time.csv"
-    fh, writer = _writer(csv_path)
-    with fh:
-        writer.writerow(
-            ["pair", "kappa", "t", "p_err_povm", "p_err_standard", "p_dc", "p_fn", "is_tmin"]
-        )
+    def blocks():
         for index, pair in enumerate(pairs):
             fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z,
                                  priors=config.fields.priors)
             noise = _noise_for(config, pair.kappa)
             de_mag = abs(params.transverse_coupling(pair.de))
-            tmin_rows: set[int] = set()
+            is_tmin = np.zeros(times.size, dtype=np.int8)
             if de_mag > 0.0:
                 n = 1
-                while True:
-                    t_opt = n * math.pi / (2.0 * de_mag)
-                    if t_opt > times[-1]:
-                        break
-                    tmin_rows.add(int(np.argmin(np.abs(times - t_opt))))
+                while (t_opt := n * math.pi / (2.0 * de_mag)) <= times[-1]:
+                    is_tmin[np.argmin(np.abs(times - t_opt))] = 1
                     n += 1
             r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
-            for k, t in enumerate(times):
-                writer.writerow(
-                    [
-                        str(index),
-                        format_float(pair.kappa),
-                        format_float(t),
-                        format_float(curve.p_err[k]),
-                        format_float(p_std[k]),
-                        format_float(curve.p_dc[k]),
-                        format_float(curve.p_fn[k]),
-                        "1" if k in tmin_rows else "0",
-                    ]
-                )
-    manifest = out / "perr_time_pairs.json"
-    with open(manifest, "w") as mh:
-        json.dump(
-            [{"pair": i, "e0": list(p.e0), "de": list(p.de), "kappa": p.kappa}
-             for i, p in enumerate(pairs)],
-            mh, indent=2, sort_keys=True,
-        )
-        mh.write("\n")
+            yield from _column_blocks(
+                index, pair.kappa, times, curve.p_err, p_std, curve.p_dc, curve.p_fn, is_tmin
+            )
+
+    csv_path = _write_csv(
+        out / "perr_time.csv",
+        "pair,kappa,t,p_err_povm,p_err_standard,p_dc,p_fn,is_tmin",
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+        blocks(),
+    )
+    manifest = _write_json(
+        out / "perr_time_pairs.json",
+        [{"pair": i, "e0": list(p.e0), "de": list(p.de), "kappa": p.kappa}
+         for i, p in enumerate(pairs)],
+    )
     return [csv_path, manifest]
 
 
@@ -123,22 +143,15 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
 
     base = p_err(0.0)
 
-    csv_path = out / "bz_sensitivity.csv"
-    fh, writer = _writer(csv_path)
-    with fh:
-        writer.writerow(["b_z", "t", "p_err", "p_err_b0", "dp_err"])
+    def blocks():
         for b_z in config.b_z_values:
             curve = p_err(float(b_z))
-            for k, t in enumerate(times):
-                writer.writerow(
-                    [
-                        format_float(b_z),
-                        format_float(t),
-                        format_float(curve[k]),
-                        format_float(base[k]),
-                        format_float(curve[k] - base[k]),
-                    ]
-                )
+            yield from _column_blocks(b_z, times, curve, base, curve - base)
+
+    csv_path = _write_csv(
+        out / "bz_sensitivity.csv", "b_z,t,p_err,p_err_b0,dp_err",
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n", blocks(),
+    )
     return [csv_path]
 
 
@@ -159,24 +172,14 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
         curve = array_error_curve(config.sensor_counts, report.p_dc, report.p_fn, fields.priors)
     except PreconditionError as exc:  # the fused error underflows to 0 at large counts
         raise ConfigError(f"sensor_counts: {exc}") from exc
-    csv_path = out / "array_scaling.csv"
-    fh, writer = _writer(csv_path)
-    with fh:
-        writer.writerow(["n_sensors", "p_err"])
-        for n, p in zip(curve.n_values, curve.p_err_n):
-            writer.writerow([str(n), format_float(p)])
-    json_path = out / "array_alpha.json"
-    with open(json_path, "w") as jh:
-        json.dump(
-            {
-                "alpha": curve.alpha,
-                "p_dc": report.p_dc,
-                "p_fn": report.p_fn,
-                "t_measure": t_meas,
-            },
-            jh, indent=2, sort_keys=True,
-        )
-        jh.write("\n")
+    csv_path = _write_csv(
+        out / "array_scaling.csv", "n_sensors,p_err", "%d,%.17g\n",
+        [zip(curve.n_values, curve.p_err_n)],
+    )
+    json_path = _write_json(
+        out / "array_alpha.json",
+        {"alpha": curve.alpha, "p_dc": report.p_dc, "p_fn": report.p_fn, "t_measure": t_meas},
+    )
     return [csv_path, json_path]
 
 
@@ -192,65 +195,57 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     except PreconditionError as exc:
         raise ConfigError("protocol command needs a nonzero transverse field switch") from exc
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
-    runs = run_turn_on_batch(
-        fields, params, noise, schedule, true_t_star, proto.n_sensors,
+    n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
+    blocks = turn_on_blocks(
+        fields, params, noise, schedule, true_t_star, n_sensors,
         range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
         preparation=config.preparation,
     )
-    bounds = [
-        (format_float(cycle * t_cycle), format_float((cycle + 1) * t_cycle))
-        for cycle in range(proto.n_cycles)
-    ]
+    # the "cycle,t_start,t_end" cells are the same in every run
+    cycle_cells = ["%d,%.17g,%.17g" % (c, c * t_cycle, (c + 1) * t_cycle) for c in range(n_cycles)]
+    run_summaries = []  # one per run, appended as each block is written
 
-    csv_path = out / "protocol_runs.csv"
-    fh, writer = _writer(csv_path)
-    run_summaries = []
-    with fh:
-        writer.writerow(
-            ["run", "cycle", "t_start", "t_end", "clicks", "n_bright", "majority", "confident"]
-        )
-        for run_index, run in enumerate(runs):
-            for cycle, votes in enumerate(run.sensor_clicks):
-                pattern = "".join("B" if v is Click.BRIGHT else "D" for v in votes)
-                writer.writerow(
-                    [
-                        str(run_index),
-                        str(cycle),
-                        *bounds[cycle],
-                        pattern,
-                        str(pattern.count("B")),
-                        "B" if run.clicks[cycle] is Click.BRIGHT else "D",
-                        "1" if run.confident[cycle] else "0",
-                    ]
-                )
-            contains = (
-                run.estimated_interval is not None
-                and run.estimated_interval[0] <= true_t_star <= run.estimated_interval[1]
+    def rows():
+        for block in blocks:
+            first = len(run_summaries)  # index of the block's first run
+            # one byte per click, B or D, so each cycle's clicks view as one S<n_sensors> string
+            patterns = np.where(block.bright, np.uint8(ord("B")), np.uint8(ord("D")))
+            patterns = patterns.view(f"S{n_sensors}")
+            yield zip(
+                np.repeat(np.arange(first, first + len(block.seeds)), n_cycles).tolist(),
+                cycle_cells * len(block.seeds),
+                [p.decode() for p in patterns.reshape(-1).tolist()],
+                block.n_bright.reshape(-1).tolist(),
+                np.where(block.majority, "B", "D").reshape(-1).tolist(),
+                block.confident.reshape(-1).tolist(),
             )
-            run_summaries.append(
-                {
+            for run_index, (seed, interval) in enumerate(zip(block.seeds, block.intervals), first):
+                run_summaries.append({
                     "run": run_index,
-                    "seed": run.seed,
-                    "status": run.status,
-                    "interval": list(run.estimated_interval) if run.estimated_interval else None,
+                    "seed": seed,
+                    "status": "no_detection" if interval is None else "detected",
+                    "interval": list(interval) if interval else None,
                     "true_t_star": true_t_star,
-                    "success": bool(contains),
-                }
-            )
-    json_path = out / "protocol_summary.json"
-    with open(json_path, "w") as jh:
-        json.dump(
-            {
-                "t_cycle": t_cycle,
-                "true_t_star": true_t_star,
-                "n_runs": proto.n_runs,
-                "n_sensors": proto.n_sensors,
-                "success_rate": sum(r["success"] for r in run_summaries) / max(1, len(run_summaries)),
-                "runs": run_summaries,
-            },
-            jh, indent=2, sort_keys=True,
-        )
-        jh.write("\n")
+                    "success": interval is not None and interval[0] <= true_t_star <= interval[1],
+                })
+
+    csv_path = _write_csv(
+        out / "protocol_runs.csv",
+        "run,cycle,t_start,t_end,clicks,n_bright,majority,confident",
+        "%d,%s,%s,%d,%s,%d\n",
+        rows(),
+    )
+    json_path = _write_json(
+        out / "protocol_summary.json",
+        {
+            "t_cycle": t_cycle,
+            "true_t_star": true_t_star,
+            "n_runs": proto.n_runs,
+            "n_sensors": n_sensors,
+            "success_rate": sum(r["success"] for r in run_summaries) / max(1, len(run_summaries)),
+            "runs": run_summaries,
+        },
+    )
     return [csv_path, json_path]
 
 
@@ -269,15 +264,11 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
         window=sweep.t_window,
     )
 
-    csv_path = out / "bz_error_sweep.csv"
-    fh, writer = _writer(csv_path)
-    with fh:
-        writer.writerow(["orientation", "e_magnitude", "b_z", "t_opt", "p_err_min"])
-        for p in points:
-            writer.writerow(
-                [p.orientation, format_float(p.e_magnitude), format_float(p.b_z),
-                 format_float(p.t_opt), format_float(p.p_err_min)]
-            )
+    csv_path = _write_csv(
+        out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
+        "%s,%.17g,%.17g,%.17g,%.17g\n",
+        [[(p.orientation, p.e_magnitude, p.b_z, p.t_opt, p.p_err_min) for p in points]],
+    )
     written = [csv_path]
 
     if sweep.bloch_traces:
@@ -287,13 +278,10 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
             de = (p.e_magnitude, 0.0, 0.0) if p.orientation == "x" else (0.0, p.e_magnitude, 0.0)
             fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=p.b_z)
             _, r1 = evolve_pair_grid(fields, config.parameters, sweep_noise, rho0, times)
-            path = out / f"bz_sweep_bloch_{i:03d}.csv"
-            bh, bwriter = _writer(path)
-            with bh:
-                bwriter.writerow(["t", "x", "y", "z"])
-                for t, r in zip(times, r1):
-                    bwriter.writerow([format_float(v) for v in (t, *r)])
-            written.append(path)
+            written.append(_write_csv(
+                out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
+                _column_blocks(times, *r1.T),
+            ))
     return written
 
 
@@ -303,14 +291,11 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     rho0 = config.preparation.density_matrix()
     method = _METHODS[config.method]
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    csv_path = out / "bloch.csv"
-    fh, writer = _writer(csv_path)
-    with fh:
-        writer.writerow(["t", "x", "y", "z"])
-        pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times, method=method)
-        for t, (x, y, z) in zip(times, pair[hypothesis]):
-            writer.writerow([format_float(t), format_float(x), format_float(y), format_float(z)])
-    return [csv_path]
+    pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times, method=method)
+    return [_write_csv(
+        out / "bloch.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
+        _column_blocks(times, *pair[hypothesis].T),
+    )]
 
 
 _COMMANDS = {
@@ -323,7 +308,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="nvdetect",
         description="Datasets for single-photon detection with an NV spin electrometer",
@@ -365,7 +352,6 @@ def main(argv=None) -> int:
         if args.method is not None:
             config = dataclasses.replace(config, method=args.method)
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         kwargs = {"hypothesis": args.hypothesis} if args.command == "bloch" else {}
         written = _COMMANDS[args.command](config, out, **kwargs)
     except ConfigError as exc:

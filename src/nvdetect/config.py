@@ -19,9 +19,7 @@ walks it back, so ``parse(serialize(cfg)) == cfg``. Unknown keys, wrong types,
 non-finite numbers and out-of-range values raise :class:`ConfigError` naming
 the full key path (e.g. ``fields.de[0]``), so typos never silently fall back to
 defaults. The rules that tie two keys together are written out in
-:func:`parse`. All CSV output uses :func:`format_float` (17 significant
-digits, LF line endings) so equal configurations and seeds reproduce
-byte-identical files.
+:func:`parse`.
 """
 from __future__ import annotations
 
@@ -52,11 +50,6 @@ MAX_PROTOCOL_SENSORS = _BLOCK_STREAMS
 MAX_RUNS = 100_000
 #: Fused sensor count: the majority-vote error sums N/2 + 1 binomial terms.
 MAX_FUSED_SENSORS = 100_001
-
-
-def format_float(x: float) -> str:
-    """Deterministic decimal text for CSV cells: 17 significant digits."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -281,7 +274,13 @@ def parse(data: dict) -> RunConfig:
                 )
     elif rate_from_t2:
         config = dataclasses.replace(config, noise=NoiseModel(noise.kind, params.kappa))
-    window = config.bz_sweep.t_window
+    sweep = config.bz_sweep
+    if sweep.noise_kind is NoiseKind.NONE and sweep.noise_rate not in (None, 0.0):
+        raise ConfigError(
+            f"bz_sweep.noise_rate must be 0 or null when bz_sweep.noise_kind is none, "
+            f"got {sweep.noise_rate!r}"
+        )
+    window = sweep.t_window
     if not window[0] < window[1] <= 10.0 * params.t2:
         raise ConfigError(
             f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "

@@ -18,7 +18,6 @@ for the optimal time in the general case.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -307,23 +306,3 @@ def optimal_time_search(
     if values[idx] < p_star:
         t_star, p_star = float(grid[idx]), float(values[idx])
     return float(t_star), float(p_star)
-
-
-def write_reports_csv(path, reports) -> None:
-    """CSV rows (t, p_err, p_dc, p_fn, lambda_plus, lambda_minus)."""
-    from .config import format_float
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "p_err", "p_dc", "p_fn", "lambda_plus", "lambda_minus"])
-        for rep in reports:
-            writer.writerow(
-                [
-                    format_float(rep.t if rep.t is not None else math.nan),
-                    format_float(rep.p_err),
-                    format_float(rep.p_dc),
-                    format_float(rep.p_fn),
-                    format_float(rep.eigenvalues[0]),
-                    format_float(rep.eigenvalues[1]),
-                ]
-            )

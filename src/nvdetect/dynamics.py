@@ -24,7 +24,6 @@ deliberately independent of the Bloch kernel and of each other.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -100,27 +99,6 @@ class Trajectory:
 
     def bloch(self) -> np.ndarray:
         return np.array([bloch_vector(s) for s in self.states])
-
-
-def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """CSV export: time, Re/Im of every density-matrix entry, Bloch x/y/z."""
-    from .config import format_float  # deterministic 17-digit format
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["t", "re_r11", "im_r11", "re_r12", "im_r12",
-             "re_r21", "im_r21", "re_r22", "im_r22", "x", "y", "z"]
-        )
-        for t, state in zip(trajectory.times, trajectory.states):
-            m = state.matrix
-            x, y, z = bloch_vector(state)
-            entries = (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-            writer.writerow(
-                [format_float(t)]
-                + [format_float(v) for e in entries for v in (e.real, e.imag)]
-                + [format_float(x), format_float(y), format_float(z)]
-            )
 
 
 def _hamiltonian_parts(h: np.ndarray) -> tuple[float, float, complex]:

@@ -356,7 +356,26 @@ def _bracket(bright: list[bool], confident: list[bool], t_cycle: float):
     return (lo, hi)
 
 
-def run_turn_on_batch(
+@dataclass(frozen=True)
+class ClickBlock:
+    """Consecutive runs of the turn-on protocol, drawn together.
+
+    ``bright[i, c, s]`` is the click of sensor s in cycle c of the run with
+    seed ``seeds[i]``. ``n_bright``, ``majority`` and ``confident`` are the
+    (runs, cycles) per-cycle votes, and ``intervals`` holds each run's
+    estimated switch interval (None without a confident bright cycle, and
+    for every run when the switch is not informative).
+    """
+
+    seeds: list[int]
+    bright: np.ndarray
+    n_bright: np.ndarray
+    majority: np.ndarray
+    confident: np.ndarray
+    intervals: list[tuple[float, float] | None]
+
+
+def turn_on_blocks(
     fields: FieldConfig,
     params: NvParameters,
     noise: NoiseModel,
@@ -365,8 +384,8 @@ def run_turn_on_batch(
     n_sensors: int,
     seeds,
     preparation: PreparationState = PreparationState.POLE_PLUS,
-) -> Iterator[DetectionRun]:
-    """Run the turn-on detection protocol once per seed.
+) -> Iterator[ClickBlock]:
+    """Run the turn-on detection protocol once per seed, as blocks of runs.
 
     Each cycle k covers [(k-1) t_cycle, k t_cycle]; a fresh sensor is
     prepared at the cycle start and read out at its end with the projector
@@ -378,9 +397,11 @@ def run_turn_on_batch(
 
     The cycle physics (bright probability per cycle, the informative flag)
     depends only on the configuration and is computed once, by this call.
-    The returned iterator draws the runs lazily, in blocks of at most
-    ``_BLOCK_STREAMS`` click streams, so a consumer that handles each run
-    and drops it holds one block whatever the number of seeds.
+    The returned iterator draws the runs lazily, one :class:`ClickBlock` of
+    at most ``_BLOCK_STREAMS`` click streams at a time (a run whose clicks
+    exceed that is drawn in cycle slices but still yielded whole), so a
+    consumer that handles each block and drops it holds one block whatever
+    the number of seeds.
     """
     if not true_t_star >= 0.0:
         raise PreconditionError("true_t_star must be >= 0")
@@ -404,12 +425,11 @@ def run_turn_on_batch(
             rho = _cycle_state(fields, params, noise, rho_init, t_start, t_end, true_t_star)
         p_cycle[cycle] = _bright_probability(rho, povm)
 
-    return _draw_runs(p_cycle, informative, t_cycle, true_t_star, n_sensors, iter(seeds))
+    return _click_blocks(p_cycle, informative, t_cycle, n_sensors, iter(seeds))
 
 
-def _draw_runs(p_cycle, informative, t_cycle, true_t_star, n_sensors, seeds):
-    """The runs of :func:`run_turn_on_batch`, drawn one block of seeds at a
-    time as they are consumed."""
+def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
+    """The blocks of :func:`turn_on_blocks`, drawn as they are consumed."""
     n_cycles = len(p_cycle)
     runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
     cycles_per_block = max(1, _BLOCK_STREAMS // n_sensors)
@@ -423,10 +443,39 @@ def _draw_runs(p_cycle, informative, t_cycle, true_t_star, n_sensors, seeds):
             axis=1,
         )
         n_bright = bright.sum(axis=2)
-        majority = (2 * n_bright > n_sensors).tolist()
-        confident = ((np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)).tolist()
-        for seed, sensors, maj, conf in zip(block, bright.tolist(), majority, confident):
-            interval = _bracket(maj, conf, t_cycle) if informative else None
+        majority = 2 * n_bright > n_sensors
+        confident = (np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)
+        intervals = (
+            [_bracket(m, c, t_cycle) for m, c in zip(majority.tolist(), confident.tolist())]
+            if informative else [None] * len(block)
+        )
+        yield ClickBlock(block, bright, n_bright, majority, confident, intervals)
+
+
+def run_turn_on_batch(
+    fields: FieldConfig,
+    params: NvParameters,
+    noise: NoiseModel,
+    schedule: MeasurementSchedule,
+    true_t_star: float,
+    n_sensors: int,
+    seeds,
+    preparation: PreparationState = PreparationState.POLE_PLUS,
+) -> Iterator[DetectionRun]:
+    """The runs of :func:`turn_on_blocks`, one :class:`DetectionRun` per
+    seed, drawn just as lazily."""
+    blocks = turn_on_blocks(
+        fields, params, noise, schedule, true_t_star, n_sensors, seeds, preparation
+    )
+    return _detection_runs(blocks, true_t_star, schedule.cycle_time(fields, params), n_sensors)
+
+
+def _detection_runs(blocks, true_t_star, t_cycle, n_sensors):
+    for block in blocks:
+        for seed, sensors, maj, conf, interval in zip(
+            block.seeds, block.bright.tolist(), block.majority.tolist(),
+            block.confident.tolist(), block.intervals,
+        ):
             yield DetectionRun(
                 true_t_star=true_t_star,
                 clicks=tuple(_CLICK[b] for b in maj),

@@ -119,7 +119,10 @@ class TestConfig:
             parsed = config_mod.parse(data)
         except ConfigError as exc:
             # only the rules that tie two keys together reject a declared value
-            assert "bz_sweep.t_window" in str(exc) or "noise.kind is none" in str(exc), exc
+            assert any(
+                rule in str(exc)
+                for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate")
+            ), exc
             reject()
         assert parsed == config
         assert config_mod.serialize(parsed) == data
@@ -227,6 +230,9 @@ class TestCliExitCodes:
             ("perr-time", {"time_grid": {"n_points": config_mod.MAX_GRID_POINTS + 1}},
              "time_grid.n_points"),
             ("array", {"sensor_counts": [1, 3, config_mod.MAX_FUSED_SENSORS + 2]}, "sensor_counts[2]"),
+            ("array", {"sensor_counts": [1, 3, 5001]}, "sensor_counts"),
+            ("appendix-b", {"bz_sweep": {"noise_kind": "none", "noise_rate": 1e5}},
+             "bz_sweep.noise_rate"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -242,6 +248,12 @@ class TestCliExitCodes:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nonzero transverse field switch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["protocol", "array"])
+    def test_zero_switch_leaves_no_output_directory(self, tmp_path, command):
+        cfg = write_config(tmp_path / "cfg.json", {"fields": {"e0": [1e6, 0, 0], "de": [0, 0, 0]}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_underflowing_sensor_count_exits_2(self, tmp_path, capsys):
         # the fused error of 5001 sensors is 0.0, which leaves two points to fit

@@ -19,7 +19,6 @@ from nvdetect import (
     povm_pair,
     standard_basis_error,
 )
-from nvdetect.discrimination import DiscriminationReport, write_reports_csv
 from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 PARAMS = NvParameters()
@@ -299,19 +298,3 @@ class TestBaselineInvariance:
             p_a = min_error(*evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t)).p_err
             p_b = min_error(*evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t + period)).p_err
             assert p_a == pytest.approx(p_b, abs=1e-10)
-
-
-class TestReportExport:
-    def test_csv_round_trip(self, tmp_path):
-        reports = [
-            DiscriminationReport(p_err=0.1, p_dc=0.08, p_fn=0.12, eigenvalues=(0.4, -0.4), t=1e-6),
-            DiscriminationReport(p_err=0.2, p_dc=0.2, p_fn=0.2, eigenvalues=(0.3, -0.3), t=2e-6),
-        ]
-        path = tmp_path / "reports.csv"
-        write_reports_csv(path, reports)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,p_err,p_dc,p_fn,lambda_plus,lambda_minus"
-        assert len(lines) == 3
-        row = lines[1].split(",")
-        assert float(row[1]) == 0.1
-        assert float(row[4]) == 0.4

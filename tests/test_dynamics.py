@@ -18,7 +18,6 @@ from nvdetect import (
     integrate_master_equation,
     propagate_superoperator,
 )
-from nvdetect.dynamics import write_trajectory_csv
 from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import bloch_vector
 
@@ -276,24 +275,3 @@ class TestEvolvePair:
             _, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, float(t))
             x, _, _ = bloch_vector(r1)
             assert abs(x) < 1e-10
-
-
-class TestTrajectoryExport:
-    def test_csv_columns_and_values(self, tmp_path):
-        h = hamiltonian_two_level(PARAMS, (1e6, 0, 0), 0.0)
-        spec = EvolutionSpec(hamiltonian=h, rho0=POLE)
-        times = np.linspace(0, 1e-6, 6)
-        traj = integrate_master_equation(spec, 1e-6, dt=1e-9, store_times=times)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header == [
-            "t", "re_r11", "im_r11", "re_r12", "im_r12",
-            "re_r21", "im_r21", "re_r22", "im_r22", "x", "y", "z",
-        ]
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert first[1] == pytest.approx(1.0)
-        assert first[-1] == pytest.approx(1.0)
-        assert len(lines) == 1 + len(times)
