@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,18 +27,10 @@ import numpy as np
 from . import config as config_mod
 from .config import RunConfig
 from .discrimination import min_error, min_error_grid, standard_basis_error_grid
-from .dynamics import Method, evolve_pair, evolve_pair_grid
+from .dynamics import evolve_pair, evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
 from .protocol import array_error_curve, superposition_bz_sweep, turn_on_blocks
-
-_METHODS = {
-    "auto": Method.AUTO,
-    "closed": Method.CLOSED,
-    "rk4": Method.RK4,
-    "superop": Method.SUPEROPERATOR,
-}
-
 
 #: Rows formatted per write: bounds the text held at once on large grids.
 _BLOCK_ROWS = 4096
@@ -87,7 +78,6 @@ def _noise_for(config: RunConfig, kappa: float) -> NoiseModel:
 
 def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     """Error-versus-time sweep for each configured field pair."""
-    method = _METHODS[config.method]
     params = config.parameters
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
@@ -98,14 +88,12 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
             fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z,
                                  priors=config.fields.priors)
             noise = _noise_for(config, pair.kappa)
-            de_mag = abs(params.transverse_coupling(pair.de))
             is_tmin = np.zeros(times.size, dtype=np.int8)
-            if de_mag > 0.0:
-                n = 1
-                while (t_opt := n * math.pi / (2.0 * de_mag)) <= times[-1]:
-                    is_tmin[np.argmin(np.abs(times - t_opt))] = 1
-                    n += 1
-            r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
+            n = 1
+            while (t_opt := params.transfer_time(pair.de, n)) <= times[-1]:
+                is_tmin[np.argmin(np.abs(times - t_opt))] = 1
+                n += 1
+            r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
             yield from _column_blocks(
@@ -128,9 +116,6 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
 
 def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     """Error shift p_err(B_z) - p_err(0) on the configured time grid."""
-    method = _METHODS[config.method]
-    if method is Method.CLOSED:
-        raise ConfigError("bz-sensitivity needs a numeric method (no closed form with B_z and noise)")
     params = config.parameters
     rho0 = config.preparation.density_matrix()
     noise = config.noise
@@ -138,7 +123,7 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
 
     def p_err(b_z: float) -> np.ndarray:
         fields = dataclasses.replace(config.fields, b_z=b_z)
-        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times, method=method)
+        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
     base = p_err(0.0)
@@ -165,7 +150,7 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
         t_meas = config.protocol.schedule().cycle_time(fields, params)
     except PreconditionError as exc:
         raise ConfigError("array command needs a nonzero transverse field switch") from exc
-    r0, r1 = evolve_pair(fields, params, noise, rho0, t_meas, method=_METHODS[config.method])
+    r0, r1 = evolve_pair(fields, params, noise, rho0, t_meas)
     report = min_error(r0, r1, fields.priors, t=t_meas)
 
     try:
@@ -289,9 +274,8 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     """Bloch trajectory (t, x, y, z) for the selected hypothesis."""
     params = config.parameters
     rho0 = config.preparation.density_matrix()
-    method = _METHODS[config.method]
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times, method=method)
+    pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times)
     return [_write_csv(
         out / "bloch.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
         _column_blocks(times, *pair[hypothesis].T),
@@ -327,13 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="accepted for compatibility; sweeps run in this process and start no workers",
         )
-        p.add_argument(
-            "--method",
-            choices=sorted(_METHODS),
-            default=None,
-            help="propagator: auto (the batched Bloch-vector kernel) or a cross-check "
-            "route: closed, rk4, superop",
-        )
         if name == "bloch":
             p.add_argument("--hypothesis", type=int, choices=(0, 1), default=1)
     return parser
@@ -349,8 +326,6 @@ def main(argv=None) -> int:
             if args.seed < 0 or args.seed > 2**64 - 1:
                 raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
             config = dataclasses.replace(config, seed=args.seed)
-        if args.method is not None:
-            config = dataclasses.replace(config, method=args.method)
         out = Path(config.output_dir)
         kwargs = {"hypothesis": args.hypothesis} if args.command == "bloch" else {}
         written = _COMMANDS[args.command](config, out, **kwargs)

@@ -116,7 +116,8 @@ class RunConfig:
     )
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     bz_sweep: BzSweepConfig = field(default_factory=BzSweepConfig)
-    method: str = field(default="auto", metadata={"choices": ("closed", "rk4", "superop", "auto")})
+    # one propagator: "auto" is the one admissible value, kept so that older configs still load
+    method: str = field(default="auto", metadata={"choices": ("auto",)})
     seed: int = field(default=20260808, metadata={"min": 0, "max": 2**64 - 1})
     output_dir: str = "out"
 

@@ -12,9 +12,8 @@ For Bloch-vector arrays (a whole time grid at once) :func:`min_error_grid`
 gives the same report without an eigensolver, since the eigenvalues of a
 2x2 decision operator follow from the length of one vector.
 
-Also provided: the fixed standard-basis readout for comparison, the analytic
-optimal measurement time for collinear field switches, and a numeric search
-for the optimal time in the general case.
+Also provided: the fixed standard-basis readout for comparison, and a
+numeric search for the optimal measurement time.
 """
 from __future__ import annotations
 
@@ -24,9 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import Method, bloch_generators, evolve_bloch, evolve_pair_grid
+from .dynamics import bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
-from .hamiltonian import FieldConfig, NoiseModel, NvParameters, TWO_PI
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import IDENTITY_2, DensityMatrix2, bloch_vector, herm_eigen2
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,13 +71,6 @@ class ErrorCurve:
     p_fn: np.ndarray
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
-
-
-def _checked_priors(priors: tuple[float, float]) -> tuple[float, float]:
-    p0, p1 = priors
-    if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
-        raise PreconditionError(f"priors must be nonnegative and sum to 1, got {priors!r}")
-    return p0, p1
 
 
 def helstrom_operator(
@@ -229,23 +221,6 @@ def standard_basis_error_grid(
     return np.clip(p_err, 0.0, 1.0)
 
 
-def optimal_time_analytic(de_x: float, n: int = 1, params: NvParameters | None = None) -> float:
-    """n-th quarter-period time of a collinear switch:
-    n * pi / (2 |coupling change|).
-
-    Odd n are the zero-decoherence error minima (the hypothesis states are
-    then orthogonal); even n are revivals where the states coincide. The
-    formula identifies the minima while the dephasing rate stays small
-    compared to the switch coupling.
-    """
-    if de_x == 0.0:
-        raise PreconditionError("optimal time undefined for a zero field switch")
-    if n < 1:
-        raise PreconditionError(f"n must be a positive integer, got {n!r}")
-    params = params or NvParameters()
-    return n * math.pi / (2.0 * TWO_PI * params.d_perp * abs(de_x))
-
-
 def optimal_time_search(
     fields: FieldConfig,
     params: NvParameters,
@@ -253,15 +228,13 @@ def optimal_time_search(
     rho0: DensityMatrix2,
     window: tuple[float, float],
     n_grid: int = 2048,
-    method: Method = Method.AUTO,
 ) -> tuple[float, float]:
     """Global minimum of p_err(t) over a window.
 
     Dense sampling (n_grid + 1 >= 2001 points, one grid propagation)
     locates the basin; golden section refines it to 1e-10 s with one-point
-    propagations. On the production route the generator pair and the
-    initial Bloch vector are built once per search. Exact ties break toward
-    smaller t.
+    propagations. The generator pair and the initial Bloch vector are built
+    once per search. Exact ties break toward smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -271,10 +244,7 @@ def optimal_time_search(
     if n_grid < 2000:
         raise PreconditionError("dense sampling requires at least 2000 intervals")
 
-    if method is Method.AUTO:
-        states = partial(evolve_bloch, bloch_generators(fields, params, noise), bloch_vector(rho0))
-    else:
-        states = partial(evolve_pair_grid, fields, params, noise, rho0, method=method)
+    states = partial(evolve_bloch, bloch_generators(fields, params, noise), bloch_vector(rho0))
 
     def p_err(times) -> np.ndarray:
         r0, r1 = states(times)

@@ -1,4 +1,5 @@
-"""NV ground-state Hamiltonians, their spectrum, and dephasing operators.
+"""The NV ground-state Hamiltonian of each field hypothesis, and dephasing
+operators.
 
 Unit system
 -----------
@@ -8,9 +9,9 @@ are V/m, magnetic fields Tesla, times seconds. The dipole coefficients are
 stored as the conventional Hz.m/V numbers (their action on a field is
 multiplied by 2*pi to land in rad/s).
 
-Basis order is (|+1>, |0>, |-1>) for the 3x3 form and (|+1>, |-1>) for the
-reduced 2x2 form; only an axial magnetic field is accepted, which keeps |0>
-decoupled from the m = +-1 pair.
+The basis is (|+1>, |-1>): only an axial magnetic field is accepted, which
+keeps |0> decoupled from the m = +-1 pair, so the 3x3 ground-state
+Hamiltonian reduces to its 2x2 corner block.
 """
 from __future__ import annotations
 
@@ -71,6 +72,14 @@ class NvParameters:
         """g mu_B B_z / hbar in rad/s."""
         return self.g_factor * MU_B * float(b_z) / HBAR
 
+    def transfer_time(self, e_field, n: int = 1) -> float:
+        """n pi / (2 |coupling|) in s, the n-th quarter period of the
+        precession driven by the transverse part of e_field (inf without
+        one). Started from |+1>, a pure transverse drive has moved the whole
+        population to |-1> at odd n and back at even n."""
+        coupling = abs(self.transverse_coupling(e_field))
+        return n * math.pi / (2.0 * coupling) if coupling else math.inf
+
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -89,13 +98,19 @@ class FieldConfig:
     def __post_init__(self) -> None:
         if len(self.e0) != 3 or len(self.de) != 3:
             raise PreconditionError("e0 and de must be 3-vectors in V/m")
-        p0, p1 = self.priors
-        if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
-            raise PreconditionError(f"priors must be nonnegative and sum to 1, got {self.priors!r}")
+        _checked_priors(self.priors)
 
     @property
     def e1(self) -> tuple[float, float, float]:
         return tuple(a + b for a, b in zip(self.e0, self.de))
+
+
+def _checked_priors(priors: tuple[float, float]) -> tuple[float, float]:
+    """(P0, P1), after checking that both are nonnegative and sum to 1."""
+    p0, p1 = priors
+    if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
+        raise PreconditionError(f"priors must be nonnegative and sum to 1, got {priors!r}")
+    return p0, p1
 
 
 class NoiseKind(enum.Enum):
@@ -128,52 +143,16 @@ class NoiseModel:
         return cls(NoiseKind.NONE, 0.0)
 
 
-@dataclass(frozen=True)
-class HamiltonianSpectrum:
-    """Ground-state eigenfrequencies in rad/s: 0 and the split +-1 pair."""
-
-    eps0: float
-    eps_plus: float
-    eps_minus: float
-    delta_eps: float
-
-
-def hamiltonian_full(params: NvParameters, e_field, b_z: float) -> np.ndarray:
-    """3x3 ground-state Hamiltonian over (|+1>, |0>, |-1>) in rad/s.
-
-    The |0> row and column stay zero because only axial magnetic fields are
-    modeled; transverse electric fields couple |+1> and |-1> directly.
-    """
-    d = params.axial_shift(e_field)
-    e_perp = params.transverse_coupling(e_field)
-    bz = params.zeeman_rate(b_z)
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = d + bz
-    h[2, 2] = d - bz
-    h[0, 2] = np.conj(e_perp)
-    h[2, 0] = e_perp
-    return h
-
-
 def hamiltonian_two_level(params: NvParameters, e_field, b_z: float) -> np.ndarray:
-    """2x2 restriction to span{|+1>, |-1>} in rad/s.
+    """Ground-state Hamiltonian on span{|+1>, |-1>} in rad/s.
 
-    Equals the corner block of :func:`hamiltonian_full`; the common diagonal
-    shift is retained even though it cancels from all dynamics.
+    Transverse electric fields couple |+1> and |-1> directly; the common
+    diagonal shift is retained even though it cancels from all dynamics.
     """
     d = params.axial_shift(e_field)
     e_perp = params.transverse_coupling(e_field)
     bz = params.zeeman_rate(b_z)
     return np.array([[d + bz, np.conj(e_perp)], [e_perp, d - bz]], dtype=complex)
-
-
-def spectrum(params: NvParameters, e_field, b_z: float) -> HamiltonianSpectrum:
-    """Eigenfrequencies {0, D +- delta} with delta = sqrt(|coupling|^2 + zeeman^2)."""
-    d = params.axial_shift(e_field)
-    e_perp = params.transverse_coupling(e_field)
-    bz = params.zeeman_rate(b_z)
-    delta = math.hypot(abs(e_perp), bz)
-    return HamiltonianSpectrum(eps0=0.0, eps_plus=d + delta, eps_minus=d - delta, delta_eps=delta)
 
 
 def lindblad_operator(e_field, noise: NoiseModel) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Small dense complex linear algebra: 2x2 Hermitian eigenproblems, matrix
-exponentials up to 4x4 (one at a time, or batched over stacks), and the
-Bloch-vector map.
+exponentials of stacks of matrices up to 4x4, and the Bloch-vector map.
 
 The two-level basis is ordered (|+1>, |-1>) everywhere, so the Bloch +z pole
 is the |+1> population. Angular quantities are angular frequencies (rad/s);
@@ -29,23 +28,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m.T)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    """Elementwise Hermiticity check; tolerance scales with the matrix norm."""
+def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    return bool(np.all(np.abs(m - np.conj(m.T)) <= atol * scale))
-
-
-def _as_square(m: np.ndarray, max_dim: int = 4) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > max_dim:
-        raise PreconditionError(f"dimension {m.shape[0]} exceeds supported maximum {max_dim}")
+    if m.shape != (2, 2):
+        raise PreconditionError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise PreconditionError("matrix entries must be finite")
     return m
@@ -155,7 +141,7 @@ def herm_eigen2(m: np.ndarray) -> EigenPair2:
     analytic null-vector row is better conditioned, and the second vector is
     the exact orthogonal complement of the first.
     """
-    m = _as_square(m, max_dim=2)
+    m = _as_square(m)
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - np.conj(m.T))) > HERMITICITY_ATOL * scale:
         raise PreconditionError("herm_eigen2 requires a Hermitian matrix (1e-12)")
@@ -203,45 +189,15 @@ def check_bloch_norms(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def expm_small(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for matrices up to 4x4.
-
-    Scaling and squaring around a Taylor series, after removing the mean
-    diagonal (trace/dim) which only contributes a scalar factor. Series
-    terms are added until they fall below 1e-20 relative, so the result is
-    accurate to ~1e-12 or better for the norms used here.
-    """
-    m = _as_square(m, max_dim=4)
-    dim = m.shape[0]
-    a = scale * m
-    mu = np.trace(a) / dim
-    a = a - mu * np.eye(dim, dtype=complex)
-
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if dim else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0)
-    b = a / (2.0 ** squarings)
-
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 40):
-        term = term @ b / k
-        result = result + term
-        if float(np.max(np.abs(term))) <= 1e-20 * max(1.0, float(np.max(np.abs(result)))):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return np.exp(mu) * result
-
-
 def expm_batch(a: np.ndarray) -> np.ndarray:
     """exp(a) for every matrix of a stack of shape (..., d, d), d <= 4.
 
-    The scaling and squaring of :func:`expm_small` along the leading axes:
-    each matrix sheds its mean diagonal as a scalar factor, is scaled by its
-    own power of two to a 1-norm <= 1/2, and is squared back its own number
-    of times. The Taylor series has a fixed TAYLOR_TERMS terms (Horner form):
-    at norm 1/2 the first omitted term is below 1e-21, and a matrix's result
-    does not depend on the rest of the stack.
+    Scaling and squaring along the leading axes: each matrix sheds its mean
+    diagonal (trace/dim) as a scalar factor, is scaled by its own power of
+    two to a 1-norm <= 1/2, and is squared back its own number of times.
+    The Taylor series has a fixed TAYLOR_TERMS terms (Horner form): at norm
+    1/2 the first omitted term is below 1e-21, and a matrix's result does
+    not depend on the rest of the stack.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] > 4:

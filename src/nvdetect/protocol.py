@@ -31,7 +31,7 @@ import numpy as np
 from .discrimination import PovmPair, helstrom_operator, min_error, optimal_time_search, povm_pair
 from .dynamics import bloch_propagators, evolve_pair
 from .errors import PreconditionError
-from .hamiltonian import FieldConfig, NoiseModel, NvParameters
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import DensityMatrix2, bloch_vector
 
 
@@ -89,10 +89,10 @@ class MeasurementSchedule:
         """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
         if self.t_cycle is not None:
             return self.t_cycle
-        de_mag = abs(params.transverse_coupling(fields.de))
-        if de_mag == 0.0:
-            raise PreconditionError("cannot derive a cycle time from a zero field switch")
-        return math.pi / (2.0 * de_mag)
+        t_cycle = params.transfer_time(fields.de)
+        if math.isinf(t_cycle):
+            raise PreconditionError("cannot derive a cycle time from a vanishing field switch")
+        return t_cycle
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def majority_vote_error(
     for name, p in (("p01", p01), ("p10", p10)):
         if not 0.0 <= p <= 1.0:
             raise PreconditionError(f"{name} must be in [0, 1], got {p!r}")
-    p0, p1 = priors
+    p0, p1 = _checked_priors(priors)
     if n_sensors % 2 == 0:
         warnings.warn(
             f"even sensor count {n_sensors}: using value at {n_sensors - 1}",
@@ -200,19 +200,11 @@ def fit_decay_rate(points) -> float:
 
 
 def _bright_probability(rho: DensityMatrix2, povm: PovmPair) -> float:
-    """Tr(rho Pi1), clipped to [0, 1]."""
+    """Tr(rho Pi1), clipped to [0, 1]: the chance that a readout of rho
+    clicks bright. Readout is treated as instantaneous relative to the spin
+    dynamics."""
     p_bright = float(np.trace(rho.matrix @ povm.pi1).real)
     return min(max(p_bright, 0.0), 1.0)
-
-
-def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Generator) -> Click:
-    """One stochastic readout: bright with probability Tr(rho Pi1).
-
-    Readout is treated as instantaneous relative to the spin dynamics. This
-    is the per-click reference of the turn-on protocol, which draws the same
-    ``rng.random()`` values in bulk with :func:`_click_uniforms`.
-    """
-    return Click.BRIGHT if rng.random() < _bright_probability(rho_true, povm) else Click.DARK
 
 
 # numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.

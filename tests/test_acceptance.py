@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. Everything here runs from the public package API; closed forms act as
-the oracles for the numeric propagators, and exhaustive enumeration / dense
-scans act as oracles for the optimizers and fused-error formulas.
+lines. Everything here runs from the public package API; the closed forms of
+``oracles`` act as the oracles for the numeric propagators, and exhaustive
+enumeration / dense scans act as oracles for the optimizers and fused-error
+formulas.
 """
 import json
 import math
@@ -14,23 +15,16 @@ import pytest
 from nvdetect import (
     Click,
     DensityMatrix2,
-    EvolutionSpec,
     FieldConfig,
     MeasurementSchedule,
     NoiseModel,
     NvParameters,
-    evolve_closed_axial_field,
-    evolve_closed_dephasing,
-    evolve_closed_transverse,
     evolve_pair,
     helstrom_operator,
-    integrate_master_equation,
     majority_vote_error,
     min_error,
-    optimal_time_analytic,
     optimal_time_search,
     povm_pair,
-    propagate_superoperator,
     run_turn_on_protocol,
     standard_basis_error,
     superposition_bz_sweep,
@@ -38,6 +32,15 @@ from nvdetect import (
 from nvdetect.cli import main
 from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from oracles import (
+    EvolutionSpec,
+    evolve_closed_axial_field,
+    evolve_closed_dephasing,
+    evolve_closed_transverse,
+    integrate_master_equation,
+    optimal_time_analytic,
+    propagate_superoperator,
+)
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()

@@ -29,9 +29,9 @@ from nvdetect import (
     povm_pair,
     run_turn_on_batch,
     run_turn_on_protocol,
-    simulate_click,
 )
 from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_state
+from oracles import simulate_click
 
 PARAMS = NvParameters()
 BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 399]
@@ -230,3 +230,5 @@ def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
     assert MeasurementSchedule(t_cycle=2e-7).cycle_time(X_SWITCH, PARAMS) == 2e-7
     with pytest.raises(PreconditionError):
         MeasurementSchedule().cycle_time(FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), PARAMS)
+    with pytest.raises(PreconditionError):  # pi / (2 |coupling|) overflows
+        MeasurementSchedule().cycle_time(FieldConfig(de=(1e-320, 0, 0)), PARAMS)

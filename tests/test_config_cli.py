@@ -2,6 +2,9 @@ import dataclasses
 import enum
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -233,6 +236,9 @@ class TestCliExitCodes:
             ("array", {"sensor_counts": [1, 3, 5001]}, "sensor_counts"),
             ("appendix-b", {"bz_sweep": {"noise_kind": "none", "noise_rate": 1e5}},
              "bz_sweep.noise_rate"),
+            ("perr-time", {"method": "closed"}, "method"),
+            ("perr-time", {"method": "rk4"}, "method"),
+            ("perr-time", {"method": "superop"}, "method"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -248,6 +254,29 @@ class TestCliExitCodes:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nonzero transverse field switch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["protocol", "array"])
+    def test_vanishing_switch_without_cycle_time_exits_2(self, tmp_path, capsys, command):
+        # pi / (2 |coupling|) of a subnormal switch overflows to an infinite cycle
+        cfg = write_config(tmp_path / "cfg.json", {"fields": {"de": [1e-320, 0, 0]}})
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "nonzero transverse field switch" in capsys.readouterr().err
+
+    def test_method_flag_is_gone(self, tmp_path):
+        # this call once ended in a PreconditionError traceback from the
+        # superoperator route; the flag no longer exists, so argparse rejects it
+        cfg = write_config(tmp_path / "cfg.json", {"field_pairs": [{"de": [1e9, 0, 0]}]})
+        env = {**os.environ, "PYTHONPATH": str(Path(config_mod.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "nvdetect.cli", "perr-time", "--method", "superop",
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "--method" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["protocol", "array"])
     def test_zero_switch_leaves_no_output_directory(self, tmp_path, command):

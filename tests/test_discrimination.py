@@ -14,12 +14,12 @@ from nvdetect import (
     evolve_pair,
     helstrom_operator,
     min_error,
-    optimal_time_analytic,
     optimal_time_search,
     povm_pair,
     standard_basis_error,
 )
 from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from oracles import optimal_time_analytic
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()

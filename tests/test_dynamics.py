@@ -5,21 +5,25 @@ import pytest
 
 from nvdetect import (
     DensityMatrix2,
-    EvolutionSpec,
     FieldConfig,
-    Method,
     NoiseModel,
     NvParameters,
     PreconditionError,
-    evolve_closed_axial_field,
-    evolve_closed_dephasing,
-    evolve_closed_transverse,
     evolve_pair,
-    integrate_master_equation,
-    propagate_superoperator,
 )
 from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import bloch_vector
+
+import oracles
+from oracles import (
+    EvolutionSpec,
+    Route,
+    evolve_closed_axial_field,
+    evolve_closed_dephasing,
+    evolve_closed_transverse,
+    integrate_master_equation,
+    propagate_superoperator,
+)
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
@@ -254,9 +258,9 @@ class TestEvolvePair:
             t = rng.uniform(1e-7, 4e-6)
             rate = 2 * abs(PARAMS.transverse_coupling(fields.e1))
             dt = 2 * math.pi / (1200 * rate)
-            auto = evolve_pair(fields, PARAMS, noise, POLE, t, method=Method.AUTO)
-            sup = evolve_pair(fields, PARAMS, noise, POLE, t, method=Method.SUPEROPERATOR)
-            rk4 = evolve_pair(fields, PARAMS, noise, POLE, t, method=Method.RK4, dt=dt)
+            auto = evolve_pair(fields, PARAMS, noise, POLE, t)
+            sup = oracles.evolve_pair(fields, PARAMS, noise, POLE, t, method=Route.SUPEROPERATOR)
+            rk4 = oracles.evolve_pair(fields, PARAMS, noise, POLE, t, method=Route.RK4, dt=dt)
             for a, b in zip(auto, sup):
                 assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
             for a, b in zip(auto, rk4):
@@ -265,7 +269,9 @@ class TestEvolvePair:
     def test_forced_closed_method_rejects_unsupported_case(self):
         fields = FieldConfig(e0=(1e6, 0, 0), de=(1e6, 0, 0), b_z=1e-5)
         with pytest.raises(PreconditionError):
-            evolve_pair(fields, PARAMS, NoiseModel.electric(1e5), POLE, 1e-6, method=Method.CLOSED)
+            oracles.evolve_pair(
+                fields, PARAMS, NoiseModel.electric(1e5), POLE, 1e-6, method=Route.CLOSED
+            )
 
     def test_great_circle_for_x_drive(self):
         # driven along x from the pole: the trajectory stays on the x = 0

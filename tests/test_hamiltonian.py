@@ -9,12 +9,11 @@ from nvdetect import (
     NoiseModel,
     NvParameters,
     PreconditionError,
-    hamiltonian_full,
     hamiltonian_two_level,
     lindblad_operator,
-    spectrum,
 )
 from nvdetect.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from oracles import hamiltonian_full, optimal_time_analytic, spectrum
 
 PARAMS = NvParameters()
 TWO_PI = 2 * math.pi
@@ -164,3 +163,15 @@ class TestParameters:
             NvParameters(t2=0.0)
         with pytest.raises(PreconditionError):
             NvParameters(d_perp=-0.17)
+
+    def test_transfer_time_is_the_quarter_period_of_the_transverse_coupling(self):
+        for de_x in (3e5, 1e6, 3e6):
+            for n in (1, 2, 3):
+                assert PARAMS.transfer_time((de_x, 0.0, 0.0), n) == pytest.approx(
+                    optimal_time_analytic(de_x, n), rel=1e-15
+                )
+        # the phase of the transverse field and any axial part do not matter
+        assert PARAMS.transfer_time((0.0, -1e6, 4e6)) == pytest.approx(
+            optimal_time_analytic(1e6), rel=1e-15
+        )
+        assert PARAMS.transfer_time((0.0, 0.0, 1e6)) == math.inf

@@ -1,0 +1,52 @@
+"""The package holds one propagator; the reference routes stay in the tests.
+
+``tests/oracles.py`` imports the package, never the other way round: the
+command line must load no test module, and no ``Method`` choice of
+propagator may come back.
+"""
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nvdetect
+
+PACKAGE_DIR = Path(nvdetect.__file__).resolve().parent
+
+PROBE = """
+import json, sys
+import nvdetect, nvdetect.cli
+test_modules = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("oracles", "tests", "conftest") or m.startswith("test_")
+)
+with_method = sorted(
+    name for name, module in sys.modules.items()
+    if (name == "nvdetect" or name.startswith("nvdetect.")) and hasattr(module, "Method")
+)
+print(json.dumps({"test_modules": test_modules, "with_method": with_method}))
+"""
+
+
+def test_cli_loads_no_test_module_and_no_method_enum(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert loaded == {"test_modules": [], "with_method": []}
+
+
+def test_package_sources_import_nothing_from_the_tests():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert not {"oracles", "tests", "conftest"} & set(roots), (path.name, roots)

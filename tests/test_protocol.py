@@ -21,9 +21,9 @@ from nvdetect import (
     min_error,
     povm_pair,
     run_turn_on_protocol,
-    simulate_click,
     superposition_bz_sweep,
 )
+from oracles import simulate_click
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
@@ -87,6 +87,11 @@ class TestMajorityVoteError:
         for p in (0.02, 0.1, 0.3, 0.45):
             values = [majority_vote_error(n, p, p) for n in range(1, 30, 2)]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("priors", [(0.7, 0.7), (-0.5, 1.5)])
+    def test_rejects_priors_that_are_not_a_distribution(self, priors):
+        with pytest.raises(PreconditionError):
+            majority_vote_error(3, 0.1, 0.2, priors)
 
     def test_log_space_path_matches_scipy_tail(self):
         from scipy.stats import binom
