@@ -281,6 +281,19 @@ def parse(data: dict) -> RunConfig:
             f"bz_sweep.noise_rate must be 0 or null when bz_sweep.noise_kind is none, "
             f"got {sweep.noise_rate!r}"
         )
+    # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
+    cells = [(config.noise, "fields.de", config.fields)]
+    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].de",
+               FieldConfig(e0=pair.e0, de=pair.de)) for i, pair in enumerate(config.field_pairs)]
+    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", FieldConfig(de=(e, 0.0, 0.0)))
+              for i, e in enumerate(sweep.e_magnitudes)]
+    for cell_noise, key, fields in cells:
+        if (cell_noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and cell_noise.rate > 0.0
+                and not fields.has_transverse_field):
+            raise ConfigError(
+                f"{key} must give e0 or e0 + de an x or y component under electric noise "
+                f"of nonzero rate, got e0={list(fields.e0)!r}, e0 + de={list(fields.e1)!r}"
+            )
     window = sweep.t_window
     if not window[0] < window[1] <= 10.0 * params.t2:
         raise ConfigError(

@@ -13,7 +13,8 @@ gives the same report without an eigensolver, since the eigenvalues of a
 2x2 decision operator follow from the length of one vector.
 
 Also provided: the fixed standard-basis readout for comparison, and a
-numeric search for the optimal measurement time.
+numeric search for the optimal measurement time (a dense scan, then golden
+section with the points of several steps evaluated in each kernel call).
 """
 from __future__ import annotations
 
@@ -23,12 +24,16 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import bloch_generators, evolve_bloch
+from .dynamics import PRODUCT_MIN_POINTS, bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import IDENTITY_2, DensityMatrix2, bloch_vector, herm_eigen2
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Bracket width (s) at which the golden-section refinement stops.
+_SEARCH_TOL = 1e-10
+#: Golden-section steps that one refinement kernel call evaluates ahead.
+_LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,39 @@ def standard_basis_error_grid(
     return np.clip(p_err, 0.0, 1.0)
 
 
+def _golden_step(lo: float, hi: float, x1: float, x2: float, left: bool):
+    """One golden-section step from the bracket [lo, hi] with inner points
+    x1 < x2: keep [lo, x2] if ``left`` (p_err(x1) <= p_err(x2)), else
+    [x1, hi]. Returns the new (lo, hi, x1, x2); its new point is x1 on the
+    left, x2 on the right."""
+    if left:
+        return lo, x2, x2 - _GOLDEN * (x2 - lo), x1
+    return x1, hi, x2, x1 + _GOLDEN * (hi - x1)
+
+
+def _reachable(state, known) -> list[float]:
+    """The points the golden-section search can ask for from ``state`` within
+    its next _LOOKAHEAD steps, breadth first and without repeats: x1 and x2
+    while not in ``known``, then each step's new point, on both outcomes of
+    every comparison that ``known`` cannot decide yet. A branch that reaches
+    the stop asks only for its midpoint."""
+    points: dict[float, None] = {}
+    frontier = [state]
+    for level in range(_LOOKAHEAD + 1):
+        following = []
+        for lo, hi, x1, x2 in frontier:
+            if hi - lo <= _SEARCH_TOL:
+                points[0.5 * (lo + hi)] = None
+                continue
+            points.update((x, None) for x in (x1, x2) if x not in known)
+            if level < _LOOKAHEAD:
+                decided = x1 in known and x2 in known
+                outcomes = (known[x1] <= known[x2],) if decided else (True, False)
+                following += [_golden_step(lo, hi, x1, x2, left) for left in outcomes]
+        frontier = following
+    return list(points)
+
+
 def optimal_time_search(
     fields: FieldConfig,
     params: NvParameters,
@@ -232,9 +270,14 @@ def optimal_time_search(
     """Global minimum of p_err(t) over a window.
 
     Dense sampling (n_grid + 1 >= 2001 points, one grid propagation)
-    locates the basin; golden section refines it to 1e-10 s with one-point
-    propagations. The generator pair and the initial Bloch vector are built
-    once per search. Exact ties break toward smaller t.
+    locates the basin; golden section refines it to 1e-10 s. Each
+    evaluation the refinement misses also evaluates, in the same kernel
+    call, every point the next _LOOKAHEAD steps can ask for (at most
+    PRODUCT_MIN_POINTS - 1, so the call takes the per-time stack). A point's
+    p_err therefore does not depend on the points evaluated with it, and the
+    result equals that of one-point evaluations bit for bit. The generator
+    pair and the initial Bloch vector are built once per search. Exact ties
+    break toward smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -250,29 +293,26 @@ def optimal_time_search(
         r0, r1 = states(times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
-    def objective(t: float) -> float:
-        return float(p_err(np.array([t]))[0])
-
     grid = np.linspace(t_lo, t_hi, n_grid + 1)
     values = p_err(grid)
     idx = int(np.argmin(values))  # first minimum on ties -> smaller t
 
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, n_grid)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-10:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    t_star = 0.5 * (lo + hi)
-    p_star = objective(t_star)
+    refined: dict[float, float] = {}
+
+    def objective(state, t: float) -> float:
+        if t not in refined:
+            batch = _reachable(state, refined)[: PRODUCT_MIN_POINTS - 1]
+            refined.update(zip(batch, p_err(np.array(batch)).tolist()))
+        return refined[t]
+
+    lo = float(grid[max(idx - 1, 0)])
+    hi = float(grid[min(idx + 1, n_grid)])
+    state = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+    while state[1] - state[0] > _SEARCH_TOL:
+        left = objective(state, state[2]) <= objective(state, state[3])
+        state = _golden_step(*state, left)
+    t_star = 0.5 * (state[0] + state[1])
+    p_star = objective(state, t_star)
     if values[idx] < p_star:
         t_star, p_star = float(grid[idx]), float(values[idx])
     return float(t_star), float(p_star)

@@ -13,8 +13,9 @@ Every production grid is uniform (a ``np.linspace``); for one of n points,
 t_k = t_0 + k h, the exponentials are the products
 exp(M t_jB) exp(M i h) with k = j B + i and B = ceil(sqrt(n)), so about
 2 sqrt(n) matrices are exponentiated instead of n. Any other time array,
-including the one-point steps of the optimal-time search and the two
-segment lengths of a protocol cycle, gets one exponential per time.
+including the golden-section batches of the optimal-time search (fewer than
+PRODUCT_MIN_POINTS points each) and the two segment lengths of a protocol
+cycle, gets one exponential per time.
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator

@@ -11,19 +11,21 @@ operator. :func:`evolve_pair` runs one of them on both field hypotheses.
 
 Also here: the one-matrix exponential :func:`expm_small`, the 3x3
 ground-state Hamiltonian and its spectrum, the per-click readout of the
-turn-on protocol, and the analytic optimal measurement time of a collinear
-switch. Only tests import this module; nothing in the package does.
+turn-on protocol, the analytic optimal measurement time of a collinear
+switch, and the optimal-time search with one kernel call per golden-section
+point. Only tests import this module; nothing in the package does.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from nvdetect.discrimination import PovmPair
-from nvdetect.dynamics import _hypothesis_operators, liouvillian
+from nvdetect.discrimination import PovmPair, min_error_grid
+from nvdetect.dynamics import _hypothesis_operators, bloch_generators, evolve_bloch, liouvillian
 from nvdetect.errors import NumericalInvariantError, PreconditionError
 from nvdetect.hamiltonian import TWO_PI, FieldConfig, NoiseModel, NvParameters
 from nvdetect.linalg import DensityMatrix2, bloch_vector, dagger
@@ -474,3 +476,64 @@ def optimal_time_analytic(de_x: float, n: int = 1, params: NvParameters | None =
         raise PreconditionError(f"n must be a positive integer, got {n!r}")
     params = params or NvParameters()
     return n * math.pi / (2.0 * TWO_PI * params.d_perp * abs(de_x))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def optimal_time_search_sequential(
+    fields: FieldConfig,
+    params: NvParameters,
+    noise: NoiseModel,
+    rho0: DensityMatrix2,
+    window: tuple[float, float],
+    n_grid: int = 2048,
+) -> tuple[float, float]:
+    """Global minimum of p_err(t) over a window, one kernel call per point.
+
+    The reference of ``nvdetect.discrimination.optimal_time_search``, which
+    evaluates the golden-section points several at a time: dense sampling
+    (n_grid + 1 points, one grid propagation) locates the basin; golden
+    section refines it to 1e-10 s with one-point propagations. Exact ties
+    break toward smaller t.
+    """
+    t_lo, t_hi = window
+    if not (0.0 <= t_lo < t_hi):
+        raise PreconditionError(f"invalid search window {window!r}")
+    if t_hi > 10.0 * params.t2:
+        raise PreconditionError("search window must not extend beyond 10*T2")
+    if n_grid < 2000:
+        raise PreconditionError("dense sampling requires at least 2000 intervals")
+
+    states = partial(evolve_bloch, bloch_generators(fields, params, noise), bloch_vector(rho0))
+
+    def p_err(times) -> np.ndarray:
+        r0, r1 = states(times)
+        return min_error_grid(r0, r1, fields.priors).p_err
+
+    def objective(t: float) -> float:
+        return float(p_err(np.array([t]))[0])
+
+    grid = np.linspace(t_lo, t_hi, n_grid + 1)
+    values = p_err(grid)
+    idx = int(np.argmin(values))  # first minimum on ties -> smaller t
+
+    lo = grid[max(idx - 1, 0)]
+    hi = grid[min(idx + 1, n_grid)]
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = objective(x2)
+    t_star = 0.5 * (lo + hi)
+    p_star = objective(t_star)
+    if values[idx] < p_star:
+        t_star, p_star = float(grid[idx]), float(values[idx])
+    return float(t_star), float(p_star)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
@@ -273,6 +273,7 @@ def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
 
 def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
     counts = {"generator": 0, "norms": 0, "decisions": 0}
+    points = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -280,8 +281,12 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def norms(r):
+        points.append(r.shape[1])
+        return check_bloch_norms(r)
+
     monkeypatch.setattr(dynamics, "bloch_generator", counted("generator", dynamics.bloch_generator))
-    monkeypatch.setattr(dynamics, "check_bloch_norms", counted("norms", check_bloch_norms))
+    monkeypatch.setattr(dynamics, "check_bloch_norms", counted("norms", norms))
     monkeypatch.setattr(
         discrimination, "min_error_grid", counted("decisions", discrimination.min_error_grid)
     )
@@ -290,4 +295,65 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
         fields, PARAMS, NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5)
     )
     assert counts["generator"] == 2  # one per hypothesis, for the whole search
-    assert counts["norms"] == counts["decisions"] > 10  # the dense scan and every golden step
+    # the dense scan, then three batches for the ten golden steps and the midpoint
+    assert counts["norms"] == counts["decisions"] == 4
+    assert points[0] == 2049
+    assert all(n < PRODUCT_MIN_POINTS for n in points[1:])  # each takes the per-time stack
+
+
+@st.composite
+def searches(draw):
+    """An optimal-time search cell: field pair, noise of each kind,
+    preparation, window and dense grid, with nonzero e0 and B_z, windows from
+    t = 0, and windows short enough that the minimum often lies on an edge."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    kind = draw(st.sampled_from(["electric", "magnetic", "none"]))
+    e0 = transverse(draw(st.sampled_from([0.0, 1e5, 1e6])) * draw(st.floats(0.0, 1.0)), draw(angle))
+    de = transverse(draw(st.floats(1e4, 3e6)), draw(angle))
+    b_z = draw(st.one_of(st.just(0.0), st.floats(-3e-5, 3e-5)))
+    rate = draw(st.floats(0.0, 3e5))
+    noise = {"electric": NoiseModel.electric(rate), "magnetic": NoiseModel.magnetic(rate),
+             "none": NoiseModel.none()}[kind]
+    p0 = draw(st.sampled_from([0.5, 0.3, 0.9]))
+    fields = FieldConfig(e0=e0, de=de, b_z=b_z, priors=(p0, 1.0 - p0))
+    rho0 = draw(st.sampled_from(PREPARATIONS))
+    t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-6)))
+    width = 10.0 ** draw(st.floats(-8.0, -5.0))
+    n_grid = draw(st.sampled_from([2000, 2048, 3001]))
+    return fields, noise, rho0, (t_lo, t_lo + width), n_grid
+
+
+FLAT_CELL = (  # a field along x on the +x state under axial noise: p_err = 1/2 at every t
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5), 2048
+)
+RIGHT_EDGE = (  # p_err falls up to the quarter period 1.47e-6 s
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.none(), PREPARATIONS[0], (0.0, 1e-6), 2000
+)
+LEFT_EDGE = (  # p_err rises after its dephasing-limited minimum at 1.38e-6 s
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.electric(1e5), PREPARATIONS[0], (1.5e-6, 2.5e-6),
+    3001,
+)
+
+
+@given(searches())
+@example(FLAT_CELL)
+@example(RIGHT_EDGE)
+@example(LEFT_EDGE)
+@settings(max_examples=100, deadline=None)
+def test_batched_search_equals_the_one_point_search_bit_for_bit(search):
+    fields, noise, rho0, window, n_grid = search
+    expected = oracles.optimal_time_search_sequential(fields, PARAMS, noise, rho0, window, n_grid)
+    assert discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid) == expected
+
+
+@pytest.mark.parametrize("search, t_opt", [(RIGHT_EDGE, 1e-6), (LEFT_EDGE, 1.5e-6)])
+def test_edge_cells_have_their_minimum_on_the_window_edge(search, t_opt):
+    fields, noise, rho0, window, n_grid = search
+    t_star, _ = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    assert t_star == pytest.approx(t_opt, abs=2 * (window[1] - window[0]) / n_grid)
+
+
+def test_flat_cell_has_one_half_everywhere():
+    fields, noise, rho0, window, n_grid = FLAT_CELL
+    _, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    assert p_min == pytest.approx(0.5, abs=1e-15)

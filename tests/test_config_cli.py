@@ -124,7 +124,8 @@ class TestConfig:
             # only the rules that tie two keys together reject a declared value
             assert any(
                 rule in str(exc)
-                for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate")
+                for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
+                             "an x or y component")
             ), exc
             reject()
         assert parsed == config
@@ -239,6 +240,15 @@ class TestCliExitCodes:
             ("perr-time", {"method": "closed"}, "method"),
             ("perr-time", {"method": "rk4"}, "method"),
             ("perr-time", {"method": "superop"}, "method"),
+            ("perr-time", {"field_pairs": [{"e0": [0, 0, 0], "de": [0, 0, 1e6], "kappa": 1e5}]},
+             "field_pairs[0].de"),
+            ("bloch", {"fields": {"e0": [0, 0, 0], "de": [0, 0, 1e6]}}, "fields.de"),
+            ("bz-sensitivity", {"fields": {"e0": [0, 0, 0], "de": [0, 0, 1e6]}}, "fields.de"),
+            ("appendix-b", {"bz_sweep": {"e_magnitudes": [0.0], "noise_kind": "electric_along_field"}},
+             "bz_sweep.e_magnitudes[0]"),
+            ("appendix-b",
+             {"bz_sweep": {"e_magnitudes": [1e6, 0.0], "noise_kind": "electric_along_field"}},
+             "bz_sweep.e_magnitudes[1]"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
