@@ -3,24 +3,22 @@
 A photoreceptive molecule switches its electric dipole field when it absorbs
 a photon; a nearby two-level spin sensor precesses differently under the two
 fields. This package evolves the sensor state under either hypothesis with
-one batched Bloch-vector propagator, builds the minimal-error projector pair
-that decides between them, and quantifies error probabilities, optimal
-measurement times, multi-sensor suppression, and the arrival-time jitter of
-the underlying photon. The independent routes the tests check the
-propagator against (closed forms, RK4, a 4x4 superoperator exponential) are
-in ``tests/oracles.py``, outside the package.
+one batched Bloch-vector propagator, decides between them with one
+vectorized minimal-error (Helstrom) measurement, and quantifies error
+probabilities, optimal measurement times, multi-sensor suppression, and the
+arrival-time jitter of the underlying photon. The independent routes the
+tests check the package against (closed forms, RK4, a 4x4 superoperator
+exponential, the operator form of the Helstrom measurement) are in
+``tests/oracles.py``, outside the package.
 """
 
 from .discrimination import (
-    helstrom_operator,
-    min_error,
+    helstrom_decision,
     min_error_grid,
     optimal_time_search,
-    povm_pair,
-    standard_basis_error,
     standard_basis_error_grid,
 )
-from .dynamics import evolve_pair, evolve_pair_grid
+from .dynamics import evolve_pair_grid
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import (
     FieldConfig,
@@ -29,7 +27,7 @@ from .hamiltonian import (
     hamiltonian_two_level,
     lindblad_operator,
 )
-from .linalg import DensityMatrix2, bloch_vector, expm_batch, herm_eigen2
+from .linalg import DensityMatrix2, bloch_vector, expm_batch
 from .protocol import (
     Click,
     MeasurementSchedule,

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import config as config_mod
 from .config import RunConfig
-from .discrimination import min_error, min_error_grid, standard_basis_error_grid
-from .dynamics import evolve_pair, evolve_pair_grid
+from .discrimination import min_error_grid, standard_basis_error_grid
+from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
 from .protocol import array_error_curve, superposition_bz_sweep, turn_on_blocks
@@ -44,13 +45,19 @@ def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
     byte-equal to ``format(float(x), ".17g")``), ``%d`` for integers and
     ``%s`` for text, with LF line endings, as ``csv.writer`` would
     write them; no text cell holds a comma, quote or line break, so none
-    needs quoting. The directory is created here, on the first write.
+    needs quoting. The directory is created here, on the first write. If a
+    block raises, the partial file is removed before the error propagates,
+    so no file that looks complete is left behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for rows in blocks:
-            fh.write("".join([row_format % row for row in rows]))
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            for rows in blocks:
+                fh.write("".join([row_format % row for row in rows]))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -76,6 +83,31 @@ def _noise_for(config: RunConfig, kappa: float) -> NoiseModel:
     return NoiseModel(config.noise.kind, kappa)
 
 
+def _quarter_period_marks(times: np.ndarray, params, de) -> np.ndarray:
+    """1 at the grid point nearest to each quarter period t_n of the switch
+    ``de`` up to times[-1], else 0, for a sorted grid of at least two points.
+
+    t_n is computed as :meth:`NvParameters.transfer_time` computes it, and
+    ties go to the earlier point, as ``np.argmin(np.abs(times - t_n))``
+    breaks them. The nearest point is monotone in t, so every marked row is
+    also reached by an n nearest to its own time from one side; only n within
+    2 of times[k] / t_1 for some row k are tried, at most five per row
+    however many quarter periods fit.
+    """
+    marks = np.zeros(times.size, dtype=np.int8)
+    if params.transfer_time(de) > times[-1]:  # also without a transverse switch
+        return marks
+    coupling = abs(params.transverse_coupling(de))
+    nearest = np.rint(times * (2.0 * coupling / math.pi))  # nondecreasing, as times is sorted
+    nearest = nearest[np.diff(nearest, prepend=-1.0) > 0.0]
+    n = (nearest[:, None] + np.arange(-2.0, 3.0)).ravel()
+    t_n = n * math.pi / (2.0 * coupling)
+    t_n = t_n[(n >= 1.0) & (t_n <= times[-1])]
+    j = np.clip(np.searchsorted(times, t_n), 1, times.size - 1)
+    marks[j - (np.abs(times[j - 1] - t_n) <= np.abs(times[j] - t_n))] = 1
+    return marks
+
+
 def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     """Error-versus-time sweep for each configured field pair."""
     params = config.parameters
@@ -88,11 +120,7 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
             fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z,
                                  priors=config.fields.priors)
             noise = _noise_for(config, pair.kappa)
-            is_tmin = np.zeros(times.size, dtype=np.int8)
-            n = 1
-            while (t_opt := params.transfer_time(pair.de, n)) <= times[-1]:
-                is_tmin[np.argmin(np.abs(times - t_opt))] = 1
-                n += 1
+            is_tmin = _quarter_period_marks(times, params, pair.de)
             r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
@@ -150,11 +178,12 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
         t_meas = config.protocol.schedule().cycle_time(fields, params)
     except PreconditionError as exc:
         raise ConfigError("array command needs a nonzero transverse field switch") from exc
-    r0, r1 = evolve_pair(fields, params, noise, rho0, t_meas)
-    report = min_error(r0, r1, fields.priors, t=t_meas)
+    r0, r1 = evolve_pair_grid(fields, params, noise, rho0, [t_meas])
+    single = min_error_grid(r0, r1, fields.priors)
+    p_dc, p_fn = float(single.p_dc[0]), float(single.p_fn[0])
 
     try:
-        curve = array_error_curve(config.sensor_counts, report.p_dc, report.p_fn, fields.priors)
+        curve = array_error_curve(config.sensor_counts, p_dc, p_fn, fields.priors)
     except PreconditionError as exc:  # the fused error underflows to 0 at large counts
         raise ConfigError(f"sensor_counts: {exc}") from exc
     csv_path = _write_csv(
@@ -163,7 +192,7 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     )
     json_path = _write_json(
         out / "array_alpha.json",
-        {"alpha": curve.alpha, "p_dc": report.p_dc, "p_fn": report.p_fn, "t_measure": t_meas},
+        {"alpha": curve.alpha, "p_dc": p_dc, "p_fn": p_fn, "t_measure": t_meas},
     )
     return [csv_path, json_path]
 

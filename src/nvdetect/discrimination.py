@@ -1,25 +1,27 @@
 """Minimal-error discrimination between the two field hypotheses.
 
 The decision operator is the prior-weighted state difference
-P1 rho1(t) - P0 rho0(t); its spectral decomposition yields the optimal
-projector pair (Helstrom measurement) and the error probability in two
-independent ways, which the code cross-checks on every call:
+P1 rho1(t) - P0 rho0(t). For Bloch vectors r0, r1 and v = P1 r1 - P0 r0 it
+is ((P1 - P0) I + v.sigma)/2, so its eigenvalues follow from the length of
+one vector and the optimal projector pair (Helstrom measurement) from its
+direction. :func:`helstrom_decision` computes that measurement at every row
+of two Bloch-vector arrays; it is the only place where the package makes a
+Helstrom decision. :func:`min_error_grid` takes the error probability from
+it in two independent ways and cross-checks them at every point:
 
     p_err = P0 Tr(rho0 Pi1) + P1 Tr(rho1 Pi0)      (trace form)
     p_err = (1 - sum_k |lambda_k|) / 2             (eigenvalue form)
 
-For Bloch-vector arrays (a whole time grid at once) :func:`min_error_grid`
-gives the same report without an eigensolver, since the eigenvalues of a
-2x2 decision operator follow from the length of one vector.
-
 Also provided: the fixed standard-basis readout for comparison, and a
 numeric search for the optimal measurement time (a dense scan, then golden
 section with the points of several steps evaluated in each kernel call).
+The operator form of the same measurement (a 2x2 eigensolver and explicit
+projectors) is a test oracle in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from .dynamics import PRODUCT_MIN_POINTS, bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
-from .linalg import IDENTITY_2, DensityMatrix2, bloch_vector, herm_eigen2
+from .linalg import DensityMatrix2, bloch_vector
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Bracket width (s) at which the golden-section refinement stops.
@@ -37,139 +39,73 @@ _LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
-class HelstromDecomposition:
-    """Eigensystem of the weighted state difference; lambda_plus >= lambda_minus."""
+class HelstromDecision:
+    """The minimal-error measurement at every point, one array per field.
 
-    lambda_plus: float
-    lambda_minus: float
-    phi_plus: np.ndarray = field(repr=False)
-    phi_minus: np.ndarray = field(repr=False)
-    priors: tuple[float, float] = (0.5, 0.5)
+    lambda_plus >= lambda_minus are the decision-operator eigenvalues. Pi1
+    ("field switched") projects onto the nonnegative ones: it is the
+    identity where ``all_pi1`` (lambda_minus >= 0), zero where ``all_pi0``
+    (lambda_plus < 0), and (I + unit.sigma)/2 elsewhere, ``unit`` being the
+    direction of v = P1 r1 - P0 r0.
+    """
 
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
+    unit: np.ndarray
+    all_pi1: np.ndarray
+    all_pi0: np.ndarray
 
-@dataclass(frozen=True)
-class PovmPair:
-    """Projector pair: pi1 clicks for "field switched", pi0 for "baseline"."""
-
-    pi0: np.ndarray = field(repr=False)
-    pi1: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class DiscriminationReport:
-    """Error budget of one measurement: total, dark-count, and false-negative
-    probabilities plus the decision-operator eigenvalues."""
-
-    p_err: float
-    p_dc: float
-    p_fn: float
-    eigenvalues: tuple[float, float]
-    t: float | None = None
+    def bright_probability(self, r) -> np.ndarray:
+        """Tr(rho Pi1), unclipped, for Bloch vectors r of shape (n, 3): the
+        chance that a readout clicks "field switched"."""
+        return np.where(self.all_pi1, 1.0, np.where(
+            self.all_pi0, 0.0, 0.5 * (1.0 + np.sum(self.unit * r, axis=-1))
+        ))
 
 
 @dataclass(frozen=True)
 class ErrorCurve:
-    """:class:`DiscriminationReport` of every grid point, one array per field."""
+    """Error budget at every point: total, dark-count (Tr(rho0 Pi1)) and
+    false-negative (Tr(rho1 Pi0)) probabilities, and the decision behind them."""
 
     p_err: np.ndarray
     p_dc: np.ndarray
     p_fn: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
+    decision: HelstromDecision
 
 
-def helstrom_operator(
-    rho0: DensityMatrix2,
-    rho1: DensityMatrix2,
-    priors: tuple[float, float] = (0.5, 0.5),
-) -> HelstromDecomposition:
-    """Spectral decomposition of P1 rho1 - P0 rho0."""
-    p0, p1 = _checked_priors(priors)
-    pair = herm_eigen2(p1 * rho1.matrix - p0 * rho0.matrix)
-    return HelstromDecomposition(
-        lambda_plus=pair.eigenvalues[0],
-        lambda_minus=pair.eigenvalues[1],
-        phi_plus=pair.vector_plus,
-        phi_minus=pair.vector_minus,
-        priors=(float(p0), float(p1)),
-    )
+def helstrom_decision(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> HelstromDecision:
+    """The Helstrom measurement at every row of two (n, 3) Bloch-vector arrays.
 
-
-def povm_pair(decomposition: HelstromDecomposition) -> PovmPair:
-    """Build the projector pair from the decomposition.
-
-    Eigenvectors with nonnegative eigenvalue feed pi1, strictly negative ones
-    pi0; zero eigenvalues therefore land in pi1, so a degenerate (identical
-    states) decision yields pi1 = identity. When both eigenvalues fall on one
-    side, that projector is set to the identity exactly instead of being
-    summed from two rank-one projectors.
-    """
-    zero = np.zeros((2, 2), dtype=complex)
-    if decomposition.lambda_minus >= 0.0:
-        return PovmPair(pi0=zero, pi1=IDENTITY_2.copy())
-    if decomposition.lambda_plus < 0.0:
-        return PovmPair(pi0=IDENTITY_2.copy(), pi1=zero)
-    phi_plus, phi_minus = decomposition.phi_plus, decomposition.phi_minus
-    return PovmPair(
-        pi0=np.outer(phi_minus, np.conj(phi_minus)), pi1=np.outer(phi_plus, np.conj(phi_plus))
-    )
-
-
-def min_error(
-    rho0: DensityMatrix2,
-    rho1: DensityMatrix2,
-    priors: tuple[float, float] = (0.5, 0.5),
-    t: float | None = None,
-) -> DiscriminationReport:
-    """Minimal-error report for discriminating rho0 from rho1.
-
-    The trace-form and eigenvalue-form error probabilities are both computed
-    and must agree to 1e-12; disagreement aborts, since it would mean the
-    measurement construction is internally inconsistent.
-    """
-    dec = helstrom_operator(rho0, rho1, priors)
-    pair = povm_pair(dec)
-    p0, p1 = dec.priors
-    p_dc = float(np.trace(rho0.matrix @ pair.pi1).real)
-    p_fn = float(np.trace(rho1.matrix @ pair.pi0).real)
-    p_trace = p0 * p_dc + p1 * p_fn
-    p_eigen = 0.5 * (1.0 - abs(dec.lambda_plus) - abs(dec.lambda_minus))
-    if abs(p_trace - p_eigen) > 1e-12:
-        raise NumericalInvariantError(
-            f"error-probability formulas disagree: trace={p_trace!r} eigen={p_eigen!r}"
-        )
-    return DiscriminationReport(
-        p_err=min(max(p_trace, 0.0), 1.0),
-        p_dc=min(max(p_dc, 0.0), 1.0),
-        p_fn=min(max(p_fn, 0.0), 1.0),
-        eigenvalues=(dec.lambda_plus, dec.lambda_minus),
-        t=t,
-    )
-
-
-def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCurve:
-    """:func:`min_error` at every row of two (n, 3) Bloch-vector arrays.
-
-    With v = P1 r1 - P0 r0 the decision operator is ((P1 - P0) I + v.sigma)/2,
-    with eigenvalues ((P1 - P0) +- |v|)/2. As in :func:`povm_pair`, pi1
-    projects onto the nonnegative ones: the identity if both are, nothing if
-    neither is, else the pure state along v. The trace and eigenvalue forms
-    must agree to 1e-12 at every point.
+    With v = P1 r1 - P0 r0 the eigenvalues are ((P1 - P0) +- |v|)/2. Zero
+    eigenvalues go to Pi1, so identical states (v = 0) with P1 >= P0 give
+    Pi1 = I.
     """
     p0, p1 = _checked_priors(priors)
-    r0 = np.asarray(r0, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
-    v = p1 * r1 - p0 * r0
+    v = p1 * np.asarray(r1, dtype=float) - p0 * np.asarray(r0, dtype=float)
     length = np.sqrt(np.sum(v * v, axis=-1))
     lam_plus = 0.5 * ((p1 - p0) + length)
     lam_minus = 0.5 * ((p1 - p0) - length)
     unit = v / np.where(length > 0.0, length, 1.0)[..., None]  # unused where length == 0
-    all_pi1 = lam_minus >= 0.0
-    all_pi0 = lam_plus < 0.0
-    p_dc = np.where(all_pi1, 1.0, np.where(all_pi0, 0.0, 0.5 * (1.0 + np.sum(unit * r0, axis=-1))))
-    p_fn = np.where(all_pi1, 0.0, np.where(all_pi0, 1.0, 0.5 * (1.0 - np.sum(unit * r1, axis=-1))))
+    return HelstromDecision(lam_plus, lam_minus, unit, lam_minus >= 0.0, lam_plus < 0.0)
+
+
+def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCurve:
+    """Minimal-error report at every row of two (n, 3) Bloch-vector arrays.
+
+    p_dc and p_fn come from :func:`helstrom_decision`; the trace and
+    eigenvalue forms of p_err must agree to 1e-12 at every point.
+    """
+    p0, p1 = _checked_priors(priors)
+    r0 = np.asarray(r0, dtype=float)
+    r1 = np.asarray(r1, dtype=float)
+    dec = helstrom_decision(r0, r1, priors)
+    p_dc = dec.bright_probability(r0)
+    p_fn = np.where(dec.all_pi1, 0.0, np.where(
+        dec.all_pi0, 1.0, 0.5 * (1.0 - np.sum(dec.unit * r1, axis=-1))
+    ))
     p_trace = p0 * p_dc + p1 * p_fn
-    p_eigen = 0.5 * (1.0 - np.abs(lam_plus) - np.abs(lam_minus))
+    p_eigen = 0.5 * (1.0 - np.abs(dec.lambda_plus) - np.abs(dec.lambda_minus))
     gap = np.abs(p_trace - p_eigen)
     if np.any(gap > 1e-12):
         k = int(np.argmax(gap))
@@ -181,44 +117,23 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
         p_err=np.clip(p_trace, 0.0, 1.0),
         p_dc=np.clip(p_dc, 0.0, 1.0),
         p_fn=np.clip(p_fn, 0.0, 1.0),
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
+        decision=dec,
     )
 
 
-#: Fixed readout projectors of the fluorescence basis: staying in |+1> reads
-#: "baseline", arriving in |-1> reads "field switched".
-STANDARD_PI0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-STANDARD_PI1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
-def standard_basis_error(
-    rho0: DensityMatrix2,
-    rho1: DensityMatrix2,
-    priors: tuple[float, float] = (0.5, 0.5),
-    best_assignment: bool = False,
-) -> float:
-    """Error probability of the fixed standard-basis readout.
+def standard_basis_error_grid(
+    r0, r1, priors: tuple[float, float] = (0.5, 0.5), best_assignment: bool = False
+) -> np.ndarray:
+    """Error probability of the fixed fluorescence-basis readout (staying in
+    |+1> reads "baseline", arriving in |-1> reads "field switched") at every
+    row of two (n, 3) Bloch-vector arrays:
+    P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2.
 
     With ``best_assignment`` the cheaper of the two outcome labelings is
     returned (swapping which fluorescence outcome is declared "field
     switched" is a free pulse-sequence choice, and for some baseline fields
     the sensible labeling is the swapped one).
     """
-    p0, p1 = _checked_priors(priors)
-    p_err = p0 * float(np.trace(rho0.matrix @ STANDARD_PI1).real) + p1 * float(
-        np.trace(rho1.matrix @ STANDARD_PI0).real
-    )
-    if best_assignment:
-        p_err = min(p_err, 1.0 - p_err)
-    return min(max(p_err, 0.0), 1.0)
-
-
-def standard_basis_error_grid(
-    r0, r1, priors: tuple[float, float] = (0.5, 0.5), best_assignment: bool = False
-) -> np.ndarray:
-    """:func:`standard_basis_error` at every row of two (n, 3) Bloch-vector
-    arrays: P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2."""
     p0, p1 = _checked_priors(priors)
     p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[:, 2]) + p1 * (1.0 + np.asarray(r1)[:, 2]))
     if best_assignment:

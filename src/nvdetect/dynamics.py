@@ -166,13 +166,6 @@ def propagate_generators(gens: np.ndarray, times) -> np.ndarray:
     return product.reshape(len(gens), -1, 3, 3)[:, :n]
 
 
-def bloch_propagators(
-    fields: FieldConfig, params: NvParameters, noise: NoiseModel, times
-) -> np.ndarray:
-    """exp(M_h t) of both hypotheses h at every time: shape (2, n, 3, 3)."""
-    return propagate_generators(bloch_generators(fields, params, noise), times)
-
-
 def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
     """Bloch vector exp(M t) r_init of every generator at every time: shape
     (g, n, 3). Vectors longer than 1 + 1e-12 raise NumericalInvariantError."""
@@ -195,16 +188,3 @@ def evolve_pair_grid(
     r = evolve_bloch(bloch_generators(fields, params, noise), bloch_vector(rho0), times)
     return r[0], r[1]
 
-
-def evolve_pair(
-    fields: FieldConfig,
-    params: NvParameters,
-    noise: NoiseModel,
-    rho0: DensityMatrix2,
-    t: float,
-) -> tuple[DensityMatrix2, DensityMatrix2]:
-    """Evolve the shared initial state under both hypotheses for time t: a
-    one-point :func:`evolve_pair_grid`. The electric-noise axis follows each
-    hypothesis's own static field direction."""
-    r0, r1 = evolve_pair_grid(fields, params, noise, rho0, np.array([float(t)]))
-    return DensityMatrix2.from_bloch(r0[0]), DensityMatrix2.from_bloch(r1[0])

@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra: 2x2 Hermitian eigenproblems, matrix
+"""Small dense linear algebra: the validated 2x2 density matrix, matrix
 exponentials of stacks of matrices up to 4x4, and the Bloch-vector map.
 
 The two-level basis is ordered (|+1>, |-1>) everywhere, so the Bloch +z pole
@@ -8,13 +8,12 @@ matrices are plain ``numpy.ndarray`` with complex dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalInvariantError, PreconditionError
 
-HERMITICITY_ATOL = 1e-12
 #: Taylor terms of :func:`expm_batch`: (1/2)^18 / 18! < 1e-21.
 TAYLOR_TERMS = 17
 
@@ -26,15 +25,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m.T)
-
-
-def _as_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise PreconditionError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise PreconditionError("matrix entries must be finite")
-    return m
 
 
 @dataclass(frozen=True)
@@ -85,20 +75,6 @@ class DensityMatrix2:
         """(|+1> + |-1>)/sqrt(2) projector, the +x Bloch state."""
         return cls(np.full((2, 2), 0.5, dtype=complex))
 
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix2":
-        return cls(0.5 * IDENTITY_2)
-
-    @classmethod
-    def from_bloch(cls, r) -> "DensityMatrix2":
-        """(I + x sigma_x + y sigma_y + z sigma_z) / 2, the inverse of
-        :func:`bloch_vector`; |r| must not exceed 1 + 1e-12."""
-        x, y, z = check_bloch_norms(np.asarray(r, dtype=float))
-        return cls(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
-
-    def is_close_to(self, other: "DensityMatrix2", atol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - other.matrix)) <= atol)
-
 
 def _herm2_eigvals(m: np.ndarray) -> tuple[float, float]:
     """(low, high) eigenvalues of a 2x2 Hermitian matrix, closed form."""
@@ -107,62 +83,6 @@ def _herm2_eigvals(m: np.ndarray) -> tuple[float, float]:
     half_sum = 0.5 * (a + c)
     rad = math.hypot(0.5 * (a - c), abs(m[1, 0]))
     return half_sum - rad, half_sum + rad
-
-
-@dataclass(frozen=True)
-class EigenPair2:
-    """Eigensystem of a 2x2 Hermitian matrix: values descending, orthonormal
-    column eigenvectors with a deterministic phase (first nonzero component
-    real and positive)."""
-
-    eigenvalues: tuple[float, float]
-    eigenvectors: np.ndarray = field(repr=False)
-
-    @property
-    def vector_plus(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
-    @property
-    def vector_minus(self) -> np.ndarray:
-        return self.eigenvectors[:, 1]
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for comp in v:
-        if abs(comp) > 1e-14:
-            return v * (np.conj(comp) / abs(comp))
-    return v
-
-
-def herm_eigen2(m: np.ndarray) -> EigenPair2:
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
-
-    The degenerate case returns the canonical basis. Branches pick whichever
-    analytic null-vector row is better conditioned, and the second vector is
-    the exact orthogonal complement of the first.
-    """
-    m = _as_square(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - np.conj(m.T))) > HERMITICITY_ATOL * scale:
-        raise PreconditionError("herm_eigen2 requires a Hermitian matrix (1e-12)")
-    a = m[0, 0].real
-    c = m[1, 1].real
-    b = m[1, 0]
-    half_diff = 0.5 * (a - c)
-    rad = math.hypot(half_diff, abs(b))
-    lam_plus = 0.5 * (a + c) + rad
-    lam_minus = 0.5 * (a + c) - rad
-
-    if rad <= 1e-15 * scale:
-        vecs = np.eye(2, dtype=complex)
-    else:
-        cand_a = np.array([np.conj(b), lam_plus - a], dtype=complex)
-        cand_b = np.array([lam_plus - c, b], dtype=complex)
-        v_plus = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-        v_plus = v_plus / np.linalg.norm(v_plus)
-        v_minus = np.array([-np.conj(v_plus[1]), np.conj(v_plus[0])], dtype=complex)
-        vecs = np.column_stack([_fix_phase(v_plus), _fix_phase(v_minus)])
-    return EigenPair2(eigenvalues=(float(lam_plus), float(lam_minus)), eigenvectors=vecs)
 
 
 def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrimination import PovmPair, helstrom_operator, min_error, optimal_time_search, povm_pair
-from .dynamics import bloch_propagators, evolve_pair
+from .discrimination import min_error_grid, optimal_time_search
+from .dynamics import bloch_generators, evolve_bloch, propagate_generators
 from .errors import PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
-from .linalg import DensityMatrix2, bloch_vector
+from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms
 
 
 class Click(enum.Enum):
@@ -70,20 +70,17 @@ class ArrayErrorCurve:
 class MeasurementSchedule:
     """Cycle layout of the turn-on protocol. ``t_cycle=None`` resolves to the
     analytic optimal time of the configured field switch. The sensor is
-    refreshed and re-prepared after every readout (reinit=False would need
-    measurement back-action bookkeeping this model does not include)."""
+    always refreshed and re-prepared after every readout: keeping it would
+    need measurement back-action bookkeeping this model does not include."""
 
     t_cycle: float | None = None
     n_cycles: int = 8
-    reinit: bool = True
 
     def __post_init__(self) -> None:
         if self.t_cycle is not None and not self.t_cycle > 0.0:
             raise PreconditionError("t_cycle must be positive")
         if self.n_cycles < 1:
             raise PreconditionError("n_cycles must be >= 1")
-        if not self.reinit:
-            raise PreconditionError("only refresh-and-reinitialize cycles are modeled")
 
     def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
         """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
@@ -199,14 +196,6 @@ def fit_decay_rate(points) -> float:
     return float(slope)
 
 
-def _bright_probability(rho: DensityMatrix2, povm: PovmPair) -> float:
-    """Tr(rho Pi1), clipped to [0, 1]: the chance that a readout of rho
-    clicks bright. Readout is treated as instantaneous relative to the spin
-    dynamics."""
-    p_bright = float(np.trace(rho.matrix @ povm.pi1).real)
-    return min(max(p_bright, 0.0), 1.0)
-
-
 # numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -310,25 +299,6 @@ def _click_uniforms(seeds, cycles: range, n_sensors: int) -> np.ndarray:
     return out
 
 
-def _cycle_state(
-    fields: FieldConfig,
-    params: NvParameters,
-    noise: NoiseModel,
-    rho_init: DensityMatrix2,
-    t_start: float,
-    t_end: float,
-    t_star: float,
-) -> DensityMatrix2:
-    """Propagate a freshly prepared sensor across one cycle of the piecewise
-    field (baseline before t_star, switched after), noise axis following the
-    active field in each segment. The cycle's Bloch map is the switched map
-    over [t_switch, t_end] times the baseline map over [t_start, t_switch],
-    with t_switch = t_star clipped to the cycle."""
-    t_switch = min(max(t_star, t_start), t_end)
-    maps = bloch_propagators(fields, params, noise, [t_switch - t_start, t_end - t_switch])
-    return DensityMatrix2.from_bloch(maps[1, 1] @ maps[0, 0] @ np.array(bloch_vector(rho_init)))
-
-
 def _bracket(bright: list[bool], confident: list[bool], t_cycle: float):
     """Switch interval (lo, hi) from the per-cycle majorities, or None
     without a confident bright cycle."""
@@ -400,24 +370,44 @@ def turn_on_blocks(
     if n_sensors < 1:
         raise PreconditionError("n_sensors must be >= 1")
     t_cycle = schedule.cycle_time(fields, params)
-    n_cycles = schedule.n_cycles
+    p_cycle, informative = _cycle_bright_probabilities(
+        fields, params, noise, t_cycle, schedule.n_cycles, true_t_star, preparation
+    )
+    return _click_blocks(p_cycle, informative, t_cycle, n_sensors, iter(seeds))
 
-    rho_init = preparation.density_matrix()
-    rho_dark, rho_bright = evolve_pair(fields, params, noise, rho_init, t_cycle)
-    povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
-    informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
-    p_cycle = np.empty(n_cycles)
+
+def _cycle_bright_probabilities(
+    fields, params, noise, t_cycle, n_cycles, true_t_star, preparation
+):
+    """The bright probability of the readout at the end of every cycle, and
+    whether the switch is informative at all.
+
+    A cycle that ends by t* holds the baseline state at t_cycle, one that
+    starts at or after t* the switched state; the one cycle that straddles
+    t* maps the prepared state by the baseline generator up to t* and by the
+    switched one after it (noise axis following the active field). Every
+    readout uses the Helstrom measurement of the static problem at t_cycle,
+    so its bright probability is Tr(rho Pi1) of that one decision, clipped
+    to [0, 1]; readout is treated as instantaneous relative to the spin
+    dynamics. Returns the (n_cycles,) bright probabilities and the
+    informative flag (p_err < 1/2 - 1e-6).
+    """
+    gens = bloch_generators(fields, params, noise)
+    r_init = np.array(bloch_vector(preparation.density_matrix()))
+    r_dark, r_bright = evolve_bloch(gens, r_init, [t_cycle])
+    curve = min_error_grid(r_dark, r_bright, fields.priors)
+    r_cycles = np.empty((n_cycles, 3))
     for cycle in range(n_cycles):
         t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
         if true_t_star >= t_end:
-            rho = rho_dark
+            r_cycles[cycle] = r_dark[0]
         elif true_t_star <= t_start:
-            rho = rho_bright
+            r_cycles[cycle] = r_bright[0]
         else:
-            rho = _cycle_state(fields, params, noise, rho_init, t_start, t_end, true_t_star)
-        p_cycle[cycle] = _bright_probability(rho, povm)
-
-    return _click_blocks(p_cycle, informative, t_cycle, n_sensors, iter(seeds))
+            maps = propagate_generators(gens, [true_t_star - t_start, t_end - true_t_star])
+            r_cycles[cycle] = check_bloch_norms(maps[1, 1] @ maps[0, 0] @ r_init)
+    p_cycle = np.clip(curve.decision.bright_probability(r_cycles), 0.0, 1.0)
+    return p_cycle, bool(curve.p_err[0] < 0.5 - 1e-6)
 
 
 def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):

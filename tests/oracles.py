@@ -9,6 +9,14 @@ fixed-step RK4 integrator of the master equation, and a 4x4 superoperator
 exponential, all from a 2x2 Hamiltonian (rad/s) and an optional jump
 operator. :func:`evolve_pair` runs one of them on both field hypotheses.
 
+The package decides between the hypotheses from Bloch vectors
+(``nvdetect.discrimination.helstrom_decision``). The reference here is the
+operator form of the same Helstrom measurement: a closed-form 2x2
+eigensolver (:func:`herm_eigen2`) applied to P1 rho1 - P0 rho0, explicit
+projectors built from its eigenvectors, and traces of density matrices
+(:func:`min_error`, :func:`standard_basis_error`); :func:`density_matrix`
+turns the package's Bloch vectors into the matrices it takes.
+
 Also here: the one-matrix exponential :func:`expm_small`, the 3x3
 ground-state Hamiltonian and its spectrum, the per-click readout of the
 turn-on protocol, the analytic optimal measurement time of a collinear
@@ -24,12 +32,12 @@ from functools import partial
 
 import numpy as np
 
-from nvdetect.discrimination import PovmPair, min_error_grid
+from nvdetect.discrimination import min_error_grid
 from nvdetect.dynamics import _hypothesis_operators, bloch_generators, evolve_bloch, liouvillian
 from nvdetect.errors import NumericalInvariantError, PreconditionError
-from nvdetect.hamiltonian import TWO_PI, FieldConfig, NoiseModel, NvParameters
-from nvdetect.linalg import DensityMatrix2, bloch_vector, dagger
-from nvdetect.protocol import Click, _bright_probability
+from nvdetect.hamiltonian import TWO_PI, FieldConfig, NoiseModel, NvParameters, _checked_priors
+from nvdetect.linalg import IDENTITY_2, DensityMatrix2, bloch_vector, dagger
+from nvdetect.protocol import Click
 
 #: Default internal step: 1/200 of the fastest precession period and of T2.
 DEFAULT_STEP_DIVISOR = 200.0
@@ -173,8 +181,12 @@ def _lindblad_parts(lindblad: np.ndarray | None) -> tuple[float, np.ndarray | No
     return kappa, l / math.sqrt(norm2)
 
 
+def _is_pole_plus(rho0: DensityMatrix2) -> bool:
+    return bool(np.max(np.abs(rho0.matrix - DensityMatrix2.pole_plus().matrix)) <= 1e-12)
+
+
 def _require_pole_plus(rho0: DensityMatrix2, what: str) -> None:
-    if not rho0.is_close_to(DensityMatrix2.pole_plus(), atol=1e-12):
+    if not _is_pole_plus(rho0):
         raise PreconditionError(f"{what} is only valid from the |+1><+1| initial state")
 
 
@@ -372,7 +384,7 @@ def _applicable_closed_form(
     kappa, direction = _lindblad_parts(lindblad)
     _, axial, coupling = _hamiltonian_parts(hamiltonian)
     scale = max(1.0, abs(coupling), abs(axial))
-    if not rho0.is_close_to(DensityMatrix2.pole_plus(), atol=1e-12):
+    if not _is_pole_plus(rho0):
         return None
     if kappa == 0.0:
         return Route.CLOSED_AXIAL_FIELD if abs(axial) > 1e-9 * scale else Route.CLOSED_TRANSVERSE
@@ -451,14 +463,198 @@ def evolve_pair(
     )
 
 
+def density_matrix(r) -> DensityMatrix2:
+    """(I + x sigma_x + y sigma_y + z sigma_z) / 2 of a Bloch vector r,
+    validated: the inverse of ``nvdetect.linalg.bloch_vector``."""
+    x, y, z = (float(c) for c in r)
+    return DensityMatrix2(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
+
+
+@dataclass(frozen=True)
+class EigenPair2:
+    """Eigensystem of a 2x2 Hermitian matrix: values descending, orthonormal
+    column eigenvectors with a deterministic phase (first nonzero component
+    real and positive)."""
+
+    eigenvalues: tuple[float, float]
+    eigenvectors: np.ndarray = field(repr=False)
+
+    @property
+    def vector_plus(self) -> np.ndarray:
+        return self.eigenvectors[:, 0]
+
+    @property
+    def vector_minus(self) -> np.ndarray:
+        return self.eigenvectors[:, 1]
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    for comp in v:
+        if abs(comp) > 1e-14:
+            return v * (np.conj(comp) / abs(comp))
+    return v
+
+
+def herm_eigen2(m: np.ndarray) -> EigenPair2:
+    """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
+
+    The degenerate case returns the canonical basis. Branches pick whichever
+    analytic null-vector row is better conditioned, and the second vector is
+    the exact orthogonal complement of the first.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise PreconditionError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise PreconditionError("matrix entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - np.conj(m.T))) > 1e-12 * scale:
+        raise PreconditionError("herm_eigen2 requires a Hermitian matrix (1e-12)")
+    a = m[0, 0].real
+    c = m[1, 1].real
+    b = m[1, 0]
+    half_diff = 0.5 * (a - c)
+    rad = math.hypot(half_diff, abs(b))
+    lam_plus = 0.5 * (a + c) + rad
+    lam_minus = 0.5 * (a + c) - rad
+
+    if rad <= 1e-15 * scale:
+        vecs = np.eye(2, dtype=complex)
+    else:
+        cand_a = np.array([np.conj(b), lam_plus - a], dtype=complex)
+        cand_b = np.array([lam_plus - c, b], dtype=complex)
+        v_plus = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
+        v_plus = v_plus / np.linalg.norm(v_plus)
+        v_minus = np.array([-np.conj(v_plus[1]), np.conj(v_plus[0])], dtype=complex)
+        vecs = np.column_stack([_fix_phase(v_plus), _fix_phase(v_minus)])
+    return EigenPair2(eigenvalues=(float(lam_plus), float(lam_minus)), eigenvectors=vecs)
+
+
+@dataclass(frozen=True)
+class HelstromDecomposition:
+    """Eigensystem of the weighted state difference; lambda_plus >= lambda_minus."""
+
+    lambda_plus: float
+    lambda_minus: float
+    phi_plus: np.ndarray = field(repr=False)
+    phi_minus: np.ndarray = field(repr=False)
+    priors: tuple[float, float] = (0.5, 0.5)
+
+
+@dataclass(frozen=True)
+class PovmPair:
+    """Projector pair: pi1 clicks for "field switched", pi0 for "baseline"."""
+
+    pi0: np.ndarray = field(repr=False)
+    pi1: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
+class DiscriminationReport:
+    """Error budget of one measurement: total, dark-count, and false-negative
+    probabilities."""
+
+    p_err: float
+    p_dc: float
+    p_fn: float
+
+
+def helstrom_operator(
+    rho0: DensityMatrix2,
+    rho1: DensityMatrix2,
+    priors: tuple[float, float] = (0.5, 0.5),
+) -> HelstromDecomposition:
+    """Spectral decomposition of P1 rho1 - P0 rho0."""
+    p0, p1 = _checked_priors(priors)
+    pair = herm_eigen2(p1 * rho1.matrix - p0 * rho0.matrix)
+    return HelstromDecomposition(
+        lambda_plus=pair.eigenvalues[0],
+        lambda_minus=pair.eigenvalues[1],
+        phi_plus=pair.vector_plus,
+        phi_minus=pair.vector_minus,
+        priors=(float(p0), float(p1)),
+    )
+
+
+def povm_pair(decomposition: HelstromDecomposition) -> PovmPair:
+    """Build the projector pair from the decomposition.
+
+    Eigenvectors with nonnegative eigenvalue feed pi1, strictly negative ones
+    pi0; zero eigenvalues therefore land in pi1, so a degenerate (identical
+    states) decision yields pi1 = identity. When both eigenvalues fall on one
+    side, that projector is set to the identity exactly instead of being
+    summed from two rank-one projectors.
+    """
+    zero = np.zeros((2, 2), dtype=complex)
+    if decomposition.lambda_minus >= 0.0:
+        return PovmPair(pi0=zero, pi1=IDENTITY_2.copy())
+    if decomposition.lambda_plus < 0.0:
+        return PovmPair(pi0=IDENTITY_2.copy(), pi1=zero)
+    phi_plus, phi_minus = decomposition.phi_plus, decomposition.phi_minus
+    return PovmPair(
+        pi0=np.outer(phi_minus, np.conj(phi_minus)), pi1=np.outer(phi_plus, np.conj(phi_plus))
+    )
+
+
+def min_error(
+    rho0: DensityMatrix2,
+    rho1: DensityMatrix2,
+    priors: tuple[float, float] = (0.5, 0.5),
+) -> DiscriminationReport:
+    """Minimal-error report for discriminating rho0 from rho1 by the operator
+    form. The trace-form and eigenvalue-form error probabilities must agree
+    to 1e-12."""
+    dec = helstrom_operator(rho0, rho1, priors)
+    pair = povm_pair(dec)
+    p0, p1 = dec.priors
+    p_dc = float(np.trace(rho0.matrix @ pair.pi1).real)
+    p_fn = float(np.trace(rho1.matrix @ pair.pi0).real)
+    p_trace = p0 * p_dc + p1 * p_fn
+    p_eigen = 0.5 * (1.0 - abs(dec.lambda_plus) - abs(dec.lambda_minus))
+    if abs(p_trace - p_eigen) > 1e-12:
+        raise NumericalInvariantError(
+            f"error-probability formulas disagree: trace={p_trace!r} eigen={p_eigen!r}"
+        )
+    return DiscriminationReport(
+        p_err=min(max(p_trace, 0.0), 1.0),
+        p_dc=min(max(p_dc, 0.0), 1.0),
+        p_fn=min(max(p_fn, 0.0), 1.0),
+    )
+
+
+#: Fixed readout projectors of the fluorescence basis: staying in |+1> reads
+#: "baseline", arriving in |-1> reads "field switched".
+STANDARD_PI0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+STANDARD_PI1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def standard_basis_error(
+    rho0: DensityMatrix2,
+    rho1: DensityMatrix2,
+    priors: tuple[float, float] = (0.5, 0.5),
+    best_assignment: bool = False,
+) -> float:
+    """Error probability of the fixed standard-basis readout, as traces;
+    ``best_assignment`` returns the cheaper of the two outcome labelings."""
+    p0, p1 = _checked_priors(priors)
+    p_err = p0 * float(np.trace(rho0.matrix @ STANDARD_PI1).real) + p1 * float(
+        np.trace(rho1.matrix @ STANDARD_PI0).real
+    )
+    if best_assignment:
+        p_err = min(p_err, 1.0 - p_err)
+    return min(max(p_err, 0.0), 1.0)
+
+
 def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Generator) -> Click:
-    """One stochastic readout: bright with probability Tr(rho Pi1).
+    """One stochastic readout: bright with probability Tr(rho Pi1), clipped
+    to [0, 1].
 
     Readout is treated as instantaneous relative to the spin dynamics. This
     is the per-click reference of the turn-on protocol, which draws the same
     ``rng.random()`` values in bulk with ``protocol._click_uniforms``.
     """
-    return Click.BRIGHT if rng.random() < _bright_probability(rho_true, povm) else Click.DARK
+    p_bright = min(max(float(np.trace(rho_true.matrix @ povm.pi1).real), 0.0), 1.0)
+    return Click.BRIGHT if rng.random() < p_bright else Click.DARK
 
 
 def optimal_time_analytic(de_x: float, n: int = 1, params: NvParameters | None = None) -> float:

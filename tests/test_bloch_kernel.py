@@ -1,7 +1,8 @@
 """The production Bloch-vector kernel against the independent routes.
 
 ``evolve_pair_grid`` + ``min_error_grid`` must reproduce the 4x4
-superoperator propagator + ``min_error`` per point, including at the
+superoperator propagator + the operator-form ``min_error`` oracle per
+point, including at the
 exceptional point of the axial-noise generator, where it is defective. A
 uniform grid's product of two exponential stacks must agree with one
 exponential per time, and every other time array must get exactly that.
@@ -19,12 +20,9 @@ from nvdetect import (
     NoiseModel,
     NvParameters,
     PreconditionError,
-    evolve_pair,
     evolve_pair_grid,
     expm_batch,
-    min_error,
     min_error_grid,
-    standard_basis_error,
     standard_basis_error_grid,
 )
 from nvdetect import discrimination, dynamics
@@ -38,7 +36,7 @@ from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import bloch_vector, check_bloch_norms
 
 import oracles
-from oracles import Route, expm_small
+from oracles import Route, density_matrix, expm_small, min_error, standard_basis_error
 
 PARAMS = NvParameters()
 PREPARATIONS = (DensityMatrix2.pole_plus(), DensityMatrix2.equal_superposition())
@@ -82,7 +80,7 @@ def scenarios(draw):
     if np.linalg.norm(direction) < 1e-3:
         direction = np.array([0.0, 0.0, 1.0])
     radius = draw(st.sampled_from([1.0, 0.5])) * draw(st.floats(0.0, 1.0))
-    rho0 = DensityMatrix2.from_bloch(radius * direction / np.linalg.norm(direction))
+    rho0 = density_matrix(radius * direction / np.linalg.norm(direction))
     times = np.linspace(0.0, draw(st.floats(1e-7, 1e-5)), draw(st.integers(2, 12)))
     return fields, noise, rho0, times
 
@@ -109,15 +107,16 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
         # and they jump where an eigenvalue crosses zero. Where neither
         # applies they must agree as tightly as p_err.
         v = fields.priors[1] * r1[k] - fields.priors[0] * r0[k]
-        smallest_eigenvalue = min(abs(curve.lambda_plus[k]), abs(curve.lambda_minus[k]))
+        dec = curve.decision
+        smallest_eigenvalue = min(abs(dec.lambda_plus[k]), abs(dec.lambda_minus[k]))
         if np.linalg.norm(v) >= 1e-3 and smallest_eigenvalue >= 1e-9:
             assert abs(report.p_dc - curve.p_dc[k]) <= 1e-12
             assert abs(report.p_fn - curve.p_fn[k]) <= 1e-12
 
     k = len(times) // 2
-    p0, p1 = evolve_pair(fields, PARAMS, noise, rho0, float(times[k]))
-    assert np.max(np.abs(np.array(bloch_vector(p0)) - r0[k])) <= 1e-13
-    assert np.max(np.abs(np.array(bloch_vector(p1)) - r1[k])) <= 1e-13
+    p0, p1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [times[k]])
+    assert np.max(np.abs(p0[0] - r0[k])) <= 1e-13
+    assert np.max(np.abs(p1[0] - r1[k])) <= 1e-13
 
 
 @pytest.mark.parametrize("rho0", PREPARATIONS, ids=["pole_plus", "equal_superposition"])

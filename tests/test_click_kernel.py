@@ -3,16 +3,19 @@
 ``_click_uniforms`` must reproduce, bit for bit, the first ``random()`` draw
 of ``default_rng(SeedSequence(entropy=seed, spawn_key=(cycle, sensor)))``,
 and ``run_turn_on_batch`` must give the transcripts of a per-click loop
-built from ``simulate_click`` and one such generator per sensor. If numpy
-ever changes SeedSequence, PCG64 or ``Generator.random``, these tests fail
-instead of the protocol's transcripts moving silently.
+built from ``simulate_click`` and one such generator per sensor, with cycle
+states and projectors from the oracle routes (4x4 superoperator, operator
+form of the Helstrom measurement). If numpy ever changes SeedSequence,
+PCG64 or ``Generator.random``, these tests fail instead of the protocol's
+transcripts moving silently. The per-cycle bright probabilities must equal
+the operator form's Tr(rho Pi1).
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
@@ -23,15 +26,25 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    evolve_pair,
-    helstrom_operator,
-    min_error,
-    povm_pair,
+    evolve_pair_grid,
+    helstrom_decision,
     run_turn_on_batch,
     run_turn_on_protocol,
 )
-from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_state
-from oracles import simulate_click
+from nvdetect.dynamics import _hypothesis_operators
+from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_bright_probabilities
+
+import oracles
+from oracles import (
+    EvolutionSpec,
+    Route,
+    density_matrix,
+    helstrom_operator,
+    min_error,
+    povm_pair,
+    propagate_superoperator,
+    simulate_click,
+)
 
 PARAMS = NvParameters()
 BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 399]
@@ -85,12 +98,24 @@ class TestClickUniforms:
         assert _click_uniforms([], range(3), 2).shape == (0, 3, 2)
 
 
+def straddling_state(fields, noise, rho_init, t_start, t_end, t_star):
+    """The state read out at t_end of a cycle prepared at t_start that the
+    switch at t_star straddles: the baseline superoperator up to t_star, the
+    switched one after it."""
+    (h0, l0), (h1, l1) = _hypothesis_operators(fields, PARAMS, noise)
+    mid = propagate_superoperator(EvolutionSpec(h0, l0, rho_init), t_star - t_start)
+    return propagate_superoperator(EvolutionSpec(h1, l1, mid), t_end - t_star)
+
+
 def reference_transcript(fields, noise, schedule, t_star, n_sensors, seed, preparation):
     """The per-click protocol: one generator and one ``simulate_click`` per
-    sensor and cycle, every cycle state propagated afresh."""
+    sensor and cycle, every cycle state propagated afresh by the
+    superoperator oracle and read out with the operator-form projectors."""
     t_cycle = schedule.cycle_time(fields, PARAMS)
     rho_init = preparation.density_matrix()
-    rho_dark, rho_bright = evolve_pair(fields, PARAMS, noise, rho_init, t_cycle)
+    rho_dark, rho_bright = oracles.evolve_pair(
+        fields, PARAMS, noise, rho_init, t_cycle, method=Route.SUPEROPERATOR
+    )
     povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
     informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
     clicks, sensor_clicks, confident = [], [], []
@@ -101,7 +126,7 @@ def reference_transcript(fields, noise, schedule, t_star, n_sensors, seed, prepa
         elif t_star <= t_start:
             rho = rho_bright
         else:
-            rho = _cycle_state(fields, PARAMS, noise, rho_init, t_start, t_end, t_star)
+            rho = straddling_state(fields, noise, rho_init, t_start, t_end, t_star)
         votes = tuple(
             simulate_click(
                 rho, povm, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, s)))
@@ -232,3 +257,95 @@ def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
         MeasurementSchedule().cycle_time(FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), PARAMS)
     with pytest.raises(PreconditionError):  # pi / (2 |coupling|) overflows
         MeasurementSchedule().cycle_time(FieldConfig(de=(1e-320, 0, 0)), PARAMS)
+
+
+@st.composite
+def turn_on_cells(draw):
+    """A turn-on configuration: field pair, noise of each kind, preparation,
+    priors from even to one-sided, an analytic or drawn cycle time, and a
+    switch time anywhere from 0 to past the last cycle, often inside one.
+    Cycles stay below 10 us, where the superoperator oracle holds 1e-12."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    e0 = draw(st.sampled_from([0.0, 1e5, 1e6])) * draw(st.floats(0.0, 1.0))
+    e0 = (e0 * math.cos(draw(angle)), e0 * math.sin(draw(angle)), 0.0)
+    de_mag, de_angle = draw(st.floats(2e5, 3e6)), draw(angle)  # analytic t_cycle <= 7.4 us
+    de = (de_mag * math.cos(de_angle), de_mag * math.sin(de_angle), 0.0)
+    p0 = draw(st.sampled_from([0.5, 0.3, 0.7, 0.05, 0.95, 0.0, 1.0]))
+    fields = FieldConfig(e0=e0, de=de, b_z=draw(st.sampled_from([0.0, 4e-6, -2e-5])),
+                         priors=(p0, 1.0 - p0))
+    rate = draw(st.floats(0.0, 3e5))
+    noise = draw(st.sampled_from([NoiseModel.electric(rate), NoiseModel.magnetic(rate),
+                                  NoiseModel.none()]))
+    t_cycle = draw(st.one_of(st.none(), st.floats(1e-8, 3e-6)))
+    schedule = MeasurementSchedule(t_cycle=t_cycle, n_cycles=draw(st.integers(1, 10)))
+    frac = draw(st.one_of(st.floats(0.0, schedule.n_cycles + 1.0),
+                          st.integers(0, schedule.n_cycles + 1).map(float)))
+    t_star = frac * schedule.cycle_time(fields, PARAMS)
+    preparation = draw(st.sampled_from(list(PreparationState)))
+    return fields, noise, schedule, t_star, preparation
+
+
+#: (fields, noise, schedule, t_star, preparation) of each decision regime
+TURN_ON_CELLS = {
+    # two-sided decision with skewed priors; the switch straddles cycle 2
+    "straddle_skewed": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.3, 0.7)), ELECTRIC,
+                        MeasurementSchedule(n_cycles=5), 2.5 * T_CYCLE, POLE),
+    # lambda_minus >= 0: Pi1 = I
+    "pi1_identity": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.0, 1.0)), ELECTRIC,
+                     MeasurementSchedule(n_cycles=4), 1.5 * T_CYCLE, POLE),
+    # lambda_plus < 0: Pi1 = 0
+    "pi1_zero": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.95, 0.05)), ELECTRIC,
+                 MeasurementSchedule(n_cycles=4), 1.5 * T_CYCLE, POLE),
+}
+
+
+def test_example_cells_cover_the_three_decisions():
+    regimes = {}
+    for name, (fields, noise, schedule, t_star, preparation) in TURN_ON_CELLS.items():
+        t_cycle = schedule.cycle_time(fields, PARAMS)
+        r_dark, r_bright = evolve_pair_grid(
+            fields, PARAMS, noise, preparation.density_matrix(), [t_cycle]
+        )
+        dec = helstrom_decision(r_dark, r_bright, fields.priors)
+        regimes[name] = ("pi1_identity" if dec.all_pi1[0] else
+                         "pi1_zero" if dec.all_pi0[0] else "straddle_skewed")
+        assert 0 < t_star % t_cycle and t_star < schedule.n_cycles * t_cycle  # a straddled cycle
+    assert regimes == {name: name for name in TURN_ON_CELLS}
+
+
+@given(turn_on_cells())
+@example(TURN_ON_CELLS["straddle_skewed"])
+@example(TURN_ON_CELLS["pi1_identity"])
+@example(TURN_ON_CELLS["pi1_zero"])
+@settings(max_examples=100, deadline=None)
+def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
+    fields, noise, schedule, t_star, preparation = cell
+    t_cycle = schedule.cycle_time(fields, PARAMS)
+    rho_init = preparation.density_matrix()
+    p_cycle, informative = _cycle_bright_probabilities(
+        fields, PARAMS, noise, t_cycle, schedule.n_cycles, t_star, preparation
+    )
+    # the oracle decides between the package's states at t_cycle, so only the
+    # decision is compared there; the straddled cycle comes from the superoperator
+    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, rho_init, [t_cycle])
+    rho_dark, rho_bright = density_matrix(r_dark[0]), density_matrix(r_bright[0])
+    dec = helstrom_operator(rho_dark, rho_bright, fields.priors)
+    # Rounding alone picks Pi1 where an eigenvalue is within rounding of zero
+    # or, for a two-sided decision, where |v| = lambda_plus - lambda_minus is
+    # so small that its direction is rounding (e.g. a state the switch does
+    # not move); both forms are right there and need not agree.
+    one_sided = dec.lambda_minus >= 0.0 or dec.lambda_plus < 0.0
+    assume(min(abs(dec.lambda_plus), abs(dec.lambda_minus)) >= 1e-9)
+    assume(one_sided or dec.lambda_plus - dec.lambda_minus >= 1e-4)
+    pi1 = povm_pair(dec).pi1
+    assert informative == (min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6)
+    for cycle, p in enumerate(p_cycle):
+        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
+        if t_star >= t_end:
+            rho = rho_dark
+        elif t_star <= t_start:
+            rho = rho_bright
+        else:
+            rho = straddling_state(fields, noise, rho_init, t_start, t_end, t_star)
+        want = min(max(float(np.trace(rho.matrix @ pi1).real), 0.0), 1.0)
+        assert abs(p - want) <= 1e-12, (cycle, p, want)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nvdetect import ConfigError, PreconditionError
+from nvdetect import ConfigError, NvParameters, PreconditionError
 from nvdetect import config as config_mod
-from nvdetect.cli import main
+from nvdetect.cli import _quarter_period_marks, main
 
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6
 TMIN_1E6 = math.pi / (2 * OMEGA_1E6)
@@ -301,6 +301,18 @@ class TestCliExitCodes:
         assert code == 2
         assert "sensor_counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs", [
+        [{"de": [1e6, 0, 0]}, {"de": [1e9, 0, 0]}],  # the first pair's rows were written
+        [{"de": [1e9, 0, 0]}],
+    ])
+    def test_numeric_breach_exits_3_without_a_csv(self, tmp_path, capsys, pairs):
+        # a 1e9 V/m switch breaches the Bloch-norm bound
+        cfg = write_config(tmp_path / "cfg.json", {"field_pairs": pairs})
+        code = main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "Bloch norm" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "perr_time.csv").exists()
+
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -331,6 +343,39 @@ class TestPerrTimeCommand:
         assert float(marked[0][3]) == min(float(r[3]) for r in rows)
         manifest = json.loads((tmp_path / "out" / "perr_time_pairs.json").read_text())
         assert manifest[0]["de"] == [1e6, 0, 0]
+
+    @given(
+        n_points=st.integers(2, 300),
+        t_lo=st.sampled_from([0.0, 0.3]),
+        t_max=st.floats(1e-8, 1e-4),
+        jitter=st.booleans(),
+        de=st.tuples(st.floats(-3e8, 3e8), st.sampled_from([0.0, 2e5, -7e7]), st.just(0.0)),
+        ties=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quarter_period_marks_equal_the_argmin_loop(
+        self, n_points, t_lo, t_max, jitter, de, ties, seed
+    ):
+        params = NvParameters()
+        times = np.linspace(t_lo * t_max, t_max, n_points)
+        rng = np.random.default_rng(seed)
+        if jitter:  # a sorted non-uniform grid
+            times = np.unique(np.concatenate([times[:1], rng.uniform(times[0], t_max, n_points)]))
+        if ties and params.transfer_time(de) < t_max:
+            # put quarter periods exactly halfway between two grid points
+            step = 2.0 ** math.floor(math.log2(params.transfer_time(de) / 4))
+            n = rng.integers(1, 1 + int(t_max / params.transfer_time(de)), size=ties)
+            centres = [params.transfer_time(de, int(k)) for k in n]
+            times = np.unique(np.concatenate([times, [c - step for c in centres],
+                                              [c + step for c in centres]]))
+            times = times[times <= t_max]
+        expected = np.zeros(times.size, dtype=np.int8)
+        n = 1
+        while (t_n := params.transfer_time(de, n)) <= times[-1]:
+            expected[np.argmin(np.abs(times - t_n))] = 1
+            n += 1
+        assert np.array_equal(_quarter_period_marks(times, params, de), expected)
 
     @pytest.mark.parametrize("priors", [[0.5, 0.5], [0.3, 0.7]])
     def test_first_row_assigns_identical_states_to_switched(self, tmp_path, priors):

@@ -11,15 +11,13 @@ from nvdetect import (
     NoiseModel,
     NvParameters,
     PreconditionError,
-    evolve_pair,
-    helstrom_operator,
-    min_error,
+    evolve_pair_grid,
+    min_error_grid,
     optimal_time_search,
-    povm_pair,
-    standard_basis_error,
+    standard_basis_error_grid,
 )
 from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from oracles import optimal_time_analytic
+from oracles import density_matrix, helstrom_operator, optimal_time_analytic, povm_pair
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
@@ -30,11 +28,34 @@ unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 bloch_component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-def bloch_state(x, y, z):
+def bloch(x, y, z):
+    """The Bloch vector (x, y, z), pulled just inside the ball if outside."""
     r = math.sqrt(x * x + y * y + z * z)
     if r > 1.0:
         x, y, z = (v / (r * (1 + 1e-9)) for v in (x, y, z))
+    return np.array([x, y, z])
+
+
+def bloch_state(x, y, z):
+    x, y, z = bloch(x, y, z)
     return DensityMatrix2(0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z))
+
+
+def grid(fields, noise, times):
+    """Bloch vectors of both hypotheses from POLE at every time."""
+    return evolve_pair_grid(fields, PARAMS, noise, POLE, np.atleast_1d(times))
+
+
+def states_at(fields, noise, t):
+    """Both hypotheses' density matrices at t, from a one-point grid."""
+    r0, r1 = grid(fields, noise, t)
+    return density_matrix(r0[0]), density_matrix(r1[0])
+
+
+def report_at(fields, noise, t):
+    """The package's one-point error report at t: (p_err, p_dc, p_fn)."""
+    curve = min_error_grid(*grid(fields, noise, t), fields.priors)
+    return float(curve.p_err[0]), float(curve.p_dc[0]), float(curve.p_fn[0])
 
 
 class TestHelstromOperator:
@@ -56,7 +77,7 @@ class TestHelstromOperator:
         fields = FieldConfig(e0=(1e6, 0, 0), de=(1e6, 0, 0))
         noise = NoiseModel.electric(kappa)
         for t in np.linspace(5e-8, 3e-6, 17):
-            r0, r1 = evolve_pair(fields, PARAMS, noise, POLE, float(t))
+            r0, r1 = states_at(fields, noise, t)
             dec = helstrom_operator(r0, r1)
             expected = 0.5 * math.exp(-kappa * t) * abs(math.sin(OMEGA_1E6 * t))
             assert dec.lambda_plus == pytest.approx(expected, abs=1e-12)
@@ -87,7 +108,7 @@ class TestPovmPair:
 
     def test_projects_onto_evolved_state_at_optimal_time(self):
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-        r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, TMIN_1E6)
+        r0, r1 = states_at(fields, NoiseModel.none(), TMIN_1E6)
         pair = povm_pair(helstrom_operator(r0, r1))
         assert np.trace(r1.matrix @ pair.pi1).real == pytest.approx(1.0, abs=1e-12)
 
@@ -110,23 +131,21 @@ class TestPovmPair:
 
 class TestMinError:
     def test_indistinguishable_states(self):
-        report = min_error(POLE, POLE)
-        assert report.p_err == pytest.approx(0.5, abs=1e-15)
+        pole = bloch(0.0, 0.0, 1.0)
+        assert min_error_grid([pole], [pole]).p_err[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_discrimination_at_optimal_time(self):
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-        r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, TMIN_1E6)
-        assert min_error(r0, r1).p_err < 1e-10
+        assert report_at(fields, NoiseModel.none(), TMIN_1E6)[0] < 1e-10
 
     def test_dephasing_limited_error(self):
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-        r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.electric(1e5), POLE, TMIN_1E6)
-        report = min_error(r0, r1)
+        p_err, p_dc, p_fn = report_at(fields, NoiseModel.electric(1e5), TMIN_1E6)
         expected = 0.5 * (1 - math.exp(-1e5 * TMIN_1E6))
-        assert report.p_err == pytest.approx(expected, abs=1e-13)
-        assert report.p_err == pytest.approx(0.06837840154439662, abs=1e-12)
-        assert report.p_dc == pytest.approx(report.p_err, abs=1e-10)
-        assert report.p_fn == pytest.approx(report.p_err, abs=1e-10)
+        assert p_err == pytest.approx(expected, abs=1e-13)
+        assert p_err == pytest.approx(0.06837840154439662, abs=1e-12)
+        assert p_dc == pytest.approx(p_err, abs=1e-10)
+        assert p_fn == pytest.approx(p_err, abs=1e-10)
 
     @given(
         x0=bloch_component, y0=bloch_component, z0=bloch_component,
@@ -136,10 +155,10 @@ class TestMinError:
     @settings(max_examples=300)
     def test_bound_and_decomposition(self, x0, y0, z0, x1, y1, z1, p0):
         priors = (p0, 1 - p0)
-        report = min_error(bloch_state(x0, y0, z0), bloch_state(x1, y1, z1), priors)
-        assert -1e-15 <= report.p_err <= min(priors) + 1e-12
-        assert report.p_err == pytest.approx(
-            priors[0] * report.p_dc + priors[1] * report.p_fn, abs=1e-12
+        curve = min_error_grid([bloch(x0, y0, z0)], [bloch(x1, y1, z1)], priors)
+        assert -1e-15 <= curve.p_err[0] <= min(priors) + 1e-12
+        assert curve.p_err[0] == pytest.approx(
+            priors[0] * curve.p_dc[0] + priors[1] * curve.p_fn[0], abs=1e-12
         )
 
     def test_equal_priors_balance_the_two_error_kinds(self):
@@ -153,13 +172,12 @@ class TestMinError:
             radius = rng.uniform(0.05, 1.0)
             v *= radius / np.linalg.norm(v)
             w *= radius / np.linalg.norm(w)
-            report = min_error(bloch_state(*v), bloch_state(*w))
-            assert abs(report.p_dc - report.p_fn) <= 1e-10
+            curve = min_error_grid([v], [w])
+            assert abs(curve.p_dc[0] - curve.p_fn[0]) <= 1e-10
         fields = FieldConfig(e0=(2e6, 0, 0), de=(1e6, 0, 0))
         noise = NoiseModel.electric(1e5)
-        for t in np.linspace(1e-7, 3e-6, 9):
-            report = min_error(*evolve_pair(fields, PARAMS, noise, POLE, float(t)))
-            assert abs(report.p_dc - report.p_fn) <= 1e-10
+        curve = min_error_grid(*grid(fields, noise, np.linspace(1e-7, 3e-6, 9)))
+        assert np.max(np.abs(curve.p_dc - curve.p_fn)) <= 1e-10
 
 
 class TestStandardBasis:
@@ -169,42 +187,41 @@ class TestStandardBasis:
         w1 = abs(PARAMS.transverse_coupling((2e7, 0, 0)))
         fields = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0))
         noise = NoiseModel.electric(kappa)
-        for t in np.linspace(1e-8, 5e-7, 19):
-            r0, r1 = evolve_pair(fields, PARAMS, noise, POLE, float(t))
-            got = standard_basis_error(r0, r1)
+        times = np.linspace(1e-8, 5e-7, 19)
+        got = standard_basis_error_grid(*grid(fields, noise, times))
+        for t, p in zip(times, got):
             expected = 0.5 + 0.25 * math.exp(-kappa * t) * (
                 math.cos(2 * w1 * t) - math.cos(2 * w0 * t)
             )
-            assert got == pytest.approx(expected, abs=1e-12)
+            assert p == pytest.approx(expected, abs=1e-12)
 
     def test_zero_baseline_matches_povm_at_optimal_times(self):
         # odd quarter-period times are the error minima; both readouts vanish
         # there (even multiples are revivals where discrimination is blind)
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
         for n in (1, 3, 5):
-            t = n * TMIN_1E6
-            r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t)
-            assert standard_basis_error(r0, r1) < 1e-12
-            assert min_error(r0, r1).p_err < 1e-10
-        r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, 2 * TMIN_1E6)
-        assert min_error(r0, r1).p_err == pytest.approx(0.5, abs=1e-10)
+            r0, r1 = grid(fields, NoiseModel.none(), n * TMIN_1E6)
+            assert standard_basis_error_grid(r0, r1)[0] < 1e-12
+            assert min_error_grid(r0, r1).p_err[0] < 1e-10
+        p_err = report_at(fields, NoiseModel.none(), 2 * TMIN_1E6)[0]
+        assert p_err == pytest.approx(0.5, abs=1e-10)
 
     def test_best_assignment_never_exceeds_half(self):
         fields = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0))
         noise = NoiseModel.electric(1e5)
-        for t in np.linspace(1e-8, 1e-6, 40):
-            r0, r1 = evolve_pair(fields, PARAMS, noise, POLE, float(t))
-            best = standard_basis_error(r0, r1, best_assignment=True)
-            literal = standard_basis_error(r0, r1)
-            assert best <= 0.5 + 1e-12
-            assert best == pytest.approx(min(literal, 1 - literal), abs=1e-15)
+        r0, r1 = grid(fields, noise, np.linspace(1e-8, 1e-6, 40))
+        best = standard_basis_error_grid(r0, r1, best_assignment=True)
+        literal = standard_basis_error_grid(r0, r1)
+        assert np.all(best <= 0.5 + 1e-12)
+        np.testing.assert_allclose(best, np.minimum(literal, 1 - literal), rtol=0, atol=1e-15)
 
     def test_general_priors_use_trace_formula(self):
         priors = (0.3, 0.7)
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0), priors=priors)
-        r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.electric(1e5), POLE, 0.6e-6)
-        got = standard_basis_error(r0, r1, priors)
-        expected = 0.3 * r0.matrix[1, 1].real + 0.7 * r1.matrix[0, 0].real
+        r0, r1 = grid(fields, NoiseModel.electric(1e5), 0.6e-6)
+        got = standard_basis_error_grid(r0, r1, priors)[0]
+        rho0, rho1 = density_matrix(r0[0]), density_matrix(r1[0])
+        expected = 0.3 * rho0.matrix[1, 1].real + 0.7 * rho1.matrix[0, 0].real
         assert got == pytest.approx(expected, abs=1e-15)
 
 
@@ -248,14 +265,12 @@ class TestOptimalTime:
         noise = NoiseModel.electric(1e5)
         tmin = optimal_time_analytic(1e7)
         times = np.linspace(0.75 * tmin, 1.25 * tmin, 21)
+        p_0 = min_error_grid(*grid(fields0, noise, times)).p_err
         deltas = {}
         for b_z in (10e-6, 20e-6):
-            worst = 0.0
-            for t in times:
-                fields_b = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0), b_z=b_z)
-                p_b = min_error(*evolve_pair(fields_b, PARAMS, noise, POLE, float(t))).p_err
-                p_0 = min_error(*evolve_pair(fields0, PARAMS, noise, POLE, float(t))).p_err
-                worst = max(worst, abs(p_b - p_0))
+            fields_b = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0), b_z=b_z)
+            p_b = min_error_grid(*grid(fields_b, noise, times)).p_err
+            worst = float(np.max(np.abs(p_b - p_0)))
             deltas[b_z] = worst
             assert worst < 0.05
         assert deltas[20e-6] > deltas[10e-6]
@@ -274,9 +289,8 @@ class TestBaselineInvariance:
                 spectra = []
                 for e0x in (0.0, 1e6, 1e7):
                     fields = FieldConfig(e0=(e0x, 0, 0), de=(1e6, 0, 0))
-                    r0, r1 = evolve_pair(fields, PARAMS, noise, POLE, t)
-                    dec = helstrom_operator(r0, r1)
-                    spectra.append((dec.lambda_plus, dec.lambda_minus))
+                    curve = min_error_grid(*grid(fields, noise, t))
+                    spectra.append((curve.decision.lambda_plus[0], curve.decision.lambda_minus[0]))
                 spread = np.max(np.abs(np.array(spectra) - np.array(spectra[0])))
                 assert spread < 1e-10
 
@@ -285,9 +299,8 @@ class TestBaselineInvariance:
         spectra = []
         for e0x in (0.0, 1e7):
             fields = FieldConfig(e0=(e0x, 0, 0), de=(1e6, 1e6, 0))
-            r0, r1 = evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t)
-            dec = helstrom_operator(r0, r1)
-            spectra.append((dec.lambda_plus, dec.lambda_minus))
+            curve = min_error_grid(*grid(fields, NoiseModel.none(), t))
+            spectra.append((curve.decision.lambda_plus[0], curve.decision.lambda_minus[0]))
         spread = np.max(np.abs(np.array(spectra[1]) - np.array(spectra[0])))
         assert spread > 1e-3
 
@@ -295,6 +308,6 @@ class TestBaselineInvariance:
         fields = FieldConfig(e0=(2e6, 0, 0), de=(1e6, 0, 0))
         period = math.pi / OMEGA_1E6
         for t in (1e-7, 6e-7, 1.1e-6):
-            p_a = min_error(*evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t)).p_err
-            p_b = min_error(*evolve_pair(fields, PARAMS, NoiseModel.none(), POLE, t + period)).p_err
+            p_a = report_at(fields, NoiseModel.none(), t)[0]
+            p_b = report_at(fields, NoiseModel.none(), t + period)[0]
             assert p_a == pytest.approx(p_b, abs=1e-10)

@@ -1,10 +1,13 @@
-"""The package holds one propagator; the reference routes stay in the tests.
+"""The package holds one propagator and one Helstrom decision; the
+reference routes stay in the tests.
 
 ``tests/oracles.py`` imports the package, never the other way round: the
-command line must load no test module, and no ``Method`` choice of
-propagator may come back.
+command line must load no test module, no ``Method`` choice of propagator
+may come back, and the operator form of the Helstrom measurement must not
+come back into the package.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -50,3 +53,19 @@ def test_package_sources_import_nothing_from_the_tests():
             else:
                 continue
             assert not {"oracles", "tests", "conftest"} & set(roots), (path.name, roots)
+
+
+#: The operator-form Helstrom measurement, now only in ``tests/oracles.py``.
+ORACLE_ONLY = ("helstrom_operator", "povm_pair", "herm_eigen2", "min_error", "evolve_pair")
+
+
+def test_package_exposes_no_operator_form_decision():
+    modules = [nvdetect] + [
+        importlib.import_module(f"nvdetect.{path.stem}")
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"
+    ]
+    exposed = sorted(
+        f"{module.__name__}.{name}" for module in modules for name in ORACLE_ONLY
+        if hasattr(module, name)
+    )
+    assert exposed == []
