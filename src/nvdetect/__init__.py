@@ -29,15 +29,12 @@ from .hamiltonian import (
 )
 from .linalg import DensityMatrix2, bloch_vector, expm_batch
 from .protocol import (
-    Click,
-    MeasurementSchedule,
     PreparationState,
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,
-    run_turn_on_batch,
-    run_turn_on_protocol,
     superposition_bz_sweep,
+    turn_on_blocks,
 )
 
 __version__ = "0.1.0"

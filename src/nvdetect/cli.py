@@ -47,8 +47,10 @@ def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
     write them; no text cell holds a comma, quote or line break, so none
     needs quoting. The directory is created here, on the first write. If a
     block raises, the partial file is removed before the error propagates,
-    so no file that looks complete is left behind.
+    and so is each directory created here that is then empty, so no file
+    that looks complete and no empty output directory is left behind.
     """
+    created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w", newline="") as fh:
@@ -57,6 +59,10 @@ def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
                 fh.write("".join([row_format % row for row in rows]))
     except BaseException:
         path.unlink(missing_ok=True)
+        for directory in created:  # innermost first
+            if any(directory.iterdir()):
+                break
+            directory.rmdir()
         raise
     return path
 
@@ -175,7 +181,7 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     fields = config.fields
     noise = config.noise
     try:
-        t_meas = config.protocol.schedule().cycle_time(fields, params)
+        t_meas = config.protocol.cycle_time(fields, params)
     except PreconditionError as exc:
         raise ConfigError("array command needs a nonzero transverse field switch") from exc
     r0, r1 = evolve_pair_grid(fields, params, noise, rho0, [t_meas])
@@ -203,15 +209,14 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     fields = config.fields
     noise = config.noise
     proto = config.protocol
-    schedule = proto.schedule()
     try:
-        t_cycle = schedule.cycle_time(fields, params)
+        t_cycle = proto.cycle_time(fields, params)
     except PreconditionError as exc:
         raise ConfigError("protocol command needs a nonzero transverse field switch") from exc
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
     blocks = turn_on_blocks(
-        fields, params, noise, schedule, true_t_star, n_sensors,
+        fields, params, noise, t_cycle, n_cycles, true_t_star, n_sensors,
         range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
         preparation=config.preparation,
     )

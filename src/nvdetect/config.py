@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters
-from .protocol import _BLOCK_STREAMS, MeasurementSchedule, PreparationState
+from .protocol import _BLOCK_STREAMS, PreparationState
 
 SCHEMA_VERSION = 1
 
@@ -60,14 +60,23 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """Turn-on protocol settings; the array command also measures at
+    :meth:`cycle_time`. A null ``true_t_star`` means 3.2 cycles."""
+
     t_cycle: float | None = field(default=None, metadata={"above": 0.0})
     n_cycles: int = field(default=8, metadata={"min": 1, "max": MAX_CYCLES})
     n_sensors: int = field(default=15, metadata={"min": 1, "max": MAX_PROTOCOL_SENSORS})
-    true_t_star: float | None = field(default=None, metadata={"min": 0.0})  # None -> 3.2 cycles
+    true_t_star: float | None = field(default=None, metadata={"min": 0.0})
     n_runs: int = field(default=200, metadata={"min": 1, "max": MAX_RUNS})
 
-    def schedule(self) -> MeasurementSchedule:
-        return MeasurementSchedule(t_cycle=self.t_cycle, n_cycles=self.n_cycles)
+    def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
+        """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
+        if self.t_cycle is not None:
+            return self.t_cycle
+        t_cycle = params.transfer_time(fields.de)
+        if math.isinf(t_cycle):
+            raise PreconditionError("cannot derive a cycle time from a vanishing field switch")
+        return t_cycle
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Majority voting over N identical sensors suppresses the single-measurement
 error exponentially; the turn-on protocol repeats the static-field
 measurement on a refreshed sensor every cycle and brackets the switch time
-from the dark-to-bright transition of the fused record.
+from the dark-to-bright transition of the fused record. Its one entry point
+is :func:`turn_on_blocks`, which yields the runs as :class:`ClickBlock`
+arrays.
 
 Random streams: the click of cycle c (0-based) and sensor s in the run with
 seed ``seed`` is bright when the first ``random()`` draw of
@@ -22,9 +24,8 @@ import enum
 import itertools
 import math
 import operator
-import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +34,6 @@ from .dynamics import bloch_generators, evolve_bloch, propagate_generators
 from .errors import PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms
-
-
-class Click(enum.Enum):
-    DARK = "dark"
-    BRIGHT = "bright"
-
-
-#: Click by outcome: _CLICK[bright].
-_CLICK = (Click.DARK, Click.BRIGHT)
 
 
 class PreparationState(enum.Enum):
@@ -66,52 +58,6 @@ class ArrayErrorCurve:
     alpha: float
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
-    """Cycle layout of the turn-on protocol. ``t_cycle=None`` resolves to the
-    analytic optimal time of the configured field switch. The sensor is
-    always refreshed and re-prepared after every readout: keeping it would
-    need measurement back-action bookkeeping this model does not include."""
-
-    t_cycle: float | None = None
-    n_cycles: int = 8
-
-    def __post_init__(self) -> None:
-        if self.t_cycle is not None and not self.t_cycle > 0.0:
-            raise PreconditionError("t_cycle must be positive")
-        if self.n_cycles < 1:
-            raise PreconditionError("n_cycles must be >= 1")
-
-    def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
-        """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
-        if self.t_cycle is not None:
-            return self.t_cycle
-        t_cycle = params.transfer_time(fields.de)
-        if math.isinf(t_cycle):
-            raise PreconditionError("cannot derive a cycle time from a vanishing field switch")
-        return t_cycle
-
-
-@dataclass(frozen=True)
-class DetectionRun:
-    """Transcript of one protocol run.
-
-    ``estimated_interval`` brackets the inferred switch time (width equals
-    two cycles when a dark-to-bright transition was resolved); ``status`` is
-    one of "detected" / "no_detection".
-    """
-
-    true_t_star: float
-    clicks: tuple[Click, ...]
-    estimated_interval: tuple[float, float] | None
-    seed: int
-    status: str
-    t_cycle: float
-    n_sensors: int
-    sensor_clicks: tuple[tuple[Click, ...], ...] = field(repr=False)
-    confident: tuple[bool, ...] = field(repr=False)
-
-
 def majority_vote_error(
     n_sensors: int,
     p01: float,
@@ -121,23 +67,16 @@ def majority_vote_error(
     """Fused error probability when more than half of n_sensors vote "field".
 
     p01 is the per-sensor dark count Tr(rho0 Pi1), p10 the per-sensor false
-    negative Tr(rho1 Pi0). Even counts fall back to the preceding odd count
-    (a tie carries no extra information). Binomial sums switch to log space
-    above n = 50 to avoid underflow.
+    negative Tr(rho1 Pi0). The count must be odd, so that every vote has a
+    majority. Binomial sums switch to log space above n = 50 to avoid
+    underflow.
     """
-    if n_sensors < 1:
-        raise PreconditionError("n_sensors must be >= 1")
+    if n_sensors < 1 or n_sensors % 2 == 0:
+        raise PreconditionError(f"n_sensors must be an odd integer >= 1, got {n_sensors!r}")
     for name, p in (("p01", p01), ("p10", p10)):
         if not 0.0 <= p <= 1.0:
             raise PreconditionError(f"{name} must be in [0, 1], got {p!r}")
     p0, p1 = _checked_priors(priors)
-    if n_sensors % 2 == 0:
-        warnings.warn(
-            f"even sensor count {n_sensors}: using value at {n_sensors - 1}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        n_sensors -= 1
 
     def tail(p_wrong: float) -> float:
         # probability that at most floor(N/2) sensors vote correctly
@@ -173,8 +112,6 @@ def array_error_curve(
 ) -> ArrayErrorCurve:
     """Evaluate the fused error over odd sensor counts and fit its decay rate."""
     n_values = tuple(int(n) for n in n_values)
-    if any(n < 1 or n % 2 == 0 for n in n_values):
-        raise PreconditionError("n_values must be odd integers >= 1")
     p_err = tuple(majority_vote_error(n, p01, p10, priors) for n in n_values)
     alpha = fit_decay_rate(zip(n_values, p_err))
     return ArrayErrorCurve(n_values=n_values, p_err_n=p_err, alpha=alpha)
@@ -341,7 +278,8 @@ def turn_on_blocks(
     fields: FieldConfig,
     params: NvParameters,
     noise: NoiseModel,
-    schedule: MeasurementSchedule,
+    t_cycle: float,
+    n_cycles: int,
     true_t_star: float,
     n_sensors: int,
     seeds,
@@ -349,10 +287,14 @@ def turn_on_blocks(
 ) -> Iterator[ClickBlock]:
     """Run the turn-on detection protocol once per seed, as blocks of runs.
 
-    Each cycle k covers [(k-1) t_cycle, k t_cycle]; a fresh sensor is
-    prepared at the cycle start and read out at its end with the projector
-    pair of the static-field problem at t_cycle. The per-cycle majority vote
-    is "confident" when its margin is at least two votes (the single vote
+    Each run has ``n_cycles`` cycles of length ``t_cycle`` (positive and
+    finite; the command line resolves it with ``ProtocolConfig.cycle_time``),
+    and the field switches at ``true_t_star``. Cycle k covers
+    [(k-1) t_cycle, k t_cycle]: a fresh sensor is prepared at the cycle start
+    and read out at its end with the projector pair of the static-field
+    problem at t_cycle. The sensor is never kept across cycles, which would
+    need measurement back-action bookkeeping this model does not include.
+    The per-cycle majority vote is "confident" when its margin is at least two votes (the single vote
     counts when n_sensors = 1); the estimated switch interval runs from the
     start of the last confident dark cycle to the end of the first confident
     bright cycle, clipped symmetrically to a width of two cycles.
@@ -365,13 +307,16 @@ def turn_on_blocks(
     consumer that handles each block and drops it holds one block whatever
     the number of seeds.
     """
+    if not 0.0 < t_cycle < math.inf:
+        raise PreconditionError(f"t_cycle must be positive and finite, got {t_cycle!r}")
+    if n_cycles < 1:
+        raise PreconditionError("n_cycles must be >= 1")
     if not true_t_star >= 0.0:
         raise PreconditionError("true_t_star must be >= 0")
     if n_sensors < 1:
         raise PreconditionError("n_sensors must be >= 1")
-    t_cycle = schedule.cycle_time(fields, params)
     p_cycle, informative = _cycle_bright_probabilities(
-        fields, params, noise, t_cycle, schedule.n_cycles, true_t_star, preparation
+        fields, params, noise, t_cycle, n_cycles, true_t_star, preparation
     )
     return _click_blocks(p_cycle, informative, t_cycle, n_sensors, iter(seeds))
 
@@ -432,60 +377,6 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
             if informative else [None] * len(block)
         )
         yield ClickBlock(block, bright, n_bright, majority, confident, intervals)
-
-
-def run_turn_on_batch(
-    fields: FieldConfig,
-    params: NvParameters,
-    noise: NoiseModel,
-    schedule: MeasurementSchedule,
-    true_t_star: float,
-    n_sensors: int,
-    seeds,
-    preparation: PreparationState = PreparationState.POLE_PLUS,
-) -> Iterator[DetectionRun]:
-    """The runs of :func:`turn_on_blocks`, one :class:`DetectionRun` per
-    seed, drawn just as lazily."""
-    blocks = turn_on_blocks(
-        fields, params, noise, schedule, true_t_star, n_sensors, seeds, preparation
-    )
-    return _detection_runs(blocks, true_t_star, schedule.cycle_time(fields, params), n_sensors)
-
-
-def _detection_runs(blocks, true_t_star, t_cycle, n_sensors):
-    for block in blocks:
-        for seed, sensors, maj, conf, interval in zip(
-            block.seeds, block.bright.tolist(), block.majority.tolist(),
-            block.confident.tolist(), block.intervals,
-        ):
-            yield DetectionRun(
-                true_t_star=true_t_star,
-                clicks=tuple(_CLICK[b] for b in maj),
-                estimated_interval=interval,
-                seed=seed,
-                status="no_detection" if interval is None else "detected",
-                t_cycle=t_cycle,
-                n_sensors=n_sensors,
-                sensor_clicks=tuple(tuple(_CLICK[b] for b in row) for row in sensors),
-                confident=tuple(conf),
-            )
-
-
-def run_turn_on_protocol(
-    fields: FieldConfig,
-    params: NvParameters,
-    noise: NoiseModel,
-    schedule: MeasurementSchedule,
-    true_t_star: float,
-    n_sensors: int,
-    seed: int,
-    preparation: PreparationState = PreparationState.POLE_PLUS,
-) -> DetectionRun:
-    """Run the turn-on detection protocol once: :func:`run_turn_on_batch`
-    with a single seed."""
-    return next(run_turn_on_batch(
-        fields, params, noise, schedule, true_t_star, n_sensors, (seed,), preparation
-    ))
 
 
 @dataclass(frozen=True)

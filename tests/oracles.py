@@ -18,8 +18,8 @@ projectors built from its eigenvectors, and traces of density matrices
 turns the package's Bloch vectors into the matrices it takes.
 
 Also here: the one-matrix exponential :func:`expm_small`, the 3x3
-ground-state Hamiltonian and its spectrum, the per-click readout of the
-turn-on protocol, the analytic optimal measurement time of a collinear
+ground-state Hamiltonian and its spectrum, the per-click readout and
+per-click transcript of the turn-on protocol, the analytic optimal measurement time of a collinear
 switch, and the optimal-time search with one kernel call per golden-section
 point. Only tests import this module; nothing in the package does.
 """
@@ -37,7 +37,6 @@ from nvdetect.dynamics import _hypothesis_operators, bloch_generators, evolve_bl
 from nvdetect.errors import NumericalInvariantError, PreconditionError
 from nvdetect.hamiltonian import TWO_PI, FieldConfig, NoiseModel, NvParameters, _checked_priors
 from nvdetect.linalg import IDENTITY_2, DensityMatrix2, bloch_vector, dagger
-from nvdetect.protocol import Click
 
 #: Default internal step: 1/200 of the fastest precession period and of T2.
 DEFAULT_STEP_DIVISOR = 200.0
@@ -645,16 +644,89 @@ def standard_basis_error(
     return min(max(p_err, 0.0), 1.0)
 
 
-def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Generator) -> Click:
-    """One stochastic readout: bright with probability Tr(rho Pi1), clipped
-    to [0, 1].
+def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Generator) -> bool:
+    """One stochastic readout, True (bright) with probability Tr(rho Pi1),
+    clipped to [0, 1].
 
     Readout is treated as instantaneous relative to the spin dynamics. This
     is the per-click reference of the turn-on protocol, which draws the same
     ``rng.random()`` values in bulk with ``protocol._click_uniforms``.
     """
     p_bright = min(max(float(np.trace(rho_true.matrix @ povm.pi1).real), 0.0), 1.0)
-    return Click.BRIGHT if rng.random() < p_bright else Click.DARK
+    return rng.random() < p_bright
+
+
+def straddling_state(fields, params, noise, rho_init, t_start, t_end, t_star) -> DensityMatrix2:
+    """The state read out at t_end of a cycle prepared at t_start that the
+    switch at t_star straddles: the baseline superoperator up to t_star, the
+    switched one after it."""
+    (h0, l0), (h1, l1) = _hypothesis_operators(fields, params, noise)
+    mid = propagate_superoperator(EvolutionSpec(h0, l0, rho_init), t_star - t_start)
+    return propagate_superoperator(EvolutionSpec(h1, l1, mid), t_end - t_star)
+
+
+def reference_transcript(
+    fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, seed, preparation
+) -> dict:
+    """One run of the turn-on protocol, click by click: one generator and one
+    :func:`simulate_click` per sensor and cycle, every cycle state propagated
+    afresh by the superoperator and read out with the operator-form
+    projectors of the static problem at t_cycle.
+
+    Returns the run's per-cycle sensor clicks (``bright``), their count
+    (``n_bright``), majority and confidence, and the estimated switch
+    ``interval`` (None without a confident bright cycle or an informative
+    switch), as lists that compare equal to the ``tolist()`` of one run of a
+    ``nvdetect.protocol.ClickBlock``.
+    """
+    rho_init = preparation.density_matrix()
+    rho_dark, rho_bright = evolve_pair(
+        fields, params, noise, rho_init, t_cycle, method=Route.SUPEROPERATOR
+    )
+    povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
+    informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
+    bright, n_bright, majority, confident = [], [], [], []
+    for cycle in range(n_cycles):
+        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
+        if t_star >= t_end:
+            rho = rho_dark
+        elif t_star <= t_start:
+            rho = rho_bright
+        else:
+            rho = straddling_state(fields, params, noise, rho_init, t_start, t_end, t_star)
+        votes = [
+            simulate_click(
+                rho, povm, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, s)))
+            )
+            for s in range(n_sensors)
+        ]
+        bright.append(votes)
+        n_bright.append(sum(votes))
+        majority.append(2 * sum(votes) > n_sensors)
+        confident.append(abs(2 * sum(votes) - n_sensors) >= 2 or n_sensors == 1)
+
+    interval = None
+    if informative:
+        firsts = [i for i in range(n_cycles) if confident[i] and majority[i]]
+        if firsts:
+            first = firsts[0]
+            dark = [i for i in range(first) if confident[i] and not majority[i]]
+            hi = (first + 1) * t_cycle
+            if not dark:
+                lo = max(0.0, hi - 2.0 * t_cycle)
+            else:
+                lo = dark[-1] * t_cycle
+                if hi - lo > 2.0 * t_cycle:
+                    center = 0.5 * (lo + hi)
+                    lo, hi = center - t_cycle, center + t_cycle
+            interval = (lo, hi)
+    return {
+        "bright": bright,
+        "n_bright": n_bright,
+        "majority": majority,
+        "confident": confident,
+        "interval": interval,
+    }
 
 
 def optimal_time_analytic(de_x: float, n: int = 1, params: NvParameters | None = None) -> float:

@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from nvdetect import (
-    Click,
     DensityMatrix2,
     FieldConfig,
-    MeasurementSchedule,
     NoiseModel,
     NvParameters,
     evolve_pair_grid,
@@ -25,11 +23,12 @@ from nvdetect import (
     majority_vote_error,
     min_error_grid,
     optimal_time_search,
-    run_turn_on_protocol,
     standard_basis_error_grid,
     superposition_bz_sweep,
+    turn_on_blocks,
 )
 from nvdetect.cli import main
+from nvdetect.config import ProtocolConfig
 from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from oracles import (
@@ -325,16 +324,20 @@ def test_criterion_9_turn_on_jitter():
     width two cycles and brackets the true switch time in >= 99% of runs."""
     fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
     noise = NoiseModel.electric(PARAMS.kappa)
-    schedule = MeasurementSchedule(n_cycles=8)
     t_cycle = optimal_time_analytic(1e6)
     t_star = 3.2 * t_cycle
     successes = 0
     n_runs = 1000
-    for seed in range(n_runs):
-        run = run_turn_on_protocol(fields, PARAMS, noise, schedule, t_star, 15, seed)
-        if run.status != "detected":
+    blocks = turn_on_blocks(
+        fields, PARAMS, noise, ProtocolConfig().cycle_time(fields, PARAMS), 8, t_star, 15,
+        range(n_runs),
+    )
+    intervals = [interval for block in blocks for interval in block.intervals]
+    assert len(intervals) == n_runs
+    for interval in intervals:
+        if interval is None:  # no detection
             continue
-        lo, hi = run.estimated_interval
+        lo, hi = interval
         assert hi - lo == pytest.approx(2 * t_cycle, rel=1e-12)
         if lo <= t_star <= hi:
             successes += 1

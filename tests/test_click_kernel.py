@@ -2,10 +2,11 @@
 
 ``_click_uniforms`` must reproduce, bit for bit, the first ``random()`` draw
 of ``default_rng(SeedSequence(entropy=seed, spawn_key=(cycle, sensor)))``,
-and ``run_turn_on_batch`` must give the transcripts of a per-click loop
-built from ``simulate_click`` and one such generator per sensor, with cycle
-states and projectors from the oracle routes (4x4 superoperator, operator
-form of the Helstrom measurement). If numpy ever changes SeedSequence,
+and every run of the ``ClickBlock`` arrays of ``turn_on_blocks`` must be
+the transcript of ``oracles.reference_transcript``: a per-click loop built
+from ``simulate_click`` and one such generator per sensor, with cycle states
+and projectors from the oracle routes (4x4 superoperator, operator form of
+the Helstrom measurement). If numpy ever changes SeedSequence,
 PCG64 or ``Generator.random``, these tests fail instead of the protocol's
 transcripts moving silently. The per-cycle bright probabilities must equal
 the operator form's Tr(rho Pi1).
@@ -19,31 +20,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
-    Click,
     FieldConfig,
-    MeasurementSchedule,
     NoiseModel,
     NvParameters,
     PreconditionError,
     PreparationState,
     evolve_pair_grid,
     helstrom_decision,
-    run_turn_on_batch,
-    run_turn_on_protocol,
+    turn_on_blocks,
 )
-from nvdetect.dynamics import _hypothesis_operators
+from nvdetect.config import ProtocolConfig
 from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_bright_probabilities
 
-import oracles
 from oracles import (
-    EvolutionSpec,
-    Route,
     density_matrix,
     helstrom_operator,
     min_error,
     povm_pair,
-    propagate_superoperator,
-    simulate_click,
+    reference_transcript,
+    straddling_state,
 )
 
 PARAMS = NvParameters()
@@ -98,165 +93,111 @@ class TestClickUniforms:
         assert _click_uniforms([], range(3), 2).shape == (0, 3, 2)
 
 
-def straddling_state(fields, noise, rho_init, t_start, t_end, t_star):
-    """The state read out at t_end of a cycle prepared at t_start that the
-    switch at t_star straddles: the baseline superoperator up to t_star, the
-    switched one after it."""
-    (h0, l0), (h1, l1) = _hypothesis_operators(fields, PARAMS, noise)
-    mid = propagate_superoperator(EvolutionSpec(h0, l0, rho_init), t_star - t_start)
-    return propagate_superoperator(EvolutionSpec(h1, l1, mid), t_end - t_star)
-
-
-def reference_transcript(fields, noise, schedule, t_star, n_sensors, seed, preparation):
-    """The per-click protocol: one generator and one ``simulate_click`` per
-    sensor and cycle, every cycle state propagated afresh by the
-    superoperator oracle and read out with the operator-form projectors."""
-    t_cycle = schedule.cycle_time(fields, PARAMS)
-    rho_init = preparation.density_matrix()
-    rho_dark, rho_bright = oracles.evolve_pair(
-        fields, PARAMS, noise, rho_init, t_cycle, method=Route.SUPEROPERATOR
-    )
-    povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
-    informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
-    clicks, sensor_clicks, confident = [], [], []
-    for cycle in range(schedule.n_cycles):
-        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
-        if t_star >= t_end:
-            rho = rho_dark
-        elif t_star <= t_start:
-            rho = rho_bright
-        else:
-            rho = straddling_state(fields, noise, rho_init, t_start, t_end, t_star)
-        votes = tuple(
-            simulate_click(
-                rho, povm, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, s)))
-            )
-            for s in range(n_sensors)
-        )
-        n_bright = sum(v is Click.BRIGHT for v in votes)
-        sensor_clicks.append(votes)
-        clicks.append(Click.BRIGHT if 2 * n_bright > n_sensors else Click.DARK)
-        confident.append(abs(2 * n_bright - n_sensors) >= 2 or n_sensors == 1)
-
-    interval = None
-    if informative:
-        bright = [i for i in range(len(clicks)) if confident[i] and clicks[i] is Click.BRIGHT]
-        if bright:
-            first = bright[0]
-            dark = [i for i in range(first) if confident[i] and clicks[i] is Click.DARK]
-            hi = (first + 1) * t_cycle
-            if not dark:
-                lo = max(0.0, hi - 2.0 * t_cycle)
-            else:
-                lo = dark[-1] * t_cycle
-                if hi - lo > 2.0 * t_cycle:
-                    center = 0.5 * (lo + hi)
-                    lo, hi = center - t_cycle, center + t_cycle
-            interval = (lo, hi)
-    return {
-        "sensor_clicks": tuple(sensor_clicks),
-        "clicks": tuple(clicks),
-        "confident": tuple(confident),
-        "estimated_interval": interval,
-        "status": "no_detection" if interval is None else "detected",
-    }
-
-
 X_SWITCH = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-T_CYCLE = MeasurementSchedule().cycle_time(X_SWITCH, PARAMS)
+Y_SWITCH = FieldConfig(e0=(0, 0, 0), de=(0, 2e6, 0))
+T_CYCLE = ProtocolConfig().cycle_time(X_SWITCH, PARAMS)
 ELECTRIC = NoiseModel.electric(1e5)
 POLE = PreparationState.POLE_PLUS
 
-# (fields, noise, schedule, t_star, n_sensors, seeds, preparation)
+# (fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation); each
+# t_cycle is the one the command line resolves, analytic unless configured
 BATCH_CASES = {
     # two blocks of runs, a partial cycle at 3.2 cycles
-    "interior_switch": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=8), 3.2 * T_CYCLE, 15,
-                        range(40), POLE),
+    "interior_switch": (X_SWITCH, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 15, range(40), POLE),
     # the switch lands exactly on the start of cycle 3: no partial cycle
-    "switch_on_cycle_boundary": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=6), 3 * T_CYCLE, 9,
-                                 range(100, 130), POLE),
-    "switch_at_zero": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=5), 0.0, 5, range(20), POLE),
+    "switch_on_cycle_boundary": (X_SWITCH, ELECTRIC, T_CYCLE, 6, 3 * T_CYCLE, 9, range(100, 130), POLE),
+    "switch_at_zero": (X_SWITCH, ELECTRIC, T_CYCLE, 5, 0.0, 5, range(20), POLE),
     # priors (1, 0): Pi1 = 0, so p_bright = 0 in every cycle
     "p_bright_zero": (FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0), priors=(1.0, 0.0)), ELECTRIC,
-                      MeasurementSchedule(n_cycles=5), 2.5 * T_CYCLE, 7, range(10), POLE),
+                      T_CYCLE, 5, 2.5 * T_CYCLE, 7, range(10), POLE),
     # priors (0, 1): Pi1 = I, so p_bright = 1 in every cycle
     "p_bright_one": (FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0), priors=(0.0, 1.0)), ELECTRIC,
-                     MeasurementSchedule(n_cycles=5), 2.5 * T_CYCLE, 7, range(10), POLE),
+                     T_CYCLE, 5, 2.5 * T_CYCLE, 7, range(10), POLE),
     # noise-free: p_bright within 1e-16 of 0 in dark cycles and of 1 in bright ones
-    "noise_free": (X_SWITCH, NoiseModel.none(), MeasurementSchedule(n_cycles=6), 1.7 * T_CYCLE, 3,
-                   range(25), POLE),
-    "one_sensor": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=7), 4.5 * T_CYCLE, 1, range(30), POLE),
-    "even_sensors_tie": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=6), 2.2 * T_CYCLE, 4,
-                         range(30), POLE),
-    "zero_switch": (FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), ELECTRIC,
-                    MeasurementSchedule(t_cycle=T_CYCLE, n_cycles=5), 2 * T_CYCLE, 5, range(10), POLE),
-    "superposition_y_switch": (FieldConfig(e0=(0, 0, 0), de=(0, 2e6, 0)), NoiseModel.magnetic(1e5),
-                               MeasurementSchedule(n_cycles=6), 2.6 * T_CYCLE, 5, range(15),
-                               PreparationState.EQUAL_SUPERPOSITION),
-    "seeds_across_2_64": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=4), 1.5 * T_CYCLE, 5,
+    "noise_free": (X_SWITCH, NoiseModel.none(), T_CYCLE, 6, 1.7 * T_CYCLE, 3, range(25), POLE),
+    "one_sensor": (X_SWITCH, ELECTRIC, T_CYCLE, 7, 4.5 * T_CYCLE, 1, range(30), POLE),
+    "even_sensors_tie": (X_SWITCH, ELECTRIC, T_CYCLE, 6, 2.2 * T_CYCLE, 4, range(30), POLE),
+    # no analytic cycle time: the configured one
+    "zero_switch": (FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), ELECTRIC, T_CYCLE, 5, 2 * T_CYCLE, 5,
+                    range(10), POLE),
+    "superposition_y_switch": (Y_SWITCH, NoiseModel.magnetic(1e5), ProtocolConfig().cycle_time(Y_SWITCH, PARAMS),
+                               6, 2.6 * T_CYCLE, 5, range(15), PreparationState.EQUAL_SUPERPOSITION),
+    "seeds_across_2_64": (X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5,
                           [2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 0, 2**32], POLE),
     # more streams per run than one block holds: the cycles are split
-    "cycles_split_across_blocks": (X_SWITCH, ELECTRIC, MeasurementSchedule(n_cycles=300), 150.5 * T_CYCLE,
-                                   15, range(2), POLE),
+    "cycles_split_across_blocks": (X_SWITCH, ELECTRIC, T_CYCLE, 300, 150.5 * T_CYCLE, 15, range(2), POLE),
 }
 
 
-
 def _call_args(case):
-    fields, noise, schedule, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
-    return fields, PARAMS, noise, schedule, t_star, n_sensors, seeds, preparation
+    fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
+    return fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation
 
 
 class TestTurnOnBatch:
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_transcripts_match_per_click_loop(self, case):
-        fields, noise, schedule, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
-        runs = list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds, preparation))
-        assert [run.seed for run in runs] == list(seeds)
-        for run in runs:
-            want = reference_transcript(fields, noise, schedule, t_star, n_sensors, run.seed, preparation)
-            for name, value in want.items():
-                assert getattr(run, name) == value, (case, run.seed, name)
+        fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
+        blocks = list(turn_on_blocks(*_call_args(case)))
+        assert [seed for block in blocks for seed in block.seeds] == list(seeds)
+        for block in blocks:
+            for i, seed in enumerate(block.seeds):
+                want = reference_transcript(
+                    fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seed, preparation
+                )
+                got = {
+                    "bright": block.bright[i].tolist(),
+                    "n_bright": block.n_bright[i].tolist(),
+                    "majority": block.majority[i].tolist(),
+                    "confident": block.confident[i].tolist(),
+                    "interval": block.intervals[i],
+                }
+                for name, value in want.items():
+                    assert got[name] == value, (case, seed, name)
 
     def test_cases_cover_certain_clicks_and_block_splits(self):
-        zero = list(run_turn_on_batch(*_call_args("p_bright_zero")))
-        one = list(run_turn_on_batch(*_call_args("p_bright_one")))
-        assert all(v is Click.DARK for run in zero for votes in run.sensor_clicks for v in votes)
-        assert all(v is Click.BRIGHT for run in one for votes in run.sensor_clicks for v in votes)
-        _, _, schedule, _, n_sensors, seeds, _ = BATCH_CASES["cycles_split_across_blocks"]
-        assert schedule.n_cycles * n_sensors > _BLOCK_STREAMS
-        _, _, schedule, _, n_sensors, seeds, _ = BATCH_CASES["interior_switch"]
-        assert len(seeds) * schedule.n_cycles * n_sensors > _BLOCK_STREAMS
-
-    def test_single_run_is_the_one_seed_batch(self):
-        fields, noise, schedule, t_star, n_sensors, _, preparation = BATCH_CASES["interior_switch"]
-        single = run_turn_on_protocol(fields, PARAMS, noise, schedule, t_star, n_sensors, 17, preparation)
-        (batched,) = run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, [17], preparation)
-        assert single == batched
+        assert not any(block.bright.any() for block in turn_on_blocks(*_call_args("p_bright_zero")))
+        assert all(block.bright.all() for block in turn_on_blocks(*_call_args("p_bright_one")))
+        _, _, _, n_cycles, _, n_sensors, seeds, _ = BATCH_CASES["cycles_split_across_blocks"]
+        assert n_cycles * n_sensors > _BLOCK_STREAMS
+        _, _, _, n_cycles, _, n_sensors, seeds, _ = BATCH_CASES["interior_switch"]
+        assert len(seeds) * n_cycles * n_sensors > _BLOCK_STREAMS
 
     def test_runs_are_drawn_lazily(self):
-        fields, noise, schedule, t_star, n_sensors, _, preparation = BATCH_CASES["interior_switch"]
-        endless = run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, itertools.count(5), preparation)
-        assert [run.seed for run in itertools.islice(endless, 3)] == [5, 6, 7]
+        fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, _, preparation = _call_args("interior_switch")
+        endless = turn_on_blocks(
+            fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, itertools.count(5), preparation
+        )
+        block = next(endless)
+        assert block.seeds[:3] == [5, 6, 7]
+        assert len(block.seeds) * n_cycles * n_sensors <= _BLOCK_STREAMS
 
     def test_rejects_bad_arguments(self):
-        fields, noise, schedule, _, _, _, _ = BATCH_CASES["interior_switch"]
-        for t_star, n_sensors, seeds in ((-1e-9, 3, [0]), (math.nan, 3, [0]), (0.0, 0, [0]), (0.0, 3, [-1])):
+        for t_cycle, n_cycles, t_star, n_sensors, seeds in (
+            (T_CYCLE, 8, -1e-9, 3, [0]),
+            (T_CYCLE, 8, math.nan, 3, [0]),
+            (T_CYCLE, 8, 0.0, 0, [0]),
+            (T_CYCLE, 8, 0.0, 3, [-1]),
+            (0.0, 8, 0.0, 3, [0]),
+            (-1e-9, 8, 0.0, 3, [0]),
+            (math.inf, 8, 0.0, 3, [0]),
+            (math.nan, 8, 0.0, 3, [0]),
+            (T_CYCLE, 0, 0.0, 3, [0]),
+        ):
             with pytest.raises(PreconditionError):
-                list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, n_sensors, seeds))
+                list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, t_cycle, n_cycles, t_star, n_sensors, seeds))
 
     def test_no_seeds_give_no_runs(self):
-        fields, noise, schedule, t_star, _, _, _ = BATCH_CASES["interior_switch"]
-        assert list(run_turn_on_batch(fields, PARAMS, noise, schedule, t_star, 3, [])) == []
+        assert list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [])) == []
 
 
 def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
     assert T_CYCLE == math.pi / (2.0 * abs(PARAMS.transverse_coupling((1e6, 0, 0))))
-    assert MeasurementSchedule(t_cycle=2e-7).cycle_time(X_SWITCH, PARAMS) == 2e-7
+    assert ProtocolConfig(t_cycle=2e-7).cycle_time(X_SWITCH, PARAMS) == 2e-7
     with pytest.raises(PreconditionError):
-        MeasurementSchedule().cycle_time(FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), PARAMS)
+        ProtocolConfig().cycle_time(FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), PARAMS)
     with pytest.raises(PreconditionError):  # pi / (2 |coupling|) overflows
-        MeasurementSchedule().cycle_time(FieldConfig(de=(1e-320, 0, 0)), PARAMS)
+        ProtocolConfig().cycle_time(FieldConfig(de=(1e-320, 0, 0)), PARAMS)
 
 
 @st.composite
@@ -277,39 +218,39 @@ def turn_on_cells(draw):
     noise = draw(st.sampled_from([NoiseModel.electric(rate), NoiseModel.magnetic(rate),
                                   NoiseModel.none()]))
     t_cycle = draw(st.one_of(st.none(), st.floats(1e-8, 3e-6)))
-    schedule = MeasurementSchedule(t_cycle=t_cycle, n_cycles=draw(st.integers(1, 10)))
-    frac = draw(st.one_of(st.floats(0.0, schedule.n_cycles + 1.0),
-                          st.integers(0, schedule.n_cycles + 1).map(float)))
-    t_star = frac * schedule.cycle_time(fields, PARAMS)
+    proto = ProtocolConfig(t_cycle=t_cycle, n_cycles=draw(st.integers(1, 10)))
+    frac = draw(st.one_of(st.floats(0.0, proto.n_cycles + 1.0),
+                          st.integers(0, proto.n_cycles + 1).map(float)))
+    t_star = frac * proto.cycle_time(fields, PARAMS)
     preparation = draw(st.sampled_from(list(PreparationState)))
-    return fields, noise, schedule, t_star, preparation
+    return fields, noise, proto, t_star, preparation
 
 
-#: (fields, noise, schedule, t_star, preparation) of each decision regime
+#: (fields, noise, protocol config, t_star, preparation) of each decision regime
 TURN_ON_CELLS = {
     # two-sided decision with skewed priors; the switch straddles cycle 2
     "straddle_skewed": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.3, 0.7)), ELECTRIC,
-                        MeasurementSchedule(n_cycles=5), 2.5 * T_CYCLE, POLE),
+                        ProtocolConfig(n_cycles=5), 2.5 * T_CYCLE, POLE),
     # lambda_minus >= 0: Pi1 = I
     "pi1_identity": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.0, 1.0)), ELECTRIC,
-                     MeasurementSchedule(n_cycles=4), 1.5 * T_CYCLE, POLE),
+                     ProtocolConfig(n_cycles=4), 1.5 * T_CYCLE, POLE),
     # lambda_plus < 0: Pi1 = 0
     "pi1_zero": (FieldConfig(de=(1e6, 0.0, 0.0), priors=(0.95, 0.05)), ELECTRIC,
-                 MeasurementSchedule(n_cycles=4), 1.5 * T_CYCLE, POLE),
+                 ProtocolConfig(n_cycles=4), 1.5 * T_CYCLE, POLE),
 }
 
 
 def test_example_cells_cover_the_three_decisions():
     regimes = {}
-    for name, (fields, noise, schedule, t_star, preparation) in TURN_ON_CELLS.items():
-        t_cycle = schedule.cycle_time(fields, PARAMS)
+    for name, (fields, noise, proto, t_star, preparation) in TURN_ON_CELLS.items():
+        t_cycle = proto.cycle_time(fields, PARAMS)
         r_dark, r_bright = evolve_pair_grid(
             fields, PARAMS, noise, preparation.density_matrix(), [t_cycle]
         )
         dec = helstrom_decision(r_dark, r_bright, fields.priors)
         regimes[name] = ("pi1_identity" if dec.all_pi1[0] else
                          "pi1_zero" if dec.all_pi0[0] else "straddle_skewed")
-        assert 0 < t_star % t_cycle and t_star < schedule.n_cycles * t_cycle  # a straddled cycle
+        assert 0 < t_star % t_cycle and t_star < proto.n_cycles * t_cycle  # a straddled cycle
     assert regimes == {name: name for name in TURN_ON_CELLS}
 
 
@@ -319,11 +260,11 @@ def test_example_cells_cover_the_three_decisions():
 @example(TURN_ON_CELLS["pi1_zero"])
 @settings(max_examples=100, deadline=None)
 def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
-    fields, noise, schedule, t_star, preparation = cell
-    t_cycle = schedule.cycle_time(fields, PARAMS)
+    fields, noise, proto, t_star, preparation = cell
+    t_cycle = proto.cycle_time(fields, PARAMS)
     rho_init = preparation.density_matrix()
     p_cycle, informative = _cycle_bright_probabilities(
-        fields, PARAMS, noise, t_cycle, schedule.n_cycles, t_star, preparation
+        fields, PARAMS, noise, t_cycle, proto.n_cycles, t_star, preparation
     )
     # the oracle decides between the package's states at t_cycle, so only the
     # decision is compared there; the straddled cycle comes from the superoperator
@@ -346,6 +287,6 @@ def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
         elif t_star <= t_start:
             rho = rho_bright
         else:
-            rho = straddling_state(fields, noise, rho_init, t_start, t_end, t_star)
+            rho = straddling_state(fields, PARAMS, noise, rho_init, t_start, t_end, t_star)
         want = min(max(float(np.trace(rho.matrix @ pi1).real), 0.0), 1.0)
         assert abs(p - want) <= 1e-12, (cycle, p, want)

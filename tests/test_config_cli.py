@@ -312,6 +312,7 @@ class TestCliExitCodes:
         assert code == 3
         assert "Bloch norm" in capsys.readouterr().err
         assert not (tmp_path / "out" / "perr_time.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(

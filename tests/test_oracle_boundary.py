@@ -3,8 +3,9 @@ reference routes stay in the tests.
 
 ``tests/oracles.py`` imports the package, never the other way round: the
 command line must load no test module, no ``Method`` choice of propagator
-may come back, and the operator form of the Helstrom measurement must not
-come back into the package.
+may come back, and neither the operator form of the Helstrom measurement
+nor the removed per-run views of the turn-on protocol may come back into the
+package (``turn_on_blocks`` is its one entry point).
 """
 import ast
 import importlib
@@ -55,8 +56,14 @@ def test_package_sources_import_nothing_from_the_tests():
             assert not {"oracles", "tests", "conftest"} & set(roots), (path.name, roots)
 
 
-#: The operator-form Helstrom measurement, now only in ``tests/oracles.py``.
-ORACLE_ONLY = ("helstrom_operator", "povm_pair", "herm_eigen2", "min_error", "evolve_pair")
+#: The operator-form Helstrom measurement and the per-click readout, now only
+#: in ``tests/oracles.py``, and the removed per-run views of the turn-on
+#: protocol and their cycle-layout mirror of ``ProtocolConfig``.
+ORACLE_ONLY = (
+    "helstrom_operator", "povm_pair", "herm_eigen2", "min_error", "evolve_pair", "simulate_click",
+    "Click", "_CLICK", "DetectionRun", "run_turn_on_batch", "_detection_runs",
+    "run_turn_on_protocol", "MeasurementSchedule",
+)
 
 
 def test_package_exposes_no_operator_form_decision():
@@ -69,3 +76,4 @@ def test_package_exposes_no_operator_form_decision():
         if hasattr(module, name)
     )
     assert exposed == []
+    assert not hasattr(importlib.import_module("nvdetect.config").ProtocolConfig, "schedule")

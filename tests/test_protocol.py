@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
-    Click,
     DensityMatrix2,
     FieldConfig,
-    MeasurementSchedule,
     NoiseModel,
     NvParameters,
     PreconditionError,
@@ -17,9 +15,10 @@ from nvdetect import (
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,
-    run_turn_on_protocol,
     superposition_bz_sweep,
+    turn_on_blocks,
 )
+from nvdetect.config import ProtocolConfig
 from nvdetect.linalg import IDENTITY_2
 from oracles import helstrom_operator, povm_pair, simulate_click
 
@@ -64,10 +63,12 @@ class TestMajorityVoteError:
         for n in (1, 3, 11):
             assert majority_vote_error(n, 0.0, 0.0) == 0.0
 
-    def test_even_count_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning):
-            even = majority_vote_error(4, 0.1, 0.1)
-        assert even == majority_vote_error(3, 0.1, 0.1)
+    def test_even_count_is_rejected(self):
+        for n in (0, 2, 4, 100):
+            with pytest.raises(PreconditionError, match="odd"):
+                majority_vote_error(n, 0.1, 0.1)
+            with pytest.raises(PreconditionError, match="odd"):
+                array_error_curve([1, 3, n, 5], 0.1, 0.1)
 
     @given(
         n=st.sampled_from([1, 3, 5, 7, 9, 11]),
@@ -130,7 +131,7 @@ class TestSimulateClick:
         minus = DensityMatrix2(np.diag([0.0, 1.0]).astype(complex))
         pair = povm_pair(helstrom_operator(POLE, minus))
         rng = np.random.default_rng(0)
-        assert all(simulate_click(minus, pair, rng) is Click.BRIGHT for _ in range(200))
+        assert all(simulate_click(minus, pair, rng) for _ in range(200))
 
     def test_maximally_mixed_frequency(self):
         minus = DensityMatrix2(np.diag([0.0, 1.0]).astype(complex))
@@ -138,7 +139,7 @@ class TestSimulateClick:
         rng = np.random.default_rng(1)
         mixed = DensityMatrix2(0.5 * IDENTITY_2)
         n = 10_000
-        freq = sum(simulate_click(mixed, pair, rng) is Click.BRIGHT for _ in range(n)) / n
+        freq = sum(simulate_click(mixed, pair, rng) for _ in range(n)) / n
         assert freq == pytest.approx(0.5, abs=0.01)
 
     def test_frequency_tracks_trace_within_three_sigma(self):
@@ -157,73 +158,70 @@ class TestSimulateClick:
             p = float(np.trace(rho.matrix @ pair.pi1).real)
             n = 4000
             rng = np.random.default_rng(100 + case)
-            freq = sum(simulate_click(rho, pair, rng) is Click.BRIGHT for _ in range(n)) / n
+            freq = sum(simulate_click(rho, pair, rng) for _ in range(n)) / n
             sigma = math.sqrt(max(p * (1 - p), 1e-9) / n)
             assert abs(freq - p) <= 3.5 * sigma
+
+
+def one_run(fields, noise, n_cycles, t_star, n_sensors, seed, t_cycle=None):
+    """The run of ``seed``, at the cycle time the command line resolves:
+    (t_cycle, its sensor clicks, majorities, estimated interval)."""
+    t_cycle = ProtocolConfig(t_cycle=t_cycle).cycle_time(fields, PARAMS)
+    (block,) = turn_on_blocks(fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, [seed])
+    return t_cycle, block.bright[0], block.majority[0], block.intervals[0]
 
 
 class TestTurnOnProtocol:
     FIELDS = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
 
     def test_noise_free_interval_always_contains_switch_time(self):
-        schedule = MeasurementSchedule(n_cycles=7)
         for frac in (0.0, 0.3, 1.0, 1.7, 2.5, 3.2, 4.9, 5.0):
             t_star = frac * TMIN_1E6
-            run = run_turn_on_protocol(
-                self.FIELDS, PARAMS, NoiseModel.none(), schedule, t_star, 1, seed=5
-            )
-            assert run.status == "detected"
-            lo, hi = run.estimated_interval
+            t_cycle, _, _, interval = one_run(self.FIELDS, NoiseModel.none(), 7, t_star, 1, seed=5)
+            assert interval is not None  # detected
+            lo, hi = interval
             assert lo <= t_star <= hi
-            assert hi - lo <= 2 * run.t_cycle + 1e-18
+            assert hi - lo <= 2 * t_cycle + 1e-18
 
     def test_interior_switch_gives_two_cycle_window(self):
-        schedule = MeasurementSchedule(n_cycles=8)
-        run = run_turn_on_protocol(
-            self.FIELDS, PARAMS, NoiseModel.electric(1e5), schedule, 3.2 * TMIN_1E6, 15, seed=11
+        t_cycle, _, _, interval = one_run(
+            self.FIELDS, NoiseModel.electric(1e5), 8, 3.2 * TMIN_1E6, 15, seed=11
         )
-        assert run.status == "detected"
-        lo, hi = run.estimated_interval
-        assert hi - lo == pytest.approx(2 * run.t_cycle, rel=1e-12)
+        assert interval is not None
+        lo, hi = interval
+        assert hi - lo == pytest.approx(2 * t_cycle, rel=1e-12)
         assert lo <= 3.2 * TMIN_1E6 <= hi
 
     def test_switch_from_start_reads_bright(self):
-        schedule = MeasurementSchedule(n_cycles=6)
-        run = run_turn_on_protocol(
-            self.FIELDS, PARAMS, NoiseModel.electric(1e5), schedule, 0.0, 15, seed=2
-        )
-        assert all(click is Click.BRIGHT for click in run.clicks)
-        assert run.status == "detected"
-        lo, hi = run.estimated_interval
+        _, _, majority, interval = one_run(self.FIELDS, NoiseModel.electric(1e5), 6, 0.0, 15, seed=2)
+        assert majority.all()
+        assert interval is not None
+        lo, hi = interval
         assert lo <= 0.0 <= hi
 
     def test_zero_switch_reports_no_detection(self):
         fields = FieldConfig(e0=(1e6, 0, 0), de=(0.0, 0.0, 0.0))
-        schedule = MeasurementSchedule(t_cycle=TMIN_1E6, n_cycles=6)
-        run = run_turn_on_protocol(
-            fields, PARAMS, NoiseModel.electric(1e5), schedule, 2 * TMIN_1E6, 5, seed=3
+        _, _, _, interval = one_run(
+            fields, NoiseModel.electric(1e5), 6, 2 * TMIN_1E6, 5, seed=3, t_cycle=TMIN_1E6
         )
-        assert run.status == "no_detection"
-        assert run.estimated_interval is None
+        assert interval is None
 
     def test_switch_beyond_horizon_reports_no_detection(self):
-        schedule = MeasurementSchedule(n_cycles=5)
-        run = run_turn_on_protocol(
-            self.FIELDS, PARAMS, NoiseModel.electric(1e5), schedule, 50 * TMIN_1E6, 15, seed=4
+        _, _, _, interval = one_run(
+            self.FIELDS, NoiseModel.electric(1e5), 5, 50 * TMIN_1E6, 15, seed=4
         )
-        assert run.status == "no_detection"
+        assert interval is None
 
     def test_seeded_runs_reproduce_exactly(self):
-        schedule = MeasurementSchedule(n_cycles=8)
         kwargs = dict(n_sensors=9, seed=123)
-        a = run_turn_on_protocol(
-            self.FIELDS, PARAMS, NoiseModel.electric(1e5), schedule, 2.6 * TMIN_1E6, **kwargs
+        _, bright_a, _, interval_a = one_run(
+            self.FIELDS, NoiseModel.electric(1e5), 8, 2.6 * TMIN_1E6, **kwargs
         )
-        b = run_turn_on_protocol(
-            self.FIELDS, PARAMS, NoiseModel.electric(1e5), schedule, 2.6 * TMIN_1E6, **kwargs
+        _, bright_b, _, interval_b = one_run(
+            self.FIELDS, NoiseModel.electric(1e5), 8, 2.6 * TMIN_1E6, **kwargs
         )
-        assert a.sensor_clicks == b.sensor_clicks
-        assert a.estimated_interval == b.estimated_interval
+        assert np.array_equal(bright_a, bright_b)
+        assert interval_a == interval_b
 
 
 class TestSuperpositionBzSweep:

@@ -1,5 +1,5 @@
 """The CLI's one CSV writer against ``csv.writer``, and the turn-on transcript
-it writes against the runs of ``run_turn_on_batch``.
+it writes against the per-click runs of ``oracles.reference_transcript``.
 
 The writer formats whole blocks of rows with one ``%`` template per row. The
 reference here is the per-cell route it replaced: ``csv.writer`` over cells
@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvdetect import Click, run_turn_on_batch
 from nvdetect import config as config_mod
 from nvdetect.cli import _BLOCK_ROWS, _column_blocks, _write_csv, main
+from oracles import reference_transcript
 
 FLOATS = st.one_of(
     st.floats(),  # includes -0.0, subnormals, +-inf and nan
@@ -95,23 +95,26 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
 
     config = config_mod.parse(data)
     proto, fields = config.protocol, config.fields
-    schedule = proto.schedule()
-    t_cycle = schedule.cycle_time(fields, config.parameters)
+    t_cycle = proto.cycle_time(fields, config.parameters)
     t_star = 3.2 * t_cycle
-    runs = list(run_turn_on_batch(
-        fields, config.parameters, config.noise, schedule, t_star, proto.n_sensors,
-        range(config.seed, config.seed + proto.n_runs), config.preparation,
-    ))
+    seeds = range(config.seed, config.seed + proto.n_runs)
+    runs = [
+        reference_transcript(
+            fields, config.parameters, config.noise, t_cycle, proto.n_cycles, t_star,
+            proto.n_sensors, seed, config.preparation,
+        )
+        for seed in seeds
+    ]
     rows = [
         [
             str(i), str(c), format(c * t_cycle, ".17g"), format((c + 1) * t_cycle, ".17g"),
-            "".join("B" if v is Click.BRIGHT else "D" for v in votes),
-            str(sum(v is Click.BRIGHT for v in votes)),
-            "B" if run.clicks[c] is Click.BRIGHT else "D",
-            "1" if run.confident[c] else "0",
+            "".join("B" if v else "D" for v in votes),
+            str(sum(votes)),
+            "B" if run["majority"][c] else "D",
+            "1" if run["confident"][c] else "0",
         ]
         for i, run in enumerate(runs)
-        for c, votes in enumerate(run.sensor_clicks)
+        for c, votes in enumerate(run["bright"])
     ]
     header = ["run", "cycle", "t_start", "t_end", "clicks", "n_bright", "majority", "confident"]
     assert (tmp_path / "out" / "protocol_runs.csv").read_bytes() == reference_csv(header, rows)
@@ -120,12 +123,12 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
     assert summary["runs"] == [
         {
             "run": i,
-            "seed": run.seed,
-            "status": run.status,
-            "interval": list(run.estimated_interval) if run.estimated_interval else None,
+            "seed": seed,
+            "status": "no_detection" if run["interval"] is None else "detected",
+            "interval": list(run["interval"]) if run["interval"] else None,
             "true_t_star": t_star,
-            "success": run.estimated_interval is not None
-            and run.estimated_interval[0] <= t_star <= run.estimated_interval[1],
+            "success": run["interval"] is not None
+            and run["interval"][0] <= t_star <= run["interval"][1],
         }
-        for i, run in enumerate(runs)
+        for i, (seed, run) in enumerate(zip(seeds, runs))
     ]
