@@ -2,14 +2,15 @@
 
 A photoreceptive molecule switches its electric dipole field when it absorbs
 a photon; a nearby two-level spin sensor precesses differently under the two
-fields. This package evolves the sensor state under either hypothesis with
-one batched Bloch-vector propagator, decides between them with one
-vectorized minimal-error (Helstrom) measurement, and quantifies error
-probabilities, optimal measurement times, multi-sensor suppression, and the
-arrival-time jitter of the underlying photon. The independent routes the
-tests check the package against (closed forms, RK4, a 4x4 superoperator
-exponential, the operator form of the Helstrom measurement) are in
-``tests/oracles.py``, outside the package.
+fields. This package writes down the Bloch generator of either hypothesis in
+closed form, evolves the sensor state with one batched Bloch-vector
+propagator, decides between them with one vectorized minimal-error
+(Helstrom) measurement, and quantifies error probabilities, optimal
+measurement times, multi-sensor suppression, and the arrival-time jitter of
+the underlying photon. The independent routes the tests check the package
+against (the 2x2 Hamiltonian, jump operator and 4x4 Liouvillian, closed-form
+propagators, RK4, a superoperator exponential, the operator form of the
+Helstrom measurement) are in ``tests/oracles.py``, outside the package.
 """
 
 from .discrimination import (
@@ -20,13 +21,7 @@ from .discrimination import (
 )
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, PreconditionError
-from .hamiltonian import (
-    FieldConfig,
-    NoiseModel,
-    NvParameters,
-    hamiltonian_two_level,
-    lindblad_operator,
-)
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
 from .linalg import DensityMatrix2, bloch_vector, expm_batch
 from .protocol import (
     PreparationState,

@@ -174,16 +174,22 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     return [csv_path]
 
 
+def _cycle_time(config: RunConfig) -> float:
+    """The protocol's cycle time; one that cannot be derived from the field
+    switch is a config error at ``fields.de``."""
+    try:
+        return config.protocol.cycle_time(config.fields, config.parameters)
+    except PreconditionError as exc:
+        raise ConfigError(f"fields.de: {exc}") from exc
+
+
 def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     """Fused error versus sensor count at the optimal single-shot time."""
     params = config.parameters
     rho0 = config.preparation.density_matrix()
     fields = config.fields
     noise = config.noise
-    try:
-        t_meas = config.protocol.cycle_time(fields, params)
-    except PreconditionError as exc:
-        raise ConfigError("array command needs a nonzero transverse field switch") from exc
+    t_meas = _cycle_time(config)
     r0, r1 = evolve_pair_grid(fields, params, noise, rho0, [t_meas])
     single = min_error_grid(r0, r1, fields.priors)
     p_dc, p_fn = float(single.p_dc[0]), float(single.p_fn[0])
@@ -209,10 +215,7 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     fields = config.fields
     noise = config.noise
     proto = config.protocol
-    try:
-        t_cycle = proto.cycle_time(fields, params)
-    except PreconditionError as exc:
-        raise ConfigError("protocol command needs a nonzero transverse field switch") from exc
+    t_cycle = _cycle_time(config)
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
     blocks = turn_on_blocks(

@@ -70,12 +70,20 @@ class ProtocolConfig:
     n_runs: int = field(default=200, metadata={"min": 1, "max": MAX_RUNS})
 
     def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
-        """The configured t_cycle, else pi / (2 |coupling|) of the field switch."""
+        """The configured t_cycle, else pi / (2 |coupling|) of the field switch,
+        which must be positive and finite."""
         if self.t_cycle is not None:
             return self.t_cycle
         t_cycle = params.transfer_time(fields.de)
         if math.isinf(t_cycle):
-            raise PreconditionError("cannot derive a cycle time from a vanishing field switch")
+            raise PreconditionError(
+                "deriving the cycle time needs a nonzero transverse field switch"
+            )
+        if not t_cycle > 0.0:  # |coupling| overflowed to inf
+            raise PreconditionError(
+                f"the transverse coupling of the field switch overflows, so the derived cycle "
+                f"time pi / (2 |coupling|) is {t_cycle!r}"
+            )
         return t_cycle
 
 

@@ -94,7 +94,8 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
     """Minimal-error report at every row of two (n, 3) Bloch-vector arrays.
 
     p_dc and p_fn come from :func:`helstrom_decision`; the trace and
-    eigenvalue forms of p_err must agree to 1e-12 at every point.
+    eigenvalue forms of p_err must agree to 1e-12 at every point, and a NaN
+    in either breaches that.
     """
     p0, p1 = _checked_priors(priors)
     r0 = np.asarray(r0, dtype=float)
@@ -106,9 +107,9 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
     ))
     p_trace = p0 * p_dc + p1 * p_fn
     p_eigen = 0.5 * (1.0 - np.abs(dec.lambda_plus) - np.abs(dec.lambda_minus))
-    gap = np.abs(p_trace - p_eigen)
-    if np.any(gap > 1e-12):
-        k = int(np.argmax(gap))
+    breach = ~(np.abs(p_trace - p_eigen) <= 1e-12)  # NaN breaches too
+    if np.any(breach):
+        k = int(np.argmax(breach))
         raise NumericalInvariantError(
             f"error-probability formulas disagree at point {k}: "
             f"trace={p_trace[k]!r} eigen={p_eigen[k]!r}"

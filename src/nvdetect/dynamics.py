@@ -1,12 +1,10 @@
 """Time evolution of the two-level sensor state under each field hypothesis.
 
 Every modeled hypothesis has a time-independent Hamiltonian and a Hermitian
-jump operator, so the master equation
-
-    drho/dt = -i [H, rho] + L rho L' - (1/2) {L' L, rho},   L' = adjoint of L,
-
-(H in rad/s) is a linear map r' = M r on the Bloch vector, with M a real
-3x3 matrix. :func:`bloch_generators` builds M once per hypothesis and
+jump operator, so the master equation is a linear map r' = M r on the Bloch
+vector, with M a real 3x3 matrix that
+:func:`nvdetect.hamiltonian.bloch_generator` writes down in closed form.
+:func:`bloch_generators` builds M once per hypothesis and
 :func:`propagate_generators` evaluates exp(M t) over a whole time array
 with batched scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
 Every production grid is uniform (a ``np.linspace``); for one of n points,
@@ -19,7 +17,8 @@ cycle, gets one exponential per time.
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator
-exponential) live in ``tests/oracles.py``.
+exponential of the Liouvillian built from the 2x2 Hamiltonian and jump
+operator) live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -28,54 +27,14 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .hamiltonian import (
-    FieldConfig,
-    NoiseKind,
-    NoiseModel,
-    NvParameters,
-    hamiltonian_two_level,
-    lindblad_operator,
-)
-from .linalg import (
-    DensityMatrix2,
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    bloch_vector,
-    check_bloch_norms,
-    dagger,
-    expm_batch,
-)
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
+from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
 
 #: Smallest uniform time grid that :func:`propagate_generators` evaluates as a
 #: product of two exponential stacks. Measured on a 2-vCPU Xeon, the product
 #: and one exponential per time cost the same at about 16 points; from 24
 #: points on the product is faster.
 PRODUCT_MIN_POINTS = 24
-
-
-def liouvillian(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndarray:
-    """4x4 master-equation generator acting on column-stacked rho.
-
-    vec(A rho B) = (B^T kron A) vec(rho), so the commutator becomes
-    -i (I kron H - H^T kron I) and the dissipator
-    conj(L) kron L - (1/2)(I kron L^dag L + (L^dag L)^T kron I).
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    gen = -1j * (_kron2(IDENTITY_2, h) - _kron2(h.T, IDENTITY_2))
-    if lindblad is not None:
-        l = np.asarray(lindblad, dtype=complex)
-        if float(np.max(np.abs(l))) > 0.0:
-            lsq = dagger(l) @ l
-            gen = gen + _kron2(np.conj(l), l)
-            gen = gen - 0.5 * (_kron2(IDENTITY_2, lsq) + _kron2(lsq.T, IDENTITY_2))
-    return gen
-
-
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for two 2x2 matrices (the same products, without its overhead)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _noise_direction_fields(fields: FieldConfig):
@@ -93,51 +52,13 @@ def _noise_direction_fields(fields: FieldConfig):
     return dir0, dir1
 
 
-def _hypothesis_operators(fields: FieldConfig, params: NvParameters, noise: NoiseModel):
-    """((H0, L0), (H1, L1)) of the baseline and switched hypotheses; a jump
-    operator is None without noise. The electric-noise axis follows each
-    hypothesis's own static field direction."""
-    h0 = hamiltonian_two_level(params, fields.e0, fields.b_z)
-    h1 = hamiltonian_two_level(params, fields.e1, fields.b_z)
-    if noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and noise.rate > 0.0:
-        dir0, dir1 = _noise_direction_fields(fields)
-        l0 = lindblad_operator(dir0, noise)
-        l1 = lindblad_operator(dir1, noise)
-    elif noise.kind is NoiseKind.MAGNETIC_AXIAL and noise.rate > 0.0:
-        l0 = lindblad_operator(fields.e0, noise)
-        l1 = lindblad_operator(fields.e1, noise)
-    else:
-        l0 = l1 = None
-    return (h0, l0), (h1, l1)
-
-
-#: vec(I) and the columns vec(sigma_x), vec(sigma_y), vec(sigma_z), column-stacked
-#: like :func:`liouvillian`, so vec(rho) = (vec(I) + PAULI_VEC r) / 2.
-_IDENTITY_VEC = IDENTITY_2.flatten(order="F")
-_PAULI_VEC = np.column_stack([s.flatten(order="F") for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-
-
-def bloch_generator(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndarray:
-    """Real 3x3 generator M of r' = M r, projected from :func:`liouvillian`.
-
-    With r_k = Tr(sigma_k rho) = vec(sigma_k)^H vec(rho) the master equation
-    becomes r' = (S^H G S / 2) r + S^H G vec(I) / 2, S the Pauli columns and
-    G the 4x4 generator. The drift term vanishes because a Hermitian jump
-    operator makes the dissipator unital; it is checked, not assumed.
-    """
-    gen = liouvillian(hamiltonian, lindblad)
-    proj = dagger(_PAULI_VEC) @ gen
-    drift = float(np.max(np.abs(proj @ _IDENTITY_VEC)))
-    if drift > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
-        raise PreconditionError(f"the channel is not unital (Bloch drift {drift!r}); "
-                                "the jump operator must be Hermitian")
-    return 0.5 * (proj @ _PAULI_VEC).real
-
-
 def bloch_generators(fields: FieldConfig, params: NvParameters, noise: NoiseModel) -> np.ndarray:
-    """Bloch generators of the baseline and switched hypotheses: shape (2, 3, 3)."""
-    ops = _hypothesis_operators(fields, params, noise)
-    return np.stack([bloch_generator(h, l) for h, l in ops])
+    """Bloch generators of the baseline and switched hypotheses: shape (2, 3, 3).
+    The electric-noise axis follows the rule of :func:`_noise_direction_fields`."""
+    return np.stack([
+        bloch_generator(params, e_field, fields.b_z, noise, noise_field)
+        for e_field, noise_field in zip((fields.e0, fields.e1), _noise_direction_fields(fields))
+    ])
 
 
 def propagate_generators(gens: np.ndarray, times) -> np.ndarray:

@@ -1,17 +1,20 @@
-"""The NV ground-state Hamiltonian of each field hypothesis, and dephasing
-operators.
+"""The sensor's parameters, the two field hypotheses and their noise, and
+the Bloch generator of each hypothesis.
 
 Unit system
 -----------
-Every Hamiltonian is divided by hbar at construction, so matrix entries are
-angular frequencies in rad/s and never joule-scale numbers. Electric fields
-are V/m, magnetic fields Tesla, times seconds. The dipole coefficients are
-stored as the conventional Hz.m/V numbers (their action on a field is
-multiplied by 2*pi to land in rad/s).
+Every Hamiltonian is divided by hbar, so its terms are angular frequencies
+in rad/s and never joule-scale numbers. Electric fields are V/m, magnetic
+fields Tesla, times seconds. The dipole coefficients are stored as the
+conventional Hz.m/V numbers (their action on a field is multiplied by 2*pi
+to land in rad/s).
 
 The basis is (|+1>, |-1>): only an axial magnetic field is accepted, which
 keeps |0> decoupled from the m = +-1 pair, so the 3x3 ground-state
-Hamiltonian reduces to its 2x2 corner block.
+Hamiltonian reduces to its 2x2 corner block. That block is a common shift
+(zero-field splitting plus axial Stark shift) plus b.sigma, and the shift
+cancels from all dynamics, so :func:`bloch_generator` builds the Bloch
+generator from b alone.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import SIGMA_Z
 
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
@@ -38,6 +40,9 @@ class NvParameters:
     t2                   : s, dephasing time (kappa = 1/t2); may be inf
     g_factor             : dimensionless electron g-factor
 
+    zero_field_splitting and d_parallel (times E_z) only shift |+1> and |-1>
+    together, which cancels from the two-level dynamics: no computation reads
+    them, and they are kept so that configs naming them still load.
     Population relaxation (T1) is not modelled: spin flips are ignored. The
     field metadata is the range the run config admits (see :mod:`.config`).
     """
@@ -63,10 +68,6 @@ class NvParameters:
         """d_perp (E_x + i E_y) expressed in rad/s."""
         ex, ey = float(e_field[0]), float(e_field[1])
         return TWO_PI * self.d_perp * complex(ex, ey)
-
-    def axial_shift(self, e_field) -> float:
-        """Common m = +-1 shift (zero-field splitting plus axial Stark) in rad/s."""
-        return TWO_PI * (self.zero_field_splitting + self.d_parallel * float(e_field[2]))
 
     def zeeman_rate(self, b_z: float) -> float:
         """g mu_B B_z / hbar in rad/s."""
@@ -107,7 +108,7 @@ class FieldConfig:
     @property
     def has_transverse_field(self) -> bool:
         """Whether e0 or e1 has an x or y component. Electric noise needs one:
-        it fluctuates along the transverse field (:func:`lindblad_operator`)."""
+        it fluctuates along the transverse field (:func:`bloch_generator`)."""
         return any(e[0] != 0.0 or e[1] != 0.0 for e in (self.e0, self.e1))
 
 
@@ -149,38 +150,44 @@ class NoiseModel:
         return cls(NoiseKind.NONE, 0.0)
 
 
-def hamiltonian_two_level(params: NvParameters, e_field, b_z: float) -> np.ndarray:
-    """Ground-state Hamiltonian on span{|+1>, |-1>} in rad/s.
+def bloch_generator(
+    params: NvParameters, e_field, b_z: float, noise: NoiseModel, noise_field
+) -> np.ndarray:
+    """Real 3x3 generator M of the Bloch equation r' = M r of one hypothesis.
 
-    Transverse electric fields couple |+1> and |-1> directly; the common
-    diagonal shift is retained even though it cancels from all dynamics.
+    The two-level Hamiltonian is H = a I + b.sigma (rad/s) with
+    b = (Re c, Im c, w_z), c the transverse coupling of ``e_field`` and w_z
+    the Zeeman rate of ``b_z``; the common shift a never enters. The jump
+    operator is L = sqrt(kappa/2) n.sigma, kappa the noise rate and n a unit
+    vector: z for axial magnetic noise, the transverse direction of
+    ``noise_field`` for electric noise. Then
+
+        M = 2 [b]x - kappa (I - n n^T),
+
+    [b]x the cross-product matrix (the dephasing Bloch equations, Nielsen &
+    Chuang section 8.3). A Hermitian L makes the channel unital, so there is
+    no drift term. kappa enters as 2 s^2 with s = sqrt(kappa/2) rounded, the
+    rate that L itself carries, so a rate such as 1/T2 = 1/1e-5 gives the
+    same generator as the Liouvillian of L in ``tests/oracles.py``.
     """
-    d = params.axial_shift(e_field)
-    e_perp = params.transverse_coupling(e_field)
-    bz = params.zeeman_rate(b_z)
-    return np.array([[d + bz, np.conj(e_perp)], [e_perp, d - bz]], dtype=complex)
-
-
-def lindblad_operator(e_field, noise: NoiseModel) -> np.ndarray:
-    """Dephasing jump operator in sqrt(1/s).
-
-    Electric noise fluctuates along the static transverse field direction, so
-    its operator is sqrt(kappa/2) [[0, u*], [u, 0]] with u the unit transverse
-    phase; axial magnetic noise gives sqrt(kappa/2) sigma_z.
-    """
+    c = params.transverse_coupling(e_field)
+    bx, by, bz = 2.0 * c.real, 2.0 * c.imag, 2.0 * params.zeeman_rate(b_z)
+    m = np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]])
     if noise.kind is NoiseKind.NONE or noise.rate == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    amp = math.sqrt(noise.rate / 2.0)
+        return m
     if noise.kind is NoiseKind.MAGNETIC_AXIAL:
-        return amp * SIGMA_Z.copy()
-    ex, ey = float(e_field[0]), float(e_field[1])
-    if ex == 0.0 and ey == 0.0:
-        raise PreconditionError(
-            "electric noise direction undefined: hypothesis has no transverse field"
-        )
-    # an exact power-of-two rescale first, so a subnormal field still has a
-    # unit direction (|5e-324 + 5e-324 i| rounds to 5e-324)
-    _, exponent = math.frexp(max(abs(ex), abs(ey)))
-    transverse = complex(math.ldexp(ex, -exponent), math.ldexp(ey, -exponent))
-    unit = transverse / abs(transverse)
-    return amp * np.array([[0.0, np.conj(unit)], [unit, 0.0]], dtype=complex)
+        n = np.array([0.0, 0.0, 1.0])
+    else:
+        ex, ey = float(noise_field[0]), float(noise_field[1])
+        if ex == 0.0 and ey == 0.0:
+            raise PreconditionError(
+                "electric noise direction undefined: hypothesis has no transverse field"
+            )
+        # an exact power-of-two rescale first, so a subnormal field still has a
+        # unit direction (|5e-324 + 5e-324 i| rounds to 5e-324)
+        _, exponent = math.frexp(max(abs(ex), abs(ey)))
+        transverse = complex(math.ldexp(ex, -exponent), math.ldexp(ey, -exponent))
+        unit = transverse / abs(transverse)
+        n = np.array([unit.real, unit.imag, 0.0])
+    amplitude = math.sqrt(noise.rate / 2.0)
+    return m - 2.0 * amplitude * amplitude * (np.eye(3) - np.outer(n, n))

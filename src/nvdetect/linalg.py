@@ -1,9 +1,10 @@
 """Small dense linear algebra: the validated 2x2 density matrix, matrix
-exponentials of stacks of matrices up to 4x4, and the Bloch-vector map.
+exponentials of stacks of matrices up to 4x4, the Bloch-vector map and the
+Bloch-norm check.
 
 The two-level basis is ordered (|+1>, |-1>) everywhere, so the Bloch +z pole
-is the |+1> population. Angular quantities are angular frequencies (rad/s);
-matrices are plain ``numpy.ndarray`` with complex dtype.
+is the |+1> population. Matrices are plain ``numpy.ndarray``. Every bound is
+tested as ``not (x <= bound)``, so that a NaN fails it.
 """
 from __future__ import annotations
 
@@ -16,16 +17,6 @@ from .errors import NumericalInvariantError, PreconditionError
 
 #: Taylor terms of :func:`expm_batch`: (1/2)^18 / 18! < 1e-21.
 TAYLOR_TERMS = 17
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
-
 
 @dataclass(frozen=True)
 class DensityMatrix2:
@@ -95,16 +86,16 @@ def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:
     y = 2.0 * m[1, 0].imag
     z = (m[0, 0] - m[1, 1]).real
     norm = math.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + 1e-12:
+    if not norm <= 1.0 + 1e-12:
         raise NumericalInvariantError(f"Bloch norm {norm!r} exceeds 1")
     return (x, y, z)
 
 
 def check_bloch_norms(r: np.ndarray) -> np.ndarray:
     """Return Bloch vectors (last axis x, y, z) after checking that none is
-    longer than 1 + 1e-12."""
+    longer than 1 + 1e-12 or NaN."""
     worst = float(np.max(np.sqrt(np.sum(r * r, axis=-1)), initial=0.0))
-    if worst > 1.0 + 1e-12:
+    if not worst <= 1.0 + 1e-12:
         raise NumericalInvariantError(f"Bloch norm {worst!r} exceeds 1")
     return r
 

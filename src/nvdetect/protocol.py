@@ -31,7 +31,7 @@ import numpy as np
 
 from .discrimination import min_error_grid, optimal_time_search
 from .dynamics import bloch_generators, evolve_bloch, propagate_generators
-from .errors import PreconditionError
+from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms
 
@@ -335,7 +335,8 @@ def _cycle_bright_probabilities(
     so its bright probability is Tr(rho Pi1) of that one decision, clipped
     to [0, 1]; readout is treated as instantaneous relative to the spin
     dynamics. Returns the (n_cycles,) bright probabilities and the
-    informative flag (p_err < 1/2 - 1e-6).
+    informative flag (p_err < 1/2 - 1e-6); a probability that is not finite
+    raises NumericalInvariantError.
     """
     gens = bloch_generators(fields, params, noise)
     r_init = np.array(bloch_vector(preparation.density_matrix()))
@@ -351,8 +352,12 @@ def _cycle_bright_probabilities(
         else:
             maps = propagate_generators(gens, [true_t_star - t_start, t_end - true_t_star])
             r_cycles[cycle] = check_bloch_norms(maps[1, 1] @ maps[0, 0] @ r_init)
-    p_cycle = np.clip(curve.decision.bright_probability(r_cycles), 0.0, 1.0)
-    return p_cycle, bool(curve.p_err[0] < 0.5 - 1e-6)
+    p_cycle = curve.decision.bright_probability(r_cycles)
+    if not np.all(np.isfinite(p_cycle)):  # a NaN would click dark in every draw
+        raise NumericalInvariantError(
+            f"cycle bright probabilities {p_cycle.tolist()!r} are not finite"
+        )
+    return np.clip(p_cycle, 0.0, 1.0), bool(curve.p_err[0] < 0.5 - 1e-6)
 
 
 def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):

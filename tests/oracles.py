@@ -1,13 +1,20 @@
 """Independent reference routes that the tests check the package against.
 
-Production propagates every hypothesis with one batched Bloch-vector kernel
-(:mod:`nvdetect.dynamics`). The routes here are deliberately independent of
-that kernel and of each other: three closed-form propagators for the
-analytically solvable regimes (pure transverse field; transverse field plus
-axial magnetic field; transverse field with collinear dephasing), a
-fixed-step RK4 integrator of the master equation, and a 4x4 superoperator
-exponential, all from a 2x2 Hamiltonian (rad/s) and an optional jump
-operator. :func:`evolve_pair` runs one of them on both field hypotheses.
+Production writes each hypothesis's Bloch generator in closed form
+(``nvdetect.hamiltonian.bloch_generator``) and propagates it with one batched
+Bloch-vector kernel (:mod:`nvdetect.dynamics`). The routes here are
+deliberately independent of that kernel and of each other. They start from
+the 2x2 Hamiltonian (rad/s, :func:`hamiltonian_two_level`, or its traceless
+part :func:`traceless_hamiltonian`) and the jump operator
+(:func:`lindblad_operator`): the 4x4 Liouvillian (:func:`liouvillian`) and
+its projection onto the Pauli basis (:func:`projected_bloch_generator`),
+three closed-form propagators for the analytically solvable regimes (pure
+transverse field; transverse field plus axial magnetic field; transverse
+field with collinear dephasing), a fixed-step RK4 integrator of the master
+equation, and a 4x4 superoperator exponential. :func:`evolve_pair` runs one
+of them on both field hypotheses, from the traceless Hamiltonian: the
+common shift of 2 pi 2.87 GHz cancels from the dynamics, but carrying it
+costs the superoperator about 1e-11 in the Bloch vector.
 
 The package decides between the hypotheses from Bloch vectors
 (``nvdetect.discrimination.helstrom_decision``). The reference here is the
@@ -33,10 +40,133 @@ from functools import partial
 import numpy as np
 
 from nvdetect.discrimination import min_error_grid
-from nvdetect.dynamics import _hypothesis_operators, bloch_generators, evolve_bloch, liouvillian
+from nvdetect.dynamics import _noise_direction_fields, bloch_generators, evolve_bloch
 from nvdetect.errors import NumericalInvariantError, PreconditionError
-from nvdetect.hamiltonian import TWO_PI, FieldConfig, NoiseModel, NvParameters, _checked_priors
-from nvdetect.linalg import IDENTITY_2, DensityMatrix2, bloch_vector, dagger
+from nvdetect.hamiltonian import (
+    TWO_PI,
+    FieldConfig,
+    NoiseKind,
+    NoiseModel,
+    NvParameters,
+    _checked_priors,
+)
+from nvdetect.linalg import DensityMatrix2, bloch_vector
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m.T)
+
+
+def axial_shift(params: NvParameters, e_field) -> float:
+    """Common m = +-1 shift (zero-field splitting plus axial Stark) in rad/s."""
+    return TWO_PI * (params.zero_field_splitting + params.d_parallel * float(e_field[2]))
+
+
+def traceless_hamiltonian(params: NvParameters, e_field, b_z: float) -> np.ndarray:
+    """b.sigma in rad/s: the two-level Hamiltonian without its common shift,
+    b = (Re c, Im c, Zeeman rate), c the transverse coupling."""
+    e_perp = params.transverse_coupling(e_field)
+    bz = params.zeeman_rate(b_z)
+    return np.array([[bz, np.conj(e_perp)], [e_perp, -bz]], dtype=complex)
+
+
+def hamiltonian_two_level(params: NvParameters, e_field, b_z: float) -> np.ndarray:
+    """Ground-state Hamiltonian on span{|+1>, |-1>} in rad/s.
+
+    Transverse electric fields couple |+1> and |-1> directly; the common
+    diagonal shift is retained even though it cancels from all dynamics.
+    """
+    return traceless_hamiltonian(params, e_field, b_z) + axial_shift(params, e_field) * IDENTITY_2
+
+
+def lindblad_operator(e_field, noise: NoiseModel) -> np.ndarray:
+    """Dephasing jump operator in sqrt(1/s).
+
+    Electric noise fluctuates along the static transverse field direction, so
+    its operator is sqrt(kappa/2) [[0, u*], [u, 0]] with u the unit transverse
+    phase; axial magnetic noise gives sqrt(kappa/2) sigma_z.
+    """
+    if noise.kind is NoiseKind.NONE or noise.rate == 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    amp = math.sqrt(noise.rate / 2.0)
+    if noise.kind is NoiseKind.MAGNETIC_AXIAL:
+        return amp * SIGMA_Z.copy()
+    ex, ey = float(e_field[0]), float(e_field[1])
+    if ex == 0.0 and ey == 0.0:
+        raise PreconditionError(
+            "electric noise direction undefined: hypothesis has no transverse field"
+        )
+    # an exact power-of-two rescale first, so a subnormal field still has a
+    # unit direction (|5e-324 + 5e-324 i| rounds to 5e-324)
+    _, exponent = math.frexp(max(abs(ex), abs(ey)))
+    transverse = complex(math.ldexp(ex, -exponent), math.ldexp(ey, -exponent))
+    unit = transverse / abs(transverse)
+    return amp * np.array([[0.0, np.conj(unit)], [unit, 0.0]], dtype=complex)
+
+
+def liouvillian(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndarray:
+    """4x4 master-equation generator acting on column-stacked rho.
+
+    vec(A rho B) = (B^T kron A) vec(rho), so the commutator becomes
+    -i (I kron H - H^T kron I) and the dissipator
+    conj(L) kron L - (1/2)(I kron L^dag L + (L^dag L)^T kron I).
+    """
+    h = np.asarray(hamiltonian, dtype=complex)
+    gen = -1j * (_kron2(IDENTITY_2, h) - _kron2(h.T, IDENTITY_2))
+    if lindblad is not None:
+        l = np.asarray(lindblad, dtype=complex)
+        if float(np.max(np.abs(l))) > 0.0:
+            lsq = dagger(l) @ l
+            gen = gen + _kron2(np.conj(l), l)
+            gen = gen - 0.5 * (_kron2(IDENTITY_2, lsq) + _kron2(lsq.T, IDENTITY_2))
+    return gen
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for two 2x2 matrices (the same products, without its overhead)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+#: vec(I) and the columns vec(sigma_x), vec(sigma_y), vec(sigma_z), column-stacked
+#: like :func:`liouvillian`, so vec(rho) = (vec(I) + PAULI_VEC r) / 2.
+_IDENTITY_VEC = IDENTITY_2.flatten(order="F")
+_PAULI_VEC = np.column_stack([s.flatten(order="F") for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def projected_bloch_generator(hamiltonian: np.ndarray, lindblad: np.ndarray | None) -> np.ndarray:
+    """Real 3x3 generator M of r' = M r, projected from :func:`liouvillian`.
+
+    With r_k = Tr(sigma_k rho) = vec(sigma_k)^H vec(rho) the master equation
+    becomes r' = (S^H G S / 2) r + S^H G vec(I) / 2, S the Pauli columns and
+    G the 4x4 generator. The drift term vanishes because a Hermitian jump
+    operator makes the dissipator unital; it is checked, not assumed.
+    """
+    gen = liouvillian(hamiltonian, lindblad)
+    proj = dagger(_PAULI_VEC) @ gen
+    drift = float(np.max(np.abs(proj @ _IDENTITY_VEC)))
+    if drift > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+        raise PreconditionError(f"the channel is not unital (Bloch drift {drift!r}); "
+                                "the jump operator must be Hermitian")
+    return 0.5 * (proj @ _PAULI_VEC).real
+
+
+def hypothesis_operators(fields: FieldConfig, params: NvParameters, noise: NoiseModel):
+    """((H0, L0), (H1, L1)) of the baseline and switched hypotheses, H the
+    traceless Hamiltonian; a jump operator is None without noise. The
+    electric-noise axis follows the rule of production
+    (``nvdetect.dynamics._noise_direction_fields``)."""
+    h0 = traceless_hamiltonian(params, fields.e0, fields.b_z)
+    h1 = traceless_hamiltonian(params, fields.e1, fields.b_z)
+    if noise.kind is NoiseKind.NONE or noise.rate == 0.0:
+        return (h0, None), (h1, None)
+    dir0, dir1 = _noise_direction_fields(fields)
+    return (h0, lindblad_operator(dir0, noise)), (h1, lindblad_operator(dir1, noise))
+
 
 #: Default internal step: 1/200 of the fastest precession period and of T2.
 DEFAULT_STEP_DIVISOR = 200.0
@@ -132,7 +262,7 @@ def hamiltonian_full(params: NvParameters, e_field, b_z: float) -> np.ndarray:
     The |0> row and column stay zero because only axial magnetic fields are
     modeled; transverse electric fields couple |+1> and |-1> directly.
     """
-    d = params.axial_shift(e_field)
+    d = axial_shift(params, e_field)
     e_perp = params.transverse_coupling(e_field)
     bz = params.zeeman_rate(b_z)
     h = np.zeros((3, 3), dtype=complex)
@@ -145,7 +275,7 @@ def hamiltonian_full(params: NvParameters, e_field, b_z: float) -> np.ndarray:
 
 def spectrum(params: NvParameters, e_field, b_z: float) -> HamiltonianSpectrum:
     """Eigenfrequencies {0, D +- delta} with delta = sqrt(|coupling|^2 + zeeman^2)."""
-    d = params.axial_shift(e_field)
+    d = axial_shift(params, e_field)
     e_perp = params.transverse_coupling(e_field)
     bz = params.zeeman_rate(b_z)
     delta = math.hypot(abs(e_perp), bz)
@@ -452,10 +582,9 @@ def evolve_pair(
     dt: float | None = None,
 ) -> tuple[DensityMatrix2, DensityMatrix2]:
     """Evolve the shared initial state under both hypotheses for time t by
-    the reference route ``method`` (``dt`` overrides the RK4 step). The
-    hypothesis operators are those of production, so the electric-noise axis
-    follows each hypothesis's own static field direction."""
-    (h0, l0), (h1, l1) = _hypothesis_operators(fields, params, noise)
+    the reference route ``method`` (``dt`` overrides the RK4 step), with the
+    operators of :func:`hypothesis_operators`."""
+    (h0, l0), (h1, l1) = hypothesis_operators(fields, params, noise)
     return (
         _single_hypothesis(h0, l0, rho0, t, method, dt=dt),
         _single_hypothesis(h1, l1, rho0, t, method, dt=dt),
@@ -660,7 +789,7 @@ def straddling_state(fields, params, noise, rho_init, t_start, t_end, t_star) ->
     """The state read out at t_end of a cycle prepared at t_start that the
     switch at t_star straddles: the baseline superoperator up to t_star, the
     switched one after it."""
-    (h0, l0), (h1, l1) = _hypothesis_operators(fields, params, noise)
+    (h0, l0), (h1, l1) = hypothesis_operators(fields, params, noise)
     mid = propagate_superoperator(EvolutionSpec(h0, l0, rho_init), t_star - t_start)
     return propagate_superoperator(EvolutionSpec(h1, l1, mid), t_end - t_star)
 

@@ -29,16 +29,20 @@ from nvdetect import (
 )
 from nvdetect.cli import main
 from nvdetect.config import ProtocolConfig
-from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
-from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from oracles import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     EvolutionSpec,
     density_matrix,
     evolve_closed_axial_field,
     evolve_closed_dephasing,
     evolve_closed_transverse,
+    hamiltonian_two_level,
     helstrom_operator,
     integrate_master_equation,
+    lindblad_operator,
     min_error,
     optimal_time_analytic,
     povm_pair,

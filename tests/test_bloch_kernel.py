@@ -1,7 +1,8 @@
 """The production Bloch-vector kernel against the independent routes.
 
-``evolve_pair_grid`` + ``min_error_grid`` must reproduce the 4x4
-superoperator propagator + the operator-form ``min_error`` oracle per
+The closed-form Bloch generator must equal the Pauli projection of the 4x4
+Liouvillian. ``evolve_pair_grid`` + ``min_error_grid`` must reproduce the
+4x4 superoperator propagator + the operator-form ``min_error`` oracle per
 point, including at the
 exceptional point of the axial-noise generator, where it is defective. A
 uniform grid's product of two exponential stacks must agree with one
@@ -26,17 +27,24 @@ from nvdetect import (
     standard_basis_error_grid,
 )
 from nvdetect import discrimination, dynamics
-from nvdetect.dynamics import (
-    PRODUCT_MIN_POINTS,
-    bloch_generator,
-    bloch_generators,
-    propagate_generators,
-)
-from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
+from nvdetect.dynamics import PRODUCT_MIN_POINTS, bloch_generators, propagate_generators
+from nvdetect.hamiltonian import NoiseKind, bloch_generator
 from nvdetect.linalg import bloch_vector, check_bloch_norms
 
 import oracles
-from oracles import Route, density_matrix, expm_small, min_error, standard_basis_error
+from oracles import (
+    EvolutionSpec,
+    Route,
+    density_matrix,
+    expm_small,
+    hamiltonian_two_level,
+    lindblad_operator,
+    min_error,
+    projected_bloch_generator,
+    propagate_superoperator,
+    standard_basis_error,
+    traceless_hamiltonian,
+)
 
 PARAMS = NvParameters()
 PREPARATIONS = (DensityMatrix2.pole_plus(), DensityMatrix2.equal_superposition())
@@ -178,10 +186,83 @@ def test_bloch_generator_of_axial_noise():
     # sigma_z noise at rate kappa damps x and y at kappa; a real coupling w
     # rotates y and z at 2w
     w = abs(PARAMS.transverse_coupling((1e6, 0.0, 0.0)))
-    h = hamiltonian_two_level(PARAMS, (1e6, 0.0, 0.0), 0.0)
-    m = bloch_generator(h, lindblad_operator((1e6, 0.0, 0.0), NoiseModel.magnetic(1e5)))
+    noise = NoiseModel.magnetic(1e5)
     expected = [[-1e5, 0.0, 0.0], [0.0, -1e5, -2 * w], [0.0, 2 * w, 0.0]]
+    m = bloch_generator(PARAMS, (1e6, 0.0, 0.0), 0.0, noise, (1e6, 0.0, 0.0))
     np.testing.assert_allclose(m, expected, atol=1e-6)
+    h = hamiltonian_two_level(PARAMS, (1e6, 0.0, 0.0), 0.0)
+    m = projected_bloch_generator(h, lindblad_operator((1e6, 0.0, 0.0), noise))
+    np.testing.assert_allclose(m, expected, atol=1e-6)
+
+
+#: Field components of one generator: zero, ordinary, and subnormal (whose
+#: electric-noise direction needs the power-of-two rescale).
+COMPONENTS = st.one_of(
+    st.just(0.0),
+    st.floats(-3e6, 3e6),
+    st.sampled_from([5e-324, -5e-324, 3e-320, -1e-310, 2e-308]),
+)
+
+
+@st.composite
+def generator_cases(draw):
+    """One hypothesis: field, B_z, noise of each kind (rate 0 included) and
+    the field whose transverse direction is the electric-noise axis."""
+    e_field = (draw(COMPONENTS), draw(COMPONENTS), draw(st.floats(-3e6, 3e6)))
+    b_z = draw(st.one_of(st.just(0.0), st.floats(-3e-5, 3e-5)))
+    rate = draw(st.one_of(st.just(0.0), st.just(1.0 / 10e-6), st.floats(0.0, 3e5)))
+    noise = NoiseModel(draw(st.sampled_from(list(NoiseKind))), rate)
+    noise_field = (draw(COMPONENTS), draw(COMPONENTS), 0.0)
+    if noise_field[:2] == (0.0, 0.0):
+        noise_field = (draw(st.sampled_from([5e-324, 1e6])), 0.0, 0.0)
+    return e_field, b_z, noise, noise_field
+
+
+@given(generator_cases())
+@example(((1e6, 0.0, 0.0), 0.0, NoiseModel.electric(1.0 / 10e-6), (1e6, 0.0, 0.0)))
+@example(((5e-324, 5e-324, 0.0), 0.0, NoiseModel.electric(1e5), (5e-324, 5e-324, 0.0)))
+@example(((0.0, 0.0, 0.0), 3e-5, NoiseModel.magnetic(0.0), (1e6, 0.0, 0.0)))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_generator_equals_the_liouvillian_projection(case):
+    e_field, b_z, noise, noise_field = case
+    m = bloch_generator(PARAMS, e_field, b_z, noise, noise_field)
+    h = traceless_hamiltonian(PARAMS, e_field, b_z)
+    reference = projected_bloch_generator(h, lindblad_operator(noise_field, noise))
+    assert np.max(np.abs(m - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_closed_form_generator_needs_an_electric_noise_axis():
+    with pytest.raises(PreconditionError):
+        bloch_generator(PARAMS, (0.0, 0.0, 1e6), 0.0, NoiseModel.electric(1e5), (0.0, 0.0, 1e6))
+    # without noise, or at rate 0, the axis is never needed
+    for noise in (NoiseModel.electric(0.0), NoiseModel.none()):
+        m = bloch_generator(PARAMS, (0.0, 0.0, 1e6), 0.0, noise, (0.0, 0.0, 1e6))
+        assert np.array_equal(m, np.zeros((3, 3)))
+
+
+def test_common_shift_cancels_from_the_oracle_routes():
+    # the physical 2x2 Hamiltonian carries the 2 pi 2.87 GHz shift plus the
+    # axial Stark shift; it cancels from the dynamics, and carrying it moves
+    # the Liouvillian projection by a few ulp of the shift and the
+    # superoperator's Bloch vectors by rounding only
+    rng = np.random.default_rng(11)
+    rho0 = density_matrix((0.6, -0.3, 0.7))
+    for _ in range(20):
+        e_field = (rng.uniform(-3e6, 3e6), rng.uniform(-3e6, 3e6), rng.uniform(-3e6, 3e6))
+        b_z = rng.uniform(-3e-5, 3e-5)
+        kind = rng.choice([NoiseKind.MAGNETIC_AXIAL, NoiseKind.ELECTRIC_ALONG_FIELD])
+        noise = NoiseModel(kind, rng.uniform(0.0, 3e5))
+        lind = lindblad_operator(e_field, noise)
+        shift = oracles.axial_shift(PARAMS, e_field)  # rad/s, about 1.8e10
+        shifted = hamiltonian_two_level(PARAMS, e_field, b_z)
+        traceless = traceless_hamiltonian(PARAMS, e_field, b_z)
+        closed = bloch_generator(PARAMS, e_field, b_z, noise, e_field)
+        gap = np.max(np.abs(projected_bloch_generator(shifted, lind) - closed))
+        assert gap <= 2 * np.spacing(shift)
+        for t in (1e-7, 2e-6, 1e-5):
+            a = propagate_superoperator(EvolutionSpec(shifted, lind, rho0), t)
+            b = propagate_superoperator(EvolutionSpec(traceless, lind, rho0), t)
+            assert np.max(np.abs(np.subtract(bloch_vector(a), bloch_vector(b)))) <= 1e-10
 
 
 def test_expm_batch_matches_expm_small_per_matrix():

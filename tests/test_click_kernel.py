@@ -29,7 +29,9 @@ from nvdetect import (
     helstrom_decision,
     turn_on_blocks,
 )
+from nvdetect import protocol
 from nvdetect.config import ProtocolConfig
+from nvdetect.errors import NumericalInvariantError
 from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_bright_probabilities
 
 from oracles import (
@@ -186,6 +188,15 @@ class TestTurnOnBatch:
         ):
             with pytest.raises(PreconditionError):
                 list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, t_cycle, n_cycles, t_star, n_sensors, seeds))
+
+    def test_nan_bright_probability_breaches_before_any_click(self, monkeypatch):
+        # a NaN compares False with every uniform, so it would click dark in
+        # every draw; a norm check that let the straddling state's NaN pass
+        # stands in for the propagator overflow that makes one
+        monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: np.full_like(r, math.nan))
+        monkeypatch.setattr(protocol, "_click_uniforms", None)  # drawing would fail differently
+        with pytest.raises(NumericalInvariantError, match="not finite"):
+            turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [0])
 
     def test_no_seeds_give_no_runs(self):
         assert list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [])) == []

@@ -249,6 +249,11 @@ class TestCliExitCodes:
             ("appendix-b",
              {"bz_sweep": {"e_magnitudes": [1e6, 0.0], "noise_kind": "electric_along_field"}},
              "bz_sweep.e_magnitudes[1]"),
+            # |coupling| overflows to inf, so the derived cycle time pi / (2 |coupling|) is 0.0
+            ("protocol", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
+             "fields.de"),
+            ("array", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
+             "fields.de"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -313,6 +318,33 @@ class TestCliExitCodes:
         assert "Bloch norm" in capsys.readouterr().err
         assert not (tmp_path / "out" / "perr_time.csv").exists()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, written", [
+        ("bloch", "bloch.csv"), ("perr-time", "perr_time.csv"), ("bz-sensitivity", "bz_sensitivity.csv"),
+    ])
+    def test_nan_states_exit_3_without_a_csv(self, tmp_path, capsys, command, written):
+        # a coupling of 6e306 rad/s overflows the propagator into NaN Bloch
+        # vectors (669 of the 801 rows of bloch.csv), which must breach the
+        # norm bound instead of passing it
+        cfg = write_config(tmp_path / "cfg.json", {"parameters": {"d_perp": 1e300}})
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "Bloch norm nan" in capsys.readouterr().err
+        assert not (tmp_path / "out" / written).exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, data", [
+        ("perr-time", {"parameters": {"zero_field_splitting": 1e308}}),
+        ("bloch", {"parameters": {"d_parallel": 1e308}, "fields": {"de": [1e6, 0, 1e6]}}),
+    ])
+    def test_common_shift_overflow_exits_0_without_nan(self, tmp_path, command, data):
+        # the shift of |+1> and |-1> together cancels from the dynamics, so
+        # even one that overflows a float does not reach the outputs
+        cfg = write_config(tmp_path / "cfg.json", {**data, "time_grid": SMALL_GRID})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        for path in (tmp_path / "out").iterdir():
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text, path.name
 
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(

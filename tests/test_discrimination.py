@@ -16,8 +16,17 @@ from nvdetect import (
     optimal_time_search,
     standard_basis_error_grid,
 )
-from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from oracles import density_matrix, helstrom_operator, optimal_time_analytic, povm_pair
+from nvdetect.errors import NumericalInvariantError
+from oracles import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    density_matrix,
+    helstrom_operator,
+    optimal_time_analytic,
+    povm_pair,
+)
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
@@ -160,6 +169,15 @@ class TestMinError:
         assert curve.p_err[0] == pytest.approx(
             priors[0] * curve.p_dc[0] + priors[1] * curve.p_fn[0], abs=1e-12
         )
+
+    @pytest.mark.parametrize("row, column", [(0, 0), (3, 2)])
+    def test_nan_state_breaches_the_formula_check(self, row, column):
+        # the trace and eigenvalue forms of p_err must agree, and NaN agrees with nothing
+        r0 = np.zeros((4, 3))
+        r1 = np.tile([0.0, 0.0, 1.0], (4, 1))
+        r1[row, column] = math.nan
+        with pytest.raises(NumericalInvariantError, match=f"at point {row}"):
+            min_error_grid(r0, r1)
 
     def test_equal_priors_balance_the_two_error_kinds(self):
         # holds whenever the two hypothesis states are equally mixed, which

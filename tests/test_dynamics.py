@@ -11,7 +11,6 @@ from nvdetect import (
     PreconditionError,
     evolve_pair_grid,
 )
-from nvdetect.hamiltonian import hamiltonian_two_level, lindblad_operator
 from nvdetect.linalg import bloch_vector
 
 import oracles
@@ -22,7 +21,9 @@ from oracles import (
     evolve_closed_axial_field,
     evolve_closed_dephasing,
     evolve_closed_transverse,
+    hamiltonian_two_level,
     integrate_master_equation,
+    lindblad_operator,
     propagate_superoperator,
 )
 

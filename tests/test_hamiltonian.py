@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvdetect import (
-    NoiseModel,
-    NvParameters,
-    PreconditionError,
+from nvdetect import NoiseModel, NvParameters, PreconditionError
+from oracles import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    hamiltonian_full,
     hamiltonian_two_level,
     lindblad_operator,
+    optimal_time_analytic,
+    spectrum,
 )
-from nvdetect.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from oracles import hamiltonian_full, optimal_time_analytic, spectrum
 
 PARAMS = NvParameters()
 TWO_PI = 2 * math.pi

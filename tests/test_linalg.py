@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from nvdetect import (
     PreconditionError,
     bloch_vector,
 )
-from nvdetect.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from oracles import expm_small, herm_eigen2
+from nvdetect.errors import NumericalInvariantError
+from nvdetect.linalg import check_bloch_norms
+from oracles import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_small, herm_eigen2
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -128,6 +130,26 @@ class TestBlochVector:
         assert norm * norm == pytest.approx(2 * rho.purity - 1, abs=1e-10)
 
 
+class TestBlochNormBound:
+    def test_vectors_inside_the_ball_pass(self):
+        r = np.array([[[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]]])
+        assert check_bloch_norms(r) is r
+        assert check_bloch_norms(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-12, math.nan, math.inf, -math.inf])
+    def test_longer_or_nan_vectors_breach(self, bad):
+        r = np.zeros((2, 4, 3))
+        r[1, 2, 0] = bad
+        with pytest.raises(NumericalInvariantError):
+            check_bloch_norms(r)
+
+    def test_bloch_vector_of_a_nan_matrix_breaches(self):
+        # DensityMatrix2 rejects NaN entries, so a bare matrix holder stands in
+        rho = types.SimpleNamespace(matrix=np.full((2, 2), math.nan, dtype=complex))
+        with pytest.raises(NumericalInvariantError):
+            bloch_vector(rho)
+
+
 class TestDensityMatrix2:
     def test_rejects_trace(self):
         with pytest.raises(PreconditionError):
@@ -153,8 +175,8 @@ class TestExpmSmall:
         np.testing.assert_allclose(expm_small(SIGMA_X, -1j * theta), expected, atol=1e-14)
 
     def test_unitary_propagator_matches_closed_form(self):
-        from nvdetect import DensityMatrix2, NvParameters, hamiltonian_two_level
-        from oracles import evolve_closed_transverse
+        from nvdetect import DensityMatrix2, NvParameters
+        from oracles import evolve_closed_transverse, hamiltonian_two_level
 
         params = NvParameters()
         h = hamiltonian_two_level(params, (1e7, 0.0, 0.0), 0.0)

@@ -1,11 +1,12 @@
-"""The package holds one propagator and one Helstrom decision; the
-reference routes stay in the tests.
+"""The package holds one propagator, one closed-form Bloch generator and
+one Helstrom decision; the reference routes stay in the tests.
 
 ``tests/oracles.py`` imports the package, never the other way round: the
 command line must load no test module, no ``Method`` choice of propagator
-may come back, and neither the operator form of the Helstrom measurement
-nor the removed per-run views of the turn-on protocol may come back into the
-package (``turn_on_blocks`` is its one entry point).
+may come back, and neither the 2x2 Hamiltonian, jump operator and
+Liouvillian route to the Bloch generator, nor the operator form of the
+Helstrom measurement, nor the removed per-run views of the turn-on protocol
+may come back into the package (``turn_on_blocks`` is its one entry point).
 """
 import ast
 import importlib
@@ -56,13 +57,16 @@ def test_package_sources_import_nothing_from_the_tests():
             assert not {"oracles", "tests", "conftest"} & set(roots), (path.name, roots)
 
 
-#: The operator-form Helstrom measurement and the per-click readout, now only
-#: in ``tests/oracles.py``, and the removed per-run views of the turn-on
-#: protocol and their cycle-layout mirror of ``ProtocolConfig``.
+#: The operator-form Helstrom measurement, the per-click readout and the
+#: Hamiltonian -> Liouvillian -> Pauli-projection route to the Bloch
+#: generator, now only in ``tests/oracles.py``, and the removed per-run views
+#: of the turn-on protocol and their cycle-layout mirror of ``ProtocolConfig``.
 ORACLE_ONLY = (
     "helstrom_operator", "povm_pair", "herm_eigen2", "min_error", "evolve_pair", "simulate_click",
     "Click", "_CLICK", "DetectionRun", "run_turn_on_batch", "_detection_runs",
     "run_turn_on_protocol", "MeasurementSchedule",
+    "liouvillian", "hamiltonian_two_level", "lindblad_operator", "_kron2", "dagger",
+    "_hypothesis_operators", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2",
 )
 
 
@@ -77,3 +81,4 @@ def test_package_exposes_no_operator_form_decision():
     )
     assert exposed == []
     assert not hasattr(importlib.import_module("nvdetect.config").ProtocolConfig, "schedule")
+    assert not hasattr(nvdetect.NvParameters, "axial_shift")

@@ -19,8 +19,7 @@ from nvdetect import (
     turn_on_blocks,
 )
 from nvdetect.config import ProtocolConfig
-from nvdetect.linalg import IDENTITY_2
-from oracles import helstrom_operator, povm_pair, simulate_click
+from oracles import IDENTITY_2, helstrom_operator, povm_pair, simulate_click
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
