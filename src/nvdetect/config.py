@@ -299,17 +299,35 @@ def parse(data: dict) -> RunConfig:
             f"got {sweep.noise_rate!r}"
         )
     # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
-    cells = [(config.noise, "fields.de", config.fields)]
-    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].de",
+    # (noise, key path of e0, key path of de, fields) of each cell
+    cells = [(config.noise, "fields.e0", "fields.de", config.fields)]
+    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].e0", f"field_pairs[{i}].de",
                FieldConfig(e0=pair.e0, de=pair.de)) for i, pair in enumerate(config.field_pairs)]
-    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", FieldConfig(de=(e, 0.0, 0.0)))
-              for i, e in enumerate(sweep.e_magnitudes)]
-    for cell_noise, key, fields in cells:
+    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", f"bz_sweep.e_magnitudes[{i}]",
+               FieldConfig(de=(e, 0.0, 0.0))) for i, e in enumerate(sweep.e_magnitudes)]
+    for cell_noise, e0_key, key, fields in cells:
         if (cell_noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and cell_noise.rate > 0.0
                 and not fields.has_transverse_field):
             raise ConfigError(
                 f"{key} must give e0 or e0 + de an x or y component under electric noise "
                 f"of nonzero rate, got e0={list(fields.e0)!r}, e0 + de={list(fields.e1)!r}"
+            )
+        # the generator holds 2 Re c and 2 Im c of each field, and 2 w_z of each B_z below
+        for field_key, e_field in ((e0_key, fields.e0), (key, fields.e1)):
+            c = params.transverse_coupling(e_field)
+            if not math.isfinite(2.0 * math.hypot(c.real, c.imag)):
+                raise ConfigError(
+                    f"{field_key} must keep the transverse coupling 2|c| finite, got field "
+                    f"{list(e_field)!r} V/m with parameters.d_perp = {params.d_perp!r}"
+                )
+    b_z_keys = [("fields.b_z", config.fields.b_z)]
+    b_z_keys += [(f"b_z_values[{i}]", b_z) for i, b_z in enumerate(config.b_z_values)]
+    b_z_keys += [(f"bz_sweep.b_z_values[{i}]", b_z) for i, b_z in enumerate(sweep.b_z_values)]
+    for key, b_z in b_z_keys:
+        if not math.isfinite(2.0 * params.zeeman_rate(b_z)):
+            raise ConfigError(
+                f"{key} must keep the Zeeman rate 2|w_z| finite, got B_z = {b_z!r} T with "
+                f"parameters.g_factor = {params.g_factor!r}"
             )
     window = sweep.t_window
     if not window[0] < window[1] <= 10.0 * params.t2:

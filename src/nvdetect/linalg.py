@@ -108,7 +108,9 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     two to a 1-norm <= 1/2, and is squared back its own number of times.
     The Taylor series has a fixed TAYLOR_TERMS terms (Horner form): at norm
     1/2 the first omitted term is below 1e-21, and a matrix's result does
-    not depend on the rest of the stack.
+    not depend on the rest of the stack. A result that overflows in the
+    squarings comes back non-finite, without a numpy warning; callers check
+    it (:func:`check_bloch_norms`).
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] > 4:
@@ -127,6 +129,7 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     result = eye + b / TAYLOR_TERMS
     for k in range(TAYLOR_TERMS - 1, 0, -1):
         result = eye + (b @ result) / k
-    for j in range(int(np.max(squarings, initial=0.0))):
-        result = np.where((squarings > j)[..., None, None], result @ result, result)
-    return np.exp(mu)[..., None, None] * result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(np.max(squarings, initial=0.0))):
+            result = np.where((squarings > j)[..., None, None], result @ result, result)
+        return np.exp(mu)[..., None, None] * result

@@ -7,16 +7,13 @@ from the dark-to-bright transition of the fused record. Its one entry point
 is :func:`turn_on_blocks`, which yields the runs as :class:`ClickBlock`
 arrays.
 
-Random streams: the click of cycle c (0-based) and sensor s in the run with
-seed ``seed`` is bright when the first ``random()`` draw of
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(c, s)))``
-falls below the cycle's bright probability, so transcripts are reproducible
-and sensors/cycles are independent. The protocol does not build those
-generators: ``_click_uniforms`` reproduces the draws bit for bit in one
-vectorized pass over integer arrays (SeedSequence mixing, PCG64 seeding,
-one XSL-RR output), and a test pins it against numpy so that a change of
-numpy's SeedSequence, PCG64 or ``Generator.random`` fails loudly instead of
-moving the transcripts.
+Random streams: run i draws its clicks from one generator,
+``numpy.random.default_rng(seeds[i])``, cycle-major: the click of cycle c
+(0-based) and sensor s is bright when draw ``c * n_sensors + s`` of that
+stream falls below the cycle's bright probability. Transcripts are
+reproducible, runs are independent, and a run's first cycles do not depend
+on ``n_cycles``; a sensor's clicks do depend on ``n_sensors``. numpy.random
+is imported when the first run is drawn, not with the package.
 """
 from __future__ import annotations
 
@@ -133,107 +130,9 @@ def fit_decay_rate(points) -> float:
     return float(slope)
 
 
-# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-
-#: Click streams evaluated together; bounds the kernel's working arrays
-#: (a few dozen arrays of this many 64-bit words) whatever n_runs is.
+#: Clicks drawn per block of runs; bounds the drawn uniforms whatever n_runs
+#: is (a run with more clicks is drawn in cycle slices of at most this many).
 _BLOCK_STREAMS = 4096
-
-
-def _hash_constants(h: int, mult: int):
-    """SeedSequence's running hash constant: (value, value * mult) pairs."""
-    while True:
-        nxt = (h * mult) & _MASK32
-        yield np.uint32(h), np.uint32(nxt)
-        h = nxt
-
-
-def _hashmix(value: np.ndarray, constants) -> np.ndarray:
-    xor_const, mult_const = next(constants)
-    value = (value ^ xor_const) * mult_const
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """state * multiplier + inc mod 2**128 on (high, low) uint64 words; the
-    high word of the low product comes from 32-bit limbs."""
-    m32, s32 = np.uint64(_MASK32), np.uint64(32)
-    a0, a1 = lo & m32, lo >> s32
-    b0, b1 = np.uint64(_PCG_MULT_LO & _MASK32), np.uint64(_PCG_MULT_LO >> 32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> s32) + (p01 & m32) + (p10 & m32)
-    carry = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    hi = hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + carry
-    return _add128(hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    total = lo + add_lo
-    return hi + add_hi + (total < lo).astype(np.uint64), total
-
-
-def _click_uniforms(seeds, cycles: range, n_sensors: int) -> np.ndarray:
-    """First ``random()`` draw of every (seed, cycle, sensor) click stream.
-
-    Entry [i, k, s] is bitwise equal to ``numpy.random.default_rng(
-    SeedSequence(entropy=seeds[i], spawn_key=(cycles[k], s))).random()``:
-    the SeedSequence pool mixing of [seed words padded to 4, cycle, sensor],
-    ``generate_state(4, uint64)``, PCG64 seeding, one XSL-RR output and
-    (x >> 11) * 2**-53, all in 32/64-bit integer arrays.
-    """
-    seeds = [operator.index(seed) for seed in seeds]
-    if any(seed < 0 for seed in seeds):
-        raise PreconditionError("seeds must be non-negative integers")
-    if cycles.stop > _MASK32 + 1 or n_sensors > _MASK32 + 1:
-        raise PreconditionError("cycle and sensor indices must fit in 32 bits")
-    out = np.empty((len(seeds), len(cycles), n_sensors))
-    n_words = [max(_POOL_SIZE, (seed.bit_length() + 31) // 32) for seed in seeds]
-    for length in set(n_words):
-        rows = [i for i, n in enumerate(n_words) if n == length]
-        entropy = np.array(
-            [[(seeds[i] >> (32 * k)) & _MASK32 for k in range(length)] for i in rows],
-            dtype=np.uint32,
-        ).reshape(len(rows), length, 1, 1)
-        hash_a = _hash_constants(_INIT_A, _MULT_A)
-        pool = [_hashmix(entropy[:, k], hash_a) for k in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a))
-        spawn_key = (
-            *(entropy[:, k] for k in range(_POOL_SIZE, length)),
-            np.arange(cycles.start, cycles.stop, dtype=np.uint32).reshape(1, -1, 1),
-            np.arange(n_sensors, dtype=np.uint32).reshape(1, 1, -1),
-        )
-        for word in spawn_key:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], _hashmix(word, hash_a))
-        hash_b = _hash_constants(_INIT_B, _MULT_B)
-        state = [_hashmix(pool[k % _POOL_SIZE], hash_b).astype(np.uint64) for k in range(8)]
-        init_hi, init_lo, seq_hi, seq_lo = (
-            state[k] | (state[k + 1] << np.uint64(32)) for k in range(0, 8, 2)
-        )
-        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-        inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-        hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)  # the step from state 0 gives inc
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)  # the first draw's step
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        out[rows] = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return out
 
 
 def _bracket(bright: list[bool], confident: list[bool], t_cycle: float):
@@ -302,10 +201,11 @@ def turn_on_blocks(
     The cycle physics (bright probability per cycle, the informative flag)
     depends only on the configuration and is computed once, by this call.
     The returned iterator draws the runs lazily, one :class:`ClickBlock` of
-    at most ``_BLOCK_STREAMS`` click streams at a time (a run whose clicks
-    exceed that is drawn in cycle slices but still yielded whole), so a
-    consumer that handles each block and drops it holds one block whatever
-    the number of seeds.
+    at most ``_BLOCK_STREAMS`` clicks at a time (a run whose clicks exceed
+    that is drawn in cycle slices of its one generator but still yielded
+    whole), so a consumer that handles each block and drops it holds one
+    block whatever the number of seeds. A seed must be a non-negative
+    integer.
     """
     if not 0.0 < t_cycle < math.inf:
         raise PreconditionError(f"t_cycle must be positive and finite, got {t_cycle!r}")
@@ -366,14 +266,14 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
     runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
     cycles_per_block = max(1, _BLOCK_STREAMS // n_sensors)
     while block := list(itertools.islice(seeds, runs_per_block)):
-        bright = np.concatenate(
-            [
-                _click_uniforms(block, range(c, min(c + cycles_per_block, n_cycles)), n_sensors)
-                < p_cycle[c:c + cycles_per_block, None]
-                for c in range(0, n_cycles, cycles_per_block)
-            ],
-            axis=1,
-        )
+        bright = np.empty((len(block), n_cycles, n_sensors), dtype=bool)
+        for run, seed in enumerate(map(operator.index, block)):
+            if seed < 0:  # default_rng would raise ValueError
+                raise PreconditionError(f"seeds must be non-negative integers, got {seed!r}")
+            rng = np.random.default_rng(seed)
+            for c in range(0, n_cycles, cycles_per_block):
+                p = p_cycle[c:c + cycles_per_block, None]
+                bright[run, c:c + len(p)] = rng.random((len(p), n_sensors)) < p
         n_bright = bright.sum(axis=2)
         majority = 2 * n_bright > n_sensors
         confident = (np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)

@@ -779,7 +779,8 @@ def simulate_click(rho_true: DensityMatrix2, povm: PovmPair, rng: np.random.Gene
 
     Readout is treated as instantaneous relative to the spin dynamics. This
     is the per-click reference of the turn-on protocol, which draws the same
-    ``rng.random()`` values in bulk with ``protocol._click_uniforms``.
+    ``rng.random()`` values of a run's generator in bulk, one
+    ``rng.random((cycles, n_sensors))`` array per cycle slice.
     """
     p_bright = min(max(float(np.trace(rho_true.matrix @ povm.pi1).real), 0.0), 1.0)
     return rng.random() < p_bright
@@ -797,8 +798,9 @@ def straddling_state(fields, params, noise, rho_init, t_start, t_end, t_star) ->
 def reference_transcript(
     fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, seed, preparation
 ) -> dict:
-    """One run of the turn-on protocol, click by click: one generator and one
-    :func:`simulate_click` per sensor and cycle, every cycle state propagated
+    """One run of the turn-on protocol, click by click: one generator,
+    ``default_rng(seed)``, for the run and one :func:`simulate_click` per
+    cycle and sensor in that order (cycle-major), every cycle state propagated
     afresh by the superoperator and read out with the operator-form
     projectors of the static problem at t_cycle.
 
@@ -814,6 +816,7 @@ def reference_transcript(
     )
     povm = povm_pair(helstrom_operator(rho_dark, rho_bright, fields.priors))
     informative = min_error(rho_dark, rho_bright, fields.priors).p_err < 0.5 - 1e-6
+    rng = np.random.default_rng(seed)
     bright, n_bright, majority, confident = [], [], [], []
     for cycle in range(n_cycles):
         t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
@@ -823,12 +826,7 @@ def reference_transcript(
             rho = rho_bright
         else:
             rho = straddling_state(fields, params, noise, rho_init, t_start, t_end, t_star)
-        votes = [
-            simulate_click(
-                rho, povm, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle, s)))
-            )
-            for s in range(n_sensors)
-        ]
+        votes = [simulate_click(rho, povm, rng) for _ in range(n_sensors)]
         bright.append(votes)
         n_bright.append(sum(votes))
         majority.append(2 * sum(votes) > n_sensors)

@@ -1,18 +1,19 @@
-"""The vectorized click kernel of the turn-on protocol against numpy.
+"""The click draws of the turn-on protocol against numpy.
 
-``_click_uniforms`` must reproduce, bit for bit, the first ``random()`` draw
-of ``default_rng(SeedSequence(entropy=seed, spawn_key=(cycle, sensor)))``,
-and every run of the ``ClickBlock`` arrays of ``turn_on_blocks`` must be
-the transcript of ``oracles.reference_transcript``: a per-click loop built
-from ``simulate_click`` and one such generator per sensor, with cycle states
-and projectors from the oracle routes (4x4 superoperator, operator form of
-the Helstrom measurement). If numpy ever changes SeedSequence,
-PCG64 or ``Generator.random``, these tests fail instead of the protocol's
-transcripts moving silently. The per-cycle bright probabilities must equal
-the operator form's Tr(rho Pi1).
+Run i of ``turn_on_blocks`` must draw its clicks from one generator,
+``default_rng(seeds[i])``, cycle-major, and every run of its ``ClickBlock``
+arrays must be the transcript of ``oracles.reference_transcript``: a
+per-click loop built from ``simulate_click`` on that generator, with cycle
+states and projectors from the oracle routes (4x4 superoperator, operator
+form of the Helstrom measurement). The per-cycle bright probabilities must
+equal the operator form's Tr(rho Pi1).
 """
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from nvdetect import (
 from nvdetect import protocol
 from nvdetect.config import ProtocolConfig
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.protocol import _BLOCK_STREAMS, _click_uniforms, _cycle_bright_probabilities
+from nvdetect.protocol import _BLOCK_STREAMS, _cycle_bright_probabilities
 
 from oracles import (
     density_matrix,
@@ -44,55 +45,6 @@ from oracles import (
 )
 
 PARAMS = NvParameters()
-BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 399]
-
-
-def numpy_draw(seed, cycle, sensor):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(cycle, sensor))
-    return np.random.default_rng(ss).random()
-
-
-def assert_bitwise_equal(got, seeds, cycles, n_sensors):
-    assert got.shape == (len(seeds), len(cycles), n_sensors)
-    assert got.dtype == np.float64
-    for i, seed in enumerate(seeds):
-        for k, cycle in enumerate(cycles):
-            for sensor in range(n_sensors):
-                want = numpy_draw(seed, cycle, sensor)
-                assert got[i, k, sensor].hex() == want.hex(), (seed, cycle, sensor)
-
-
-class TestClickUniforms:
-    @given(
-        seeds=st.lists(st.integers(min_value=0, max_value=2**64 + 2**20), min_size=1, max_size=3),
-        first_cycle=st.integers(min_value=0, max_value=2**32 - 4),
-        n_cycles=st.integers(min_value=1, max_value=4),
-        n_sensors=st.integers(min_value=1, max_value=40),
-    )
-    @example(seeds=BOUNDARY_SEEDS, first_cycle=0, n_cycles=3, n_sensors=4)
-    @example(seeds=BOUNDARY_SEEDS, first_cycle=2**32 - 2, n_cycles=2, n_sensors=2)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_bit_for_bit(self, seeds, first_cycle, n_cycles, n_sensors):
-        cycles = range(first_cycle, first_cycle + n_cycles)
-        assert_bitwise_equal(_click_uniforms(seeds, cycles, n_sensors), seeds, cycles, n_sensors)
-
-    @pytest.mark.parametrize("seed", [2**96 - 1, 2**96, 2**128 - 1, 2**128 + 5, 2**200 + 3])
-    def test_seeds_wider_than_the_pool(self, seed):
-        seeds = [seed, 7]  # two entropy lengths in one call
-        assert_bitwise_equal(_click_uniforms(seeds, range(2), 3), seeds, range(2), 3)
-
-    def test_numpy_integer_seeds(self):
-        seeds = [np.uint64(2**64 - 1), np.int64(12345)]
-        assert_bitwise_equal(_click_uniforms(seeds, range(1), 2), [2**64 - 1, 12345], range(1), 2)
-
-    def test_rejects_negative_seed_and_wide_indices(self):
-        with pytest.raises(PreconditionError):
-            _click_uniforms([-1], range(1), 1)
-        with pytest.raises(PreconditionError):
-            _click_uniforms([0], range(2**32, 2**32 + 1), 1)
-
-    def test_empty_seed_list(self):
-        assert _click_uniforms([], range(3), 2).shape == (0, 3, 2)
 
 
 X_SWITCH = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
@@ -126,7 +78,7 @@ BATCH_CASES = {
                                6, 2.6 * T_CYCLE, 5, range(15), PreparationState.EQUAL_SUPERPOSITION),
     "seeds_across_2_64": (X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5,
                           [2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 0, 2**32], POLE),
-    # more streams per run than one block holds: the cycles are split
+    # more clicks per run than one block holds: the cycles are split
     "cycles_split_across_blocks": (X_SWITCH, ELECTRIC, T_CYCLE, 300, 150.5 * T_CYCLE, 15, range(2), POLE),
 }
 
@@ -134,6 +86,64 @@ BATCH_CASES = {
 def _call_args(case):
     fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
     return fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation
+
+
+def assert_runs_draw_one_generator_each(fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
+                                        preparation, want_seeds=None):
+    """Each run's clicks are ``default_rng(seed).random((n_cycles, n_sensors))``
+    below the cycle's bright probability, bit for bit."""
+    p_cycle, _ = _cycle_bright_probabilities(fields, PARAMS, noise, t_cycle, n_cycles, t_star,
+                                             preparation)
+    blocks = list(turn_on_blocks(fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
+                                 preparation))
+    bright = np.concatenate([block.bright for block in blocks])
+    want_seeds = list(seeds) if want_seeds is None else want_seeds
+    assert bright.shape == (len(want_seeds), n_cycles, n_sensors)
+    for run, seed in zip(bright, want_seeds):
+        uniforms = np.random.default_rng(seed).random((n_cycles, n_sensors))
+        np.testing.assert_array_equal(run, uniforms < p_cycle[:, None], err_msg=str(seed))
+
+
+class TestClickUniforms:
+    """The uniforms behind the clicks: one numpy generator per run, drawn
+    cycle-major."""
+
+    def test_matches_numpy_bit_for_bit(self):
+        for case in BATCH_CASES.values():
+            assert_runs_draw_one_generator_each(*case)
+
+    @pytest.mark.parametrize("seed", [2**96 - 1, 2**96, 2**128 - 1, 2**128 + 5, 2**200 + 3])
+    def test_seeds_wider_than_the_pool(self, seed):
+        # seeds of more than four 32-bit words, next to a one-word seed
+        assert_runs_draw_one_generator_each(X_SWITCH, ELECTRIC, T_CYCLE, 3, 1.5 * T_CYCLE, 5,
+                                            [seed, 7], POLE)
+
+    def test_numpy_integer_seeds(self):
+        seeds = [np.uint64(2**64 - 1), np.int64(12345)]
+        assert_runs_draw_one_generator_each(X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5, seeds,
+                                            POLE, want_seeds=[2**64 - 1, 12345])
+
+    def test_more_cycles_keep_the_first_ones(self):
+        # the same seeds and switch over 8 and over 12 cycles: the first 8 agree
+        fields, params, noise, t_cycle, _, t_star, n_sensors, seeds, preparation = _call_args(
+            "interior_switch")
+        short, long = (
+            list(turn_on_blocks(fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
+                                preparation))
+            for n_cycles in (8, 12)
+        )
+        for name in ("bright", "n_bright", "majority", "confident"):
+            got = np.concatenate([getattr(block, name) for block in short])
+            want = np.concatenate([getattr(block, name) for block in long])[:, :8]
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_importing_the_command_line_leaves_numpy_random_unloaded(self):
+        # numpy.random is loaded on the first draw: importing it with the
+        # package would add its import time to every invocation's start-up
+        src = str(Path(protocol.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, nvdetect.cli; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestTurnOnBatch:
@@ -194,7 +204,7 @@ class TestTurnOnBatch:
         # every draw; a norm check that let the straddling state's NaN pass
         # stands in for the propagator overflow that makes one
         monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: np.full_like(r, math.nan))
-        monkeypatch.setattr(protocol, "_click_uniforms", None)  # drawing would fail differently
+        monkeypatch.setattr(np.random, "default_rng", None)  # drawing would fail differently
         with pytest.raises(NumericalInvariantError, match="not finite"):
             turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [0])
 

@@ -125,7 +125,7 @@ class TestConfig:
             assert any(
                 rule in str(exc)
                 for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
-                             "an x or y component")
+                             "an x or y component", "2|c| finite", "2|w_z| finite")
             ), exc
             reject()
         assert parsed == config
@@ -249,11 +249,21 @@ class TestCliExitCodes:
             ("appendix-b",
              {"bz_sweep": {"e_magnitudes": [1e6, 0.0], "noise_kind": "electric_along_field"}},
              "bz_sweep.e_magnitudes[1]"),
-            # |coupling| overflows to inf, so the derived cycle time pi / (2 |coupling|) is 0.0
+            # 2 |coupling| or 2 |Zeeman rate| overflows to inf, which would end in the
+            # generator's exponential (or in a derived cycle time of 0.0)
             ("protocol", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
              "fields.de"),
             ("array", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
              "fields.de"),
+            ("bloch", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
+             "fields.de"),
+            ("bz-sensitivity", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
+             "fields.de"),
+            ("bloch", {"fields": {"b_z": 1e300}}, "fields.b_z"),
+            ("bz-sensitivity", {"b_z_values": [0.0, 1e300]}, "b_z_values[1]"),
+            ("appendix-b", {"bz_sweep": {"b_z_values": [1e300]}}, "bz_sweep.b_z_values[0]"),
+            ("perr-time", {"field_pairs": [{"e0": [1e308, 0, 0], "de": [1e308, 0, 0]}]},
+             "field_pairs[0].e0"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
