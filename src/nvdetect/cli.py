@@ -68,14 +68,23 @@ def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
 
 
 def _column_blocks(*columns):
-    """Rows of equal-length array columns, in blocks of ``_BLOCK_ROWS`` rows;
-    a scalar column repeats its value on every row."""
-    n = len(next(c for c in columns if isinstance(c, np.ndarray)))
+    """Rows of equal-length array or list columns (a list of text cells formatted once, for
+    ``%s``), in blocks of ``_BLOCK_ROWS`` rows; a scalar column repeats its value on every row."""
+    n = len(next(c for c in columns if isinstance(c, (np.ndarray, list))))
     for lo in range(0, n, _BLOCK_ROWS):
         yield zip(*(
-            c[lo:lo + _BLOCK_ROWS].tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+            c[lo:lo + _BLOCK_ROWS].tolist() if isinstance(c, np.ndarray)
+            else c[lo:lo + _BLOCK_ROWS] if isinstance(c, list) else itertools.repeat(c)
             for c in columns
         ))
+
+
+#: protocol_summary.json as ``json.dumps(summary, indent=2, sort_keys=True) + "\n"`` writes it:
+#: floats go through ``%r`` (float.__repr__, as in json), and each run is one ``_RUN_JSON``.
+_SUMMARY_JSON = ('{\n  "n_runs": %d,\n  "n_sensors": %d,\n  "runs": [\n%s\n  ],\n'
+                 '  "success_rate": %r,\n  "t_cycle": %r,\n  "true_t_star": %r\n}\n')
+_RUN_JSON = ('    {\n      "interval": %s,\n      "run": %d,\n      "seed": %d,\n'
+             '      "status": "%s",\n      "success": %s,\n      "true_t_star": %r\n    }')
 
 
 def _write_json(path: Path, data) -> Path:
@@ -120,6 +129,7 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
     pairs = config.default_field_pairs()
+    time_cells = ["%.17g" % t for t in times.tolist()]
 
     def blocks():
         for index, pair in enumerate(pairs):
@@ -131,13 +141,14 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
             yield from _column_blocks(
-                index, pair.kappa, times, curve.p_err, p_std, curve.p_dc, curve.p_fn, is_tmin
+                index, "%.17g" % pair.kappa, time_cells, curve.p_err, p_std, curve.p_dc,
+                curve.p_fn, is_tmin,
             )
 
     csv_path = _write_csv(
         out / "perr_time.csv",
         "pair,kappa,t,p_err_povm,p_err_standard,p_dc,p_fn,is_tmin",
-        "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+        "%d,%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n",
         blocks(),
     )
     manifest = _write_json(
@@ -161,15 +172,17 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
         return min_error_grid(r0, r1, fields.priors).p_err
 
     base = p_err(0.0)
+    time_cells = ["%.17g" % t for t in times.tolist()]
+    base_cells = ["%.17g" % p for p in base.tolist()]
 
     def blocks():
         for b_z in config.b_z_values:
             curve = p_err(float(b_z))
-            yield from _column_blocks(b_z, times, curve, base, curve - base)
+            yield from _column_blocks("%.17g" % b_z, time_cells, curve, base_cells, curve - base)
 
     csv_path = _write_csv(
         out / "bz_sensitivity.csv", "b_z,t,p_err,p_err_b0,dp_err",
-        "%.17g,%.17g,%.17g,%.17g,%.17g\n", blocks(),
+        "%s,%s,%.17g,%s,%.17g\n", blocks(),
     )
     return [csv_path]
 
@@ -211,45 +224,38 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
 
 def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     """Seeded turn-on runs: per-cycle transcripts plus a summary."""
-    params = config.parameters
-    fields = config.fields
-    noise = config.noise
     proto = config.protocol
     t_cycle = _cycle_time(config)
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
     blocks = turn_on_blocks(
-        fields, params, noise, t_cycle, n_cycles, true_t_star, n_sensors,
+        config.fields, config.parameters, config.noise, t_cycle, n_cycles, true_t_star, n_sensors,
         range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
         preparation=config.preparation,
     )
     # the "cycle,t_start,t_end" cells are the same in every run
     cycle_cells = ["%d,%.17g,%.17g" % (c, c * t_cycle, (c + 1) * t_cycle) for c in range(n_cycles)]
-    run_summaries = []  # one per run, appended as each block is written
+    run_texts, successes = [], []  # one JSON object and one bool per run, as blocks are written
 
     def rows():
         for block in blocks:
-            first = len(run_summaries)  # index of the block's first run
+            first = len(run_texts)  # index of the block's first run
             # one byte per click, B or D, so each cycle's clicks view as one S<n_sensors> string
             patterns = np.where(block.bright, np.uint8(ord("B")), np.uint8(ord("D")))
-            patterns = patterns.view(f"S{n_sensors}")
             yield zip(
                 np.repeat(np.arange(first, first + len(block.seeds)), n_cycles).tolist(),
                 cycle_cells * len(block.seeds),
-                [p.decode() for p in patterns.reshape(-1).tolist()],
+                patterns.view(f"S{n_sensors}").astype(f"U{n_sensors}").reshape(-1).tolist(),
                 block.n_bright.reshape(-1).tolist(),
                 np.where(block.majority, "B", "D").reshape(-1).tolist(),
                 block.confident.reshape(-1).tolist(),
             )
-            for run_index, (seed, interval) in enumerate(zip(block.seeds, block.intervals), first):
-                run_summaries.append({
-                    "run": run_index,
-                    "seed": seed,
-                    "status": "no_detection" if interval is None else "detected",
-                    "interval": list(interval) if interval else None,
-                    "true_t_star": true_t_star,
-                    "success": interval is not None and interval[0] <= true_t_star <= interval[1],
-                })
+            hits = [iv is not None and iv[0] <= true_t_star <= iv[1] for iv in block.intervals]
+            successes.extend(hits)
+            run_texts.extend(_RUN_JSON % (
+                "null" if iv is None else "[\n        %r,\n        %r\n      ]" % iv, run, seed,
+                "no_detection" if iv is None else "detected", "true" if hit else "false", true_t_star,
+            ) for run, (seed, iv, hit) in enumerate(zip(block.seeds, block.intervals, hits), first))
 
     csv_path = _write_csv(
         out / "protocol_runs.csv",
@@ -257,17 +263,12 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
         "%d,%s,%s,%d,%s,%d\n",
         rows(),
     )
-    json_path = _write_json(
-        out / "protocol_summary.json",
-        {
-            "t_cycle": t_cycle,
-            "true_t_star": true_t_star,
-            "n_runs": proto.n_runs,
-            "n_sensors": n_sensors,
-            "success_rate": sum(r["success"] for r in run_summaries) / max(1, len(run_summaries)),
-            "runs": run_summaries,
-        },
-    )
+    json_path = out / "protocol_summary.json"
+    # a time past 1.8e308 s is inf to %r and Infinity to json; no key or word here holds "inf"
+    json_path.write_text((_SUMMARY_JSON % (
+        proto.n_runs, n_sensors, ",\n".join(run_texts),
+        sum(successes) / max(1, len(successes)), t_cycle, true_t_star,
+    )).replace("inf", "Infinity"))
     return [csv_path, json_path]
 
 
@@ -296,13 +297,14 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     if sweep.bloch_traces:
         rho0 = sweep.preparation.density_matrix()
         times = np.linspace(0.0, sweep.t_window[1], 201)
+        time_cells = ["%.17g" % t for t in times.tolist()]
         for i, p in enumerate(points):
             de = (p.e_magnitude, 0.0, 0.0) if p.orientation == "x" else (0.0, p.e_magnitude, 0.0)
             fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=p.b_z)
             _, r1 = evolve_pair_grid(fields, config.parameters, sweep_noise, rho0, times)
             written.append(_write_csv(
-                out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
-                _column_blocks(times, *r1.T),
+                out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%s,%.17g,%.17g,%.17g\n",
+                _column_blocks(time_cells, *r1.T),
             ))
     return written
 

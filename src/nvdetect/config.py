@@ -46,7 +46,7 @@ MAX_GRID_POINTS = 100_000
 MAX_CYCLES = 1_000
 #: Sensors per protocol cycle: one cycle's clicks fit in one click block.
 MAX_PROTOCOL_SENSORS = _BLOCK_STREAMS
-#: Protocol runs: one summary per run is kept for protocol_summary.json.
+#: Protocol runs: one JSON text per run is kept for protocol_summary.json.
 MAX_RUNS = 100_000
 #: Fused sensor count: the majority-vote error sums N/2 + 1 binomial terms.
 MAX_FUSED_SENSORS = 100_001
@@ -335,6 +335,21 @@ def parse(data: dict) -> RunConfig:
             f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "
             f"10 * parameters.t2 = {10.0 * params.t2!r}, got {list(window)!r}"
         )
+    # M t must stay finite for each Bloch generator M propagated up to a time key's t: ||M||_1 <=
+    # 2 (|Re c| + |Im c| + |w_z| + kappa), and c is at most the coupling of |e0| + |de| in x and y
+    f, pairs = config.fields, config.default_field_pairs()
+    for key, t, switches, b_zs, rates in [
+        ("time_grid.t_max", config.time_grid.t_max, [f, *pairs], (f.b_z, 0.0, *config.b_z_values),
+         (config.noise.rate, *(p.kappa for p in pairs))),
+        ("protocol.t_cycle", config.protocol.t_cycle or 0.0, [f], (f.b_z,), (config.noise.rate,)),
+        ("bz_sweep.t_window[1]", window[1], [FieldPair(de=(e, 0.0, 0.0)) for e in sweep.e_magnitudes],
+         sweep.b_z_values, (config.bz_sweep_noise().rate,)),
+    ]:
+        transverse = max(abs(w.e0[0]) + abs(w.e0[1]) + abs(w.de[0]) + abs(w.de[1]) for w in switches)
+        norm = (params.transverse_coupling((transverse, 0.0)).real,
+                params.zeeman_rate(max(map(abs, b_zs))), max(rates))
+        if not math.isfinite(2.0 * sum(x * t for x in norm)):
+            raise ConfigError(f"{key} = {t!r} s overflows M t of a propagated Bloch generator M")
     return config
 
 

@@ -135,25 +135,6 @@ def fit_decay_rate(points) -> float:
 _BLOCK_STREAMS = 4096
 
 
-def _bracket(bright: list[bool], confident: list[bool], t_cycle: float):
-    """Switch interval (lo, hi) from the per-cycle majorities, or None
-    without a confident bright cycle."""
-    first_bright = next((i for i, (b, conf) in enumerate(zip(bright, confident)) if conf and b), None)
-    if first_bright is None:
-        return None
-    last_dark = next(
-        (i for i in range(first_bright - 1, -1, -1) if confident[i] and not bright[i]), None
-    )
-    hi = (first_bright + 1) * t_cycle
-    if last_dark is None:
-        return (max(0.0, hi - 2.0 * t_cycle), hi)
-    lo = last_dark * t_cycle
-    if hi - lo > 2.0 * t_cycle:
-        center = 0.5 * (lo + hi)
-        lo, hi = center - t_cycle, center + t_cycle
-    return (lo, hi)
-
-
 @dataclass(frozen=True)
 class ClickBlock:
     """Consecutive runs of the turn-on protocol, drawn together.
@@ -260,6 +241,24 @@ def _cycle_bright_probabilities(
     return np.clip(p_cycle, 0.0, 1.0), bool(curve.p_err[0] < 0.5 - 1e-6)
 
 
+def _intervals(majority, confident, t_cycle):
+    """Each run's switch interval (lo, hi) of :func:`turn_on_blocks` from the
+    (runs, cycles) votes, or None without a confident bright cycle."""
+    cycles = np.arange(majority.shape[1])
+    bright = majority & confident
+    first = bright.argmax(axis=1)
+    last_dark = np.where(confident & ~majority & (cycles < first[:, None]), cycles, -1).max(axis=1)
+    # a time past 1.8e308 s is inf, as in Python floats; fmax, like max(0.0, x), drops inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = (first + 1) * t_cycle
+        lo = np.where(last_dark >= 0, last_dark * t_cycle, np.fmax(0.0, hi - 2.0 * t_cycle))
+        clip = (last_dark >= 0) & (hi - lo > 2.0 * t_cycle)
+        center = 0.5 * (lo + hi)
+        lo, hi = np.where(clip, center - t_cycle, lo), np.where(clip, center + t_cycle, hi)
+    detected = bright.any(axis=1).tolist()
+    return [(a, b) if hit else None for a, b, hit in zip(lo.tolist(), hi.tolist(), detected)]
+
+
 def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
     """The blocks of :func:`turn_on_blocks`, drawn as they are consumed."""
     n_cycles = len(p_cycle)
@@ -277,10 +276,7 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
         n_bright = bright.sum(axis=2)
         majority = 2 * n_bright > n_sensors
         confident = (np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)
-        intervals = (
-            [_bracket(m, c, t_cycle) for m, c in zip(majority.tolist(), confident.tolist())]
-            if informative else [None] * len(block)
-        )
+        intervals = _intervals(majority, confident, t_cycle) if informative else [None] * len(block)
         yield ClickBlock(block, bright, n_bright, majority, confident, intervals)
 
 

@@ -832,28 +832,39 @@ def reference_transcript(
         majority.append(2 * sum(votes) > n_sensors)
         confident.append(abs(2 * sum(votes) - n_sensors) >= 2 or n_sensors == 1)
 
-    interval = None
-    if informative:
-        firsts = [i for i in range(n_cycles) if confident[i] and majority[i]]
-        if firsts:
-            first = firsts[0]
-            dark = [i for i in range(first) if confident[i] and not majority[i]]
-            hi = (first + 1) * t_cycle
-            if not dark:
-                lo = max(0.0, hi - 2.0 * t_cycle)
-            else:
-                lo = dark[-1] * t_cycle
-                if hi - lo > 2.0 * t_cycle:
-                    center = 0.5 * (lo + hi)
-                    lo, hi = center - t_cycle, center + t_cycle
-            interval = (lo, hi)
     return {
         "bright": bright,
         "n_bright": n_bright,
         "majority": majority,
         "confident": confident,
-        "interval": interval,
+        "interval": bracket(majority, confident, t_cycle) if informative else None,
     }
+
+
+def bracket(majority, confident, t_cycle):
+    """The estimated switch interval (lo, hi) of one run from its per-cycle
+    majorities and confidence flags (sequences of bools), cycle by cycle in
+    Python floats, or None without a confident bright cycle.
+
+    hi is the end of the first confident bright cycle. lo is the start of
+    the last confident dark cycle before it, or two cycles before hi
+    (floored at 0) without one; an interval wider than two cycles is clipped
+    to two cycles about its center.
+    """
+    n_cycles = len(majority)
+    firsts = [i for i in range(n_cycles) if confident[i] and majority[i]]
+    if not firsts:
+        return None
+    first = firsts[0]
+    dark = [i for i in range(first) if confident[i] and not majority[i]]
+    hi = (first + 1) * t_cycle
+    if not dark:
+        return (max(0.0, hi - 2.0 * t_cycle), hi)
+    lo = dark[-1] * t_cycle
+    if hi - lo > 2.0 * t_cycle:
+        center = 0.5 * (lo + hi)
+        lo, hi = center - t_cycle, center + t_cycle
+    return (lo, hi)
 
 
 def optimal_time_analytic(de_x: float, n: int = 1, params: NvParameters | None = None) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nvdetect import (
     FieldConfig,
@@ -33,9 +34,10 @@ from nvdetect import (
 from nvdetect import protocol
 from nvdetect.config import ProtocolConfig
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.protocol import _BLOCK_STREAMS, _cycle_bright_probabilities
+from nvdetect.protocol import _BLOCK_STREAMS, _cycle_bright_probabilities, _intervals
 
 from oracles import (
+    bracket,
     density_matrix,
     helstrom_operator,
     min_error,
@@ -144,6 +146,60 @@ class TestClickUniforms:
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, nvdetect.cli; sys.exit('numpy.random' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@st.composite
+def votes(draw):
+    """(majority, confident) of a block: two boolean (runs, cycles) arrays."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 12)))
+    return draw(arrays(bool, shape)), draw(arrays(bool, shape))
+
+
+def one_run_votes(majority, confident):
+    return np.array([majority]), np.array([confident])
+
+
+# one run each: all dark; nothing confident; bright in cycle 0; a confident
+# dark cycle 0 and the first confident bright cycle 5, six cycles apart (clip)
+ALL_DARK = one_run_votes([False] * 6, [True] * 6)
+NOTHING_CONFIDENT = one_run_votes([True, False, True, True], [False] * 4)
+BRIGHT_IN_CYCLE_0 = one_run_votes([True, False, True], [True, True, True])
+WIDE_GAP = one_run_votes([False, True, True, True, True, True],
+                         [True, False, False, False, False, True])
+
+
+class TestBracketing:
+    """The block bracketing of ``turn_on_blocks`` against ``oracles.bracket``,
+    the per-run loop in Python floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        votes=votes(),
+        t_cycle=st.one_of(
+            st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+            st.sampled_from([T_CYCLE, 0.1, 3.0, 1e308, 5e-324]),
+        ),
+    )
+    @example(votes=ALL_DARK, t_cycle=T_CYCLE)
+    @example(votes=NOTHING_CONFIDENT, t_cycle=T_CYCLE)
+    @example(votes=BRIGHT_IN_CYCLE_0, t_cycle=T_CYCLE)
+    @example(votes=WIDE_GAP, t_cycle=T_CYCLE)
+    @example(votes=WIDE_GAP, t_cycle=1e308)  # hi and lo overflow to inf, as Python floats do
+    # no confident dark cycle and hi = 2 t = inf: max(0.0, inf - inf) is 0.0, not NaN
+    @example(votes=one_run_votes([False, True], [False, True]), t_cycle=1e308)
+    def test_block_bracketing_is_the_per_run_oracle(self, votes, t_cycle):
+        majority, confident = votes
+        got = _intervals(majority, confident, t_cycle)
+        want = [bracket(m, c, t_cycle) for m, c in zip(majority.tolist(), confident.tolist())]
+        assert got == want  # floats compared by ==
+        assert all(type(x) is float for interval in got if interval for x in interval)
+
+    def test_the_named_cases_take_their_branches(self):
+        assert _intervals(*ALL_DARK, 0.5) == [None]
+        assert _intervals(*NOTHING_CONFIDENT, 0.5) == [None]
+        assert _intervals(*BRIGHT_IN_CYCLE_0, 0.5) == [(0.0, 0.5)]
+        # [0, 6t] with t = 0.5 is centred at 1.5: clipped to [2t, 4t]
+        assert _intervals(*WIDE_GAP, 0.5) == [(1.0, 2.0)]
 
 
 class TestTurnOnBatch:

@@ -125,7 +125,8 @@ class TestConfig:
             assert any(
                 rule in str(exc)
                 for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
-                             "an x or y component", "2|c| finite", "2|w_z| finite")
+                             "an x or y component", "2|c| finite", "2|w_z| finite",
+                             "overflows M t")
             ), exc
             reject()
         assert parsed == config
@@ -264,6 +265,13 @@ class TestCliExitCodes:
             ("appendix-b", {"bz_sweep": {"b_z_values": [1e300]}}, "bz_sweep.b_z_values[0]"),
             ("perr-time", {"field_pairs": [{"e0": [1e308, 0, 0], "de": [1e308, 0, 0]}]},
              "field_pairs[0].e0"),
+            # every generator entry is finite, but M t overflows at the configured time
+            ("bloch", {"time_grid": {"t_max": 1e305}}, "time_grid.t_max"),
+            ("perr-time", {"time_grid": {"t_max": 1e305}}, "time_grid.t_max"),
+            ("protocol", {"protocol": {"t_cycle": 1e305}}, "protocol.t_cycle"),
+            ("array", {"protocol": {"t_cycle": 1e305}}, "protocol.t_cycle"),
+            ("appendix-b", {"bz_sweep": {"t_window": [0, 1e305]}, "parameters": {"t2": None}},
+             "bz_sweep.t_window[1]"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):

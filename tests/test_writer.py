@@ -1,5 +1,7 @@
-"""The CLI's one CSV writer against ``csv.writer``, and the turn-on transcript
-it writes against the per-click runs of ``oracles.reference_transcript``.
+"""The CLI's one CSV writer against ``csv.writer``, the sweep CSVs whose
+shared cells it formats once against per-cell formatting, and the turn-on
+transcript it writes against the per-click runs of
+``oracles.reference_transcript``.
 
 The writer formats whole blocks of rows with one ``%`` template per row. The
 reference here is the per-cell route it replaced: ``csv.writer`` over cells
@@ -15,7 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import config as config_mod
-from nvdetect.cli import _BLOCK_ROWS, _column_blocks, _write_csv, main
+from nvdetect import min_error_grid, standard_basis_error_grid
+from nvdetect.cli import (
+    _BLOCK_ROWS, _column_blocks, _noise_for, _quarter_period_marks, _write_csv, main,
+)
+from nvdetect.dynamics import evolve_pair_grid
+from nvdetect.hamiltonian import FieldConfig
 from oracles import reference_transcript
 
 FLOATS = st.one_of(
@@ -52,14 +59,19 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
     column_f = np.array([floats[k % len(floats)] for k in range(n_rows)])
     column_i = np.array([ints[k % len(ints)] for k in range(n_rows)], dtype=object)
     column_s = np.array([texts[k % len(texts)] for k in range(n_rows)], dtype=object)
+    # cells formatted once, as the CLI formats a time grid that several blocks share:
+    # a list column and a text scalar, both written with %s
+    column_p = ["%.17g" % f for f in column_f[::-1].tolist()]
+    scalar_p = "%.17g" % scalar
     path = tmp_path_factory.mktemp("csv") / "sub" / "table.csv"
-    blocks = _column_blocks(column_f, column_i, column_s, scalar)
-    _write_csv(path, "f,i,s,c", "%.17g,%d,%s,%.17g\n", blocks)
+    blocks = _column_blocks(column_f, column_i, column_s, scalar, column_p, scalar_p)
+    _write_csv(path, "f,i,s,c,p,q", "%.17g,%d,%s,%.17g,%s,%s\n", blocks)
     want = reference_csv(
-        ["f", "i", "s", "c"],
+        ["f", "i", "s", "c", "p", "q"],
         [
-            [format(float(f), ".17g"), str(i), s, format(float(scalar), ".17g")]
-            for f, i, s in zip(column_f, column_i, column_s)
+            [format(float(f), ".17g"), str(i), s, format(float(scalar), ".17g"),
+             format(float(p), ".17g"), format(float(scalar), ".17g")]
+            for f, i, s, p in zip(column_f, column_i, column_s, column_f[::-1])
         ],
     )
     assert path.read_bytes() == want
@@ -68,6 +80,59 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
 def test_column_blocks_have_the_block_row_count():
     sizes = [len(list(rows)) for rows in _column_blocks(np.arange(2 * _BLOCK_ROWS + 1), 7)]
     assert sizes == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
+
+
+def g(x) -> str:
+    return format(float(x), ".17g")
+
+
+# two pairs with e0 off the axis and two B_z values: every shared cell (time grid,
+# kappa, B_z, the B_z = 0 baseline) repeats over several blocks of rows
+SWEEP = {
+    "time_grid": {"t_max": 3e-6, "n_points": 37},
+    "field_pairs": [{"e0": [2e5, -1e5, 0], "de": [1e6, 3e5, 0], "kappa": 0.0},
+                    {"e0": [0, 0, 0], "de": [2e6, 0, 0], "kappa": 1e5 / 3}],
+    "fields": {"e0": [1e5, 2e5, 0], "de": [1.2e6, -4e5, 0]},
+    "b_z_values": [1.3e-5, 2.9e-5],
+}
+
+
+def test_sweep_csvs_match_per_cell_formatting(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SWEEP))
+    for command in ("perr-time", "bz-sensitivity"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    config = config_mod.parse(SWEEP)
+    params, rho0 = config.parameters, config.preparation.density_matrix()
+    times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
+
+    rows = []
+    for index, pair in enumerate(config.field_pairs):
+        fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z)
+        r0, r1 = evolve_pair_grid(fields, params, _noise_for(config, pair.kappa), rho0, times)
+        curve = min_error_grid(r0, r1, fields.priors)
+        p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
+        marks = _quarter_period_marks(times, params, pair.de)
+        rows += [
+            [str(index), g(pair.kappa), g(t), g(a), g(b), g(c), g(d), str(m)]
+            for t, a, b, c, d, m in zip(times, curve.p_err, p_std, curve.p_dc, curve.p_fn, marks)
+        ]
+    header = ["pair", "kappa", "t", "p_err_povm", "p_err_standard", "p_dc", "p_fn", "is_tmin"]
+    assert (tmp_path / "out" / "perr_time.csv").read_bytes() == reference_csv(header, rows)
+
+    def p_err(b_z):
+        fields = FieldConfig(e0=config.fields.e0, de=config.fields.de, b_z=b_z)
+        r0, r1 = evolve_pair_grid(fields, params, config.noise, rho0, times)
+        return min_error_grid(r0, r1, fields.priors).p_err
+
+    base = p_err(0.0)
+    rows = [
+        [g(b_z), g(t), g(p), g(p0), g(p - p0)]
+        for b_z in config.b_z_values
+        for t, p, p0 in zip(times, p_err(b_z), base)
+    ]
+    header = ["b_z", "t", "p_err", "p_err_b0", "dp_err"]
+    assert (tmp_path / "out" / "bz_sensitivity.csv").read_bytes() == reference_csv(header, rows)
 
 
 PROTOCOL_CASES = {
@@ -83,6 +148,12 @@ PROTOCOL_CASES = {
         "protocol": {"t_cycle": 1e-6, "n_runs": 6},
     },
     "several_blocks": {"protocol": {"n_runs": 80}, "seed": 2**64 - 40},
+    "one_run": {"protocol": {"n_runs": 1}},
+    # cycle ends past 1.8e308 s: the intervals end at inf, which json writes as Infinity
+    "times_past_the_float_range": {
+        "fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
+        "protocol": {"t_cycle": 1e308, "true_t_star": 5e307, "n_runs": 4},
+    },
 }
 
 
@@ -96,7 +167,7 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
     config = config_mod.parse(data)
     proto, fields = config.protocol, config.fields
     t_cycle = proto.cycle_time(fields, config.parameters)
-    t_star = 3.2 * t_cycle
+    t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     seeds = range(config.seed, config.seed + proto.n_runs)
     runs = [
         reference_transcript(
@@ -119,8 +190,7 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
     header = ["run", "cycle", "t_start", "t_end", "clicks", "n_bright", "majority", "confident"]
     assert (tmp_path / "out" / "protocol_runs.csv").read_bytes() == reference_csv(header, rows)
 
-    summary = json.loads((tmp_path / "out" / "protocol_summary.json").read_text())
-    assert summary["runs"] == [
+    summaries = [
         {
             "run": i,
             "seed": seed,
@@ -132,3 +202,13 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
         }
         for i, (seed, run) in enumerate(zip(seeds, runs))
     ]
+    reference = {
+        "t_cycle": t_cycle,
+        "true_t_star": t_star,
+        "n_runs": proto.n_runs,
+        "n_sensors": proto.n_sensors,
+        "success_rate": sum(r["success"] for r in summaries) / len(summaries),
+        "runs": summaries,
+    }
+    want = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out" / "protocol_summary.json").read_bytes() == want.encode()
