@@ -264,11 +264,10 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
         rows(),
     )
     json_path = out / "protocol_summary.json"
-    # a time past 1.8e308 s is inf to %r and Infinity to json; no key or word here holds "inf"
-    json_path.write_text((_SUMMARY_JSON % (
+    json_path.write_text(_SUMMARY_JSON % (
         proto.n_runs, n_sensors, ",\n".join(run_texts),
         sum(successes) / max(1, len(successes)), t_cycle, true_t_star,
-    )).replace("inf", "Infinity"))
+    ))
     return [csv_path, json_path]
 
 

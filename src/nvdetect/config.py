@@ -21,8 +21,6 @@ the full key path (e.g. ``fields.de[0]``), so typos never silently fall back to
 defaults. The rules that tie two keys together are written out in
 :func:`parse`.
 """
-from __future__ import annotations
-
 import dataclasses
 import enum
 import functools
@@ -40,7 +38,7 @@ from .protocol import _BLOCK_STREAMS, PreparationState
 SCHEMA_VERSION = 1
 
 #: Upper bounds of the counts; each one caps what grows with it (README).
-#: Time-grid points: the (2, n, 3, 3) propagator stack and n rows per curve.
+#: Time-grid points: the (2, n, 3) Bloch vectors and n rows per curve.
 MAX_GRID_POINTS = 100_000
 #: Protocol cycles: one run's n_cycles x n_sensors clicks are held at once.
 MAX_CYCLES = 1_000
@@ -162,9 +160,8 @@ class RunConfig:
 
 @functools.cache
 def _schema(cls) -> tuple[tuple[str, object, dataclasses.Field], ...]:
-    """(key, resolved annotation, field) of each field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f) for f in dataclasses.fields(cls))
+    """(key, annotation, field) of each field of a config dataclass (evaluated annotations)."""
+    return tuple((f.name, f.type, f) for f in dataclasses.fields(cls))
 
 
 #: JSON type of each scalar annotation: accepted Python types and their name.
@@ -335,13 +332,17 @@ def parse(data: dict) -> RunConfig:
             f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "
             f"10 * parameters.t2 = {10.0 * params.t2!r}, got {list(window)!r}"
         )
+    # the cycle time: protocol.t_cycle, else pi / (2|c|) of the switch (inf without a transverse one)
+    f, pairs, proto = config.fields, config.default_field_pairs(), config.protocol
+    cycle_key = "protocol.t_cycle" if proto.t_cycle else "the cycle time pi / (2|c|) of fields.de"
+    t_cycle = proto.t_cycle or params.transfer_time(f.de)
+    t_cycle = t_cycle if math.isfinite(t_cycle) else 0.0  # the commands that need it refuse inf
     # M t must stay finite for each Bloch generator M propagated up to a time key's t: ||M||_1 <=
     # 2 (|Re c| + |Im c| + |w_z| + kappa), and c is at most the coupling of |e0| + |de| in x and y
-    f, pairs = config.fields, config.default_field_pairs()
     for key, t, switches, b_zs, rates in [
         ("time_grid.t_max", config.time_grid.t_max, [f, *pairs], (f.b_z, 0.0, *config.b_z_values),
          (config.noise.rate, *(p.kappa for p in pairs))),
-        ("protocol.t_cycle", config.protocol.t_cycle or 0.0, [f], (f.b_z,), (config.noise.rate,)),
+        (cycle_key, t_cycle, [f], (f.b_z,), (config.noise.rate,)),
         ("bz_sweep.t_window[1]", window[1], [FieldPair(de=(e, 0.0, 0.0)) for e in sweep.e_magnitudes],
          sweep.b_z_values, (config.bz_sweep_noise().rate,)),
     ]:
@@ -350,6 +351,11 @@ def parse(data: dict) -> RunConfig:
                 params.zeeman_rate(max(map(abs, b_zs))), max(rates))
         if not math.isfinite(2.0 * sum(x * t for x in norm)):
             raise ConfigError(f"{key} = {t!r} s overflows M t of a propagated Bloch generator M")
+    # every protocol time stays finite: twice n_cycles t_cycle (an interval's center sums two times
+    # of a run), and the 3.2 t_cycle that a null true_t_star stands for
+    if not math.isfinite(max(2.0 * proto.n_cycles, 3.2 if proto.true_t_star is None else 0.0) * t_cycle):
+        raise ConfigError(f"{cycle_key} = {t_cycle!r} s puts 2 protocol.n_cycles t_cycle or the 3.2 "
+                          f"t_cycle of a null protocol.true_t_star past the float range")
     return config
 
 

@@ -21,8 +21,8 @@ projectors) is a test oracle in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +36,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SEARCH_TOL = 1e-10
 #: Golden-section steps that one refinement kernel call evaluates ahead.
 _LOOKAHEAD = 3
+#: Width of the dense scan's minimum: 32 ulp of 1/2; flat cells of up to 32 rad show 25 ulp of noise.
+_FLAT_TOL = 32 * math.ulp(0.5)
 
 
-@dataclass(frozen=True)
-class HelstromDecision:
+class HelstromDecision(NamedTuple):
     """The minimal-error measurement at every point, one array per field.
 
     lambda_plus >= lambda_minus are the decision-operator eigenvalues. Pi1
@@ -63,8 +64,7 @@ class HelstromDecision:
         ))
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(NamedTuple):
     """Error budget at every point: total, dark-count (Tr(rho0 Pi1)) and
     false-negative (Tr(rho1 Pi0)) probabilities, and the decision behind them."""
 
@@ -186,14 +186,16 @@ def optimal_time_search(
     """Global minimum of p_err(t) over a window.
 
     Dense sampling (n_grid + 1 >= 2001 points, one grid propagation)
-    locates the basin; golden section refines it to 1e-10 s. Each
+    locates the basin at the earliest point within _FLAT_TOL of the scanned
+    minimum, the answer if both its neighbours are too (a flat p_err); else
+    golden section refines it to 1e-10 s. Each
     evaluation the refinement misses also evaluates, in the same kernel
     call, every point the next _LOOKAHEAD steps can ask for (at most
     PRODUCT_MIN_POINTS - 1, so the call takes the per-time stack). A point's
     p_err therefore does not depend on the points evaluated with it, and the
     result equals that of one-point evaluations bit for bit. The generator
     pair and the initial Bloch vector are built once per search. Exact ties
-    break toward smaller t.
+    of the refinement break toward smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -211,7 +213,11 @@ def optimal_time_search(
 
     grid = np.linspace(t_lo, t_hi, n_grid + 1)
     values = p_err(grid)
-    idx = int(np.argmin(values))  # first minimum on ties -> smaller t
+    floor = values.min() + _FLAT_TOL
+    idx = int(np.argmax(values <= floor))  # the earliest point within _FLAT_TOL of the minimum
+    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, n_grid)
+    if values[i_lo] <= floor and values[i_hi] <= floor:
+        return float(grid[idx]), float(values[idx])  # a flat bracket: nothing to refine
 
     refined: dict[float, float] = {}
 
@@ -221,8 +227,7 @@ def optimal_time_search(
             refined.update(zip(batch, p_err(np.array(batch)).tolist()))
         return refined[t]
 
-    lo = float(grid[max(idx - 1, 0)])
-    hi = float(grid[min(idx + 1, n_grid)])
+    lo, hi = float(grid[i_lo]), float(grid[i_hi])
     state = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
     while state[1] - state[0] > _SEARCH_TOL:
         left = objective(state, state[2]) <= objective(state, state[3])

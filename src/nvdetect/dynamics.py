@@ -5,15 +5,15 @@ jump operator, so the master equation is a linear map r' = M r on the Bloch
 vector, with M a real 3x3 matrix that
 :func:`nvdetect.hamiltonian.bloch_generator` writes down in closed form.
 :func:`bloch_generators` builds M once per hypothesis and
-:func:`propagate_generators` evaluates exp(M t) over a whole time array
-with batched scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
+:func:`evolve_bloch` evaluates exp(M t) r0 over a whole time array with
+batched scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
 Every production grid is uniform (a ``np.linspace``); for one of n points,
-t_k = t_0 + k h, the exponentials are the products
-exp(M t_jB) exp(M i h) with k = j B + i and B = ceil(sqrt(n)), so about
-2 sqrt(n) matrices are exponentiated instead of n. Any other time array,
-including the golden-section batches of the optimal-time search (fewer than
+t_k = t_0 + k h, the vectors are exp(M t_jB) (exp(M i h) r0) with k = j B + i
+and B = ceil(sqrt(n)): about 2 sqrt(n) matrices are exponentiated instead of
+n, and n matrix-vector products do the rest. Any other time array, including
+the golden-section batches of the optimal-time search (fewer than
 PRODUCT_MIN_POINTS points each) and the two segment lengths of a protocol
-cycle, gets one exponential per time.
+cycle (:func:`propagate_generators`), gets one exponential per time.
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator
@@ -30,10 +30,9 @@ from .errors import PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
 from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
 
-#: Smallest uniform time grid that :func:`propagate_generators` evaluates as a
-#: product of two exponential stacks. Measured on a 2-vCPU Xeon, the product
-#: and one exponential per time cost the same at about 16 points; from 24
-#: points on the product is faster.
+#: Smallest uniform time grid that :func:`evolve_bloch` evaluates as a product
+#: of two exponential stacks. Measured on a 2-vCPU Xeon, the two routes cost the
+#: same at about 26 points: the product is 2-8 % slower at 24, and faster from 32 on.
 PRODUCT_MIN_POINTS = 24
 
 
@@ -63,34 +62,37 @@ def bloch_generators(fields: FieldConfig, params: NvParameters, noise: NoiseMode
 
 def propagate_generators(gens: np.ndarray, times) -> np.ndarray:
     """exp(M t) of every generator of a (g, 3, 3) stack at every time: shape
-    (g, n, 3, 3).
-
-    A uniform grid of at least PRODUCT_MIN_POINTS points, ``times`` equal to
-    ``np.linspace(times[0], times[-1], n)``, is evaluated as the product
-    exp(M t_jB) exp(M i h), k = j B + i, with h the grid step and
-    B = ceil(sqrt(n)): one batched exponential over the about sqrt(n) grid
-    points t_jB and the B steps i h, and one batched 3x3 product. Any other
-    array gets one exponential per time, so its result does not depend on
-    the other times.
-    """
+    (g, n, 3, 3), one exponential per time, so that each map does not depend
+    on the other times."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times < 0.0):
         raise PreconditionError("times must be a 1-d array of nonnegative values")
-    n = len(times)
-    if n < PRODUCT_MIN_POINTS or not np.array_equal(times, np.linspace(times[0], times[-1], n)):
-        return expm_batch(gens[:, None] * times[None, :, None, None])
-    block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    steps = np.arange(block) * ((times[-1] - times[0]) / (n - 1))
-    coarse = times[::block]
-    maps = expm_batch(gens[:, None] * np.concatenate([coarse, steps])[None, :, None, None])
-    product = maps[:, : len(coarse), None] @ maps[:, None, len(coarse) :]
-    return product.reshape(len(gens), -1, 3, 3)[:, :n]
+    return expm_batch(gens[:, None] * times[None, :, None, None])
 
 
 def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
     """Bloch vector exp(M t) r_init of every generator at every time: shape
-    (g, n, 3). Vectors longer than 1 + 1e-12 raise NumericalInvariantError."""
-    return check_bloch_norms(propagate_generators(gens, times) @ np.asarray(r_init, dtype=float))
+    (g, n, 3). Vectors longer than 1 + 1e-12 raise NumericalInvariantError.
+
+    On a nondecreasing uniform grid of at least PRODUCT_MIN_POINTS points
+    (``times`` equal to ``np.linspace(times[0], times[-1], n)``), one batched
+    exponential covers the about sqrt(n) points t_jB and the B = ceil(sqrt(n))
+    steps i h; the step maps act on r_init, and the coarse maps on those B
+    vectors in one stacked product, k = j B + i. Any other array gets one
+    exponential per time, so its vectors do not depend on the other times.
+    """
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    if (n < PRODUCT_MIN_POINTS or times.ndim != 1 or not times[0] <= times[-1]
+            or not np.array_equal(times, np.linspace(times[0], times[-1], n))):
+        return check_bloch_norms(propagate_generators(gens, times) @ r_init)
+    block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    coarse = times[::block]
+    steps = np.arange(block) * ((times[-1] - times[0]) / (n - 1))
+    maps = propagate_generators(gens, np.concatenate([coarse, steps]))
+    step_vectors = maps[:, len(coarse):] @ r_init  # (g, B, 3)
+    r = maps[:, :len(coarse)] @ step_vectors.swapaxes(1, 2)[:, None]  # (g, J, 3, B)
+    return check_bloch_norms(r.swapaxes(2, 3).reshape(len(gens), -1, 3)[:, :n])
 
 
 def evolve_pair_grid(
@@ -102,8 +104,8 @@ def evolve_pair_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors of both hypotheses at every time, as two (n, 3) arrays.
 
-    Each hypothesis's Bloch generator is built once and exponentiated over
-    the whole array by :func:`propagate_generators`. Output vectors longer
+    Each hypothesis's Bloch generator is built once and propagated over the
+    whole array by :func:`evolve_bloch`. Output vectors longer
     than 1 + 1e-12 raise NumericalInvariantError.
     """
     r = evolve_bloch(bloch_generators(fields, params, noise), bloch_vector(rho0), times)

@@ -16,8 +16,6 @@ Hamiltonian reduces to its 2x2 corner block. That block is a common shift
 cancels from all dynamics, so :func:`bloch_generator` builds the Bloch
 generator from b alone.
 """
-from __future__ import annotations
-
 import enum
 import math
 from dataclasses import dataclass, field, fields

@@ -17,6 +17,10 @@ from .errors import NumericalInvariantError, PreconditionError
 
 #: Taylor terms of :func:`expm_batch`: (1/2)^18 / 18! < 1e-21.
 TAYLOR_TERMS = 17
+#: 1/k! of the Taylor terms B^k, k = 4 j + i, as Paterson-Stockmeyer chunks j of B^i;
+#: the constant term is 0 here, as I is added last, rounding once as in Horner form.
+_TAYLOR_CHUNKS = np.array([[1.0 / math.factorial(4 * j + i) if 0 < 4 * j + i <= TAYLOR_TERMS else 0.0
+                            for j in range(5)] for i in range(4)])
 
 @dataclass(frozen=True)
 class DensityMatrix2:
@@ -106,11 +110,14 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     Scaling and squaring along the leading axes: each matrix sheds its mean
     diagonal (trace/dim) as a scalar factor, is scaled by its own power of
     two to a 1-norm <= 1/2, and is squared back its own number of times.
-    The Taylor series has a fixed TAYLOR_TERMS terms (Horner form): at norm
-    1/2 the first omitted term is below 1e-21, and a matrix's result does
-    not depend on the rest of the stack. A result that overflows in the
-    squarings comes back non-finite, without a numpy warning; callers check
-    it (:func:`check_bloch_norms`).
+    The Taylor series has a fixed TAYLOR_TERMS terms, evaluated in 7 matrix
+    products by Paterson-Stockmeyer (SIAM J. Comput. 1973): B^2, B^3, B^4,
+    five chunks from the stack of I, B, B^2, B^3, then Horner in B^4. At norm
+    1/2 the first omitted term is below 1e-21. Only elementwise operations and
+    stacked ``@`` touch the stack, so a matrix's result does not depend on the
+    rest of it. A result that overflows in the squarings comes back
+    non-finite, without a numpy warning; callers check it
+    (:func:`check_bloch_norms`).
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] > 4:
@@ -126,9 +133,14 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
     b = a / np.exp2(squarings)[..., None, None]
 
-    result = eye + b / TAYLOR_TERMS
-    for k in range(TAYLOR_TERMS - 1, 0, -1):
-        result = eye + (b @ result) / k
+    b2 = b @ b
+    b4 = b2 @ b2
+    powers = np.stack([np.broadcast_to(eye, b.shape), b, b2, b2 @ b], axis=-1)
+    chunks = (powers.reshape(*b.shape[:-2], dim * dim, 4) @ _TAYLOR_CHUNKS).reshape(*b.shape, 5)
+    result = chunks[..., 4]
+    for j in range(3, -1, -1):
+        result = result @ b4 + chunks[..., j]
+    result = eye + result
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(np.max(squarings, initial=0.0))):
             result = np.where((squarings > j)[..., None, None], result @ result, result)

@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ class PreparationState(enum.Enum):
         return DensityMatrix2.equal_superposition()
 
 
-@dataclass(frozen=True)
-class ArrayErrorCurve:
+class ArrayErrorCurve(NamedTuple):
     """Fused error probability versus odd sensor count, with the fitted
     per-sensor exponential suppression rate."""
 
@@ -135,8 +134,7 @@ def fit_decay_rate(points) -> float:
 _BLOCK_STREAMS = 4096
 
 
-@dataclass(frozen=True)
-class ClickBlock:
+class ClickBlock(NamedTuple):
     """Consecutive runs of the turn-on protocol, drawn together.
 
     ``bright[i, c, s]`` is the click of sensor s in cycle c of the run with
@@ -280,8 +278,7 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
         yield ClickBlock(block, bright, n_bright, majority, confident, intervals)
 
 
-@dataclass(frozen=True)
-class BzSweepPoint:
+class BzSweepPoint(NamedTuple):
     """One cell of the axial-field sweep: best achievable error and its time."""
 
     orientation: str

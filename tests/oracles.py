@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from nvdetect.discrimination import min_error_grid
+from nvdetect.discrimination import _FLAT_TOL, min_error_grid
 from nvdetect.dynamics import _noise_direction_fields, bloch_generators, evolve_bloch
 from nvdetect.errors import NumericalInvariantError, PreconditionError
 from nvdetect.hamiltonian import (
@@ -50,7 +50,7 @@ from nvdetect.hamiltonian import (
     NvParameters,
     _checked_priors,
 )
-from nvdetect.linalg import DensityMatrix2, bloch_vector
+from nvdetect.linalg import TAYLOR_TERMS, DensityMatrix2, bloch_vector
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -244,6 +244,29 @@ def expm_small(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return np.exp(mu) * result
+
+
+def expm_horner(a: np.ndarray) -> np.ndarray:
+    """exp(a) for every matrix of a stack, as ``nvdetect.linalg.expm_batch``
+    computes it but with the TAYLOR_TERMS-term Taylor series in Horner form
+    (17 matrix products): the reference of its Paterson-Stockmeyer
+    evaluation. The trace shift, the scaling to a 1-norm <= 1/2 and the
+    squarings are the same.
+    """
+    a = np.asarray(a)
+    dim = a.shape[-1]
+    eye = np.eye(dim, dtype=a.dtype)
+    mu = np.trace(a, axis1=-2, axis2=-1) / dim
+    a = a - mu[..., None, None] * eye
+    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
+    b = a / np.exp2(squarings)[..., None, None]
+    result = eye + b / TAYLOR_TERMS
+    for k in range(TAYLOR_TERMS - 1, 0, -1):
+        result = eye + (b @ result) / k
+    for j in range(int(np.max(squarings, initial=0.0))):
+        result = np.where((squarings > j)[..., None, None], result @ result, result)
+    return np.exp(mu)[..., None, None] * result
 
 
 @dataclass(frozen=True)
@@ -899,9 +922,11 @@ def optimal_time_search_sequential(
 
     The reference of ``nvdetect.discrimination.optimal_time_search``, which
     evaluates the golden-section points several at a time: dense sampling
-    (n_grid + 1 points, one grid propagation) locates the basin; golden
-    section refines it to 1e-10 s with one-point propagations. Exact ties
-    break toward smaller t.
+    (n_grid + 1 points, one grid propagation) locates the basin at the
+    earliest point within _FLAT_TOL of the scanned minimum, which is the
+    answer when p_err is flat there; golden section refines it to 1e-10 s
+    with one-point propagations. Exact ties of the refinement break toward
+    smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -922,7 +947,10 @@ def optimal_time_search_sequential(
 
     grid = np.linspace(t_lo, t_hi, n_grid + 1)
     values = p_err(grid)
-    idx = int(np.argmin(values))  # first minimum on ties -> smaller t
+    floor = np.min(values) + _FLAT_TOL
+    idx = next(k for k, p in enumerate(values) if p <= floor)  # earliest near-minimum point
+    if idx == 0 and values[1] <= floor:  # flat: idx - 1 lies above the floor unless idx is 0
+        return float(grid[0]), float(values[0])
 
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, n_grid)]

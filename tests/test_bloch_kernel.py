@@ -27,7 +27,12 @@ from nvdetect import (
     standard_basis_error_grid,
 )
 from nvdetect import discrimination, dynamics
-from nvdetect.dynamics import PRODUCT_MIN_POINTS, bloch_generators, propagate_generators
+from nvdetect.dynamics import (
+    PRODUCT_MIN_POINTS,
+    bloch_generators,
+    evolve_bloch,
+    propagate_generators,
+)
 from nvdetect.hamiltonian import NoiseKind, bloch_generator
 from nvdetect.linalg import bloch_vector, check_bloch_norms
 
@@ -276,8 +281,70 @@ def test_expm_batch_matches_expm_small_per_matrix():
     assert np.array_equal(expm_batch(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
+#: Matrix kinds of the expm_batch properties: real skew-symmetric and complex
+#: anti-Hermitian ones (bounded exponentials at any norm), Bloch generators
+#: (skew-symmetric plus a negative semidefinite dephasing part) and general ones.
+MATRIX_KINDS = ("skew", "anti_hermitian", "dephasing", "general")
+
+
+def matrix_stack(seed, kind, dim, log2_norms):
+    """A stack of dim x dim matrices of ``kind``, one per entry of
+    ``log2_norms``, each scaled to a 1-norm of 2 ** that entry."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(len(log2_norms), dim, dim))
+    if kind == "anti_hermitian":
+        a = a + 1j * rng.normal(size=a.shape)
+        a = a - np.conj(a.swapaxes(-1, -2))
+    elif kind != "general":
+        a = a - a.swapaxes(-1, -2)
+    if kind == "dephasing":
+        a = a - np.abs(rng.normal()) * np.eye(dim)
+    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    return a * (np.exp2(log2_norms) / np.where(norm1 > 0.0, norm1, 1.0))[:, None, None]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MATRIX_KINDS),
+    dim=st.integers(1, 4),
+    log2_norms=st.lists(st.floats(-3.0, 20.0), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_expm_batch_of_a_stack_is_the_expm_batch_of_each_matrix(seed, kind, dim, log2_norms):
+    # 1-norms from 1/8 to 2^20 mix 0 to about 21 squarings in one stack
+    if kind == "general":
+        log2_norms = [min(x, 5.0) for x in log2_norms]  # its exponential overflows beyond
+    stack = matrix_stack(seed, kind, dim, log2_norms)
+    batched = expm_batch(stack)
+    for i in range(len(stack)):
+        assert np.array_equal(batched[i], expm_batch(stack[i:i + 1])[0])
+    # a leading axis of any length, and a (g, n) stack as the propagators pass it
+    assert np.array_equal(expm_batch(stack[None]), batched[None])
+    assert np.array_equal(expm_batch(np.stack([stack, stack[::-1]])), np.stack([batched, batched[::-1]]))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MATRIX_KINDS),
+    dim=st.integers(1, 4),
+    log2_norms=st.lists(st.floats(-20.0, -2.0), min_size=1, max_size=8),
+    shift=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_paterson_stockmeyer_matches_the_horner_taylor_series(seed, kind, dim, log2_norms, shift):
+    # a 1-norm of at most 1/4 is at most 1/2 after the trace shift, so no matrix is squared and this
+    # compares the two evaluations of the Taylor polynomial; a diagonal shift enters through
+    # exp(trace/dim) only
+    stack = matrix_stack(seed, kind, dim, log2_norms)
+    stack = stack - (np.trace(stack, axis1=-2, axis2=-1) / dim)[:, None, None] * np.eye(dim)
+    stack = stack + shift * np.eye(dim)
+    got, want = expm_batch(stack), oracles.expm_horner(stack)
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-15 * scale)
+
+
 def per_time_stack(gens, times):
-    """One exponential per time: the route every non-uniform array takes."""
+    """One exponential per time: the maps of every array that is not a uniform grid."""
     times = np.asarray(times, dtype=float)
     return expm_batch(gens[:, None] * times[None, :, None, None])
 
@@ -298,13 +365,15 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
     fields, noise, rho0, window = case
     times = np.linspace(*window, n)
     gens = bloch_generators(fields, PARAMS, noise)
-    maps = propagate_generators(gens, times)
-    reference = per_time_stack(gens, times)
+    r_init = np.array(bloch_vector(rho0))
+    r = evolve_bloch(gens, r_init, times)
+    reference = per_time_stack(gens, times) @ r_init
     if n < PRODUCT_MIN_POINTS:
-        assert np.array_equal(maps, reference)
-    assert np.max(np.abs(maps - reference)) <= 1e-12
+        assert np.array_equal(r, reference)
+    assert np.max(np.abs(r - reference)) <= 1e-12
 
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    assert np.array_equal(r0, r[0]) and np.array_equal(r1, r[1])
     block = math.isqrt(n - 1) + 1
     for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1}):
         s0, s1 = oracles.evolve_pair(
@@ -323,13 +392,14 @@ def test_product_route_is_taken_only_on_uniform_grids(monkeypatch):
 
     monkeypatch.setattr(dynamics, "expm_batch", recording_expm_batch)
     gens = bloch_generators(FieldConfig(de=(1e6, 0.0, 0.0), b_z=4e-6), PARAMS, NoiseModel.magnetic(1e5))
+    r_init = np.array([1.0, 0.0, 0.0])
     for n in (PRODUCT_MIN_POINTS, 2049):
         shapes.clear()
-        propagate_generators(gens, np.linspace(1e-9, 1e-5, n))
+        evolve_bloch(gens, r_init, np.linspace(1e-9, 1e-5, n))
         block = math.isqrt(n - 1) + 1
         assert shapes == [(2, -(-n // block) + block, 3, 3)]
     shapes.clear()
-    propagate_generators(gens, np.linspace(1e-9, 1e-5, PRODUCT_MIN_POINTS - 1))
+    evolve_bloch(gens, r_init, np.linspace(1e-9, 1e-5, PRODUCT_MIN_POINTS - 1))
     assert shapes == [(2, PRODUCT_MIN_POINTS - 1, 3, 3)]
 
 
@@ -338,14 +408,20 @@ def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
     fields = FieldConfig(e0=(2e5, 1e5, 0.0), de=(1.2e6, 3e5, 0.0), b_z=1e-5)
     noise = NoiseModel.electric(1e5)
     gens = bloch_generators(fields, PARAMS, noise)
-    nudged = np.linspace(1e-9, 1e-5, n)
-    nudged[n // 2] = np.nextafter(nudged[n // 2], 1.0)  # one ulp off the grid
-    geometric = np.geomspace(1e-9, 1e-5, n)
-    for times in (nudged, geometric, [3.7e-6], [0.0]):
-        assert np.array_equal(propagate_generators(gens, times), per_time_stack(gens, times))
-
     rho0 = PREPARATIONS[1]
     r_init = np.array(bloch_vector(rho0))
+    uniform = np.linspace(1e-9, 1e-5, n)
+    nudged = uniform.copy()
+    nudged[n // 2] = np.nextafter(nudged[n // 2], 1.0)  # one ulp off the grid
+    geometric = np.geomspace(1e-9, 1e-5, n)
+    decreasing = np.linspace(1e-5, 1e-9, n)  # uniform, but its steps are negative
+    for times in (nudged, geometric, decreasing, [3.7e-6], [0.0]):
+        expected = per_time_stack(gens, times)
+        assert np.array_equal(evolve_bloch(gens, r_init, times), check_bloch_norms(expected @ r_init))
+        assert np.array_equal(propagate_generators(gens, times), expected)
+    # the maps of propagate_generators are the per-time stack on a uniform grid too
+    assert np.array_equal(propagate_generators(gens, uniform), per_time_stack(gens, uniform))
+
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [3.7e-6])
     expected = check_bloch_norms(per_time_stack(gens, [3.7e-6]) @ r_init)
     assert np.array_equal(r0, expected[0]) and np.array_equal(r1, expected[1])
@@ -437,3 +513,35 @@ def test_flat_cell_has_one_half_everywhere():
     fields, noise, rho0, window, n_grid = FLAT_CELL
     _, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
     assert p_min == pytest.approx(0.5, abs=1e-15)
+
+
+@st.composite
+def flat_cells(draw):
+    """A cell of the axial-field sweep whose p_err is 1/2 at every t: a switch
+    along x, B_z = 0, the +x state and axial noise (or none), so both
+    hypotheses keep r = exp(-kappa t) (1, 0, 0). Rotation angles 2|c| t reach
+    32 rad, 1.5 times the default sweep cell's; there the rounding noise of
+    p_err spans up to 25 ulp of 1/2 (at low rates, on the per-time route)."""
+    de = (draw(st.floats(1e4, 1.5e6)) * draw(st.sampled_from([1.0, -1.0])), 0.0, 0.0)
+    rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 3e5)))
+    t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-6)))
+    t_hi = t_lo + draw(st.floats(1e-8, 1e-5 - t_lo))
+    n_grid = draw(st.sampled_from([2000, 2048, 3001]))
+    return FieldConfig(de=de), NoiseModel.magnetic(rate), PREPARATIONS[1], (t_lo, t_hi), n_grid
+
+
+@given(flat_cells())
+@example(FLAT_CELL)
+@example((FieldConfig(de=(1.5e6, 0.0, 0.0)), NoiseModel.magnetic(110.0), PREPARATIONS[1], (0.0, 1e-5), 3001))
+@settings(max_examples=40, deadline=None)
+def test_flat_cell_has_the_same_t_opt_on_the_product_and_per_time_routes(cell):
+    # the rounding noise of the two routes differs, and the earliest point within _FLAT_TOL of
+    # the scanned minimum does not depend on it: the window start
+    fields, noise, rho0, window, n_grid = cell
+    product = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "PRODUCT_MIN_POINTS", n_grid + 2)  # the dense scan takes the per-time stack
+        per_time = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    assert product[0] == per_time[0] == window[0]
+    assert product[1] == pytest.approx(0.5, abs=discrimination._FLAT_TOL)
+    assert per_time[1] == pytest.approx(0.5, abs=discrimination._FLAT_TOL)

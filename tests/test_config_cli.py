@@ -126,7 +126,7 @@ class TestConfig:
                 rule in str(exc)
                 for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
                              "an x or y component", "2|c| finite", "2|w_z| finite",
-                             "overflows M t")
+                             "overflows M t", "past the float range")
             ), exc
             reject()
         assert parsed == config
@@ -272,6 +272,18 @@ class TestCliExitCodes:
             ("array", {"protocol": {"t_cycle": 1e305}}, "protocol.t_cycle"),
             ("appendix-b", {"bz_sweep": {"t_window": [0, 1e305]}, "parameters": {"t2": None}},
              "bz_sweep.t_window[1]"),
+            # a derived cycle time pi / (2|c|) of 1.5e300 s overflows kappa t
+            ("protocol", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e9}}, "fields.de"),
+            ("array", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e9}}, "fields.de"),
+            # the generator stays finite, but the protocol's times pass 1.8e308 s
+            ("protocol", {"fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
+                          "protocol": {"t_cycle": 1e308, "true_t_star": 5e307}}, "protocol.t_cycle"),
+            ("protocol", {"fields": {"de": [1e-308, 0, 0]}, "noise": {"kind": "none"}}, "fields.de"),
+            # 8 cycles end at 1.6e308 s, but the center of a clipped interval sums two such times
+            ("protocol", {"fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
+                          "protocol": {"t_cycle": 2e307, "true_t_star": 5e307}}, "protocol.n_cycles"),
+            ("protocol", {"fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
+                          "protocol": {"t_cycle": 8e307, "n_cycles": 1}}, "protocol.true_t_star"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):

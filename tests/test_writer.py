@@ -149,10 +149,11 @@ PROTOCOL_CASES = {
     },
     "several_blocks": {"protocol": {"n_runs": 80}, "seed": 2**64 - 40},
     "one_run": {"protocol": {"n_runs": 1}},
-    # cycle ends past 1.8e308 s: the intervals end at inf, which json writes as Infinity
-    "times_past_the_float_range": {
-        "fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
-        "protocol": {"t_cycle": 1e308, "true_t_star": 5e307, "n_runs": 4},
+    # the largest cycle time that 8 cycles admit (twice the run's span is 1.76e308 s), with the
+    # switch's quarter period there: every interval bound is near the top of the float range
+    "times_at_the_top_of_the_float_range": {
+        "fields": {"de": [1.3364e-307, 0, 0]}, "noise": {"kind": "none"},
+        "protocol": {"t_cycle": 1.1e307, "true_t_star": 5e307, "n_runs": 4},
     },
 }
 
