@@ -13,31 +13,27 @@ it in two independent ways and cross-checks them at every point:
     p_err = (1 - sum_k |lambda_k|) / 2             (eigenvalue form)
 
 Also provided: the fixed standard-basis readout for comparison, and a
-numeric search for the optimal measurement time (a dense scan, then golden
-section with the points of several steps evaluated in each kernel call).
+numeric search for the optimal measurement time (a dense scan, then
+uniform scans that zoom in on its basin).
 The operator form of the same measurement (a 2x2 eigensolver and explicit
 projectors) is a test oracle in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PRODUCT_MIN_POINTS, bloch_generators, evolve_bloch
+from .dynamics import bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import DensityMatrix2, bloch_vector
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Bracket width (s) at which the golden-section refinement stops.
+#: Bracket width (s) at which the optimal-time search stops zooming.
 _SEARCH_TOL = 1e-10
-#: Golden-section steps that one refinement kernel call evaluates ahead.
-_LOOKAHEAD = 3
-#: Width of the dense scan's minimum: 32 ulp of 1/2; flat cells of up to 32 rad show 25 ulp of noise.
-_FLAT_TOL = 32 * math.ulp(0.5)
+#: Intervals of each zoom scan: it shrinks the bracket of two intervals 128-fold.
+_ZOOM_INTERVALS = 256
 
 
 class HelstromDecision(NamedTuple):
@@ -142,37 +138,13 @@ def standard_basis_error_grid(
     return np.clip(p_err, 0.0, 1.0)
 
 
-def _golden_step(lo: float, hi: float, x1: float, x2: float, left: bool):
-    """One golden-section step from the bracket [lo, hi] with inner points
-    x1 < x2: keep [lo, x2] if ``left`` (p_err(x1) <= p_err(x2)), else
-    [x1, hi]. Returns the new (lo, hi, x1, x2); its new point is x1 on the
-    left, x2 on the right."""
-    if left:
-        return lo, x2, x2 - _GOLDEN * (x2 - lo), x1
-    return x1, hi, x2, x1 + _GOLDEN * (hi - x1)
-
-
-def _reachable(state, known) -> list[float]:
-    """The points the golden-section search can ask for from ``state`` within
-    its next _LOOKAHEAD steps, breadth first and without repeats: x1 and x2
-    while not in ``known``, then each step's new point, on both outcomes of
-    every comparison that ``known`` cannot decide yet. A branch that reaches
-    the stop asks only for its midpoint."""
-    points: dict[float, None] = {}
-    frontier = [state]
-    for level in range(_LOOKAHEAD + 1):
-        following = []
-        for lo, hi, x1, x2 in frontier:
-            if hi - lo <= _SEARCH_TOL:
-                points[0.5 * (lo + hi)] = None
-                continue
-            points.update((x, None) for x in (x1, x2) if x not in known)
-            if level < _LOOKAHEAD:
-                decided = x1 in known and x2 in known
-                outcomes = (known[x1] <= known[x2],) if decided else (True, False)
-                following += [_golden_step(lo, hi, x1, x2, left) for left in outcomes]
-        frontier = following
-    return list(points)
+def _flat_tolerance(fields: FieldConfig, params: NvParameters, t_hi: float) -> float:
+    """Width of a scan's minimum: max(32, theta_max) ulp of 1/2, theta_max = 2 |b| t_hi the
+    largest rotation angle of either hypothesis. The rounding noise of a flat p_err grows
+    with the angle: about 25 ulp at 32 rad, up to 300 ulp at 640 rad."""
+    w_z = params.zeeman_rate(fields.b_z)
+    rate = max(math.hypot(abs(params.transverse_coupling(e)), w_z) for e in (fields.e0, fields.e1))
+    return max(32.0, 2.0 * rate * t_hi) * math.ulp(0.5)
 
 
 def optimal_time_search(
@@ -185,17 +157,19 @@ def optimal_time_search(
 ) -> tuple[float, float]:
     """Global minimum of p_err(t) over a window.
 
-    Dense sampling (n_grid + 1 >= 2001 points, one grid propagation)
-    locates the basin at the earliest point within _FLAT_TOL of the scanned
-    minimum, the answer if both its neighbours are too (a flat p_err); else
-    golden section refines it to 1e-10 s. Each
-    evaluation the refinement misses also evaluates, in the same kernel
-    call, every point the next _LOOKAHEAD steps can ask for (at most
-    PRODUCT_MIN_POINTS - 1, so the call takes the per-time stack). A point's
-    p_err therefore does not depend on the points evaluated with it, and the
-    result equals that of one-point evaluations bit for bit. The generator
-    pair and the initial Bloch vector are built once per search. Exact ties
-    of the refinement break toward smaller t.
+    Dense sampling (n_grid + 1 >= 2001 points) locates the basin at the
+    earliest point within the flat tolerance (:func:`_flat_tolerance`) of the
+    scanned minimum, which is the answer if both its neighbours are within it
+    too (a flat p_err). Otherwise the bracket of its two neighbours is
+    scanned again with _ZOOM_INTERVALS + 1 points under the same rule, each
+    zoom shrinking the bracket 128-fold, until it is at most 1e-10 s wide
+    (where floats of t lie further apart, it collapses onto one float). The
+    answer is the lowest point the scans picked: the last scan's, unless the
+    bottom is flat to within the tolerance, so p_err_min never exceeds the
+    dense scan's minimum by more than the tolerance. Every scan is a uniform
+    grid of at least PRODUCT_MIN_POINTS points, one :func:`evolve_bloch`
+    call each. The generator pair and the initial Bloch vector are built once
+    per search. Exact ties break toward smaller t.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -205,35 +179,18 @@ def optimal_time_search(
     if n_grid < 2000:
         raise PreconditionError("dense sampling requires at least 2000 intervals")
 
-    states = partial(evolve_bloch, bloch_generators(fields, params, noise), bloch_vector(rho0))
-
-    def p_err(times) -> np.ndarray:
-        r0, r1 = states(times)
-        return min_error_grid(r0, r1, fields.priors).p_err
-
+    gens, r_init = bloch_generators(fields, params, noise), bloch_vector(rho0)
+    tol = _flat_tolerance(fields, params, t_hi)
     grid = np.linspace(t_lo, t_hi, n_grid + 1)
-    values = p_err(grid)
-    floor = values.min() + _FLAT_TOL
-    idx = int(np.argmax(values <= floor))  # the earliest point within _FLAT_TOL of the minimum
-    i_lo, i_hi = max(idx - 1, 0), min(idx + 1, n_grid)
-    if values[i_lo] <= floor and values[i_hi] <= floor:
-        return float(grid[idx]), float(values[idx])  # a flat bracket: nothing to refine
-
-    refined: dict[float, float] = {}
-
-    def objective(state, t: float) -> float:
-        if t not in refined:
-            batch = _reachable(state, refined)[: PRODUCT_MIN_POINTS - 1]
-            refined.update(zip(batch, p_err(np.array(batch)).tolist()))
-        return refined[t]
-
-    lo, hi = float(grid[i_lo]), float(grid[i_hi])
-    state = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-    while state[1] - state[0] > _SEARCH_TOL:
-        left = objective(state, state[2]) <= objective(state, state[3])
-        state = _golden_step(*state, left)
-    t_star = 0.5 * (state[0] + state[1])
-    p_star = objective(state, t_star)
-    if values[idx] < p_star:
-        t_star, p_star = float(grid[idx]), float(values[idx])
-    return float(t_star), float(p_star)
+    best = (math.inf, t_lo)  # (p_err, t) of the lowest point a scan has picked
+    while True:
+        r0, r1 = evolve_bloch(gens, r_init, grid)
+        values = min_error_grid(r0, r1, fields.priors).p_err
+        floor = values.min() + tol
+        idx = int(np.argmax(values <= floor))  # the earliest point within tol of the minimum
+        best = min(best, (float(values[idx]), float(grid[idx])))  # exact ties go to the smaller t
+        i_lo, i_hi = max(idx - 1, 0), min(idx + 1, grid.size - 1)
+        lo, hi = grid[i_lo], grid[i_hi]
+        if (values[i_lo] <= floor and values[i_hi] <= floor) or hi - lo <= _SEARCH_TOL:
+            return best[1], best[0]  # a flat or narrow enough bracket: nothing to refine
+        grid = np.linspace(lo, hi, _ZOOM_INTERVALS + 1)

@@ -10,10 +10,10 @@ batched scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
 Every production grid is uniform (a ``np.linspace``); for one of n points,
 t_k = t_0 + k h, the vectors are exp(M t_jB) (exp(M i h) r0) with k = j B + i
 and B = ceil(sqrt(n)): about 2 sqrt(n) matrices are exponentiated instead of
-n, and n matrix-vector products do the rest. Any other time array, including
-the golden-section batches of the optimal-time search (fewer than
-PRODUCT_MIN_POINTS points each) and the two segment lengths of a protocol
-cycle (:func:`propagate_generators`), gets one exponential per time.
+n, and n matrix-vector products do the rest. The dense and zoom scans of the
+optimal-time search are such grids. Any other time array, such as the two
+segment lengths of a protocol cycle (:func:`propagate_generators`), gets one
+exponential per time.
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator

@@ -27,8 +27,8 @@ turns the package's Bloch vectors into the matrices it takes.
 Also here: the one-matrix exponential :func:`expm_small`, the 3x3
 ground-state Hamiltonian and its spectrum, the per-click readout and
 per-click transcript of the turn-on protocol, the analytic optimal measurement time of a collinear
-switch, and the optimal-time search with one kernel call per golden-section
-point. Only tests import this module; nothing in the package does.
+switch, and an optimal-time search by golden section with one kernel call
+per point. Only tests import this module; nothing in the package does.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from nvdetect.discrimination import _FLAT_TOL, min_error_grid
+from nvdetect.discrimination import min_error_grid
 from nvdetect.dynamics import _noise_direction_fields, bloch_generators, evolve_bloch
 from nvdetect.errors import NumericalInvariantError, PreconditionError
 from nvdetect.hamiltonian import (
@@ -920,13 +920,17 @@ def optimal_time_search_sequential(
 ) -> tuple[float, float]:
     """Global minimum of p_err(t) over a window, one kernel call per point.
 
-    The reference of ``nvdetect.discrimination.optimal_time_search``, which
-    evaluates the golden-section points several at a time: dense sampling
+    The independent reference of ``nvdetect.discrimination.optimal_time_search``,
+    which refines the basin with zoomed uniform scans instead: dense sampling
     (n_grid + 1 points, one grid propagation) locates the basin at the
-    earliest point within _FLAT_TOL of the scanned minimum, which is the
-    answer when p_err is flat there; golden section refines it to 1e-10 s
-    with one-point propagations. Exact ties of the refinement break toward
-    smaller t.
+    earliest point within the flat tolerance of the scanned minimum, which is
+    the answer when p_err is flat there; golden section refines it to 1e-10 s
+    with one-point propagations. The flat tolerance is max(32, theta_max) ulp
+    of 1/2, theta_max = 2 t_hi max ||b.sigma||_2 over both hypotheses (the
+    spectral norm of the traceless Hamiltonian is |b|). Exact ties of the
+    refinement break toward smaller t. The two searches agree on t to
+    1e-10 s wherever p_err's bottom is deep enough to resolve it, not bit
+    for bit.
     """
     t_lo, t_hi = window
     if not (0.0 <= t_lo < t_hi):
@@ -945,9 +949,12 @@ def optimal_time_search_sequential(
     def objective(t: float) -> float:
         return float(p_err(np.array([t]))[0])
 
+    rate = max(
+        np.linalg.norm(traceless_hamiltonian(params, e, fields.b_z), 2) for e in (fields.e0, fields.e1)
+    )
     grid = np.linspace(t_lo, t_hi, n_grid + 1)
     values = p_err(grid)
-    floor = np.min(values) + _FLAT_TOL
+    floor = np.min(values) + max(32.0, 2.0 * rate * t_hi) * math.ulp(0.5)
     idx = next(k for k, p in enumerate(values) if p <= floor)  # earliest near-minimum point
     if idx == 0 and values[1] <= floor:  # flat: idx - 1 lies above the floor unless idx is 0
         return float(grid[0]), float(values[0])

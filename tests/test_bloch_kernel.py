@@ -451,10 +451,10 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
         fields, PARAMS, NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5)
     )
     assert counts["generator"] == 2  # one per hypothesis, for the whole search
-    # the dense scan, then three batches for the ten golden steps and the midpoint
-    assert counts["norms"] == counts["decisions"] == 4
-    assert points[0] == 2049
-    assert all(n < PRODUCT_MIN_POINTS for n in points[1:])  # each takes the per-time stack
+    # the dense scan, then one zoom scan: its bracket of two 4.9e-9 s intervals shrinks to 7.6e-11 s
+    assert counts["norms"] == counts["decisions"] == 2
+    assert points == [2049, 257]
+    assert all(n >= PRODUCT_MIN_POINTS for n in points)  # each takes the product route
 
 
 @st.composite
@@ -490,16 +490,73 @@ LEFT_EDGE = (  # p_err rises after its dephasing-limited minimum at 1.38e-6 s
     3001,
 )
 
+SHALLOW_CELL = (  # the +x state and a switch 1e-10 rad off x: p_err falls by 5e-13 over the window
+    FieldConfig(de=(1e4, 1e-6, 0.0)), NoiseModel.electric(0.0), PREPARATIONS[1], (0.0, 1e-6), 2000
+)
+
+
+def superoperator_p_err(fields, params, noise, rho0, t):
+    s0, s1 = oracles.evolve_pair(fields, params, noise, rho0, t, method=Route.SUPEROPERATOR)
+    return min_error(s0, s1, fields.priors).p_err
+
+
+def p_err_at(search, times):
+    fields, noise, rho0, _, _ = search
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    return min_error_grid(r0, r1, fields.priors).p_err
+
 
 @given(searches())
 @example(FLAT_CELL)
 @example(RIGHT_EDGE)
 @example(LEFT_EDGE)
+@example(SHALLOW_CELL)
 @settings(max_examples=100, deadline=None)
-def test_batched_search_equals_the_one_point_search_bit_for_bit(search):
+def test_zoomed_search_finds_the_golden_section_minimum(search):
     fields, noise, rho0, window, n_grid = search
-    expected = oracles.optimal_time_search_sequential(fields, PARAMS, noise, rho0, window, n_grid)
-    assert discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid) == expected
+    t_star, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    t_ref, _ = oracles.optimal_time_search_sequential(fields, PARAMS, noise, rho0, window, n_grid)
+    tol = discrimination._flat_tolerance(fields, PARAMS, window[1])
+    # A bottom so shallow that p_err moves by less than the flat tolerance over more than 1e-10 s
+    # (the +x state and a switch within 1e-5 rad of x, say) has no minimiser to resolve to
+    # 1e-10 s: the earliest point within the tolerance and golden section's comparisons of
+    # rounding noise can then lie nanoseconds apart, at one p_err to within the tolerance.
+    p_star, p_ref = p_err_at(search, [t_star, t_ref])
+    assert abs(t_star - t_ref) <= discrimination._SEARCH_TOL or abs(p_star - p_ref) <= tol
+    assert abs(p_min - superoperator_p_err(fields, PARAMS, noise, rho0, t_star)) <= 1e-12
+    assert p_min <= p_err_at(search, np.linspace(*window, n_grid + 1)).min() + tol
+
+
+def test_wide_window_zooms_until_the_bracket_is_within_the_search_tolerance():
+    # T2 = 1 ms admits a 10 ms window: the dense bracket of 9.8e-6 s needs three 128-fold zooms
+    params = NvParameters(t2=1e-3)
+    fields, noise, rho0 = FieldConfig(de=(1e4, 0.0, 0.0)), NoiseModel.electric(1e3), PREPARATIONS[0]
+    window, n_grid = (1e-9, 1e-2), 2048
+    points = []
+
+    def norms(r):
+        points.append(r.shape[1])
+        return check_bloch_norms(r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "check_bloch_norms", norms)
+        t_star, p_min = discrimination.optimal_time_search(fields, params, noise, rho0, window, n_grid)
+    assert points == [2049, 257, 257, 257]
+    t_ref, _ = oracles.optimal_time_search_sequential(fields, params, noise, rho0, window, n_grid)
+    assert abs(t_star - t_ref) <= discrimination._SEARCH_TOL
+    assert abs(p_min - superoperator_p_err(fields, params, noise, rho0, t_star)) <= 1e-12
+
+
+def test_search_stops_where_the_times_are_too_far_apart_to_resolve_the_search_tolerance():
+    # near 1e6 s one ulp of t is 1.2e-10 s, so a bracket there narrows to no float apart from
+    # its ends, and the zooms stop once it collapses onto one float (golden section never got
+    # its bracket within 1e-10 s here and did not return). p_err falls up to 1.47e6 s.
+    params = NvParameters(t2=math.inf)
+    fields, noise, rho0 = FieldConfig(de=(0.0, 1e-6, 0.0)), NoiseModel.none(), PREPARATIONS[1]
+    window = (1e3, 1e6)
+    t_star, p_min = discrimination.optimal_time_search(fields, params, noise, rho0, window)
+    assert window[1] - (window[1] - window[0]) / 2048 < t_star <= window[1]
+    assert abs(p_min - superoperator_p_err(fields, params, noise, rho0, t_star)) <= 1e-12
 
 
 @pytest.mark.parametrize("search, t_opt", [(RIGHT_EDGE, 1e-6), (LEFT_EDGE, 1.5e-6)])
@@ -520,9 +577,9 @@ def flat_cells(draw):
     """A cell of the axial-field sweep whose p_err is 1/2 at every t: a switch
     along x, B_z = 0, the +x state and axial noise (or none), so both
     hypotheses keep r = exp(-kappa t) (1, 0, 0). Rotation angles 2|c| t reach
-    32 rad, 1.5 times the default sweep cell's; there the rounding noise of
-    p_err spans up to 25 ulp of 1/2 (at low rates, on the per-time route)."""
-    de = (draw(st.floats(1e4, 1.5e6)) * draw(st.sampled_from([1.0, -1.0])), 0.0, 0.0)
+    640 rad, 30 times the default sweep cell's; there the rounding noise of
+    p_err spans up to 300 ulp of 1/2, against 25 ulp at 32 rad."""
+    de = (draw(st.floats(1e4, 3e7)) * draw(st.sampled_from([1.0, -1.0])), 0.0, 0.0)
     rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 3e5)))
     t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-6)))
     t_hi = t_lo + draw(st.floats(1e-8, 1e-5 - t_lo))
@@ -535,13 +592,14 @@ def flat_cells(draw):
 @example((FieldConfig(de=(1.5e6, 0.0, 0.0)), NoiseModel.magnetic(110.0), PREPARATIONS[1], (0.0, 1e-5), 3001))
 @settings(max_examples=40, deadline=None)
 def test_flat_cell_has_the_same_t_opt_on_the_product_and_per_time_routes(cell):
-    # the rounding noise of the two routes differs, and the earliest point within _FLAT_TOL of
-    # the scanned minimum does not depend on it: the window start
+    # the rounding noise of the two routes differs, and the earliest point within the flat
+    # tolerance of the scanned minimum does not depend on it: the window start
     fields, noise, rho0, window, n_grid = cell
+    tol = discrimination._flat_tolerance(fields, PARAMS, window[1])
     product = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "PRODUCT_MIN_POINTS", n_grid + 2)  # the dense scan takes the per-time stack
         per_time = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
     assert product[0] == per_time[0] == window[0]
-    assert product[1] == pytest.approx(0.5, abs=discrimination._FLAT_TOL)
-    assert per_time[1] == pytest.approx(0.5, abs=discrimination._FLAT_TOL)
+    assert product[1] == pytest.approx(0.5, abs=tol)
+    assert per_time[1] == pytest.approx(0.5, abs=tol)
