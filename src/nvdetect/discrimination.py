@@ -167,8 +167,7 @@ def optimal_time_search(
     answer is the lowest point the scans picked: the last scan's, unless the
     bottom is flat to within the tolerance, so p_err_min never exceeds the
     dense scan's minimum by more than the tolerance. Every scan is a uniform
-    grid of at least PRODUCT_MIN_POINTS points, one :func:`evolve_bloch`
-    call each. The generator pair and the initial Bloch vector are built once
+    grid, one :func:`evolve_bloch` call each. The generator pair and the initial Bloch vector are built once
     per search. Exact ties break toward smaller t.
     """
     t_lo, t_hi = window

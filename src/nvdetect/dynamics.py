@@ -7,13 +7,10 @@ vector, with M a real 3x3 matrix that
 :func:`bloch_generators` builds M once per hypothesis and
 :func:`evolve_bloch` evaluates exp(M t) r0 over a whole time array with
 batched scaling-and-squaring (:func:`nvdetect.linalg.expm_batch`).
-Every production grid is uniform (a ``np.linspace``); for one of n points,
-t_k = t_0 + k h, the vectors are exp(M t_jB) (exp(M i h) r0) with k = j B + i
-and B = ceil(sqrt(n)): about 2 sqrt(n) matrices are exponentiated instead of
-n, and n matrix-vector products do the rest. The dense and zoom scans of the
-optimal-time search are such grids. Any other time array, such as the two
-segment lengths of a protocol cycle (:func:`propagate_generators`), gets one
-exponential per time.
+Every time array is a uniform grid (a ``np.linspace``, one point included);
+for one of n points, t_k = t_0 + k h, the vectors are exp(M t_jB) (exp(M i h) r0)
+with k = j B + i and B = ceil(sqrt(n)): about 2 sqrt(n) matrices are
+exponentiated instead of n, and n matrix-vector products do the rest.
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator
@@ -29,11 +26,6 @@ import numpy as np
 from .errors import PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
 from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
-
-#: Smallest uniform time grid that :func:`evolve_bloch` evaluates as a product
-#: of two exponential stacks. Measured on a 2-vCPU Xeon, the two routes cost the
-#: same at about 26 points: the product is 2-8 % slower at 24, and faster from 32 on.
-PRODUCT_MIN_POINTS = 24
 
 
 def _noise_direction_fields(fields: FieldConfig):
@@ -60,36 +52,27 @@ def bloch_generators(fields: FieldConfig, params: NvParameters, noise: NoiseMode
     ])
 
 
-def propagate_generators(gens: np.ndarray, times) -> np.ndarray:
-    """exp(M t) of every generator of a (g, 3, 3) stack at every time: shape
-    (g, n, 3, 3), one exponential per time, so that each map does not depend
-    on the other times."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(times < 0.0):
-        raise PreconditionError("times must be a 1-d array of nonnegative values")
-    return expm_batch(gens[:, None] * times[None, :, None, None])
-
-
 def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
     """Bloch vector exp(M t) r_init of every generator at every time: shape
     (g, n, 3). Vectors longer than 1 + 1e-12 raise NumericalInvariantError.
 
-    On a nondecreasing uniform grid of at least PRODUCT_MIN_POINTS points
-    (``times`` equal to ``np.linspace(times[0], times[-1], n)``), one batched
-    exponential covers the about sqrt(n) points t_jB and the B = ceil(sqrt(n))
-    steps i h; the step maps act on r_init, and the coarse maps on those B
-    vectors in one stacked product, k = j B + i. Any other array gets one
-    exponential per time, so its vectors do not depend on the other times.
+    ``times`` must be a nondecreasing uniform grid of n >= 1 nonnegative
+    times, equal to ``np.linspace(times[0], times[-1], n)``; any other array
+    raises PreconditionError. One batched exponential covers the about
+    sqrt(n) points t_jB and the B = ceil(sqrt(n)) steps i h,
+    h = (t_hi - t_lo) / max(n - 1, 1); the step maps act on r_init, and the
+    coarse maps on those B vectors in one stacked product, k = j B + i. A
+    one-point grid is exp(M t) (I r_init).
     """
     times = np.asarray(times, dtype=float)
     n = times.size
-    if (n < PRODUCT_MIN_POINTS or times.ndim != 1 or not times[0] <= times[-1]
+    if (n == 0 or times.ndim != 1 or not 0.0 <= times[0] <= times[-1]
             or not np.array_equal(times, np.linspace(times[0], times[-1], n))):
-        return check_bloch_norms(propagate_generators(gens, times) @ r_init)
+        raise PreconditionError("times must be a nondecreasing uniform grid of nonnegative values")
     block = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     coarse = times[::block]
-    steps = np.arange(block) * ((times[-1] - times[0]) / (n - 1))
-    maps = propagate_generators(gens, np.concatenate([coarse, steps]))
+    steps = np.arange(block) * ((times[-1] - times[0]) / max(n - 1, 1))
+    maps = expm_batch(gens[:, None] * np.concatenate([coarse, steps])[None, :, None, None])
     step_vectors = maps[:, len(coarse):] @ r_init  # (g, B, 3)
     r = maps[:, :len(coarse)] @ step_vectors.swapaxes(1, 2)[:, None]  # (g, J, 3, B)
     return check_bloch_norms(r.swapaxes(2, 3).reshape(len(gens), -1, 3)[:, :n])

@@ -107,9 +107,14 @@ def check_bloch_norms(r: np.ndarray) -> np.ndarray:
 def expm_batch(a: np.ndarray) -> np.ndarray:
     """exp(a) for every matrix of a stack of shape (..., d, d), d <= 4.
 
-    Scaling and squaring along the leading axes: each matrix sheds its mean
-    diagonal (trace/dim) as a scalar factor, is scaled by its own power of
-    two to a 1-norm <= 1/2, and is squared back its own number of times.
+    Scaling and squaring along the leading axes: each matrix is scaled by its
+    own power of two to a 1-norm <= 1/2 and squared back its own number of
+    times. The optional trace shift of scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 2005) is left out: the mean diagonal of a Bloch
+    generator M t is -2 kappa t/3, and shedding it leaves an eigenvalue of
+    +2 kappa t/3 whose squarings overflow once kappa t passes about 1e3,
+    while exp(M t) is a contraction.
+
     The Taylor series has a fixed TAYLOR_TERMS terms, evaluated in 7 matrix
     products by Paterson-Stockmeyer (SIAM J. Comput. 1973): B^2, B^3, B^4,
     five chunks from the stack of I, B, B^2, B^3, then Horner in B^4. At norm
@@ -126,9 +131,6 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
         raise PreconditionError("matrix entries must be finite")
     dim = a.shape[-1]
     eye = np.eye(dim, dtype=a.dtype)
-    mu = np.trace(a, axis1=-2, axis2=-1) / dim
-    a = a - mu[..., None, None] * eye
-
     norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
     b = a / np.exp2(squarings)[..., None, None]
@@ -144,4 +146,4 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(np.max(squarings, initial=0.0))):
             result = np.where((squarings > j)[..., None, None], result @ result, result)
-        return np.exp(mu)[..., None, None] * result
+    return result

@@ -250,14 +250,11 @@ def expm_horner(a: np.ndarray) -> np.ndarray:
     """exp(a) for every matrix of a stack, as ``nvdetect.linalg.expm_batch``
     computes it but with the TAYLOR_TERMS-term Taylor series in Horner form
     (17 matrix products): the reference of its Paterson-Stockmeyer
-    evaluation. The trace shift, the scaling to a 1-norm <= 1/2 and the
-    squarings are the same.
+    evaluation. The scaling to a 1-norm <= 1/2 and the squarings are the
+    same, and neither has a trace shift.
     """
     a = np.asarray(a)
-    dim = a.shape[-1]
-    eye = np.eye(dim, dtype=a.dtype)
-    mu = np.trace(a, axis1=-2, axis2=-1) / dim
-    a = a - mu[..., None, None] * eye
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
     b = a / np.exp2(squarings)[..., None, None]
@@ -266,7 +263,7 @@ def expm_horner(a: np.ndarray) -> np.ndarray:
         result = eye + (b @ result) / k
     for j in range(int(np.max(squarings, initial=0.0))):
         result = np.where((squarings > j)[..., None, None], result @ result, result)
-    return np.exp(mu)[..., None, None] * result
+    return result
 
 
 @dataclass(frozen=True)
@@ -924,8 +921,9 @@ def optimal_time_search_sequential(
     which refines the basin with zoomed uniform scans instead: dense sampling
     (n_grid + 1 points, one grid propagation) locates the basin at the
     earliest point within the flat tolerance of the scanned minimum, which is
-    the answer when p_err is flat there; golden section refines it to 1e-10 s
-    with one-point propagations. The flat tolerance is max(32, theta_max) ulp
+    the answer when p_err is flat there; golden section refines it to 1e-10 s,
+    or to two ulp of t where floats lie further apart, with one-point
+    propagations. The flat tolerance is max(32, theta_max) ulp
     of 1/2, theta_max = 2 t_hi max ||b.sigma||_2 over both hypotheses (the
     spectral norm of the traceless Hamiltonian is |b|). Exact ties of the
     refinement break toward smaller t. The two searches agree on t to
@@ -964,7 +962,7 @@ def optimal_time_search_sequential(
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-10:
+    while hi - lo > max(1e-10, 2.0 * math.ulp(hi)):  # floats of t near 1e6 s lie 1.2e-10 s apart
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

@@ -6,7 +6,8 @@ Liouvillian. ``evolve_pair_grid`` + ``min_error_grid`` must reproduce the
 point, including at the
 exceptional point of the axial-noise generator, where it is defective. A
 uniform grid's product of two exponential stacks must agree with one
-exponential per time, and every other time array must get exactly that.
+exponential per time, bit for bit on one point, and every other time array
+is refused.
 """
 import math
 
@@ -27,12 +28,7 @@ from nvdetect import (
     standard_basis_error_grid,
 )
 from nvdetect import discrimination, dynamics
-from nvdetect.dynamics import (
-    PRODUCT_MIN_POINTS,
-    bloch_generators,
-    evolve_bloch,
-    propagate_generators,
-)
+from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.hamiltonian import NoiseKind, bloch_generator
 from nvdetect.linalg import bloch_vector, check_bloch_norms
 
@@ -328,25 +324,58 @@ def test_expm_batch_of_a_stack_is_the_expm_batch_of_each_matrix(seed, kind, dim,
     kind=st.sampled_from(MATRIX_KINDS),
     dim=st.integers(1, 4),
     log2_norms=st.lists(st.floats(-20.0, -2.0), min_size=1, max_size=8),
-    shift=st.floats(-3.0, 3.0),
+    shift=st.floats(-0.25, 0.25),
 )
 @settings(max_examples=200, deadline=None)
 def test_paterson_stockmeyer_matches_the_horner_taylor_series(seed, kind, dim, log2_norms, shift):
-    # a 1-norm of at most 1/4 is at most 1/2 after the trace shift, so no matrix is squared and this
-    # compares the two evaluations of the Taylor polynomial; a diagonal shift enters through
-    # exp(trace/dim) only
+    # a 1-norm of at most 1/4 plus a diagonal shift of at most 1/4 is at most 1/2, so no matrix is
+    # squared and this compares the two evaluations of the Taylor polynomial (each squaring would
+    # double their relative gap)
     stack = matrix_stack(seed, kind, dim, log2_norms)
-    stack = stack - (np.trace(stack, axis1=-2, axis2=-1) / dim)[:, None, None] * np.eye(dim)
     stack = stack + shift * np.eye(dim)
     got, want = expm_batch(stack), oracles.expm_horner(stack)
     scale = np.max(np.abs(want), axis=(-2, -1))
     assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-15 * scale)
 
 
+#: Transverse unit directions of the strong-dephasing property: the Bloch axes x and y. Along an
+#: oblique direction the rounded kappa (I - n n^T) leaves n a rate of about eps * kappa, so even the
+#: exact exponential of the float generator drifts off the fixed point: from the +x state by more
+#: than 1e-12 near kappa t = 1e4, and from the pole it overflows to NaN near kappa t = 1e20.
+BLOCH_AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+@given(
+    log10_kappa_t=st.floats(3.0, 300.0),
+    angle=st.floats(1e-3, 100.0),
+    t=st.floats(1e-6, 1e-3),
+    axis=st.sampled_from(BLOCH_AXES),
+)
+@example(log10_kappa_t=3.0, angle=100.0, t=4e-6, axis=BLOCH_AXES[0])
+@example(log10_kappa_t=300.0, angle=100.0, t=1e-6, axis=BLOCH_AXES[1])
+@settings(max_examples=100, deadline=None)
+def test_strong_dephasing_reaches_the_closed_form_fixed_point(log10_kappa_t, angle, t, axis):
+    # electric noise along the switched field, B_z = 0 and the +z pole: kappa t from 1e3 (where a
+    # trace shift's squarings overflowed) to 1e300, and rotation angles 2|c| t up to 100 rad
+    magnitude = angle / (2.0 * abs(PARAMS.transverse_coupling((1.0, 0.0, 0.0))) * t)
+    fields = FieldConfig(de=(magnitude * axis[0], magnitude * axis[1], 0.0))
+    noise = NoiseModel.electric(10.0 ** log10_kappa_t / t)
+    rho0 = PREPARATIONS[0]
+    r = evolve_bloch(bloch_generators(fields, PARAMS, noise), np.array(bloch_vector(rho0)), [t])
+    closed = oracles.evolve_pair(fields, PARAMS, noise, rho0, t, method=Route.CLOSED_DEPHASING)
+    for k, state in enumerate(closed):
+        assert np.max(np.abs(np.array(bloch_vector(state)) - r[k, 0])) <= 1e-12
+
+
 def per_time_stack(gens, times):
-    """One exponential per time: the maps of every array that is not a uniform grid."""
+    """One exponential per time: the independent reference of the grid product."""
     times = np.asarray(times, dtype=float)
     return expm_batch(gens[:, None] * times[None, :, None, None])
+
+
+def per_time_evolve_bloch(gens, r_init, times):
+    """``evolve_bloch`` by the per-time stack, on any array of times."""
+    return check_bloch_norms(per_time_stack(gens, times) @ r_init)
 
 
 @st.composite
@@ -358,7 +387,7 @@ def uniform_windows(draw):
     return fields, noise, rho0, (t_lo, t_hi)
 
 
-@pytest.mark.parametrize("n", [PRODUCT_MIN_POINTS - 1, PRODUCT_MIN_POINTS, 100, 2049])
+@pytest.mark.parametrize("n", [1, 2, 23, 24, 100, 2049])
 @given(case=uniform_windows())
 @settings(max_examples=25, deadline=None)
 def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
@@ -368,14 +397,12 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
     r_init = np.array(bloch_vector(rho0))
     r = evolve_bloch(gens, r_init, times)
     reference = per_time_stack(gens, times) @ r_init
-    if n < PRODUCT_MIN_POINTS:
-        assert np.array_equal(r, reference)
     assert np.max(np.abs(r - reference)) <= 1e-12
 
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
     assert np.array_equal(r0, r[0]) and np.array_equal(r1, r[1])
     block = math.isqrt(n - 1) + 1
-    for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1}):
+    for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1} & set(range(n))):
         s0, s1 = oracles.evolve_pair(
             fields, PARAMS, noise, rho0, float(times[k]), method=Route.SUPEROPERATOR
         )
@@ -393,18 +420,17 @@ def test_product_route_is_taken_only_on_uniform_grids(monkeypatch):
     monkeypatch.setattr(dynamics, "expm_batch", recording_expm_batch)
     gens = bloch_generators(FieldConfig(de=(1e6, 0.0, 0.0), b_z=4e-6), PARAMS, NoiseModel.magnetic(1e5))
     r_init = np.array([1.0, 0.0, 0.0])
-    for n in (PRODUCT_MIN_POINTS, 2049):
+    for n in (1, 2, 23, 24, 2049):
         shapes.clear()
         evolve_bloch(gens, r_init, np.linspace(1e-9, 1e-5, n))
         block = math.isqrt(n - 1) + 1
         assert shapes == [(2, -(-n // block) + block, 3, 3)]
-    shapes.clear()
-    evolve_bloch(gens, r_init, np.linspace(1e-9, 1e-5, PRODUCT_MIN_POINTS - 1))
-    assert shapes == [(2, PRODUCT_MIN_POINTS - 1, 3, 3)]
 
 
-@pytest.mark.parametrize("n", [PRODUCT_MIN_POINTS, 2049])
+@pytest.mark.parametrize("n", [24, 2049])
 def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
+    # non-uniform arrays no longer reach a per-time route: they raise, and one-point arrays, the
+    # only ones left, keep the per-time stack's result bit for bit
     fields = FieldConfig(e0=(2e5, 1e5, 0.0), de=(1.2e6, 3e5, 0.0), b_z=1e-5)
     noise = NoiseModel.electric(1e5)
     gens = bloch_generators(fields, PARAMS, noise)
@@ -415,15 +441,16 @@ def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
     nudged[n // 2] = np.nextafter(nudged[n // 2], 1.0)  # one ulp off the grid
     geometric = np.geomspace(1e-9, 1e-5, n)
     decreasing = np.linspace(1e-5, 1e-9, n)  # uniform, but its steps are negative
-    for times in (nudged, geometric, decreasing, [3.7e-6], [0.0]):
-        expected = per_time_stack(gens, times)
-        assert np.array_equal(evolve_bloch(gens, r_init, times), check_bloch_norms(expected @ r_init))
-        assert np.array_equal(propagate_generators(gens, times), expected)
-    # the maps of propagate_generators are the per-time stack on a uniform grid too
-    assert np.array_equal(propagate_generators(gens, uniform), per_time_stack(gens, uniform))
+    negative = np.linspace(-1e-9, 1e-5, n)
+    for times in (nudged, geometric, decreasing, negative):
+        with pytest.raises(PreconditionError):
+            evolve_bloch(gens, r_init, times)
+    for times in ([3.7e-6], [0.0]):  # exp(M t) (I r_init): I = exp(0) exactly
+        expected = per_time_evolve_bloch(gens, r_init, times)
+        assert np.array_equal(evolve_bloch(gens, r_init, times), expected)
 
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [3.7e-6])
-    expected = check_bloch_norms(per_time_stack(gens, [3.7e-6]) @ r_init)
+    expected = per_time_evolve_bloch(gens, r_init, [3.7e-6])
     assert np.array_equal(r0, expected[0]) and np.array_equal(r1, expected[1])
 
 
@@ -454,7 +481,6 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
     # the dense scan, then one zoom scan: its bracket of two 4.9e-9 s intervals shrinks to 7.6e-11 s
     assert counts["norms"] == counts["decisions"] == 2
     assert points == [2049, 257]
-    assert all(n >= PRODUCT_MIN_POINTS for n in points)  # each takes the product route
 
 
 @st.composite
@@ -521,7 +547,7 @@ def test_zoomed_search_finds_the_golden_section_minimum(search):
     # (the +x state and a switch within 1e-5 rad of x, say) has no minimiser to resolve to
     # 1e-10 s: the earliest point within the tolerance and golden section's comparisons of
     # rounding noise can then lie nanoseconds apart, at one p_err to within the tolerance.
-    p_star, p_ref = p_err_at(search, [t_star, t_ref])
+    p_star, p_ref = (p_err_at(search, [t])[0] for t in (t_star, t_ref))
     assert abs(t_star - t_ref) <= discrimination._SEARCH_TOL or abs(p_star - p_ref) <= tol
     assert abs(p_min - superoperator_p_err(fields, PARAMS, noise, rho0, t_star)) <= 1e-12
     assert p_min <= p_err_at(search, np.linspace(*window, n_grid + 1)).min() + tol
@@ -549,13 +575,15 @@ def test_wide_window_zooms_until_the_bracket_is_within_the_search_tolerance():
 
 def test_search_stops_where_the_times_are_too_far_apart_to_resolve_the_search_tolerance():
     # near 1e6 s one ulp of t is 1.2e-10 s, so a bracket there narrows to no float apart from
-    # its ends, and the zooms stop once it collapses onto one float (golden section never got
-    # its bracket within 1e-10 s here and did not return). p_err falls up to 1.47e6 s.
+    # its ends, and the zooms stop once it collapses onto one float; the golden oracle stops at
+    # two ulp of t there. p_err falls up to 1.47e6 s.
     params = NvParameters(t2=math.inf)
     fields, noise, rho0 = FieldConfig(de=(0.0, 1e-6, 0.0)), NoiseModel.none(), PREPARATIONS[1]
     window = (1e3, 1e6)
     t_star, p_min = discrimination.optimal_time_search(fields, params, noise, rho0, window)
     assert window[1] - (window[1] - window[0]) / 2048 < t_star <= window[1]
+    t_ref, _ = oracles.optimal_time_search_sequential(fields, params, noise, rho0, window)
+    assert t_star == t_ref
     assert abs(p_min - superoperator_p_err(fields, params, noise, rho0, t_star)) <= 1e-12
 
 
@@ -598,7 +626,7 @@ def test_flat_cell_has_the_same_t_opt_on_the_product_and_per_time_routes(cell):
     tol = discrimination._flat_tolerance(fields, PARAMS, window[1])
     product = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "PRODUCT_MIN_POINTS", n_grid + 2)  # the dense scan takes the per-time stack
+        patch.setattr(discrimination, "evolve_bloch", per_time_evolve_bloch)  # every scan per time
         per_time = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
     assert product[0] == per_time[0] == window[0]
     assert product[1] == pytest.approx(0.5, abs=tol)

@@ -376,6 +376,20 @@ class TestCliExitCodes:
             text = path.read_text().lower()
             assert "nan" not in text and "inf" not in text, path.name
 
+    @pytest.mark.parametrize("command", ["bloch", "perr-time"])
+    @pytest.mark.parametrize("data", [
+        {"noise": {"rate": 3e8}},  # kappa t_max = 1.2e3
+        {"parameters": {"t2": 3e-9}, "noise": {"rate": None}, "bz_sweep": {"t_window": [1e-10, 3e-8]}},
+    ], ids=["rate_3e8", "t2_3ns"])
+    def test_strong_dephasing_exits_0_without_nan(self, tmp_path, command, data):
+        # exp(M t) of a strongly dephased generator is a contraction onto the noise axis, so it
+        # must come out finite rather than breach the Bloch-norm bound
+        cfg = write_config(tmp_path / "cfg.json", data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        for path in (tmp_path / "out").iterdir():
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text, path.name
+
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
