@@ -31,7 +31,7 @@ from .discrimination import min_error_grid, standard_basis_error_grid
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
-from .protocol import array_error_curve, superposition_bz_sweep, turn_on_blocks
+from .protocol import array_error_curve, superposition_bz_sweep, sweep_window, turn_on_blocks
 
 #: Rows formatted per write: bounds the text held at once on large grids.
 _BLOCK_ROWS = 4096
@@ -92,12 +92,6 @@ def _write_json(path: Path, data) -> Path:
     return path
 
 
-def _noise_for(config: RunConfig, kappa: float) -> NoiseModel:
-    if kappa == 0.0:
-        return NoiseModel.none()
-    return NoiseModel(config.noise.kind, kappa)
-
-
 def _quarter_period_marks(times: np.ndarray, params, de) -> np.ndarray:
     """1 at the grid point nearest to each quarter period t_n of the switch
     ``de`` up to times[-1], else 0, for a sorted grid of at least two points.
@@ -135,7 +129,7 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
         for index, pair in enumerate(pairs):
             fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z,
                                  priors=config.fields.priors)
-            noise = _noise_for(config, pair.kappa)
+            noise = NoiseModel(config.noise.kind, pair.kappa)
             is_tmin = _quarter_period_marks(times, params, pair.de)
             r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             curve = min_error_grid(r0, r1, fields.priors)
@@ -295,7 +289,7 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
 
     if sweep.bloch_traces:
         rho0 = sweep.preparation.density_matrix()
-        times = np.linspace(0.0, sweep.t_window[1], 201)
+        times = np.linspace(0.0, sweep_window(sweep.t_window, config.parameters)[1], 201)
         time_cells = ["%.17g" % t for t in times.tolist()]
         for i, p in enumerate(points):
             de = (p.e_magnitude, 0.0, 0.0) if p.orientation == "x" else (0.0, p.e_magnitude, 0.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters
-from .protocol import _BLOCK_STREAMS, PreparationState
+from .protocol import _BLOCK_STREAMS, PreparationState, sweep_window
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +48,12 @@ MAX_PROTOCOL_SENSORS = _BLOCK_STREAMS
 MAX_RUNS = 100_000
 #: Fused sensor count: the majority-vote error sums N/2 + 1 binomial terms.
 MAX_FUSED_SENSORS = 100_001
+
+#: The propagator envelope (README): the rotation angle 2 (|Re c| + |Im c| + |w_z|) t and the
+#: dephasing kappa t of every Bloch generator up to each time key t. Measured: a Bloch-norm excess of
+#: 2.4e-13 at 1e3 rad (1.3e-12 at 4e3), an oblique-axis drift of 8.2e-13 at 1.5e3 (1.15e-12 at 2e3).
+MAX_ROTATION = 1e3
+MAX_DEPHASING = 1.5e3
 
 
 @dataclass(frozen=True)
@@ -69,18 +75,13 @@ class ProtocolConfig:
 
     def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
         """The configured t_cycle, else pi / (2 |coupling|) of the field switch,
-        which must be positive and finite."""
+        which must be finite."""
         if self.t_cycle is not None:
             return self.t_cycle
         t_cycle = params.transfer_time(fields.de)
         if math.isinf(t_cycle):
             raise PreconditionError(
                 "deriving the cycle time needs a nonzero transverse field switch"
-            )
-        if not t_cycle > 0.0:  # |coupling| overflowed to inf
-            raise PreconditionError(
-                f"the transverse coupling of the field switch overflows, so the derived cycle "
-                f"time pi / (2 |coupling|) is {t_cycle!r}"
             )
         return t_cycle
 
@@ -99,7 +100,7 @@ class BzSweepConfig:
         default=(0.0, 1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 8e-6, 1e-5, 1.4e-5, 2e-5),
         metadata={"min_len": 1},
     )
-    t_window: tuple[float, float] = field(default=(1e-9, 1e-5), metadata={"min": 0.0})
+    t_window: tuple[float, float] | None = field(default=None, metadata={"min": 0.0})  # None -> sweep_window
     preparation: PreparationState = PreparationState.EQUAL_SUPERPOSITION
     noise_kind: NoiseKind = NoiseKind.MAGNETIC_AXIAL
     noise_rate: float | None = field(default=None, metadata={"min": 0.0})  # None -> 1/T2
@@ -296,37 +297,20 @@ def parse(data: dict) -> RunConfig:
             f"got {sweep.noise_rate!r}"
         )
     # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
-    # (noise, key path of e0, key path of de, fields) of each cell
-    cells = [(config.noise, "fields.e0", "fields.de", config.fields)]
-    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].e0", f"field_pairs[{i}].de",
+    # (noise, key path, fields) of each cell
+    cells = [(config.noise, "fields.de", config.fields)]
+    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].de",
                FieldConfig(e0=pair.e0, de=pair.de)) for i, pair in enumerate(config.field_pairs)]
-    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", f"bz_sweep.e_magnitudes[{i}]",
-               FieldConfig(de=(e, 0.0, 0.0))) for i, e in enumerate(sweep.e_magnitudes)]
-    for cell_noise, e0_key, key, fields in cells:
+    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", FieldConfig(de=(e, 0.0, 0.0)))
+              for i, e in enumerate(sweep.e_magnitudes)]
+    for cell_noise, key, fields in cells:
         if (cell_noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and cell_noise.rate > 0.0
                 and not fields.has_transverse_field):
             raise ConfigError(
                 f"{key} must give e0 or e0 + de an x or y component under electric noise "
                 f"of nonzero rate, got e0={list(fields.e0)!r}, e0 + de={list(fields.e1)!r}"
             )
-        # the generator holds 2 Re c and 2 Im c of each field, and 2 w_z of each B_z below
-        for field_key, e_field in ((e0_key, fields.e0), (key, fields.e1)):
-            c = params.transverse_coupling(e_field)
-            if not math.isfinite(2.0 * math.hypot(c.real, c.imag)):
-                raise ConfigError(
-                    f"{field_key} must keep the transverse coupling 2|c| finite, got field "
-                    f"{list(e_field)!r} V/m with parameters.d_perp = {params.d_perp!r}"
-                )
-    b_z_keys = [("fields.b_z", config.fields.b_z)]
-    b_z_keys += [(f"b_z_values[{i}]", b_z) for i, b_z in enumerate(config.b_z_values)]
-    b_z_keys += [(f"bz_sweep.b_z_values[{i}]", b_z) for i, b_z in enumerate(sweep.b_z_values)]
-    for key, b_z in b_z_keys:
-        if not math.isfinite(2.0 * params.zeeman_rate(b_z)):
-            raise ConfigError(
-                f"{key} must keep the Zeeman rate 2|w_z| finite, got B_z = {b_z!r} T with "
-                f"parameters.g_factor = {params.g_factor!r}"
-            )
-    window = sweep.t_window
+    window = sweep_window(sweep.t_window, params)
     if not window[0] < window[1] <= 10.0 * params.t2:
         raise ConfigError(
             f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "
@@ -337,20 +321,34 @@ def parse(data: dict) -> RunConfig:
     cycle_key = "protocol.t_cycle" if proto.t_cycle else "the cycle time pi / (2|c|) of fields.de"
     t_cycle = proto.t_cycle or params.transfer_time(f.de)
     t_cycle = t_cycle if math.isfinite(t_cycle) else 0.0  # the commands that need it refuse inf
-    # M t must stay finite for each Bloch generator M propagated up to a time key's t: ||M||_1 <=
-    # 2 (|Re c| + |Im c| + |w_z| + kappa), and c is at most the coupling of |e0| + |de| in x and y
-    for key, t, switches, b_zs, rates in [
-        ("time_grid.t_max", config.time_grid.t_max, [f, *pairs], (f.b_z, 0.0, *config.b_z_values),
-         (config.noise.rate, *(p.kappa for p in pairs))),
-        (cycle_key, t_cycle, [f], (f.b_z,), (config.noise.rate,)),
-        ("bz_sweep.t_window[1]", window[1], [FieldPair(de=(e, 0.0, 0.0)) for e in sweep.e_magnitudes],
-         sweep.b_z_values, (config.bz_sweep_noise().rate,)),
+    # the envelope, from each field, B_z and kappa that a time key's t propagates, each with its key
+    # path so that the largest term names its key; the fields are e0 and e0 + de of each switch
+    switches = [("fields", f)] + [(f"field_pairs[{i}]", FieldConfig(e0=p.e0, de=p.de))
+                                  for i, p in enumerate(pairs)]
+    e_fields = [(e, key) for name, cell in switches
+                for e, key in ((cell.e0, f"{name}.e0"), (cell.e1, f"{name}.e0 + {name}.de"))]
+    grid_b_zs = [(f.b_z, "fields.b_z")] + [(b, f"b_z_values[{i}]") for i, b in enumerate(config.b_z_values)]
+    grid_rates = [(config.noise.rate, "noise.rate")]
+    grid_rates += [(p.kappa, f"field_pairs[{i}].kappa") for i, p in enumerate(pairs)]
+    for key, t, fields, b_zs, rates in [
+        ("time_grid.t_max", config.time_grid.t_max, e_fields, grid_b_zs, grid_rates),
+        (cycle_key, t_cycle, e_fields[:2], grid_b_zs[:1], grid_rates[:1]),
+        ("bz_sweep.t_window[1]", window[1],
+         [((e, 0.0), f"bz_sweep.e_magnitudes[{i}]") for i, e in enumerate(sweep.e_magnitudes)],
+         [(b, f"bz_sweep.b_z_values[{i}]") for i, b in enumerate(sweep.b_z_values)],
+         [(config.bz_sweep_noise().rate, "bz_sweep.noise_rate")]),
     ]:
-        transverse = max(abs(w.e0[0]) + abs(w.e0[1]) + abs(w.de[0]) + abs(w.de[1]) for w in switches)
-        norm = (params.transverse_coupling((transverse, 0.0)).real,
-                params.zeeman_rate(max(map(abs, b_zs))), max(rates))
-        if not math.isfinite(2.0 * sum(x * t for x in norm)):
-            raise ConfigError(f"{key} = {t!r} s overflows M t of a propagated Bloch generator M")
+        # the largest |Re c| + |Im c| of a field and |w_z| of a B_z, with their key paths
+        c = max((params.transverse_coupling((abs(e[0]) + abs(e[1]), 0.0)).real, k) for e, k in fields)
+        w = max((abs(params.zeeman_rate(b_z)), k) for b_z, k in b_zs)
+        theta, (kappa, kappa_key) = 2.0 * (c[0] + w[0]) * t, max(rates)
+        if not theta <= MAX_ROTATION:
+            raise ConfigError(f"{key} = {t!r} s turns the Bloch vector through 2(|Re c| + |Im c| + "
+                              f"|w_z|) t = {theta:.4g} rad (largest term: {max(c, w)[1]}), outside "
+                              f"the propagator envelope of {MAX_ROTATION:g} rad")
+        if not kappa * t <= MAX_DEPHASING:
+            raise ConfigError(f"{key} = {t!r} s gives {kappa_key} = {kappa!r}/s a kappa t of "
+                              f"{kappa * t:.4g}, outside the propagator envelope of {MAX_DEPHASING:g}")
     # every protocol time stays finite: twice n_cycles t_cycle (an interval's center sums two times
     # of a run), and the 3.2 t_cycle that a null true_t_star stands for
     if not math.isfinite(max(2.0 * proto.n_cycles, 3.2 if proto.true_t_star is None else 0.0) * t_cycle):

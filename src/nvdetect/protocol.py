@@ -289,6 +289,11 @@ class BzSweepPoint(NamedTuple):
     p_err_min: float
 
 
+def sweep_window(window, params: NvParameters) -> tuple[float, float]:
+    """The axial-field sweep's time window: ``window``, or (1e-9, min(1e-5, 10 t2)) s for None."""
+    return window if window is not None else (1e-9, min(1e-5, 10.0 * params.t2))
+
+
 def superposition_bz_sweep(
     e_magnitudes,
     b_z_values,
@@ -308,7 +313,7 @@ def superposition_bz_sweep(
     """
     params = params or NvParameters()
     noise = noise or NoiseModel.magnetic(params.kappa)
-    window = window or (1e-9, params.t2)
+    window = sweep_window(window, params)
     rho0 = preparation.density_matrix()
     points: list[BzSweepPoint] = []
     for orientation in orientations:

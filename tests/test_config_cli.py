@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import enum
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import types
 import typing
 from pathlib import Path
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 from nvdetect import ConfigError, NvParameters, PreconditionError
 from nvdetect import config as config_mod
+from nvdetect import dynamics
 from nvdetect.cli import _quarter_period_marks, main
 
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6
@@ -28,6 +33,14 @@ def write_config(path, data):
 
 
 SMALL_GRID = {"t_max": 2.0e-6, "n_points": 41}
+COMMANDS = ["perr-time", "bz-sensitivity", "array", "protocol", "appendix-b", "bloch"]
+
+
+def assert_finite_outputs(out):
+    """No file written to ``out`` holds a NaN or infinity."""
+    for path in out.iterdir():
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path.name
 
 
 def _build(cls, kwargs):
@@ -125,8 +138,8 @@ class TestConfig:
             assert any(
                 rule in str(exc)
                 for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
-                             "an x or y component", "2|c| finite", "2|w_z| finite",
-                             "overflows M t", "past the float range")
+                             "an x or y component", "outside the propagator envelope",
+                             "past the float range")
             ), exc
             reject()
         assert parsed == config
@@ -250,8 +263,8 @@ class TestCliExitCodes:
             ("appendix-b",
              {"bz_sweep": {"e_magnitudes": [1e6, 0.0], "noise_kind": "electric_along_field"}},
              "bz_sweep.e_magnitudes[1]"),
-            # 2 |coupling| or 2 |Zeeman rate| overflows to inf, which would end in the
-            # generator's exponential (or in a derived cycle time of 0.0)
+            # 2 |coupling| or 2 |Zeeman rate| overflows to inf, an infinite rotation angle (which
+            # would also derive a cycle time of 0.0)
             ("protocol", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
              "fields.de"),
             ("array", {"parameters": {"d_perp": 1e300}, "fields": {"de": [1e10, 0, 0]}},
@@ -265,16 +278,17 @@ class TestCliExitCodes:
             ("appendix-b", {"bz_sweep": {"b_z_values": [1e300]}}, "bz_sweep.b_z_values[0]"),
             ("perr-time", {"field_pairs": [{"e0": [1e308, 0, 0], "de": [1e308, 0, 0]}]},
              "field_pairs[0].e0"),
-            # every generator entry is finite, but M t overflows at the configured time
+            # every generator entry is finite, but the rotation angle at the configured time is not
             ("bloch", {"time_grid": {"t_max": 1e305}}, "time_grid.t_max"),
             ("perr-time", {"time_grid": {"t_max": 1e305}}, "time_grid.t_max"),
             ("protocol", {"protocol": {"t_cycle": 1e305}}, "protocol.t_cycle"),
             ("array", {"protocol": {"t_cycle": 1e305}}, "protocol.t_cycle"),
             ("appendix-b", {"bz_sweep": {"t_window": [0, 1e305]}, "parameters": {"t2": None}},
              "bz_sweep.t_window[1]"),
-            # a derived cycle time pi / (2|c|) of 1.5e300 s overflows kappa t
-            ("protocol", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e9}}, "fields.de"),
-            ("array", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e9}}, "fields.de"),
+            # a derived cycle time pi / (2|c|) of 1.5e300 s puts kappa t past the envelope (at a rate
+            # that keeps kappa time_grid.t_max inside it)
+            ("protocol", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e8}}, "fields.de"),
+            ("array", {"fields": {"de": [1e-300, 0, 0]}, "noise": {"rate": 1e8}}, "fields.de"),
             # the generator stays finite, but the protocol's times pass 1.8e308 s
             ("protocol", {"fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
                           "protocol": {"t_cycle": 1e308, "true_t_star": 5e307}}, "protocol.t_cycle"),
@@ -284,6 +298,26 @@ class TestCliExitCodes:
                           "protocol": {"t_cycle": 2e307, "true_t_star": 5e307}}, "protocol.n_cycles"),
             ("protocol", {"fields": {"de": [1.47e-308, 0, 0]}, "noise": {"kind": "none"},
                           "protocol": {"t_cycle": 8e307, "n_cycles": 1}}, "protocol.true_t_star"),
+            # past the propagator envelope: a rotation angle 2(|Re c| + |Im c| + |w_z|) t over
+            # 1e3 rad (the Bloch-norm excess passes 1e-12 by 4e3 rad), or a dephasing kappa t over
+            # 1.5e3 (an oblique noise axis drifts by about eps kappa t)
+            ("perr-time", {"field_pairs": [{"de": [1e6, 0, 0]}, {"de": [1e9, 0, 0]}]},
+             "field_pairs[1].e0 + field_pairs[1].de"),
+            ("perr-time", {"field_pairs": [{"de": [1e9, 0, 0]}]}, "time_grid.t_max"),
+            ("bloch", {"fields": {"de": [1e9, 0, 0]}, "noise": {"kind": "none"}}, "fields.e0 + fields.de"),
+            ("bloch", {"fields": {"de": [3e8, 0, 0]}, "noise": {"kind": "none"}}, "time_grid.t_max"),
+            ("bloch", {"parameters": {"d_perp": 1e300}}, "time_grid.t_max"),
+            ("perr-time", {"parameters": {"d_perp": 1e300}}, "time_grid.t_max"),
+            ("bz-sensitivity", {"parameters": {"d_perp": 1e300}}, "time_grid.t_max"),
+            ("bz-sensitivity", {"b_z_values": [1e-5, 2e-3]}, "b_z_values[1]"),
+            ("bloch", {"fields": {"de": [9.55e5, 2.96e5, 0]}, "noise": {"rate": 1e25},
+                       "time_grid": {"t_max": 1e-5, "n_points": 11}}, "noise.rate"),
+            ("perr-time", {"field_pairs": [{"de": [9.55e5, 2.96e5, 0], "kappa": 1e9}]},
+             "field_pairs[0].kappa"),
+            ("protocol", {"protocol": {"t_cycle": 1e-3}}, "protocol.t_cycle"),
+            ("array", {"fields": {"de": [1e-3, 0, 0]}}, "the cycle time pi / (2|c|) of fields.de"),
+            ("appendix-b", {"bz_sweep": {"e_magnitudes": [1e6, 1e8]}}, "bz_sweep.e_magnitudes[1]"),
+            ("appendix-b", {"bz_sweep": {"noise_rate": 1e9}}, "bz_sweep.noise_rate"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -337,11 +371,14 @@ class TestCliExitCodes:
         assert "sensor_counts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pairs", [
-        [{"de": [1e6, 0, 0]}, {"de": [1e9, 0, 0]}],  # the first pair's rows were written
-        [{"de": [1e9, 0, 0]}],
+        [{"de": [1e6, 0, 0]}, {"de": [3e6, 0, 0]}],  # the first pair's rows were written
+        [{"de": [3e6, 0, 0]}],
     ])
-    def test_numeric_breach_exits_3_without_a_csv(self, tmp_path, capsys, pairs):
-        # a 1e9 V/m switch breaches the Bloch-norm bound
+    def test_numeric_breach_exits_3_without_a_csv(self, tmp_path, capsys, monkeypatch, pairs):
+        # a kernel that lengthens the last pair's maps by 1e-9 breaches the Bloch-norm bound
+        calls = iter([1.0] * (len(pairs) - 1) + [1.0 + 1e-9])
+        expm_batch = dynamics.expm_batch
+        monkeypatch.setattr(dynamics, "expm_batch", lambda a: expm_batch(a) * next(calls))
         cfg = write_config(tmp_path / "cfg.json", {"field_pairs": pairs})
         code = main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 3
@@ -352,11 +389,10 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command, written", [
         ("bloch", "bloch.csv"), ("perr-time", "perr_time.csv"), ("bz-sensitivity", "bz_sensitivity.csv"),
     ])
-    def test_nan_states_exit_3_without_a_csv(self, tmp_path, capsys, command, written):
-        # a coupling of 6e306 rad/s overflows the propagator into NaN Bloch
-        # vectors (669 of the 801 rows of bloch.csv), which must breach the
-        # norm bound instead of passing it
-        cfg = write_config(tmp_path / "cfg.json", {"parameters": {"d_perp": 1e300}})
+    def test_nan_states_exit_3_without_a_csv(self, tmp_path, capsys, monkeypatch, command, written):
+        # NaN Bloch vectors from the kernel must breach the norm bound instead of passing it
+        monkeypatch.setattr(dynamics, "expm_batch", lambda a: np.full_like(a, math.nan))
+        cfg = write_config(tmp_path / "cfg.json", {"time_grid": SMALL_GRID})
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 3
         assert "Bloch norm nan" in capsys.readouterr().err
@@ -372,9 +408,7 @@ class TestCliExitCodes:
         # even one that overflows a float does not reach the outputs
         cfg = write_config(tmp_path / "cfg.json", {**data, "time_grid": SMALL_GRID})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        for path in (tmp_path / "out").iterdir():
-            text = path.read_text().lower()
-            assert "nan" not in text and "inf" not in text, path.name
+        assert_finite_outputs(tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["bloch", "perr-time"])
     @pytest.mark.parametrize("data", [
@@ -386,9 +420,40 @@ class TestCliExitCodes:
         # must come out finite rather than breach the Bloch-norm bound
         cfg = write_config(tmp_path / "cfg.json", data)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        for path in (tmp_path / "out").iterdir():
-            text = path.read_text().lower()
-            assert "nan" not in text and "inf" not in text, path.name
+        assert_finite_outputs(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_short_t2_exits_0_on_every_subcommand(self, tmp_path, command):
+        # the default bz_sweep.t_window follows T2 down to 10 T2 = 30 ns, so a key that only
+        # appendix-b reads no longer refuses the other five
+        cfg = write_config(tmp_path / "cfg.json", {"parameters": {"t2": 3e-9}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert_finite_outputs(tmp_path / "out")
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=from_schema(config_mod.RunConfig).map(lambda c: dataclasses.replace(
+        c,  # only the counts are capped, so that each draw runs in milliseconds
+        time_grid=dataclasses.replace(c.time_grid, n_points=min(c.time_grid.n_points, 64)),
+        protocol=dataclasses.replace(c.protocol, n_cycles=min(c.protocol.n_cycles, 12),
+                                     n_sensors=min(c.protocol.n_sensors, 16),
+                                     n_runs=min(c.protocol.n_runs, 4)),
+        sensor_counts=tuple(min(n, 101) for n in c.sensor_counts),
+    )))
+    def test_every_config_exits_0_or_2(self, config):
+        # exit 3 is a defect: the config rules, the propagator envelope among them, refuse with
+        # exit 2 and a key path every config the kernel cannot evaluate within its invariants
+        key_path = re.compile(r"\b(%s)\b" % "|".join(f.name for f in dataclasses.fields(config)))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "cfg.json", config_mod.serialize(config))
+            for command in COMMANDS:
+                out, err = Path(tmp) / command, io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", cfg, "--out", str(out)])
+                assert code in (0, 2), (command, err.getvalue())
+                if code == 2:
+                    assert key_path.search(err.getvalue()), (command, err.getvalue())
+                else:
+                    assert_finite_outputs(out)
 
     def test_success_exits_0(self, tmp_path):
         cfg = write_config(

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from nvdetect import config as config_mod
 from nvdetect import min_error_grid, standard_basis_error_grid
 from nvdetect.cli import (
-    _BLOCK_ROWS, _column_blocks, _noise_for, _quarter_period_marks, _write_csv, main,
+    _BLOCK_ROWS, _column_blocks, _quarter_period_marks, _write_csv, main,
 )
 from nvdetect.dynamics import evolve_pair_grid
-from nvdetect.hamiltonian import FieldConfig
+from nvdetect.hamiltonian import FieldConfig, NoiseModel
 from oracles import reference_transcript
 
 FLOATS = st.one_of(
@@ -109,7 +109,8 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
     rows = []
     for index, pair in enumerate(config.field_pairs):
         fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z)
-        r0, r1 = evolve_pair_grid(fields, params, _noise_for(config, pair.kappa), rho0, times)
+        noise = NoiseModel(config.noise.kind, pair.kappa)
+        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
         curve = min_error_grid(r0, r1, fields.priors)
         p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
         marks = _quarter_period_marks(times, params, pair.de)
