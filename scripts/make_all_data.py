@@ -19,11 +19,10 @@ def main() -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     for command in COMMANDS:
-        argv = [command, "--out", args.out, "--jobs", str(args.jobs)]
+        argv = [command, "--out", args.out]
         if args.config:
             argv += ["--config", args.config]
         if args.seed is not None:

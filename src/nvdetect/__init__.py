@@ -28,7 +28,6 @@ from .protocol import (
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,
-    superposition_bz_sweep,
     turn_on_blocks,
 )
 

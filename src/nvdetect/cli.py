@@ -10,7 +10,8 @@ appendix-b      superposition-prepared sensor: error versus axial field
 bloch           Bloch trajectory of a chosen hypothesis
 
 Identical config and seed reproduce byte-identical output files. Exit codes:
-0 success, 2 config error, 3 numeric-invariant breach.
+0 success, 2 config error (an unusable output directory included), 3
+numeric-invariant breach.
 """
 from __future__ import annotations
 
@@ -27,11 +28,11 @@ import numpy as np
 
 from . import config as config_mod
 from .config import RunConfig
-from .discrimination import min_error_grid, standard_basis_error_grid
+from .discrimination import min_error_grid, optimal_time_search, standard_basis_error_grid
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
-from .protocol import array_error_curve, superposition_bz_sweep, sweep_window, turn_on_blocks
+from .protocol import array_error_curve, sweep_window, turn_on_blocks
 
 #: Rows formatted per write: bounds the text held at once on large grids.
 _BLOCK_ROWS = 4096
@@ -203,8 +204,13 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
 
     try:
         curve = array_error_curve(config.sensor_counts, p_dc, p_fn, fields.priors)
-    except PreconditionError as exc:  # the fused error underflows to 0 at large counts
-        raise ConfigError(f"sensor_counts: {exc}") from exc
+    except PreconditionError as exc:
+        if single.p_err[0] == 0.0:  # no sensor count helps
+            raise ConfigError(
+                f"fields.de: the hypotheses are perfectly distinguishable at t = {t_meas!r} s, so "
+                f"every fused error is 0 and there is no decay rate to fit"
+            ) from exc
+        raise ConfigError(f"sensor_counts: {exc}") from exc  # the fused error underflows to 0
     csv_path = _write_csv(
         out / "array_scaling.csv", "n_sensors,p_err", "%d,%.17g\n",
         [zip(curve.n_values, curve.p_err_n)],
@@ -267,34 +273,31 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
 
 def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     """Superposition-prepared sensor under axial magnetic dephasing: minimal
-    error versus axial field, per field magnitude and orientation."""
-    sweep = config.bz_sweep
-    sweep_noise = config.bz_sweep_noise()
-    points = superposition_bz_sweep(
-        sweep.e_magnitudes,
-        sweep.b_z_values,
-        orientations=sweep.orientations,
-        params=config.parameters,
-        noise=sweep_noise,
-        preparation=sweep.preparation,
-        window=sweep.t_window,
-    )
+    error versus axial field, per field magnitude and orientation.
 
+    Each cell, orientation first, then magnitude, then B_z, tells "no field"
+    from a field of that magnitude along x or y at that B_z, with the error
+    minimized over measurement time within the window; Bloch trace i is the
+    switched hypothesis of cell i.
+    """
+    sweep, params = config.bz_sweep, config.parameters
+    noise, rho0 = config.bz_sweep_noise(), sweep.preparation.density_matrix()
+    window = sweep_window(sweep.t_window, params)
+    cells = [(o, e, b, FieldConfig(de=(e, 0.0, 0.0) if o == "x" else (0.0, e, 0.0), b_z=b))
+             for o in sweep.orientations for e in sweep.e_magnitudes for b in sweep.b_z_values]
     csv_path = _write_csv(
         out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
         "%s,%.17g,%.17g,%.17g,%.17g\n",
-        [[(p.orientation, p.e_magnitude, p.b_z, p.t_opt, p.p_err_min) for p in points]],
+        [[(o, e, b, *optimal_time_search(fields, params, noise, rho0, window))
+          for o, e, b, fields in cells]],
     )
     written = [csv_path]
 
     if sweep.bloch_traces:
-        rho0 = sweep.preparation.density_matrix()
-        times = np.linspace(0.0, sweep_window(sweep.t_window, config.parameters)[1], 201)
+        times = np.linspace(0.0, window[1], 201)
         time_cells = ["%.17g" % t for t in times.tolist()]
-        for i, p in enumerate(points):
-            de = (p.e_magnitude, 0.0, 0.0) if p.orientation == "x" else (0.0, p.e_magnitude, 0.0)
-            fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=p.b_z)
-            _, r1 = evolve_pair_grid(fields, config.parameters, sweep_noise, rho0, times)
+        for i, (*_, fields) in enumerate(cells):
+            _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             written.append(_write_csv(
                 out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%s,%.17g,%.17g,%.17g\n",
                 _column_blocks(time_cells, *r1.T),
@@ -363,6 +366,9 @@ def main(argv=None) -> int:
         written = _COMMANDS[args.command](config, out, **kwargs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # config_mod.load turns its own into a ConfigError, so a write failed
+        print(f"config error: output_dir cannot be written: {exc}", file=sys.stderr)
         return 2
     except NumericalInvariantError as exc:
         print(f"numeric invariant breach: {exc}", file=sys.stderr)

@@ -76,7 +76,8 @@ class NvParameters:
         precession driven by the transverse part of e_field (inf without
         one). Started from |+1>, a pure transverse drive has moved the whole
         population to |-1> at odd n and back at even n."""
-        coupling = abs(self.transverse_coupling(e_field))
+        c = self.transverse_coupling(e_field)
+        coupling = math.hypot(c.real, c.imag)  # abs(c), but inf rather than OverflowError
         return n * math.pi / (2.0 * coupling) if coupling else math.inf
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrimination import min_error_grid, optimal_time_search
+from .discrimination import min_error_grid
 from .dynamics import bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
@@ -279,60 +279,6 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
         yield ClickBlock(block, bright, n_bright, majority, confident, intervals)
 
 
-class BzSweepPoint(NamedTuple):
-    """One cell of the axial-field sweep: best achievable error and its time."""
-
-    orientation: str
-    e_magnitude: float
-    b_z: float
-    t_opt: float
-    p_err_min: float
-
-
 def sweep_window(window, params: NvParameters) -> tuple[float, float]:
     """The axial-field sweep's time window: ``window``, or (1e-9, min(1e-5, 10 t2)) s for None."""
     return window if window is not None else (1e-9, min(1e-5, 10.0 * params.t2))
-
-
-def superposition_bz_sweep(
-    e_magnitudes,
-    b_z_values,
-    orientations=("x", "y"),
-    params: NvParameters | None = None,
-    noise: NoiseModel | None = None,
-    preparation: PreparationState = PreparationState.EQUAL_SUPERPOSITION,
-    window: tuple[float, float] | None = None,
-    n_grid: int = 2048,
-) -> list[BzSweepPoint]:
-    """Best-case error versus axial magnetic field for a superposition-prepared
-    sensor under axial magnetic dephasing.
-
-    For each (orientation, magnitude, B_z) cell the hypotheses are "no field"
-    versus "field of the given magnitude along the chosen transverse axis";
-    the error is minimized over measurement time within the window.
-    """
-    params = params or NvParameters()
-    noise = noise or NoiseModel.magnetic(params.kappa)
-    window = sweep_window(window, params)
-    rho0 = preparation.density_matrix()
-    points: list[BzSweepPoint] = []
-    for orientation in orientations:
-        if orientation not in ("x", "y"):
-            raise PreconditionError(f"orientation must be 'x' or 'y', got {orientation!r}")
-        for e_mag in e_magnitudes:
-            de = (float(e_mag), 0.0, 0.0) if orientation == "x" else (0.0, float(e_mag), 0.0)
-            for b_z in b_z_values:
-                fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=de, b_z=float(b_z))
-                t_opt, p_min = optimal_time_search(
-                    fields, params, noise, rho0, window, n_grid=n_grid
-                )
-                points.append(
-                    BzSweepPoint(
-                        orientation=orientation,
-                        e_magnitude=float(e_mag),
-                        b_z=float(b_z),
-                        t_opt=t_opt,
-                        p_err_min=p_min,
-                    )
-                )
-    return points

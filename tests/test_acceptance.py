@@ -24,7 +24,6 @@ from nvdetect import (
     min_error_grid,
     optimal_time_search,
     standard_basis_error_grid,
-    superposition_bz_sweep,
     turn_on_blocks,
 )
 from nvdetect.cli import main
@@ -350,15 +349,21 @@ def test_criterion_9_turn_on_jitter():
     print(f"ACCEPTANCE 9 PASS: containment rate {rate:.3f} >= 0.99, width = 2 cycles")
 
 
-def test_criterion_10_superposition_axial_sweep():
+def test_criterion_10_superposition_axial_sweep(tmp_path):
     """Superposition preparation under axial magnetic noise: a transverse
     drive parallel to the prepared axis needs a finite axial field, the
     perpendicular drive does not, and the beneficial field sits at the
-    coupling-matching scale."""
+    coupling-matching scale. Run as ``appendix-b`` on the default config,
+    whose sweep is 1e6 V/m along x and y over the B_z grid below."""
     bz_grid = [0.0, 1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 8e-6, 1e-5, 1.4e-5, 2e-5]
-    points = superposition_bz_sweep([1e6], bz_grid, orientations=("x", "y"))
-    x_curve = {p.b_z: p.p_err_min for p in points if p.orientation == "x"}
-    y_curve = {p.b_z: p.p_err_min for p in points if p.orientation == "y"}
+    assert main(["appendix-b", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "bz_error_sweep.csv").read_text().splitlines()[1:]
+    rows = [(o, float(e), float(b), float(p)) for o, e, b, _, p in (ln.split(",") for ln in lines)]
+    assert [(o, e, b) for o, e, b, _ in rows] == [
+        (o, 1e6, b) for o in ("x", "y") for b in bz_grid
+    ]
+    x_curve = {b: p for o, _, b, p in rows if o == "x"}
+    y_curve = {b: p for o, _, b, p in rows if o == "y"}
 
     assert min(y_curve, key=y_curve.get) == 0.0
     assert x_curve[0.0] == pytest.approx(0.5, abs=1e-6)

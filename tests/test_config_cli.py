@@ -18,7 +18,16 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nvdetect import ConfigError, NvParameters, PreconditionError
+from nvdetect import (
+    ConfigError,
+    DensityMatrix2,
+    FieldConfig,
+    NoiseModel,
+    NvParameters,
+    PreconditionError,
+    evolve_pair_grid,
+    optimal_time_search,
+)
 from nvdetect import config as config_mod
 from nvdetect import dynamics
 from nvdetect.cli import _quarter_period_marks, main
@@ -318,6 +327,14 @@ class TestCliExitCodes:
             ("array", {"fields": {"de": [1e-3, 0, 0]}}, "the cycle time pi / (2|c|) of fields.de"),
             ("appendix-b", {"bz_sweep": {"e_magnitudes": [1e6, 1e8]}}, "bz_sweep.e_magnitudes[1]"),
             ("appendix-b", {"bz_sweep": {"noise_rate": 1e9}}, "bz_sweep.noise_rate"),
+            # |c| of a switch whose parts are finite passes the float range (abs(complex) would
+            # raise OverflowError while deriving the cycle time)
+            ("bloch", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
+             "fields.e0 + fields.de"),
+            ("array", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
+             "fields.e0 + fields.de"),
+            # p_dc = p_fn = 0 at the cycle time: every fused error is 0, whatever the sensor counts
+            ("array", {"noise": {"kind": "none"}, "fields": {"de": [1e6, 1e5, 0]}}, "fields.de"),
         ],
     )
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
@@ -369,6 +386,19 @@ class TestCliExitCodes:
         code = main(["array", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "sensor_counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, data", [
+        ("file", {}), ("file/sub", {}), (None, {"output_dir": "file/sub"}),
+    ], ids=["out_is_a_file", "out_below_a_file", "output_dir_below_a_file"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, out, data):
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("kept\n")
+        cfg = write_config(tmp_path / "cfg.json", {"time_grid": SMALL_GRID, **data})
+        code = main(["bloch", "--config", cfg] + (["--out", out] if out else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "output_dir" in err and "Traceback" not in err
+        assert Path("file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("pairs", [
         [{"de": [1e6, 0, 0]}, {"de": [3e6, 0, 0]}],  # the first pair's rows were written
@@ -689,6 +719,41 @@ class TestAppendixBCommand:
         p_at_finite = float(rows[1][4])
         assert p_at_zero == pytest.approx(0.5, abs=1e-6)
         assert p_at_finite < 0.45
+
+    def test_y_drive_detects_without_axial_field(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"bz_sweep": {"e_magnitudes": [1e6], "orientations": ["y"], "b_z_values": [0.0]}},
+        )
+        assert main(["appendix-b", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "bz_error_sweep.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[4]) < 0.1
+
+    def test_rows_and_traces_follow_the_cells(self, tmp_path):
+        # cells run orientation first, then magnitude, then B_z; row i and Bloch trace i are cell i
+        magnitudes, b_zs, window = [1e6, 2e6], [0.0, 4e-6], (1e-9, 4e-6)
+        cfg = write_config(tmp_path / "cfg.json", {"bz_sweep": {
+            "e_magnitudes": magnitudes, "orientations": ["x", "y"], "b_z_values": b_zs,
+            "t_window": list(window), "bloch_traces": True,
+        }})
+        assert main(["appendix-b", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        params = NvParameters()
+        noise, rho0 = NoiseModel.magnetic(params.kappa), DensityMatrix2.equal_superposition()
+        times = np.linspace(0.0, window[1], 201)
+        lines = (tmp_path / "out" / "bz_error_sweep.csv").read_text().splitlines()[1:]
+        cells = [(o, e, b) for o in ("x", "y") for e in magnitudes for b in b_zs]
+        assert len(lines) == len(cells) == 8
+        for i, ((o, e, b), line) in enumerate(zip(cells, lines)):
+            fields = FieldConfig(de=(e, 0.0, 0.0) if o == "x" else (0.0, e, 0.0), b_z=b)
+            row = line.split(",")
+            expected = optimal_time_search(fields, params, noise, rho0, window)
+            assert (row[0], *map(float, row[1:])) == (o, e, b, *expected)
+            _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
+            trace = np.loadtxt(tmp_path / "out" / f"bz_sweep_bloch_{i:03d}.csv", delimiter=",",
+                               skiprows=1)
+            assert np.array_equal(trace, np.column_stack([times, r1]))
+        assert not (tmp_path / "out" / "bz_sweep_bloch_008.csv").exists()
 
     def test_bloch_traces_flag_emits_per_cell_files(self, tmp_path):
         cfg = write_config(

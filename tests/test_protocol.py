@@ -15,7 +15,6 @@ from nvdetect import (
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,
-    superposition_bz_sweep,
     turn_on_blocks,
 )
 from nvdetect.config import ProtocolConfig
@@ -222,16 +221,3 @@ class TestTurnOnProtocol:
         assert np.array_equal(bright_a, bright_b)
         assert interval_a == interval_b
 
-
-class TestSuperpositionBzSweep:
-    def test_x_drive_is_blind_without_axial_field(self):
-        points = superposition_bz_sweep([1e6], [0.0], orientations=("x",))
-        assert points[0].p_err_min == pytest.approx(0.5, abs=1e-6)
-
-    def test_y_drive_detects_without_axial_field(self):
-        points = superposition_bz_sweep([1e6], [0.0], orientations=("y",))
-        assert points[0].p_err_min < 0.1
-
-    def test_rejects_unknown_orientation(self):
-        with pytest.raises(PreconditionError):
-            superposition_bz_sweep([1e6], [0.0], orientations=("z",))
