@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Produce the full set of datasets with default parameters.
 
-Runs every CLI subcommand into a common output directory. Pass a config file
-to override parameters, e.g.::
+Runs every CLI subcommand into a common output directory, prints each one's
+exit code and returns the first non-zero one: a config may suit some
+subcommands and not others, and each still runs. Pass a config file to
+override parameters, e.g.::
 
     python scripts/make_all_data.py --out out --config my_run.json
 """
@@ -21,6 +23,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
+    codes = []
     for command in COMMANDS:
         argv = [command, "--out", args.out]
         if args.config:
@@ -28,10 +31,9 @@ def main() -> int:
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
         print(f"== nvdetect {' '.join(argv)}")
-        code = cli_main(argv)
-        if code != 0:
-            return code
-    return 0
+        codes.append(cli_main(argv))
+        print(f"== exit {codes[-1]}")
+    return next((code for code in codes if code != 0), 0)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .config import RunConfig
+from .config import RunConfig, check_cells
 from .discrimination import min_error_grid, optimal_time_search, standard_basis_error_grid
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
@@ -97,46 +97,48 @@ def _quarter_period_marks(times: np.ndarray, params, de) -> np.ndarray:
     """1 at the grid point nearest to each quarter period t_n of the switch
     ``de`` up to times[-1], else 0, for a sorted grid of at least two points.
 
-    t_n is computed as :meth:`NvParameters.transfer_time` computes it, and
-    ties go to the earlier point, as ``np.argmin(np.abs(times - t_n))``
-    breaks them. The nearest point is monotone in t, so every marked row is
-    also reached by an n nearest to its own time from one side; only n within
-    2 of times[k] / t_1 for some row k are tried, at most five per row
-    however many quarter periods fit.
+    t_n is computed as :meth:`NvParameters.transfer_time` computes it, for
+    n = 1 .. floor(times[-1] 2|c| / pi) + 1, and ties go to the earlier point,
+    as ``np.argmin(np.abs(times - t_n))`` breaks them.
     """
     marks = np.zeros(times.size, dtype=np.int8)
     if params.transfer_time(de) > times[-1]:  # also without a transverse switch
         return marks
     coupling = abs(params.transverse_coupling(de))
-    nearest = np.rint(times * (2.0 * coupling / math.pi))  # nondecreasing, as times is sorted
-    nearest = nearest[np.diff(nearest, prepend=-1.0) > 0.0]
-    n = (nearest[:, None] + np.arange(-2.0, 3.0)).ravel()
-    t_n = n * math.pi / (2.0 * coupling)
-    t_n = t_n[(n >= 1.0) & (t_n <= times[-1])]
+    t_n = np.arange(1.0, times[-1] * (2.0 * coupling / math.pi) + 2.0) * math.pi / (2.0 * coupling)
+    t_n = t_n[t_n <= times[-1]]
     j = np.clip(np.searchsorted(times, t_n), 1, times.size - 1)
     marks[j - (np.abs(times[j - 1] - t_n) <= np.abs(times[j] - t_n))] = 1
     return marks
 
 
+def _keys(name: str, b_z_key="fields.b_z", rate_key="noise.rate") -> tuple[str, ...]:
+    """The key paths of a cell of :func:`config.check_cells` whose switch is the key ``name``."""
+    return f"{name}.de", f"{name}.e0", f"{name}.e0 + {name}.de", b_z_key, rate_key
+
+
 def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     """Error-versus-time sweep for each configured field pair."""
-    params = config.parameters
+    params, f = config.parameters, config.fields
+    # an empty field_pairs stands for four default pairs, which no key names
+    cells = [(FieldConfig(e0=p.e0, de=p.de, b_z=f.b_z, priors=f.priors),
+              NoiseModel(config.noise.kind, p.kappa),
+              _keys(f"field_pairs[{i}]", rate_key=f"field_pairs[{i}].kappa") if config.field_pairs
+              else (f"default field pair {i}",) * 3 + ("fields.b_z", "noise.rate"))
+             for i, p in enumerate(config.default_field_pairs())]
+    check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    pairs = config.default_field_pairs()
     time_cells = ["%.17g" % t for t in times.tolist()]
 
     def blocks():
-        for index, pair in enumerate(pairs):
-            fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z,
-                                 priors=config.fields.priors)
-            noise = NoiseModel(config.noise.kind, pair.kappa)
-            is_tmin = _quarter_period_marks(times, params, pair.de)
+        for index, (fields, noise, _) in enumerate(cells):
+            is_tmin = _quarter_period_marks(times, params, fields.de)
             r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
             yield from _column_blocks(
-                index, "%.17g" % pair.kappa, time_cells, curve.p_err, p_std, curve.p_dc,
+                index, "%.17g" % noise.rate, time_cells, curve.p_err, p_std, curve.p_dc,
                 curve.p_fn, is_tmin,
             )
 
@@ -148,8 +150,8 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     )
     manifest = _write_json(
         out / "perr_time_pairs.json",
-        [{"pair": i, "e0": list(p.e0), "de": list(p.de), "kappa": p.kappa}
-         for i, p in enumerate(pairs)],
+        [{"pair": i, "e0": list(fields.e0), "de": list(fields.de), "kappa": noise.rate}
+         for i, (fields, noise, _) in enumerate(cells)],
     )
     return [csv_path, manifest]
 
@@ -157,23 +159,25 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
 def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     """Error shift p_err(B_z) - p_err(0) on the configured time grid."""
     params = config.parameters
+    b_zs = [(0.0, "B_z = 0")] + [(b, f"b_z_values[{i}]") for i, b in enumerate(config.b_z_values)]
+    cells = [(dataclasses.replace(config.fields, b_z=b), config.noise, _keys("fields", b_z_key=k))
+             for b, k in b_zs]
+    check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
     rho0 = config.preparation.density_matrix()
-    noise = config.noise
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
 
-    def p_err(b_z: float) -> np.ndarray:
-        fields = dataclasses.replace(config.fields, b_z=b_z)
+    def p_err(fields, noise, _) -> np.ndarray:
         r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
-    base = p_err(0.0)
+    base = p_err(*cells[0])
     time_cells = ["%.17g" % t for t in times.tolist()]
     base_cells = ["%.17g" % p for p in base.tolist()]
 
     def blocks():
-        for b_z in config.b_z_values:
-            curve = p_err(float(b_z))
-            yield from _column_blocks("%.17g" % b_z, time_cells, curve, base_cells, curve - base)
+        for cell in cells[1:]:
+            curve = p_err(*cell)
+            yield from _column_blocks("%.17g" % cell[0].b_z, time_cells, curve, base_cells, curve - base)
 
     csv_path = _write_csv(
         out / "bz_sensitivity.csv", "b_z,t,p_err,p_err_b0,dp_err",
@@ -182,22 +186,24 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     return [csv_path]
 
 
-def _cycle_time(config: RunConfig) -> float:
-    """The protocol's cycle time; one that cannot be derived from the field
-    switch is a config error at ``fields.de``."""
+def _cycle_time(config: RunConfig) -> tuple[float, str]:
+    """The protocol's cycle time and its key: ``protocol.t_cycle``, else pi / (2|c|) of the field
+    switch; one that cannot be derived is a config error at ``fields.de``."""
     try:
-        return config.protocol.cycle_time(config.fields, config.parameters)
+        t_cycle = config.protocol.cycle_time(config.fields, config.parameters)
     except PreconditionError as exc:
         raise ConfigError(f"fields.de: {exc}") from exc
+    return t_cycle, ("protocol.t_cycle" if config.protocol.t_cycle
+                     else "the cycle time pi / (2|c|) of fields.de")
 
 
 def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     """Fused error versus sensor count at the optimal single-shot time."""
     params = config.parameters
     rho0 = config.preparation.density_matrix()
-    fields = config.fields
-    noise = config.noise
-    t_meas = _cycle_time(config)
+    fields, noise = config.fields, config.noise
+    t_meas, key = _cycle_time(config)
+    check_cells(params, key, t_meas, [(fields, noise, _keys("fields"))])
     r0, r1 = evolve_pair_grid(fields, params, noise, rho0, [t_meas])
     single = min_error_grid(r0, r1, fields.priors)
     p_dc, p_fn = float(single.p_dc[0]), float(single.p_fn[0])
@@ -225,7 +231,13 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
 def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     """Seeded turn-on runs: per-cycle transcripts plus a summary."""
     proto = config.protocol
-    t_cycle = _cycle_time(config)
+    t_cycle, key = _cycle_time(config)
+    check_cells(config.parameters, key, t_cycle, [(config.fields, config.noise, _keys("fields"))])
+    # every protocol time stays finite: twice n_cycles t_cycle (an interval's center sums two times
+    # of a run), and the 3.2 t_cycle that a null true_t_star stands for
+    if not math.isfinite(max(2.0 * proto.n_cycles, 3.2 if proto.true_t_star is None else 0.0) * t_cycle):
+        raise ConfigError(f"{key} = {t_cycle!r} s puts 2 protocol.n_cycles t_cycle or the 3.2 "
+                          f"t_cycle of a null protocol.true_t_star past the float range")
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
     blocks = turn_on_blocks(
@@ -283,20 +295,28 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     sweep, params = config.bz_sweep, config.parameters
     noise, rho0 = config.bz_sweep_noise(), sweep.preparation.density_matrix()
     window = sweep_window(sweep.t_window, params)
-    cells = [(o, e, b, FieldConfig(de=(e, 0.0, 0.0) if o == "x" else (0.0, e, 0.0), b_z=b))
-             for o in sweep.orientations for e in sweep.e_magnitudes for b in sweep.b_z_values]
+    if not window[0] < window[1] <= 10.0 * params.t2:
+        raise ConfigError(f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= 10 * "
+                          f"parameters.t2 = {10.0 * params.t2!r}, got {list(window)!r}")
+    # (orientation, magnitude, B_z, cell of check_cells)
+    cells = [(o, e, b, (FieldConfig(de=(e, 0.0, 0.0) if o == "x" else (0.0, e, 0.0), b_z=b), noise,
+                        (f"bz_sweep.e_magnitudes[{i}]",) * 3
+                        + (f"bz_sweep.b_z_values[{j}]", "bz_sweep.noise_rate")))
+             for o in sweep.orientations for i, e in enumerate(sweep.e_magnitudes)
+             for j, b in enumerate(sweep.b_z_values)]
+    check_cells(params, "bz_sweep.t_window[1]", window[1], [cell for *_, cell in cells])
     csv_path = _write_csv(
         out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
         "%s,%.17g,%.17g,%.17g,%.17g\n",
         [[(o, e, b, *optimal_time_search(fields, params, noise, rho0, window))
-          for o, e, b, fields in cells]],
+          for o, e, b, (fields, *_) in cells]],
     )
     written = [csv_path]
 
     if sweep.bloch_traces:
         times = np.linspace(0.0, window[1], 201)
         time_cells = ["%.17g" % t for t in times.tolist()]
-        for i, (*_, fields) in enumerate(cells):
+        for i, (*_, (fields, _, _)) in enumerate(cells):
             _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             written.append(_write_csv(
                 out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%s,%.17g,%.17g,%.17g\n",
@@ -308,6 +328,8 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
 def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     """Bloch trajectory (t, x, y, z) for the selected hypothesis."""
     params = config.parameters
+    check_cells(params, "time_grid.t_max", config.time_grid.t_max,
+                [(config.fields, config.noise, _keys("fields"))])
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
     pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times)
@@ -361,6 +383,8 @@ def main(argv=None) -> int:
             if args.seed < 0 or args.seed > 2**64 - 1:
                 raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
             config = dataclasses.replace(config, seed=args.seed)
+        if "\0" in config.output_dir:  # no path can hold one
+            raise ConfigError(f"output_dir must not hold a NUL character, got {config.output_dir!r}")
         out = Path(config.output_dir)
         kwargs = {"hypothesis": args.hypothesis} if args.command == "bloch" else {}
         written = _COMMANDS[args.command](config, out, **kwargs)

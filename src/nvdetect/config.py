@@ -19,7 +19,7 @@ walks it back, so ``parse(serialize(cfg)) == cfg``. Unknown keys, wrong types,
 non-finite numbers and out-of-range values raise :class:`ConfigError` naming
 the full key path (e.g. ``fields.de[0]``), so typos never silently fall back to
 defaults. The rules that tie two keys together are written out in
-:func:`parse`.
+:func:`parse`; :func:`check_cells` checks the cells a subcommand propagates.
 """
 import dataclasses
 import enum
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters
-from .protocol import _BLOCK_STREAMS, PreparationState, sweep_window
+from .protocol import _BLOCK_STREAMS, PreparationState
 
 SCHEMA_VERSION = 1
 
@@ -296,65 +296,33 @@ def parse(data: dict) -> RunConfig:
             f"bz_sweep.noise_rate must be 0 or null when bz_sweep.noise_kind is none, "
             f"got {sweep.noise_rate!r}"
         )
-    # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
-    # (noise, key path, fields) of each cell
-    cells = [(config.noise, "fields.de", config.fields)]
-    cells += [(NoiseModel(config.noise.kind, pair.kappa), f"field_pairs[{i}].de",
-               FieldConfig(e0=pair.e0, de=pair.de)) for i, pair in enumerate(config.field_pairs)]
-    cells += [(config.bz_sweep_noise(), f"bz_sweep.e_magnitudes[{i}]", FieldConfig(de=(e, 0.0, 0.0)))
-              for i, e in enumerate(sweep.e_magnitudes)]
-    for cell_noise, key, fields in cells:
-        if (cell_noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and cell_noise.rate > 0.0
+    return config
+
+
+def check_cells(params: NvParameters, time_key: str, t: float, cells) -> None:
+    """Refuse, naming the key, a cell that cannot be propagated up to ``t``, the value of
+    ``time_key``, within the propagator envelope. A cell is ``(fields, noise, keys)``: the two
+    hypotheses, their noise, and the key paths of de, e0, e0 + de, the B_z and the rate."""
+    for fields, noise, (de_key, e0_key, e1_key, b_z_key, rate_key) in cells:
+        # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
+        if (noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and noise.rate > 0.0
                 and not fields.has_transverse_field):
             raise ConfigError(
-                f"{key} must give e0 or e0 + de an x or y component under electric noise "
+                f"{de_key} must give e0 or e0 + de an x or y component under electric noise "
                 f"of nonzero rate, got e0={list(fields.e0)!r}, e0 + de={list(fields.e1)!r}"
             )
-    window = sweep_window(sweep.t_window, params)
-    if not window[0] < window[1] <= 10.0 * params.t2:
-        raise ConfigError(
-            f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= "
-            f"10 * parameters.t2 = {10.0 * params.t2!r}, got {list(window)!r}"
-        )
-    # the cycle time: protocol.t_cycle, else pi / (2|c|) of the switch (inf without a transverse one)
-    f, pairs, proto = config.fields, config.default_field_pairs(), config.protocol
-    cycle_key = "protocol.t_cycle" if proto.t_cycle else "the cycle time pi / (2|c|) of fields.de"
-    t_cycle = proto.t_cycle or params.transfer_time(f.de)
-    t_cycle = t_cycle if math.isfinite(t_cycle) else 0.0  # the commands that need it refuse inf
-    # the envelope, from each field, B_z and kappa that a time key's t propagates, each with its key
-    # path so that the largest term names its key; the fields are e0 and e0 + de of each switch
-    switches = [("fields", f)] + [(f"field_pairs[{i}]", FieldConfig(e0=p.e0, de=p.de))
-                                  for i, p in enumerate(pairs)]
-    e_fields = [(e, key) for name, cell in switches
-                for e, key in ((cell.e0, f"{name}.e0"), (cell.e1, f"{name}.e0 + {name}.de"))]
-    grid_b_zs = [(f.b_z, "fields.b_z")] + [(b, f"b_z_values[{i}]") for i, b in enumerate(config.b_z_values)]
-    grid_rates = [(config.noise.rate, "noise.rate")]
-    grid_rates += [(p.kappa, f"field_pairs[{i}].kappa") for i, p in enumerate(pairs)]
-    for key, t, fields, b_zs, rates in [
-        ("time_grid.t_max", config.time_grid.t_max, e_fields, grid_b_zs, grid_rates),
-        (cycle_key, t_cycle, e_fields[:2], grid_b_zs[:1], grid_rates[:1]),
-        ("bz_sweep.t_window[1]", window[1],
-         [((e, 0.0), f"bz_sweep.e_magnitudes[{i}]") for i, e in enumerate(sweep.e_magnitudes)],
-         [(b, f"bz_sweep.b_z_values[{i}]") for i, b in enumerate(sweep.b_z_values)],
-         [(config.bz_sweep_noise().rate, "bz_sweep.noise_rate")]),
-    ]:
-        # the largest |Re c| + |Im c| of a field and |w_z| of a B_z, with their key paths
-        c = max((params.transverse_coupling((abs(e[0]) + abs(e[1]), 0.0)).real, k) for e, k in fields)
-        w = max((abs(params.zeeman_rate(b_z)), k) for b_z, k in b_zs)
-        theta, (kappa, kappa_key) = 2.0 * (c[0] + w[0]) * t, max(rates)
+        # the larger |Re c| + |Im c| of e0 and e0 + de, and |w_z| of the B_z, with their key paths
+        c = max((params.transverse_coupling((abs(e[0]) + abs(e[1]), 0.0)).real, k)
+                for e, k in ((fields.e0, e0_key), (fields.e1, e1_key)))
+        w = (abs(params.zeeman_rate(fields.b_z)), b_z_key)
+        theta = 2.0 * (c[0] + w[0]) * t
         if not theta <= MAX_ROTATION:
-            raise ConfigError(f"{key} = {t!r} s turns the Bloch vector through 2(|Re c| + |Im c| + "
-                              f"|w_z|) t = {theta:.4g} rad (largest term: {max(c, w)[1]}), outside "
-                              f"the propagator envelope of {MAX_ROTATION:g} rad")
-        if not kappa * t <= MAX_DEPHASING:
-            raise ConfigError(f"{key} = {t!r} s gives {kappa_key} = {kappa!r}/s a kappa t of "
-                              f"{kappa * t:.4g}, outside the propagator envelope of {MAX_DEPHASING:g}")
-    # every protocol time stays finite: twice n_cycles t_cycle (an interval's center sums two times
-    # of a run), and the 3.2 t_cycle that a null true_t_star stands for
-    if not math.isfinite(max(2.0 * proto.n_cycles, 3.2 if proto.true_t_star is None else 0.0) * t_cycle):
-        raise ConfigError(f"{cycle_key} = {t_cycle!r} s puts 2 protocol.n_cycles t_cycle or the 3.2 "
-                          f"t_cycle of a null protocol.true_t_star past the float range")
-    return config
+            raise ConfigError(f"{time_key} = {t!r} s turns the Bloch vector through 2(|Re c| + "
+                              f"|Im c| + |w_z|) t = {theta:.4g} rad (largest term: {max(c, w)[1]}), "
+                              f"outside the propagator envelope of {MAX_ROTATION:g} rad")
+        if not noise.rate * t <= MAX_DEPHASING:
+            raise ConfigError(f"{time_key} = {t!r} s gives {rate_key} = {noise.rate!r}/s a kappa t of "
+                              f"{noise.rate * t:.4g}, outside the propagator envelope of {MAX_DEPHASING:g}")
 
 
 def serialize(config: RunConfig) -> dict:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,7 @@ class TestConfig:
             # only the rules that tie two keys together reject a declared value
             assert any(
                 rule in str(exc)
-                for rule in ("bz_sweep.t_window", "noise.kind is none", "bz_sweep.noise_rate",
-                             "an x or y component", "outside the propagator envelope",
-                             "past the float range")
+                for rule in ("noise.kind is none", "bz_sweep.noise_rate")
             ), exc
             reject()
         assert parsed == config
@@ -335,14 +334,36 @@ class TestCliExitCodes:
              "fields.e0 + fields.de"),
             # p_dc = p_fn = 0 at the cycle time: every fused error is 0, whatever the sensor counts
             ("array", {"noise": {"kind": "none"}, "fields": {"de": [1e6, 1e5, 0]}}, "fields.de"),
+            # each subcommand checks the cells it propagates: bz-sensitivity its B_z values,
+            # perr-time the four default pairs (their 3e6 V/m switch)
+            ("bz-sensitivity", {"time_grid": {"t_max": 2e-4}}, "time_grid.t_max"),
+            ("perr-time", {"time_grid": {"t_max": 1.6e-4}, "b_z_values": [0.0]}, "time_grid.t_max"),
+            # checked before the time grid is built, whose steps overflow here
+            ("bloch", {"time_grid": {"t_max": 1.7976931348623157e308, "n_points": 64}},
+             "time_grid.t_max"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # from numpy too, not only nvdetect
     def test_malformed_protocol_key_exits_2(self, tmp_path, capsys, command, data, key):
         cfg = write_config(tmp_path / "bad.json", data)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert key in capsys.readouterr().err
+        assert key in err
+        if "field_pairs" not in data:  # the four default pairs of perr-time are not config keys
+            assert "field_pairs[" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, data", [
+        ("bloch", {"time_grid": {"t_max": 2e-4}}),  # past the envelope only with b_z_values
+        ("appendix-b", {"fields": {"e0": [0, 0, 0], "de": [0, 0, 1e6]}}),  # no transverse field
+        ("array", {"bz_sweep": {"t_window": [1e-9, 2e-4]}}),  # past 10 T2
+    ])
+    def test_a_key_the_subcommand_does_not_read_exits_0(self, tmp_path, command, data):
+        # the rows above refuse each config on bz-sensitivity, bloch and appendix-b
+        cfg = write_config(tmp_path / "cfg.json", data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert_finite_outputs(tmp_path / "out")
 
     @pytest.mark.parametrize("command", ["protocol", "array"])
     def test_zero_switch_without_cycle_time_exits_2(self, tmp_path, capsys, command):
@@ -389,7 +410,9 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("out, data", [
         ("file", {}), ("file/sub", {}), (None, {"output_dir": "file/sub"}),
-    ], ids=["out_is_a_file", "out_below_a_file", "output_dir_below_a_file"])
+        ("a\0b", {}), (None, {"output_dir": "a\u0000b"}),
+    ], ids=["out_is_a_file", "out_below_a_file", "output_dir_below_a_file", "out_holds_a_nul",
+            "output_dir_holds_a_nul"])
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, out, data):
         monkeypatch.chdir(tmp_path)
         Path("file").write_text("kept\n")
@@ -473,7 +496,8 @@ class TestCliExitCodes:
         # exit 3 is a defect: the config rules, the propagator envelope among them, refuse with
         # exit 2 and a key path every config the kernel cannot evaluate within its invariants
         key_path = re.compile(r"\b(%s)\b" % "|".join(f.name for f in dataclasses.fields(config)))
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # from numpy too, not only nvdetect
             cfg = write_config(Path(tmp) / "cfg.json", config_mod.serialize(config))
             for command in COMMANDS:
                 out, err = Path(tmp) / command, io.StringIO()
