@@ -320,7 +320,7 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
             _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             written.append(_write_csv(
                 out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%s,%.17g,%.17g,%.17g\n",
-                _column_blocks(time_cells, *r1.T),
+                _column_blocks(time_cells, *r1),
             ))
     return written
 
@@ -335,7 +335,7 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times)
     return [_write_csv(
         out / "bloch.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
-        _column_blocks(times, *pair[hypothesis].T),
+        _column_blocks(times, *pair[hypothesis]),
     )]
 
 

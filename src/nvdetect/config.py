@@ -38,7 +38,7 @@ from .protocol import _BLOCK_STREAMS, PreparationState
 SCHEMA_VERSION = 1
 
 #: Upper bounds of the counts; each one caps what grows with it (README).
-#: Time-grid points: the (2, n, 3) Bloch vectors and n rows per curve.
+#: Time-grid points: the (2, 3, n) Bloch vectors and n rows per curve.
 MAX_GRID_POINTS = 100_000
 #: Protocol cycles: one run's n_cycles x n_sensors clicks are held at once.
 MAX_CYCLES = 1_000
@@ -75,7 +75,7 @@ class ProtocolConfig:
 
     def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
         """The configured t_cycle, else pi / (2 |coupling|) of the field switch,
-        which must be finite."""
+        which must be finite and nonzero."""
         if self.t_cycle is not None:
             return self.t_cycle
         t_cycle = params.transfer_time(fields.de)
@@ -83,6 +83,8 @@ class ProtocolConfig:
             raise PreconditionError(
                 "deriving the cycle time needs a nonzero transverse field switch"
             )
+        if t_cycle == 0.0:  # pi / (2 inf)
+            raise PreconditionError("the transverse coupling |c| of the field switch overflows")
         return t_cycle
 
 

@@ -4,8 +4,8 @@ The decision operator is the prior-weighted state difference
 P1 rho1(t) - P0 rho0(t). For Bloch vectors r0, r1 and v = P1 r1 - P0 r0 it
 is ((P1 - P0) I + v.sigma)/2, so its eigenvalues follow from the length of
 one vector and the optimal projector pair (Helstrom measurement) from its
-direction. :func:`helstrom_decision` computes that measurement at every row
-of two Bloch-vector arrays; it is the only place where the package makes a
+direction. :func:`helstrom_decision` computes that measurement at every
+point of two Bloch-vector arrays; it is the only place where the package makes a
 Helstrom decision. :func:`min_error_grid` takes the error probability from
 it in two independent ways and cross-checks them at every point:
 
@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
-from .linalg import DensityMatrix2, bloch_vector
+from .linalg import DensityMatrix2, _dot_rows, bloch_vector
 
 #: Bracket width (s) at which the optimal-time search stops zooming.
 _SEARCH_TOL = 1e-10
@@ -43,7 +43,7 @@ class HelstromDecision(NamedTuple):
     ("field switched") projects onto the nonnegative ones: it is the
     identity where ``all_pi1`` (lambda_minus >= 0), zero where ``all_pi0``
     (lambda_plus < 0), and (I + unit.sigma)/2 elsewhere, ``unit`` being the
-    direction of v = P1 r1 - P0 r0.
+    direction of v = P1 r1 - P0 r0, shape (3, n) of rows x, y, z.
     """
 
     lambda_plus: np.ndarray
@@ -53,10 +53,10 @@ class HelstromDecision(NamedTuple):
     all_pi0: np.ndarray
 
     def bright_probability(self, r) -> np.ndarray:
-        """Tr(rho Pi1), unclipped, for Bloch vectors r of shape (n, 3): the
-        chance that a readout clicks "field switched"."""
+        """Tr(rho Pi1), unclipped, for Bloch vectors r of shape (3, n), rows x, y, z:
+        the chance that a readout clicks "field switched"."""
         return np.where(self.all_pi1, 1.0, np.where(
-            self.all_pi0, 0.0, 0.5 * (1.0 + np.sum(self.unit * r, axis=-1))
+            self.all_pi0, 0.0, 0.5 * (1.0 + _dot_rows(self.unit, r))
         ))
 
 
@@ -71,7 +71,7 @@ class ErrorCurve(NamedTuple):
 
 
 def helstrom_decision(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> HelstromDecision:
-    """The Helstrom measurement at every row of two (n, 3) Bloch-vector arrays.
+    """The Helstrom measurement at every point of two (3, n) Bloch-vector arrays.
 
     With v = P1 r1 - P0 r0 the eigenvalues are ((P1 - P0) +- |v|)/2. Zero
     eigenvalues go to Pi1, so identical states (v = 0) with P1 >= P0 give
@@ -79,27 +79,26 @@ def helstrom_decision(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> Helst
     """
     p0, p1 = _checked_priors(priors)
     v = p1 * np.asarray(r1, dtype=float) - p0 * np.asarray(r0, dtype=float)
-    length = np.sqrt(np.sum(v * v, axis=-1))
+    length = np.sqrt(_dot_rows(v, v))
     lam_plus = 0.5 * ((p1 - p0) + length)
     lam_minus = 0.5 * ((p1 - p0) - length)
-    unit = v / np.where(length > 0.0, length, 1.0)[..., None]  # unused where length == 0
+    unit = v / np.where(length > 0.0, length, 1.0)  # unused where length == 0
     return HelstromDecision(lam_plus, lam_minus, unit, lam_minus >= 0.0, lam_plus < 0.0)
 
 
 def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCurve:
-    """Minimal-error report at every row of two (n, 3) Bloch-vector arrays.
+    """Minimal-error report at every point of two (3, n) Bloch-vector arrays.
 
     p_dc and p_fn come from :func:`helstrom_decision`; the trace and
     eigenvalue forms of p_err must agree to 1e-12 at every point, and a NaN
     in either breaches that.
     """
     p0, p1 = _checked_priors(priors)
-    r0 = np.asarray(r0, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
+    r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
     dec = helstrom_decision(r0, r1, priors)
     p_dc = dec.bright_probability(r0)
     p_fn = np.where(dec.all_pi1, 0.0, np.where(
-        dec.all_pi0, 1.0, 0.5 * (1.0 - np.sum(dec.unit * r1, axis=-1))
+        dec.all_pi0, 1.0, 0.5 * (1.0 - _dot_rows(dec.unit, r1))
     ))
     p_trace = p0 * p_dc + p1 * p_fn
     p_eigen = 0.5 * (1.0 - np.abs(dec.lambda_plus) - np.abs(dec.lambda_minus))
@@ -123,7 +122,7 @@ def standard_basis_error_grid(
 ) -> np.ndarray:
     """Error probability of the fixed fluorescence-basis readout (staying in
     |+1> reads "baseline", arriving in |-1> reads "field switched") at every
-    row of two (n, 3) Bloch-vector arrays:
+    point of two (3, n) Bloch-vector arrays, rows x, y, z:
     P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2.
 
     With ``best_assignment`` the cheaper of the two outcome labelings is
@@ -132,7 +131,7 @@ def standard_basis_error_grid(
     the sensible labeling is the swapped one).
     """
     p0, p1 = _checked_priors(priors)
-    p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[:, 2]) + p1 * (1.0 + np.asarray(r1)[:, 2]))
+    p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[2]) + p1 * (1.0 + np.asarray(r1)[2]))
     if best_assignment:
         p_err = np.minimum(p_err, 1.0 - p_err)
     return np.clip(p_err, 0.0, 1.0)

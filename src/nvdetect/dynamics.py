@@ -53,8 +53,8 @@ def bloch_generators(fields: FieldConfig, params: NvParameters, noise: NoiseMode
 
 
 def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
-    """Bloch vector exp(M t) r_init of every generator at every time: shape
-    (g, n, 3). Vectors longer than 1 + 1e-12 raise NumericalInvariantError.
+    """Bloch vector exp(M t) r_init of every generator at every time, as rows x, y, z:
+    shape (g, 3, n). Vectors longer than 1 + 1e-12 raise NumericalInvariantError.
 
     ``times`` must be a nondecreasing uniform grid of n >= 1 nonnegative
     times, equal to ``np.linspace(times[0], times[-1], n)``; any other array
@@ -75,7 +75,7 @@ def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
     maps = expm_batch(gens[:, None] * np.concatenate([coarse, steps])[None, :, None, None])
     step_vectors = maps[:, len(coarse):] @ r_init  # (g, B, 3)
     r = maps[:, :len(coarse)] @ step_vectors.swapaxes(1, 2)[:, None]  # (g, J, 3, B)
-    return check_bloch_norms(r.swapaxes(2, 3).reshape(len(gens), -1, 3)[:, :n])
+    return check_bloch_norms(r.swapaxes(1, 2).reshape(len(gens), 3, -1)[:, :, :n])  # one copy
 
 
 def evolve_pair_grid(
@@ -85,7 +85,7 @@ def evolve_pair_grid(
     rho0: DensityMatrix2,
     times,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors of both hypotheses at every time, as two (n, 3) arrays.
+    """Bloch vectors of both hypotheses at every time, as two (3, n) arrays.
 
     Each hypothesis's Bloch generator is built once and propagated over the
     whole array by :func:`evolve_bloch`. Output vectors longer

@@ -8,6 +8,7 @@ tested as ``not (x <= bound)``, so that a NaN fails it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,13 +96,26 @@ def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:
     return (x, y, z)
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x x' + y y' + z z' of rows x, y, z, shape (..., 3, n), in numpy's length-3 sum order."""
+    return a[..., 0, :] * b[..., 0, :] + a[..., 1, :] * b[..., 1, :] + a[..., 2, :] * b[..., 2, :]
+
+
 def check_bloch_norms(r: np.ndarray) -> np.ndarray:
-    """Return Bloch vectors (last axis x, y, z) after checking that none is
-    longer than 1 + 1e-12 or NaN."""
-    worst = float(np.max(np.sqrt(np.sum(r * r, axis=-1)), initial=0.0))
+    """Return Bloch vectors stored as rows x, y, z, shape (..., 3, n), after
+    checking that none is longer than 1 + 1e-12 or NaN."""
+    worst = float(np.max(np.sqrt(_dot_rows(r, r)), initial=0.0))
     if not worst <= 1.0 + 1e-12:
         raise NumericalInvariantError(f"Bloch norm {worst!r} exceeds 1")
     return r
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm of every matrix of a (..., d, d) stack: the running sum of the d rows of |a|, then
+    the running maximum of its columns; ``np.max(np.sum(np.abs(a), axis=-2), axis=-1)``'s bits."""
+    abs_a = np.abs(a)
+    sums = functools.reduce(np.add, (abs_a[..., i, :] for i in range(a.shape[-1])))
+    return functools.reduce(np.maximum, (sums[..., j] for j in range(a.shape[-1])))
 
 
 def expm_batch(a: np.ndarray) -> np.ndarray:
@@ -131,8 +145,7 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
         raise PreconditionError("matrix entries must be finite")
     dim = a.shape[-1]
     eye = np.eye(dim, dtype=a.dtype)
-    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norm1, 0.5) / 0.5))
+    squarings = np.ceil(np.log2(np.maximum(_norm1(a), 0.5) / 0.5))
     b = a / np.exp2(squarings)[..., None, None]
 
     b2 = b @ b

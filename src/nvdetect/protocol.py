@@ -221,18 +221,18 @@ def _cycle_bright_probabilities(
     r_init = np.array(bloch_vector(preparation.density_matrix()))
     r_dark, r_bright = evolve_bloch(gens, r_init, [t_cycle])
     curve = min_error_grid(r_dark, r_bright, fields.priors)
-    r_cycles = np.empty((n_cycles, 3))
+    r_cycles = np.empty((3, n_cycles))  # rows x, y, z
     for cycle in range(n_cycles):
         t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
         if true_t_star >= t_end:
-            r_cycles[cycle] = r_dark[0]
+            r_cycles[:, cycle] = r_dark[:, 0]
         elif true_t_star <= t_start:
-            r_cycles[cycle] = r_bright[0]
+            r_cycles[:, cycle] = r_bright[:, 0]
         else:
             segments = np.array([true_t_star - t_start, t_end - true_t_star])
             maps = expm_batch(gens * segments[:, None, None])  # baseline, then switched
-            r_cycles[cycle] = check_bloch_norms(maps[1] @ maps[0] @ r_init)
-    p_cycle = curve.decision.bright_probability(r_cycles)
+            r_cycles[:, cycle] = maps[1] @ maps[0] @ r_init
+    p_cycle = curve.decision.bright_probability(check_bloch_norms(r_cycles))
     if not np.all(np.isfinite(p_cycle)):  # a NaN would click dark in every draw
         raise NumericalInvariantError(
             f"cycle bright probabilities {p_cycle.tolist()!r} are not finite"

@@ -23,6 +23,10 @@ eigensolver (:func:`herm_eigen2`) applied to P1 rho1 - P0 rho0, explicit
 projectors built from its eigenvectors, and traces of density matrices
 (:func:`min_error`, :func:`standard_basis_error`); :func:`density_matrix`
 turns the package's Bloch vectors into the matrices it takes.
+The package stores Bloch vectors as rows x, y, z, shape (3, n);
+:func:`min_error_vectors` and :func:`worst_bloch_norm` compute the same
+decision and norm on (n, 3) arrays with numpy's last-axis sums, a bit-for-bit
+reference for the package's row arithmetic.
 
 Also here: the one-matrix exponential :func:`expm_small`, the 3x3
 ground-state Hamiltonian and its spectrum, the per-click readout and
@@ -36,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -768,6 +773,41 @@ def min_error(
         p_dc=min(max(p_dc, 0.0), 1.0),
         p_fn=min(max(p_fn, 0.0), 1.0),
     )
+
+
+class VectorDecision(NamedTuple):
+    """:func:`min_error_vectors`' report: clipped p_err, p_dc and p_fn, the
+    eigenvalues, and the (n, 3) unit vectors of v."""
+
+    p_err: np.ndarray
+    p_dc: np.ndarray
+    p_fn: np.ndarray
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
+    unit: np.ndarray
+
+
+def min_error_vectors(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> VectorDecision:
+    """The Helstrom report of every row of two (n, 3) Bloch-vector arrays, by
+    numpy's reductions over the last axis: the vector-major formulas that the
+    package's row arithmetic on (3, n) arrays must reproduce bit for bit."""
+    p0, p1 = _checked_priors(priors)
+    r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
+    v = p1 * r1 - p0 * r0
+    length = np.sqrt(np.sum(v * v, axis=-1))
+    lam_plus = 0.5 * ((p1 - p0) + length)
+    lam_minus = 0.5 * ((p1 - p0) - length)
+    unit = v / np.where(length > 0.0, length, 1.0)[..., None]
+    all_pi1, all_pi0 = lam_minus >= 0.0, lam_plus < 0.0
+    p_dc = np.where(all_pi1, 1.0, np.where(all_pi0, 0.0, 0.5 * (1.0 + np.sum(unit * r0, axis=-1))))
+    p_fn = np.where(all_pi1, 0.0, np.where(all_pi0, 1.0, 0.5 * (1.0 - np.sum(unit * r1, axis=-1))))
+    return VectorDecision(np.clip(p0 * p_dc + p1 * p_fn, 0.0, 1.0), np.clip(p_dc, 0.0, 1.0),
+                          np.clip(p_fn, 0.0, 1.0), lam_plus, lam_minus, unit)
+
+
+def worst_bloch_norm(r) -> float:
+    """The longest Bloch vector of an (..., 3) array, by numpy's sum over the last axis."""
+    return float(np.max(np.sqrt(np.sum(r * r, axis=-1)), initial=0.0))
 
 
 #: Fixed readout projectors of the fluorescence basis: staying in |+1> reads

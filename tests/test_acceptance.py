@@ -67,7 +67,7 @@ def projector_pi1(decision, k):
     elif decision.all_pi0[k]:
         c, w = 0.0, np.zeros(3)
     else:
-        c, w = 0.5, 0.5 * decision.unit[k]
+        c, w = 0.5, 0.5 * decision.unit[:, k]
     return c * IDENTITY_2 + w[0] * SIGMA_X + w[1] * SIGMA_Y + w[2] * SIGMA_Z
 
 
@@ -168,12 +168,13 @@ def test_criterion_4_dual_formula_identity():
     noise = NoiseModel.electric(PARAMS.kappa)
     fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, POLE, np.linspace(1e-8, 4e-6, 400))
-    cases += [(v0, v1, (0.5, 0.5)) for v0, v1 in zip(r0, r1)]
+    cases += [(v0, v1, (0.5, 0.5)) for v0, v1 in zip(r0.T, r1.T)]
     for _ in range(2000):
         p0 = rng.uniform(0, 1)
         cases.append((random_state(rng), random_state(rng), (p0, 1 - p0)))
     for v0, v1, priors in cases:
-        curve = min_error_grid([v0], [v1], priors)  # would raise on mismatch
+        rows0, rows1 = np.transpose([v0]), np.transpose([v1])
+        curve = min_error_grid(rows0, rows1, priors)  # would raise on mismatch
         rho0, rho1 = density_matrix(v0), density_matrix(v1)
         pi1 = projector_pi1(curve.decision, 0)
         p_trace = priors[0] * np.trace(rho0.matrix @ pi1).real + priors[1] * np.trace(
@@ -205,7 +206,8 @@ def test_criterion_5_povm_axioms():
     for _ in range(10_000):
         p0 = rng.uniform(0, 1)
         v0, v1 = random_state(rng), random_state(rng)
-        pi1 = projector_pi1(helstrom_decision([v0], [v1], (p0, 1 - p0)), 0)
+        rows0, rows1 = np.transpose([v0]), np.transpose([v1])
+        pi1 = projector_pi1(helstrom_decision(rows0, rows1, (p0, 1 - p0)), 0)
         pi0 = IDENTITY_2 - pi1
         for pi in (pi0, pi1):
             worst_herm = max(worst_herm, float(np.max(np.abs(pi - pi.conj().T))))
@@ -235,7 +237,7 @@ def eigenvalue_pairs(fields, noise, times):
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, POLE, times)
     curve = min_error_grid(r0, r1)
     spectra = np.column_stack([curve.decision.lambda_plus, curve.decision.lambda_minus])
-    for (v0, v1), got in zip(zip(r0, r1), spectra):
+    for (v0, v1), got in zip(zip(r0.T, r1.T), spectra):
         dec = helstrom_operator(density_matrix(v0), density_matrix(v1))
         assert np.max(np.abs(got - (dec.lambda_plus, dec.lambda_minus))) <= 1e-12
     return spectra

@@ -30,7 +30,7 @@ from nvdetect import (
 from nvdetect import discrimination, dynamics
 from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.hamiltonian import NoiseKind, bloch_generator
-from nvdetect.linalg import bloch_vector, check_bloch_norms
+from nvdetect.linalg import _norm1, bloch_vector, check_bloch_norms
 
 import oracles
 from oracles import (
@@ -105,8 +105,8 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
         s0, s1 = oracles.evolve_pair(
             fields, PARAMS, noise, rho0, float(t), method=Route.SUPEROPERATOR
         )
-        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[k])) <= 1e-12
-        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[:, k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[:, k])) <= 1e-12
         report = min_error(s0, s1, fields.priors)
         assert abs(report.p_err - curve.p_err[k]) <= 1e-12
         p_std_ref = standard_basis_error(s0, s1, fields.priors, best_assignment=True)
@@ -115,7 +115,7 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
         # rounding difference in the states moves them by about 1e-16 / |v|,
         # and they jump where an eigenvalue crosses zero. Where neither
         # applies they must agree as tightly as p_err.
-        v = fields.priors[1] * r1[k] - fields.priors[0] * r0[k]
+        v = fields.priors[1] * r1[:, k] - fields.priors[0] * r0[:, k]
         dec = curve.decision
         smallest_eigenvalue = min(abs(dec.lambda_plus[k]), abs(dec.lambda_minus[k]))
         if np.linalg.norm(v) >= 1e-3 and smallest_eigenvalue >= 1e-9:
@@ -124,8 +124,8 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
 
     k = len(times) // 2
     p0, p1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [times[k]])
-    assert np.max(np.abs(p0[0] - r0[k])) <= 1e-13
-    assert np.max(np.abs(p1[0] - r1[k])) <= 1e-13
+    assert np.max(np.abs(p0[:, 0] - r0[:, k])) <= 1e-13
+    assert np.max(np.abs(p1[:, 0] - r1[:, k])) <= 1e-13
 
 
 @pytest.mark.parametrize("rho0", PREPARATIONS, ids=["pole_plus", "equal_superposition"])
@@ -175,7 +175,7 @@ def test_other_methods_loop_the_cross_check_routes():
         routed = [np.array([bloch_vector(pair[k]) for pair in pairs]) for k in (0, 1)]
         for a, b in zip(auto, routed):
             assert b.shape == (7, 3)
-            assert np.max(np.abs(a - b)) < 1e-12
+            assert np.max(np.abs(a.T - b)) < 1e-12
 
 
 def test_negative_times_rejected():
@@ -323,6 +323,22 @@ def test_expm_batch_of_a_stack_is_the_expm_batch_of_each_matrix(seed, kind, dim,
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(MATRIX_KINDS),
     dim=st.integers(1, 4),
+    log2_norms=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_norm_rows_give_the_bits_of_numpys_column_sums(seed, kind, dim, log2_norms):
+    # expm_batch's squaring counts come from this norm: the running sums of the rows and the
+    # running maximum of the columns must be numpy's reductions bit for bit, on any leading axes
+    stack = matrix_stack(seed, kind, dim, log2_norms)
+    for a in (stack, stack[None], np.stack([stack, stack[::-1]])):
+        got, want = _norm1(a), np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MATRIX_KINDS),
+    dim=st.integers(1, 4),
     log2_norms=st.lists(st.floats(-20.0, -2.0), min_size=1, max_size=8),
     shift=st.floats(-0.25, 0.25),
 )
@@ -364,7 +380,7 @@ def test_strong_dephasing_reaches_the_closed_form_fixed_point(log10_kappa_t, ang
     r = evolve_bloch(bloch_generators(fields, PARAMS, noise), np.array(bloch_vector(rho0)), [t])
     closed = oracles.evolve_pair(fields, PARAMS, noise, rho0, t, method=Route.CLOSED_DEPHASING)
     for k, state in enumerate(closed):
-        assert np.max(np.abs(np.array(bloch_vector(state)) - r[k, 0])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(state)) - r[k, :, 0])) <= 1e-12
 
 
 def per_time_stack(gens, times):
@@ -375,7 +391,7 @@ def per_time_stack(gens, times):
 
 def per_time_evolve_bloch(gens, r_init, times):
     """``evolve_bloch`` by the per-time stack, on any array of times."""
-    return check_bloch_norms(per_time_stack(gens, times) @ r_init)
+    return check_bloch_norms((per_time_stack(gens, times) @ r_init).swapaxes(1, 2))
 
 
 @st.composite
@@ -396,7 +412,7 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
     gens = bloch_generators(fields, PARAMS, noise)
     r_init = np.array(bloch_vector(rho0))
     r = evolve_bloch(gens, r_init, times)
-    reference = per_time_stack(gens, times) @ r_init
+    reference = (per_time_stack(gens, times) @ r_init).swapaxes(1, 2)
     assert np.max(np.abs(r - reference)) <= 1e-12
 
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
@@ -406,8 +422,8 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
         s0, s1 = oracles.evolve_pair(
             fields, PARAMS, noise, rho0, float(times[k]), method=Route.SUPEROPERATOR
         )
-        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[k])) <= 1e-12
-        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s0)) - r0[:, k])) <= 1e-12
+        assert np.max(np.abs(np.array(bloch_vector(s1)) - r1[:, k])) <= 1e-12
 
 
 def test_product_route_is_taken_only_on_uniform_grids(monkeypatch):
@@ -465,7 +481,7 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
         return wrapper
 
     def norms(r):
-        points.append(r.shape[1])
+        points.append(r.shape[2])
         return check_bloch_norms(r)
 
     monkeypatch.setattr(dynamics, "bloch_generator", counted("generator", dynamics.bloch_generator))
@@ -561,7 +577,7 @@ def test_wide_window_zooms_until_the_bracket_is_within_the_search_tolerance():
     points = []
 
     def norms(r):
-        points.append(r.shape[1])
+        points.append(r.shape[2])
         return check_bloch_norms(r)
 
     with pytest.MonkeyPatch.context() as patch:

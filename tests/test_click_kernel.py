@@ -346,7 +346,7 @@ def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
     # the oracle decides between the package's states at t_cycle, so only the
     # decision is compared there; the straddled cycle comes from the superoperator
     r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, rho_init, [t_cycle])
-    rho_dark, rho_bright = density_matrix(r_dark[0]), density_matrix(r_bright[0])
+    rho_dark, rho_bright = density_matrix(r_dark[:, 0]), density_matrix(r_bright[:, 0])
     dec = helstrom_operator(rho_dark, rho_bright, fields.priors)
     # Rounding alone picks Pi1 where an eigenvalue is within rounding of zero
     # or, for a two-sided decision, where |v| = lambda_plus - lambda_minus is

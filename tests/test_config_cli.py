@@ -327,11 +327,11 @@ class TestCliExitCodes:
             ("appendix-b", {"bz_sweep": {"e_magnitudes": [1e6, 1e8]}}, "bz_sweep.e_magnitudes[1]"),
             ("appendix-b", {"bz_sweep": {"noise_rate": 1e9}}, "bz_sweep.noise_rate"),
             # |c| of a switch whose parts are finite passes the float range (abs(complex) would
-            # raise OverflowError while deriving the cycle time)
+            # raise OverflowError while deriving the cycle time, and pi / (2|c|) is 0)
             ("bloch", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
              "fields.e0 + fields.de"),
             ("array", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
-             "fields.e0 + fields.de"),
+             "fields.de"),
             # p_dc = p_fn = 0 at the cycle time: every fused error is 0, whatever the sensor counts
             ("array", {"noise": {"kind": "none"}, "fields": {"de": [1e6, 1e5, 0]}}, "fields.de"),
             # each subcommand checks the cells it propagates: bz-sensitivity its B_z values,
@@ -341,6 +341,9 @@ class TestCliExitCodes:
             # checked before the time grid is built, whose steps overflow here
             ("bloch", {"time_grid": {"t_max": 1.7976931348623157e308, "n_points": 64}},
              "time_grid.t_max"),
+            # |c| overflows, so the derived cycle time pi / (2|c|) is 0 (array's row is above)
+            ("protocol", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
+             "fields.de"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # from numpy too, not only nvdetect
@@ -350,6 +353,8 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert key in err
+        if "nan" not in repr(data):  # a message quotes a NaN only where the config holds one
+            assert "nan" not in err
         if "field_pairs" not in data:  # the four default pairs of perr-time are not config keys
             assert "field_pairs[" not in err
         assert not (tmp_path / "out").exists()
@@ -776,7 +781,7 @@ class TestAppendixBCommand:
             _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             trace = np.loadtxt(tmp_path / "out" / f"bz_sweep_bloch_{i:03d}.csv", delimiter=",",
                                skiprows=1)
-            assert np.array_equal(trace, np.column_stack([times, r1]))
+            assert np.array_equal(trace, np.column_stack([times, r1.T]))
         assert not (tmp_path / "out" / "bz_sweep_bloch_008.csv").exists()
 
     def test_bloch_traces_flag_emits_per_cell_files(self, tmp_path):

@@ -17,6 +17,7 @@ from nvdetect import (
     standard_basis_error_grid,
 )
 from nvdetect.errors import NumericalInvariantError
+from nvdetect.linalg import check_bloch_norms
 from oracles import (
     IDENTITY_2,
     SIGMA_X,
@@ -24,8 +25,10 @@ from oracles import (
     SIGMA_Z,
     density_matrix,
     helstrom_operator,
+    min_error_vectors,
     optimal_time_analytic,
     povm_pair,
+    worst_bloch_norm,
 )
 
 PARAMS = NvParameters()
@@ -58,7 +61,7 @@ def grid(fields, noise, times):
 def states_at(fields, noise, t):
     """Both hypotheses' density matrices at t, from a one-point grid."""
     r0, r1 = grid(fields, noise, t)
-    return density_matrix(r0[0]), density_matrix(r1[0])
+    return density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
 
 
 def report_at(fields, noise, t):
@@ -140,8 +143,8 @@ class TestPovmPair:
 
 class TestMinError:
     def test_indistinguishable_states(self):
-        pole = bloch(0.0, 0.0, 1.0)
-        assert min_error_grid([pole], [pole]).p_err[0] == pytest.approx(0.5, abs=1e-15)
+        pole = np.transpose([bloch(0.0, 0.0, 1.0)])
+        assert min_error_grid(pole, pole).p_err[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_perfect_discrimination_at_optimal_time(self):
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
@@ -164,7 +167,8 @@ class TestMinError:
     @settings(max_examples=300)
     def test_bound_and_decomposition(self, x0, y0, z0, x1, y1, z1, p0):
         priors = (p0, 1 - p0)
-        curve = min_error_grid([bloch(x0, y0, z0)], [bloch(x1, y1, z1)], priors)
+        r0, r1 = np.transpose([bloch(x0, y0, z0)]), np.transpose([bloch(x1, y1, z1)])
+        curve = min_error_grid(r0, r1, priors)
         assert -1e-15 <= curve.p_err[0] <= min(priors) + 1e-12
         assert curve.p_err[0] == pytest.approx(
             priors[0] * curve.p_dc[0] + priors[1] * curve.p_fn[0], abs=1e-12
@@ -177,7 +181,7 @@ class TestMinError:
         r1 = np.tile([0.0, 0.0, 1.0], (4, 1))
         r1[row, column] = math.nan
         with pytest.raises(NumericalInvariantError, match=f"at point {row}"):
-            min_error_grid(r0, r1)
+            min_error_grid(r0.T, r1.T)
 
     def test_equal_priors_balance_the_two_error_kinds(self):
         # holds whenever the two hypothesis states are equally mixed, which
@@ -190,12 +194,53 @@ class TestMinError:
             radius = rng.uniform(0.05, 1.0)
             v *= radius / np.linalg.norm(v)
             w *= radius / np.linalg.norm(w)
-            curve = min_error_grid([v], [w])
+            curve = min_error_grid(np.transpose([v]), np.transpose([w]))
             assert abs(curve.p_dc[0] - curve.p_fn[0]) <= 1e-10
         fields = FieldConfig(e0=(2e6, 0, 0), de=(1e6, 0, 0))
         noise = NoiseModel.electric(1e5)
         curve = min_error_grid(*grid(fields, noise, np.linspace(1e-7, 3e-6, 9)))
         assert np.max(np.abs(curve.p_dc - curve.p_fn)) <= 1e-10
+
+
+row_component = st.one_of(st.sampled_from([0.0, -0.0]), bloch_component)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two (3, n) Bloch-vector arrays, rows x, y, z, inside the ball: zero vectors and signed
+    zeros, and points where both hypotheses hold one vector (v = 0 at equal priors)."""
+    n = draw(st.integers(1, 8))
+    r0, r1 = (np.array([bloch(*(draw(row_component) for _ in range(3))) for _ in range(n)])
+              for _ in range(2))
+    same = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    r1[same] = r0[same]
+    return r0.T, r1.T
+
+
+class TestRowLayout:
+    @given(row_pairs(), st.one_of(st.sampled_from([0.5, 0.0, 1.0, 0.3, 0.9]), unit_interval))
+    @settings(max_examples=300)
+    def test_rows_give_the_bits_of_the_vector_major_formulas(self, rows, p0):
+        r0, r1 = rows
+        priors = (p0, 1.0 - p0)
+        curve = min_error_grid(r0, r1, priors)
+        want = min_error_vectors(r0.T, r1.T, priors)
+        dec = curve.decision
+        assert np.array_equal(curve.p_err, want.p_err)
+        assert np.array_equal(curve.p_dc, want.p_dc)
+        assert np.array_equal(curve.p_fn, want.p_fn)
+        assert np.array_equal(dec.lambda_plus, want.lambda_plus)
+        assert np.array_equal(dec.lambda_minus, want.lambda_minus)
+        assert np.array_equal(dec.unit, want.unit.T)
+        # doubled, most arrays breach the bound, and the message carries the worst norm
+        for r in (r0, r1, 2.0 * r1):
+            worst = worst_bloch_norm(r.T)
+            if worst <= 1.0 + 1e-12:
+                assert check_bloch_norms(r) is r
+            else:
+                with pytest.raises(NumericalInvariantError) as breach:
+                    check_bloch_norms(r)
+                assert str(breach.value) == f"Bloch norm {worst!r} exceeds 1"
 
 
 class TestStandardBasis:
@@ -238,7 +283,7 @@ class TestStandardBasis:
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0), priors=priors)
         r0, r1 = grid(fields, NoiseModel.electric(1e5), 0.6e-6)
         got = standard_basis_error_grid(r0, r1, priors)[0]
-        rho0, rho1 = density_matrix(r0[0]), density_matrix(r1[0])
+        rho0, rho1 = density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
         expected = 0.3 * rho0.matrix[1, 1].real + 0.7 * rho1.matrix[0, 0].real
         assert got == pytest.approx(expected, abs=1e-15)
 

@@ -39,7 +39,7 @@ def is_close(a: DensityMatrix2, b: DensityMatrix2, atol: float = 1e-12) -> bool:
 def states_at(fields, noise, t):
     """Both hypotheses' states at t from POLE, by a one-point package grid."""
     r0, r1 = evolve_pair_grid(fields, PARAMS, noise, POLE, [t])
-    return density_matrix(r0[0]), density_matrix(r1[0])
+    return density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
 
 
 def two_level(b_rad: float, coupling: complex, shift: float = 2 * math.pi * 2.87e9):
@@ -290,4 +290,4 @@ class TestEvolvePair:
         # great circle of the Bloch sphere
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
         _, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.none(), POLE, np.linspace(0, 5e-6, 101))
-        assert np.max(np.abs(r1[:, 0])) < 1e-10
+        assert np.max(np.abs(r1[0])) < 1e-10

@@ -133,15 +133,16 @@ class TestBlochVector:
 class TestBlochNormBound:
     def test_vectors_inside_the_ball_pass(self):
         r = np.array([[[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]]])
+        r = r.swapaxes(1, 2)
         assert check_bloch_norms(r) is r
-        assert check_bloch_norms(np.zeros((0, 3))).shape == (0, 3)
+        assert check_bloch_norms(np.zeros((0, 3)).T).shape == (3, 0)
 
     @pytest.mark.parametrize("bad", [1.0 + 2e-12, math.nan, math.inf, -math.inf])
     def test_longer_or_nan_vectors_breach(self, bad):
         r = np.zeros((2, 4, 3))
         r[1, 2, 0] = bad
         with pytest.raises(NumericalInvariantError):
-            check_bloch_norms(r)
+            check_bloch_norms(r.swapaxes(1, 2))
 
     def test_bloch_vector_of_a_nan_matrix_breaches(self):
         # DensityMatrix2 rejects NaN entries, so a bare matrix holder stands in
