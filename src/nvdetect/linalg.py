@@ -103,7 +103,9 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_bloch_norms(r: np.ndarray) -> np.ndarray:
     """Return Bloch vectors stored as rows x, y, z, shape (..., 3, n), after
-    checking that none is longer than 1 + 1e-12 or NaN."""
+    checking that none is longer than 1 + 1e-12 or NaN; any other shape raises PreconditionError."""
+    if r.shape[-2:-1] != (3,):
+        raise PreconditionError(f"Bloch vectors must be rows x, y, z of shape (..., 3, n), got {r.shape}")
     worst = float(np.max(np.sqrt(_dot_rows(r, r)), initial=0.0))
     if not worst <= 1.0 + 1e-12:
         raise NumericalInvariantError(f"Bloch norm {worst!r} exceeds 1")

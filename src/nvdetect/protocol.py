@@ -7,10 +7,13 @@ from the dark-to-bright transition of the fused record. Its one entry point
 is :func:`turn_on_blocks`, which yields the runs as :class:`ClickBlock`
 arrays.
 
-Random streams: run i draws its clicks from one generator,
+Random streams: run i draws its clicks from the stream of
 ``numpy.random.default_rng(seeds[i])``, cycle-major: the click of cycle c
 (0-based) and sensor s is bright when draw ``c * n_sensors + s`` of that
-stream falls below the cycle's bright probability. Transcripts are
+stream falls below the cycle's bright probability. The streams of a block of
+runs are seeded at once (:func:`_pcg64_states`) and drawn by one reused
+generator; each call checks its first run's seeding against ``default_rng``
+and raises NumericalInvariantError on a mismatch. Transcripts are
 reproducible, runs are independent, and a run's first cycles do not depend
 on ``n_cycles``; a sensor's clicks do depend on ``n_sensors``. numpy.random
 is imported when the first run is drawn, not with the package.
@@ -181,7 +184,7 @@ def turn_on_blocks(
     depends only on the configuration and is computed once, by this call.
     The returned iterator draws the runs lazily, one :class:`ClickBlock` of
     at most ``_BLOCK_STREAMS`` clicks at a time (a run whose clicks exceed
-    that is drawn in cycle slices of its one generator but still yielded
+    that is drawn in cycle slices of its one stream but still yielded
     whole), so a consumer that handles each block and drops it holds one
     block whatever the number of seeds. A seed must be a non-negative
     integer.
@@ -258,20 +261,66 @@ def _intervals(majority, confident, t_cycle):
     return [(a, b) if hit else None for a, b, hit in zip(lo.tolist(), hi.tolist(), detected)]
 
 
+#: numpy's SeedSequence constants as uint32 columns: its hashmix call k xors with INIT * MULT**k and
+#: multiplies by INIT * MULT**(k + 1), mod 2**32 (A for the 4-word pool, B for the 8 output words)
+_HASH_A, _HASH_B = (np.array([[init * pow(mult, k, 2**32) % 2**32] for k in range(n)], np.uint32)
+                    for init, mult, n in ((0x43B0D7E5, 0x931E8875, 21), (0x8B51F9DD, 0x58F38DED, 9)))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _pcg64_states(seeds):
+    """``np.random.default_rng(seed).bit_generator.state`` of every seed, a non-negative integer:
+    SeedSequence's pool hash on uint32 arrays over the seeds, then PCG64's srandom on Python ints."""
+    def hashmix(value, consts):  # len(consts) - 1 consecutive calls, one per row of the broadcast value
+        value = (value ^ consts[:-1]) * consts[1:]
+        return value ^ value >> 16
+
+    def mix(into, value, consts):  # SeedSequence's mix of each row of into with its hashmix of value
+        mixed = 0xCA01F9DD * into - 0x4973F715 * hashmix(value, consts)
+        return mixed ^ mixed >> 16
+
+    seeds = list(map(operator.index, seeds))
+    if min(seeds) < 0:  # default_rng would raise ValueError
+        raise PreconditionError(f"seeds must be non-negative integers, got {min(seeds)!r}")
+    bits = np.array([s.bit_length() for s in seeds])
+    width = max(4, -(-int(bits.max()) // 32))  # 32-bit words per seed, zero-padded to the pool's 4
+    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    words = np.frombuffer(raw, "<u4").reshape(len(seeds), width).T  # (width, seeds)
+    pool = hashmix(words[:4], _HASH_A[:5])
+    for src, dst in enumerate([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]):  # word src into the others
+        pool[dst] = mix(pool[dst], pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+    consts = _HASH_A[16:]  # the four calls of word 4; each later word's are MULT**4 times them
+    for j in range(4, width):  # a seed's words past the pool's four, for the seeds that have them
+        pool = np.where(bits > 32 * j, mix(pool, words[j], consts), pool)
+        consts = consts * pow(0x931E8875, 4, 2**32)
+    out = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    incs = [(hi << 65 | lo << 1 | 1) % 2**128 for hi, lo in zip(inc_hi, inc_lo)]
+    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+        "state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) % 2**128, "inc": inc}}
+        for inc, hi, lo in zip(incs, seed_hi, seed_lo)]
+
+
 def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
     """The blocks of :func:`turn_on_blocks`, drawn as they are consumed."""
     n_cycles = len(p_cycle)
     runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
-    cycles_per_block = max(1, _BLOCK_STREAMS // n_sensors)
+    rows = min(n_cycles, max(1, _BLOCK_STREAMS // n_sensors))  # cycles per slice of a run
+    rng = None
     while block := list(itertools.islice(seeds, runs_per_block)):
+        states = _pcg64_states(block)
+        if rng is None:  # the first draw loads numpy.random and checks the seeding against it
+            if np.random.default_rng(block[0]).bit_generator.state != states[0]:
+                raise NumericalInvariantError(f"seed {block[0]!r}: block seeding differs from default_rng")
+            rng = np.random.Generator(bitgen := np.random.PCG64(0))  # every run sets its state
+            uniforms = np.empty((runs_per_block, rows, n_sensors))
         bright = np.empty((len(block), n_cycles, n_sensors), dtype=bool)
-        for run, seed in enumerate(map(operator.index, block)):
-            if seed < 0:  # default_rng would raise ValueError
-                raise PreconditionError(f"seeds must be non-negative integers, got {seed!r}")
-            rng = np.random.default_rng(seed)
-            for c in range(0, n_cycles, cycles_per_block):
-                p = p_cycle[c:c + cycles_per_block, None]
-                bright[run, c:c + len(p)] = rng.random((len(p), n_sensors)) < p
+        for c in range(0, n_cycles, rows):  # one slice, unless a run is split (then alone in its block)
+            for run, state in enumerate(states):
+                if c == 0:  # a later slice continues its run's stream
+                    bitgen.state = state
+                rng.random(out=uniforms[run, :n_cycles - c])
+            bright[:, c:c + rows] = uniforms[:len(block), :n_cycles - c] < p_cycle[c:c + rows, None]
         n_bright = bright.sum(axis=2)
         majority = 2 * n_bright > n_sensors
         confident = (np.abs(2 * n_bright - n_sensors) >= 2) | (n_sensors == 1)

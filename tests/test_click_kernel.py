@@ -148,6 +148,50 @@ class TestClickUniforms:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+#: non-negative seeds of every width up to 300 bits, the word and pool boundaries among them,
+#: and numpy integers
+SEEDS = st.one_of(
+    st.integers(0, 300).flatmap(lambda bits: st.integers(0, 2**bits - 1)),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**300 - 1]),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**63 - 1).map(np.int64),
+)
+
+
+class TestBlockSeeding:
+    """The block seeding of the click draws against numpy's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=40))
+    @example(seeds=[0])
+    @example(seeds=[2**300 - 1, 0, 2**128, 2**128 - 1, 2**160, 5])  # widths mixed in one block
+    def test_states_are_default_rngs(self, seeds):
+        want = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        assert protocol._pcg64_states(seeds) == want
+
+    def test_a_seeding_that_is_not_numpys_breaches(self, monkeypatch):
+        # a changed multiplier stands in for a numpy whose seeding no longer matches
+        monkeypatch.setattr(protocol, "_PCG_MULT", protocol._PCG_MULT + 2)
+        with pytest.raises(NumericalInvariantError, match="default_rng"):
+            next(turn_on_blocks(*_call_args("interior_switch")))
+
+    @pytest.mark.parametrize("case", ["interior_switch", "cycles_split_across_blocks"])
+    def test_uniforms_are_drawn_into_one_bounded_buffer(self, case, monkeypatch):
+        generator, buffers = np.random.Generator, set()
+
+        class Recording:  # the one generator of a call, recording the buffer it draws into
+            def __init__(self, bitgen):
+                self.rng = generator(bitgen)
+
+            def random(self, out):
+                buffers.add((id(out.base), out.base.size))
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        list(turn_on_blocks(*_call_args(case)))
+        assert len(buffers) == 1 and next(iter(buffers))[1] <= _BLOCK_STREAMS
+
+
 @st.composite
 def votes(draw):
     """(majority, confident) of a block: two boolean (runs, cycles) arrays."""
@@ -260,7 +304,7 @@ class TestTurnOnBatch:
         # every draw; a norm check that let the straddling state's NaN pass
         # stands in for the propagator overflow that makes one
         monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: np.full_like(r, math.nan))
-        monkeypatch.setattr(np.random, "default_rng", None)  # drawing would fail differently
+        monkeypatch.setattr(np.random, "PCG64", None)  # drawing would fail differently
         with pytest.raises(NumericalInvariantError, match="not finite"):
             turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [0])
 

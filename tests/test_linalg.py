@@ -144,6 +144,12 @@ class TestBlochNormBound:
         with pytest.raises(NumericalInvariantError):
             check_bloch_norms(r.swapaxes(1, 2))
 
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (5, 3), (3,)])
+    def test_other_layouts_are_refused(self, shape):
+        # vectors as trailing rows of length 3, or four components, are not read as x, y, z
+        with pytest.raises(PreconditionError, match="rows x, y, z"):
+            check_bloch_norms(np.zeros(shape))
+
     def test_bloch_vector_of_a_nan_matrix_breaches(self):
         # DensityMatrix2 rejects NaN entries, so a bare matrix holder stands in
         rho = types.SimpleNamespace(matrix=np.full((2, 2), math.nan, dtype=complex))
