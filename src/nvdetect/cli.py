@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -33,52 +32,7 @@ from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel
 from .protocol import array_error_curve, sweep_window, turn_on_blocks
-
-#: Rows formatted per write: bounds the text held at once on large grids.
-_BLOCK_ROWS = 4096
-
-
-def _write_csv(path: Path, header: str, row_format: str, blocks) -> Path:
-    """Write the ``header`` line, then every block of ``blocks`` (an iterable
-    of row tuples) with one write, each row as ``row_format % row``.
-
-    The cells follow one format: ``%.17g`` for floats (17 significant digits,
-    byte-equal to ``format(float(x), ".17g")``), ``%d`` for integers and
-    ``%s`` for text, with LF line endings, as ``csv.writer`` would
-    write them; no text cell holds a comma, quote or line break, so none
-    needs quoting. The directory is created here, on the first write. If a
-    block raises, the partial file is removed before the error propagates,
-    and so is each directory created here that is then empty, so no file
-    that looks complete and no empty output directory is left behind.
-    """
-    created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for rows in blocks:
-                fh.write("".join([row_format % row for row in rows]))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        for directory in created:  # innermost first
-            if any(directory.iterdir()):
-                break
-            directory.rmdir()
-        raise
-    return path
-
-
-def _column_blocks(*columns):
-    """Rows of equal-length array or list columns (a list of text cells formatted once, for
-    ``%s``), in blocks of ``_BLOCK_ROWS`` rows; a scalar column repeats its value on every row."""
-    n = len(next(c for c in columns if isinstance(c, (np.ndarray, list))))
-    for lo in range(0, n, _BLOCK_ROWS):
-        yield zip(*(
-            c[lo:lo + _BLOCK_ROWS].tolist() if isinstance(c, np.ndarray)
-            else c[lo:lo + _BLOCK_ROWS] if isinstance(c, list) else itertools.repeat(c)
-            for c in columns
-        ))
-
+from .writer import _write_csv
 
 #: protocol_summary.json as ``json.dumps(summary, indent=2, sort_keys=True) + "\n"`` writes it:
 #: floats go through ``%r`` (float.__repr__, as in json), and each run is one ``_RUN_JSON``.
@@ -129,7 +83,6 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    time_cells = ["%.17g" % t for t in times.tolist()]
 
     def blocks():
         for index, (fields, noise, _) in enumerate(cells):
@@ -137,16 +90,10 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
             r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
             curve = min_error_grid(r0, r1, fields.priors)
             p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
-            yield from _column_blocks(
-                index, "%.17g" % noise.rate, time_cells, curve.p_err, p_std, curve.p_dc,
-                curve.p_fn, is_tmin,
-            )
+            yield index, noise.rate, times, curve.p_err, p_std, curve.p_dc, curve.p_fn, is_tmin
 
     csv_path = _write_csv(
-        out / "perr_time.csv",
-        "pair,kappa,t,p_err_povm,p_err_standard,p_dc,p_fn,is_tmin",
-        "%d,%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n",
-        blocks(),
+        out / "perr_time.csv", "pair,kappa,t,p_err_povm,p_err_standard,p_dc,p_fn,is_tmin", blocks(),
     )
     manifest = _write_json(
         out / "perr_time_pairs.json",
@@ -171,18 +118,13 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
         return min_error_grid(r0, r1, fields.priors).p_err
 
     base = p_err(*cells[0])
-    time_cells = ["%.17g" % t for t in times.tolist()]
-    base_cells = ["%.17g" % p for p in base.tolist()]
 
     def blocks():
         for cell in cells[1:]:
             curve = p_err(*cell)
-            yield from _column_blocks("%.17g" % cell[0].b_z, time_cells, curve, base_cells, curve - base)
+            yield cell[0].b_z, times, curve, base, curve - base
 
-    csv_path = _write_csv(
-        out / "bz_sensitivity.csv", "b_z,t,p_err,p_err_b0,dp_err",
-        "%s,%s,%.17g,%s,%.17g\n", blocks(),
-    )
+    csv_path = _write_csv(out / "bz_sensitivity.csv", "b_z,t,p_err,p_err_b0,dp_err", blocks())
     return [csv_path]
 
 
@@ -211,16 +153,16 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     try:
         curve = array_error_curve(config.sensor_counts, p_dc, p_fn, fields.priors)
     except PreconditionError as exc:
+        if 0.0 in fields.priors:  # one hypothesis is certain: every error is 0
+            raise ConfigError(f"fields.priors: a prior of 0 makes every fused error 0, so there is no "
+                              f"decay rate to fit, got {list(fields.priors)!r}") from exc
         if single.p_err[0] == 0.0:  # no sensor count helps
             raise ConfigError(
                 f"fields.de: the hypotheses are perfectly distinguishable at t = {t_meas!r} s, so "
                 f"every fused error is 0 and there is no decay rate to fit"
             ) from exc
         raise ConfigError(f"sensor_counts: {exc}") from exc  # the fused error underflows to 0
-    csv_path = _write_csv(
-        out / "array_scaling.csv", "n_sensors,p_err", "%d,%.17g\n",
-        [zip(curve.n_values, curve.p_err_n)],
-    )
+    csv_path = _write_csv(out / "array_scaling.csv", "n_sensors,p_err", [(curve.n_values, curve.p_err_n)])
     json_path = _write_json(
         out / "array_alpha.json",
         {"alpha": curve.alpha, "p_dc": p_dc, "p_fn": p_fn, "t_measure": t_meas},
@@ -245,23 +187,17 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
         range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
         preparation=config.preparation,
     )
-    # the "cycle,t_start,t_end" cells are the same in every run
-    cycle_cells = ["%d,%.17g,%.17g" % (c, c * t_cycle, (c + 1) * t_cycle) for c in range(n_cycles)]
+    cycles = np.arange(n_cycles)[None]
     run_texts, successes = [], []  # one JSON object and one bool per run, as blocks are written
 
     def rows():
         for block in blocks:
-            first = len(run_texts)  # index of the block's first run
+            first, runs = len(run_texts), len(block.seeds)  # the block's first run and its run count
             # one byte per click, B or D, so each cycle's clicks view as one S<n_sensors> string
             patterns = np.where(block.bright, np.uint8(ord("B")), np.uint8(ord("D")))
-            yield zip(
-                np.repeat(np.arange(first, first + len(block.seeds)), n_cycles).tolist(),
-                cycle_cells * len(block.seeds),
-                patterns.view(f"S{n_sensors}").astype(f"U{n_sensors}").reshape(-1).tolist(),
-                block.n_bright.reshape(-1).tolist(),
-                np.where(block.majority, "B", "D").reshape(-1).tolist(),
-                block.confident.reshape(-1).tolist(),
-            )
+            yield (np.arange(first, first + runs)[:, None], cycles, cycles * t_cycle, (cycles + 1) * t_cycle,
+                   patterns.view(f"S{n_sensors}")[..., 0], block.n_bright,
+                   np.where(block.majority, b"B", b"D"), block.confident)
             hits = [iv is not None and iv[0] <= true_t_star <= iv[1] for iv in block.intervals]
             successes.extend(hits)
             run_texts.extend(_RUN_JSON % (
@@ -272,7 +208,6 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     csv_path = _write_csv(
         out / "protocol_runs.csv",
         "run,cycle,t_start,t_end,clicks,n_bright,majority,confident",
-        "%d,%s,%s,%d,%s,%d\n",
         rows(),
     )
     json_path = out / "protocol_summary.json"
@@ -305,23 +240,17 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
              for o in sweep.orientations for i, e in enumerate(sweep.e_magnitudes)
              for j, b in enumerate(sweep.b_z_values)]
     check_cells(params, "bz_sweep.t_window[1]", window[1], [cell for *_, cell in cells])
-    csv_path = _write_csv(
-        out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
-        "%s,%.17g,%.17g,%.17g,%.17g\n",
-        [[(o, e, b, *optimal_time_search(fields, params, noise, rho0, window))
-          for o, e, b, (fields, *_) in cells]],
-    )
+    rows = [(o.encode(), e, b, *optimal_time_search(fields, params, noise, rho0, window))
+            for o, e, b, (fields, *_) in cells]
+    csv_path = _write_csv(out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
+                          [[np.array(column) for column in zip(*rows)]])
     written = [csv_path]
 
     if sweep.bloch_traces:
         times = np.linspace(0.0, window[1], 201)
-        time_cells = ["%.17g" % t for t in times.tolist()]
         for i, (*_, (fields, _, _)) in enumerate(cells):
             _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
-            written.append(_write_csv(
-                out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", "%s,%.17g,%.17g,%.17g\n",
-                _column_blocks(time_cells, *r1),
-            ))
+            written.append(_write_csv(out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", [(times, *r1)]))
     return written
 
 
@@ -333,10 +262,7 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
     pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times)
-    return [_write_csv(
-        out / "bloch.csv", "t,x,y,z", "%.17g,%.17g,%.17g,%.17g\n",
-        _column_blocks(times, *pair[hypothesis]),
-    )]
+    return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *pair[hypothesis])])]
 
 
 _COMMANDS = {

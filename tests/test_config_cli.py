@@ -344,6 +344,9 @@ class TestCliExitCodes:
             # |c| overflows, so the derived cycle time pi / (2|c|) is 0 (array's row is above)
             ("protocol", {"fields": {"de": [1.1900679858530585e+308, 1.1900679858530587e+308, 0]}},
              "fields.de"),
+            # a prior of 0 makes one hypothesis certain, so every fused error is 0 as well
+            ("array", {"fields": {"priors": [1.0, 0.0]}}, "fields.priors"),
+            ("array", {"fields": {"priors": [0.0, 1.0]}}, "fields.priors"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # from numpy too, not only nvdetect

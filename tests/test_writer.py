@@ -1,15 +1,18 @@
-"""The CLI's one CSV writer against ``csv.writer``, the sweep CSVs whose
-shared cells it formats once against per-cell formatting, and the turn-on
-transcript it writes against the per-click runs of
-``oracles.reference_transcript``.
+"""The CLI's one CSV writer against ``csv.writer``, its float and int kernels
+against ``%``, the sweep CSVs whose shared cells it formats once against
+per-cell formatting, and the turn-on transcript it writes against the
+per-click runs of ``oracles.reference_transcript``.
 
-The writer formats whole blocks of rows with one ``%`` template per row. The
-reference here is the per-cell route it replaced: ``csv.writer`` over cells
-formatted with ``format(float(x), ".17g")`` and ``str(n)``.
+The writer formats a chunk of rows as numpy bytes: floats through a
+vectorized ``%.17g`` kernel, ints through a vectorized ``%d``. The reference
+here is the per-cell route: ``csv.writer`` over cells formatted with
+``format(float(x), ".17g")`` and ``str(n)``.
 """
 import csv
 import io
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,10 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import config as config_mod
-from nvdetect import min_error_grid, standard_basis_error_grid
-from nvdetect.cli import (
-    _BLOCK_ROWS, _column_blocks, _quarter_period_marks, _write_csv, main,
-)
+from nvdetect import min_error_grid, standard_basis_error_grid, writer
+from nvdetect.cli import _quarter_period_marks, _write_csv, main
+from nvdetect.writer import _BLOCK_ROWS
 from nvdetect.dynamics import evolve_pair_grid
 from nvdetect.hamiltonian import FieldConfig, NoiseModel
 from oracles import reference_transcript
@@ -59,13 +61,12 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
     column_f = np.array([floats[k % len(floats)] for k in range(n_rows)])
     column_i = np.array([ints[k % len(ints)] for k in range(n_rows)], dtype=object)
     column_s = np.array([texts[k % len(texts)] for k in range(n_rows)], dtype=object)
-    # cells formatted once, as the CLI formats a time grid that several blocks share:
-    # a list column and a text scalar, both written with %s
+    # text that looks like float cells: a bytes column and a text scalar, written as they are
     column_p = ["%.17g" % f for f in column_f[::-1].tolist()]
     scalar_p = "%.17g" % scalar
     path = tmp_path_factory.mktemp("csv") / "sub" / "table.csv"
-    blocks = _column_blocks(column_f, column_i, column_s, scalar, column_p, scalar_p)
-    _write_csv(path, "f,i,s,c,p,q", "%.17g,%d,%s,%.17g,%s,%s\n", blocks)
+    blocks = [(column_f, column_i, column_s.astype("S"), scalar, np.array(column_p, "S"), scalar_p)]
+    _write_csv(path, "f,i,s,c,p,q", blocks)
     want = reference_csv(
         ["f", "i", "s", "c", "p", "q"],
         [
@@ -77,9 +78,81 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
     assert path.read_bytes() == want
 
 
-def test_column_blocks_have_the_block_row_count():
-    sizes = [len(list(rows)) for rows in _column_blocks(np.arange(2 * _BLOCK_ROWS + 1), 7)]
-    assert sizes == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
+def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
+    shapes = []
+    chunk_bytes = writer._chunk_bytes
+    monkeypatch.setattr(writer, "_chunk_bytes",
+                        lambda c, shape, v: (shapes.append(shape), chunk_bytes(c, shape, v))[1])
+    _write_csv(tmp_path / "a.csv", "x,y", [(np.arange(2 * _BLOCK_ROWS + 1), 7)])
+    assert [a * b for a, b in shapes] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
+    # consecutive blocks with one row length join; a 2-d block is cut along its first axis
+    shapes.clear()
+    _write_csv(tmp_path / "b.csv", "x,y", [(np.arange(3.0), i) for i in range(5)])
+    _write_csv(tmp_path / "c.csv", "x,y", [(np.arange(_BLOCK_ROWS // 2 + 1.0), np.arange(3)[:, None])])
+    assert shapes == [(5, 3)] + [(1, _BLOCK_ROWS // 2 + 1)] * 3
+    assert (tmp_path / "b.csv").read_bytes() == b"x,y\n" + b"".join(
+        b"%d,%d\n" % (x, i) for i in range(5) for x in range(3))
+    assert (tmp_path / "c.csv").read_bytes() == b"x,y\n" + b"".join(
+        b"%d,%d\n" % (x, i) for i in range(3) for x in range(_BLOCK_ROWS // 2 + 1))
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: 10^k and its neighbours, the %g switch points and their neighbours, 1e+-99 and 1e+-100.
+EDGES = sorted({float(f"1e{k}") for k in range(-30, 31)} | {
+    1e-5, 1e-4, 1e16, 1e17, 1e99, 1e100, 1e-99, 1e-100, 9007199254740993.0, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-291, 1e296, 0.5, 1000000000000000.25,
+})
+KERNEL_FLOATS = st.one_of(
+    st.floats(),  # includes -0.0, subnormals, +-inf and nan
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from(EDGES).flatmap(lambda v: st.sampled_from(
+        [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)])),
+    st.builds(lambda m, e: float(m * 10**e), st.integers(1, 10**6), st.integers(0, 15)),
+    st.builds(lambda m, e: m * 10.0**-e, st.integers(1, 10**6), st.integers(0, 40)),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(KERNEL_FLOATS, min_size=1, max_size=40))
+@example(values=[0.0, -0.0, 1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, 0.0), 1e-5,
+                 np.nextafter(1e-5, 0.0), 1e-4, np.nextafter(1e-4, 0.0), 1e100, 1e-100, 1e99,
+                 1e-99, 1000000000000000.25, 120000000.0, 5e-324, float("nan"), float("-inf")])
+def test_float_kernel_matches_percent(values):
+    x = np.array(values)
+    cells, length, fast = writer._float_cells(x)
+    assert [cells[i, :length[i]].tobytes() for i in range(x.size)] == [b"%.17g" % v for v in values]
+    assert fast[x == 0].all()  # +-0 is made without %
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-10**5, 10**5)),
+                       min_size=1, max_size=40))
+@example(values=[-(2**63), 2**63 - 1, 0, -1, 9, 10, 9999, 10000, -10000])
+def test_int_kernel_matches_percent(values):
+    cells, length = writer._cells(np.array(values, np.int64))
+    assert [cells[i, :length[i]].tobytes() for i in range(len(values))] == [b"%d" % v for v in values]
+
+
+def test_every_float_through_the_fallback(monkeypatch):
+    # a margin of 1 puts every fraction within reach of a tie: nothing is made without %
+    monkeypatch.setattr(writer, "_TIE_MARGIN", 1.0)
+    values = [0.1, -2.5e-7, 3.0, 1e16, 6.02214076e23, float("nan")]
+    cells, length, fast = writer._float_cells(np.array(values))
+    assert not fast.any()
+    assert [cells[i, :length[i]].tobytes() for i in range(len(values))] == [b"%.17g" % v for v in values]
+
+
+def test_a_wrong_float_cell_exits_3(tmp_path, monkeypatch, capsys):
+    # every digit group one too low: the per-file check against % catches the first float cell
+    words = writer._WORDS.copy()
+    words[:10000] = np.roll(words[:10000], 1)
+    monkeypatch.setattr(writer, "_WORDS", words)
+    assert main(["bloch", "--out", str(tmp_path / "out")]) == 3
+    assert "the CSV float formatter wrote" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def g(x) -> str:
