@@ -60,8 +60,7 @@ def write_outputs(out: Path, configs: Path) -> None:
         for seed in (1, 2, 3):
             for index, (command, data) in enumerate(workloads.build(name, seed).ops):
                 config = write_config(configs / f"{name}-{seed}-op{index}.json", data)
-                run([command, "--config", config, "--out", str(out / f"{name}-{seed}" / f"op{index}"),
-                     "--jobs", "1"])
+                run([command, "--config", config, "--out", str(out / f"{name}-{seed}" / f"op{index}")])
 
 
 def main() -> int:

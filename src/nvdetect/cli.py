@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .config import RunConfig, check_cells
+from .config import FieldPair, RunConfig, check_cells
 from .discrimination import min_error_grid, optimal_time_search, standard_basis_error_grid
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
-from .hamiltonian import FieldConfig, NoiseModel
+from .hamiltonian import FieldConfig, NoiseKind, NoiseModel
 from .protocol import array_error_curve, sweep_window, turn_on_blocks
 from .writer import _write_csv
 
@@ -74,12 +74,15 @@ def _keys(name: str, b_z_key="fields.b_z", rate_key="noise.rate") -> tuple[str, 
 def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
     """Error-versus-time sweep for each configured field pair."""
     params, f = config.parameters, config.fields
-    # an empty field_pairs stands for four default pairs, which no key names
+    # an empty field_pairs stands for four default pairs, which no key names: 1e6 and 3e6 V/m
+    # along x, each at kappa 0 and at noise.rate
+    pairs = config.field_pairs or [FieldPair(de=(de_x, 0.0, 0.0), kappa=kappa)
+                                   for de_x in (1e6, 3e6) for kappa in (0.0, config.noise.rate)]
     cells = [(FieldConfig(e0=p.e0, de=p.de, b_z=f.b_z, priors=f.priors),
               NoiseModel(config.noise.kind, p.kappa),
               _keys(f"field_pairs[{i}]", rate_key=f"field_pairs[{i}].kappa") if config.field_pairs
               else (f"default field pair {i}",) * 3 + ("fields.b_z", "noise.rate"))
-             for i, p in enumerate(config.default_field_pairs())]
+             for i, p in enumerate(pairs)]
     check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
     rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
@@ -130,13 +133,16 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
 
 def _cycle_time(config: RunConfig) -> tuple[float, str]:
     """The protocol's cycle time and its key: ``protocol.t_cycle``, else pi / (2|c|) of the field
-    switch; one that cannot be derived is a config error at ``fields.de``."""
-    try:
-        t_cycle = config.protocol.cycle_time(config.fields, config.parameters)
-    except PreconditionError as exc:
-        raise ConfigError(f"fields.de: {exc}") from exc
-    return t_cycle, ("protocol.t_cycle" if config.protocol.t_cycle
-                     else "the cycle time pi / (2|c|) of fields.de")
+    switch, which must be finite and nonzero; one that cannot be derived is a config error at
+    ``fields.de``."""
+    if config.protocol.t_cycle is not None:
+        return config.protocol.t_cycle, "protocol.t_cycle"
+    t_cycle = config.parameters.transfer_time(config.fields.de)
+    if math.isinf(t_cycle):
+        raise ConfigError("fields.de: deriving the cycle time needs a nonzero transverse field switch")
+    if t_cycle == 0.0:  # pi / (2 inf)
+        raise ConfigError("fields.de: the transverse coupling |c| of the field switch overflows")
+    return t_cycle, "the cycle time pi / (2|c|) of fields.de"
 
 
 def cmd_array(config: RunConfig, out: Path) -> list[Path]:
@@ -228,7 +234,10 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     switched hypothesis of cell i.
     """
     sweep, params = config.bz_sweep, config.parameters
-    noise, rho0 = config.bz_sweep_noise(), sweep.preparation.density_matrix()
+    # a null bz_sweep.noise_rate means 1/T2, and kind none means rate 0 (parse refuses another)
+    rate = 0.0 if sweep.noise_kind is NoiseKind.NONE else (
+        params.kappa if sweep.noise_rate is None else sweep.noise_rate)
+    noise, rho0 = NoiseModel(sweep.noise_kind, rate), sweep.preparation.density_matrix()
     window = sweep_window(sweep.t_window, params)
     if not window[0] < window[1] <= 10.0 * params.t2:
         raise ConfigError(f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= 10 * "

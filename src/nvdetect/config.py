@@ -64,28 +64,14 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Turn-on protocol settings; the array command also measures at
-    :meth:`cycle_time`. A null ``true_t_star`` means 3.2 cycles."""
+    """Turn-on protocol settings; the array command also measures at the cycle
+    time, which ``cli._cycle_time`` resolves. A null ``true_t_star`` means 3.2 cycles."""
 
     t_cycle: float | None = field(default=None, metadata={"above": 0.0})
     n_cycles: int = field(default=8, metadata={"min": 1, "max": MAX_CYCLES})
     n_sensors: int = field(default=15, metadata={"min": 1, "max": MAX_PROTOCOL_SENSORS})
     true_t_star: float | None = field(default=None, metadata={"min": 0.0})
     n_runs: int = field(default=200, metadata={"min": 1, "max": MAX_RUNS})
-
-    def cycle_time(self, fields: FieldConfig, params: NvParameters) -> float:
-        """The configured t_cycle, else pi / (2 |coupling|) of the field switch,
-        which must be finite and nonzero."""
-        if self.t_cycle is not None:
-            return self.t_cycle
-        t_cycle = params.transfer_time(fields.de)
-        if math.isinf(t_cycle):
-            raise PreconditionError(
-                "deriving the cycle time needs a nonzero transverse field switch"
-            )
-        if t_cycle == 0.0:  # pi / (2 inf)
-            raise PreconditionError("the transverse coupling |c| of the field switch overflows")
-        return t_cycle
 
 
 @dataclass(frozen=True)
@@ -138,27 +124,6 @@ class RunConfig:
     method: str = field(default="auto", metadata={"choices": ("auto",)})
     seed: int = field(default=20260808, metadata={"min": 0, "max": 2**64 - 1})
     output_dir: str = "out"
-
-    def bz_sweep_noise(self) -> NoiseModel:
-        """Noise model of the axial-field sweep (its own defaults, not the
-        top-level noise block)."""
-        sweep = self.bz_sweep
-        if sweep.noise_kind is NoiseKind.NONE:
-            return NoiseModel.none()
-        rate = sweep.noise_rate if sweep.noise_rate is not None else self.parameters.kappa
-        return NoiseModel(sweep.noise_kind, rate)
-
-    def default_field_pairs(self) -> tuple[FieldPair, ...]:
-        """Fall back to the canonical two switch magnitudes, with and without
-        dephasing, when the config lists no explicit pairs."""
-        if self.field_pairs:
-            return self.field_pairs
-        kappa = self.noise.rate
-        pairs = []
-        for de_x in (1e6, 3e6):
-            for k in (0.0, kappa):
-                pairs.append(FieldPair(e0=(0.0, 0.0, 0.0), de=(de_x, 0.0, 0.0), kappa=k))
-        return tuple(pairs)
 
 
 @functools.cache
@@ -308,7 +273,7 @@ def check_cells(params: NvParameters, time_key: str, t: float, cells) -> None:
     for fields, noise, (de_key, e0_key, e1_key, b_z_key, rate_key) in cells:
         # electric noise fluctuates along the transverse field, which e0 or e0 + de must have
         if (noise.kind is NoiseKind.ELECTRIC_ALONG_FIELD and noise.rate > 0.0
-                and not fields.has_transverse_field):
+                and not any(e[0] != 0.0 or e[1] != 0.0 for e in (fields.e0, fields.e1))):
             raise ConfigError(
                 f"{de_key} must give e0 or e0 + de an x or y component under electric noise "
                 f"of nonzero rate, got e0={list(fields.e0)!r}, e0 + de={list(fields.e1)!r}"

@@ -104,12 +104,6 @@ class FieldConfig:
     def e1(self) -> tuple[float, float, float]:
         return tuple(a + b for a, b in zip(self.e0, self.de))
 
-    @property
-    def has_transverse_field(self) -> bool:
-        """Whether e0 or e1 has an x or y component. Electric noise needs one:
-        it fluctuates along the transverse field (:func:`bloch_generator`)."""
-        return any(e[0] != 0.0 or e[1] != 0.0 for e in (self.e0, self.e1))
-
 
 def _checked_priors(priors: tuple[float, float]) -> tuple[float, float]:
     """(P0, P1), after checking that both are nonnegative and sum to 1."""

@@ -169,7 +169,7 @@ def turn_on_blocks(
     """Run the turn-on detection protocol once per seed, as blocks of runs.
 
     Each run has ``n_cycles`` cycles of length ``t_cycle`` (positive and
-    finite; the command line resolves it with ``ProtocolConfig.cycle_time``),
+    finite; the command line resolves it with ``cli._cycle_time``),
     and the field switches at ``true_t_star``. Cycle k covers
     [(k-1) t_cycle, k t_cycle]: a fresh sensor is prepared at the cycle start
     and read out at its end with the projector pair of the static-field

@@ -150,8 +150,24 @@ def projected_bloch_generator(hamiltonian: np.ndarray, lindblad: np.ndarray | No
     becomes r' = (S^H G S / 2) r + S^H G vec(I) / 2, S the Pauli columns and
     G the 4x4 generator. The drift term vanishes because a Hermitian jump
     operator makes the dissipator unital; it is checked, not assumed.
+
+    The dissipator is quadratic in L, so it is projected from L scaled by an
+    exact power of two to unit size and scaled back once: at a subnormal rate
+    each product in L^dag L would otherwise round on the subnormal grid (a
+    rate of 2.2250738585e-313 came out 2 units, 4e-11 relative, short).
     """
-    gen = liouvillian(hamiltonian, lindblad)
+    m = _projected_generator(liouvillian(hamiltonian, None))
+    top = 0.0 if lindblad is None else float(np.max(np.abs(lindblad)))
+    if top > 0.0:
+        _, exponent = math.frexp(top)
+        scaled = np.asarray(lindblad, dtype=complex) * 2.0 ** -exponent
+        dissipator = _projected_generator(liouvillian(np.zeros((2, 2)), scaled))
+        m = m + np.ldexp(dissipator, 2 * exponent)
+    return m
+
+
+def _projected_generator(gen: np.ndarray) -> np.ndarray:
+    """0.5 Re(S^H G S) of a 4x4 generator G, after checking its Bloch drift."""
     proj = dagger(_PAULI_VEC) @ gen
     drift = float(np.max(np.abs(proj @ _IDENTITY_VEC)))
     if drift > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):

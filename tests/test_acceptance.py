@@ -27,7 +27,6 @@ from nvdetect import (
     turn_on_blocks,
 )
 from nvdetect.cli import main
-from nvdetect.config import ProtocolConfig
 from oracles import (
     IDENTITY_2,
     SIGMA_X,
@@ -334,7 +333,7 @@ def test_criterion_9_turn_on_jitter():
     successes = 0
     n_runs = 1000
     blocks = turn_on_blocks(
-        fields, PARAMS, noise, ProtocolConfig().cycle_time(fields, PARAMS), 8, t_star, 15,
+        fields, PARAMS, noise, PARAMS.transfer_time(fields.de), 8, t_star, 15,
         range(n_runs),
     )
     intervals = [interval for block in blocks for interval in block.intervals]

@@ -223,6 +223,7 @@ def generator_cases(draw):
 @example(((1e6, 0.0, 0.0), 0.0, NoiseModel.electric(1.0 / 10e-6), (1e6, 0.0, 0.0)))
 @example(((5e-324, 5e-324, 0.0), 0.0, NoiseModel.electric(1e5), (5e-324, 5e-324, 0.0)))
 @example(((0.0, 0.0, 0.0), 3e-5, NoiseModel.magnetic(0.0), (1e6, 0.0, 0.0)))
+@example(((0.0, 0.0, 0.0), 0.0, NoiseModel.electric(2.2250738585e-313), (5e-324, 5e-324, 0.0)))
 @settings(max_examples=300, deadline=None)
 def test_closed_form_generator_equals_the_liouvillian_projection(case):
     e_field, b_z, noise, noise_field = case

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nvdetect import (
+    ConfigError,
     FieldConfig,
     NoiseModel,
     NvParameters,
@@ -31,7 +32,8 @@ from nvdetect import (
     helstrom_decision,
     turn_on_blocks,
 )
-from nvdetect import protocol
+from nvdetect import cli, protocol
+from nvdetect import config as config_mod
 from nvdetect.config import ProtocolConfig
 from nvdetect.errors import NumericalInvariantError
 from nvdetect.protocol import _BLOCK_STREAMS, _cycle_bright_probabilities, _intervals
@@ -51,7 +53,7 @@ PARAMS = NvParameters()
 
 X_SWITCH = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
 Y_SWITCH = FieldConfig(e0=(0, 0, 0), de=(0, 2e6, 0))
-T_CYCLE = ProtocolConfig().cycle_time(X_SWITCH, PARAMS)
+T_CYCLE = PARAMS.transfer_time(X_SWITCH.de)
 ELECTRIC = NoiseModel.electric(1e5)
 POLE = PreparationState.POLE_PLUS
 
@@ -76,7 +78,7 @@ BATCH_CASES = {
     # no analytic cycle time: the configured one
     "zero_switch": (FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), ELECTRIC, T_CYCLE, 5, 2 * T_CYCLE, 5,
                     range(10), POLE),
-    "superposition_y_switch": (Y_SWITCH, NoiseModel.magnetic(1e5), ProtocolConfig().cycle_time(Y_SWITCH, PARAMS),
+    "superposition_y_switch": (Y_SWITCH, NoiseModel.magnetic(1e5), PARAMS.transfer_time(Y_SWITCH.de),
                                6, 2.6 * T_CYCLE, 5, range(15), PreparationState.EQUAL_SUPERPOSITION),
     "seeds_across_2_64": (X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5,
                           [2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 0, 2**32], POLE),
@@ -313,12 +315,13 @@ class TestTurnOnBatch:
 
 
 def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
-    assert T_CYCLE == math.pi / (2.0 * abs(PARAMS.transverse_coupling((1e6, 0, 0))))
-    assert ProtocolConfig(t_cycle=2e-7).cycle_time(X_SWITCH, PARAMS) == 2e-7
-    with pytest.raises(PreconditionError):
-        ProtocolConfig().cycle_time(FieldConfig(e0=(1e6, 0, 0), de=(0, 0, 0)), PARAMS)
-    with pytest.raises(PreconditionError):  # pi / (2 |coupling|) overflows
-        ProtocolConfig().cycle_time(FieldConfig(de=(1e-320, 0, 0)), PARAMS)
+    t_cycle, _ = cli._cycle_time(config_mod.parse({"fields": {"de": [1e6, 0, 0]}}))
+    assert t_cycle == T_CYCLE == math.pi / (2.0 * abs(PARAMS.transverse_coupling((1e6, 0, 0))))
+    assert cli._cycle_time(config_mod.parse({"protocol": {"t_cycle": 2e-7}})) == (2e-7, "protocol.t_cycle")
+    with pytest.raises(ConfigError, match=r"^fields\.de: "):
+        cli._cycle_time(config_mod.parse({"fields": {"e0": [1e6, 0, 0], "de": [0, 0, 0]}}))
+    with pytest.raises(ConfigError, match=r"^fields\.de: "):  # pi / (2 |coupling|) overflows
+        cli._cycle_time(config_mod.parse({"fields": {"de": [1e-320, 0, 0]}}))
 
 
 @st.composite
@@ -342,7 +345,7 @@ def turn_on_cells(draw):
     proto = ProtocolConfig(t_cycle=t_cycle, n_cycles=draw(st.integers(1, 10)))
     frac = draw(st.one_of(st.floats(0.0, proto.n_cycles + 1.0),
                           st.integers(0, proto.n_cycles + 1).map(float)))
-    t_star = frac * proto.cycle_time(fields, PARAMS)
+    t_star = frac * (proto.t_cycle or PARAMS.transfer_time(fields.de))
     preparation = draw(st.sampled_from(list(PreparationState)))
     return fields, noise, proto, t_star, preparation
 
@@ -364,7 +367,7 @@ TURN_ON_CELLS = {
 def test_example_cells_cover_the_three_decisions():
     regimes = {}
     for name, (fields, noise, proto, t_star, preparation) in TURN_ON_CELLS.items():
-        t_cycle = proto.cycle_time(fields, PARAMS)
+        t_cycle = PARAMS.transfer_time(fields.de)
         r_dark, r_bright = evolve_pair_grid(
             fields, PARAMS, noise, preparation.density_matrix(), [t_cycle]
         )
@@ -382,7 +385,7 @@ def test_example_cells_cover_the_three_decisions():
 @settings(max_examples=100, deadline=None)
 def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
     fields, noise, proto, t_star, preparation = cell
-    t_cycle = proto.cycle_time(fields, PARAMS)
+    t_cycle = proto.t_cycle or PARAMS.transfer_time(fields.de)
     rho_init = preparation.density_matrix()
     p_cycle, informative = _cycle_bright_probabilities(
         fields, PARAMS, noise, t_cycle, proto.n_cycles, t_star, preparation

@@ -597,6 +597,18 @@ class TestPerrTimeCommand:
         assert float(first[2]) == 0.0
         assert (float(first[3]), float(first[5]), float(first[6])) == (priors[0], 1.0, 0.0)
 
+    def test_no_field_pairs_run_the_four_default_pairs(self, tmp_path):
+        # 1e6 and 3e6 V/m along x, each at kappa 0 and at noise.rate, whose null is 1/T2
+        cfg = write_config(tmp_path / "cfg.json", {"time_grid": SMALL_GRID})
+        assert main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "perr_time_pairs.json").read_text())
+        rate = 1.0 / NvParameters().t2
+        assert [(p["pair"], p["e0"], p["de"], p["kappa"]) for p in manifest] == [
+            (0, [0, 0, 0], [1e6, 0, 0], 0.0), (1, [0, 0, 0], [1e6, 0, 0], rate),
+            (2, [0, 0, 0], [3e6, 0, 0], 0.0), (3, [0, 0, 0], [3e6, 0, 0], rate),
+        ]
+        assert rate == pytest.approx(1e5)
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -751,6 +763,20 @@ class TestAppendixBCommand:
         p_at_finite = float(rows[1][4])
         assert p_at_zero == pytest.approx(0.5, abs=1e-6)
         assert p_at_finite < 0.45
+
+    @pytest.mark.parametrize("kind, rate", [("magnetic_axial", 1e5), ("none", 0.0)])
+    def test_null_noise_rate_is_one_over_t2_or_0_without_noise(self, tmp_path, kind, rate):
+        # a null bz_sweep.noise_rate means 1/T2 = 1e5/s, and 0 when bz_sweep.noise_kind is none
+        written = []
+        for noise_rate in (None, rate):
+            out = tmp_path / f"out_{noise_rate}"
+            cfg = write_config(tmp_path / "cfg.json", {"bz_sweep": {
+                "e_magnitudes": [1e6], "b_z_values": [0.0, 4e-6], "t_window": [1e-9, 4e-6],
+                "noise_kind": kind, "noise_rate": noise_rate,
+            }})
+            assert main(["appendix-b", "--config", cfg, "--out", str(out)]) == 0
+            written.append((out / "bz_error_sweep.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_y_drive_detects_without_axial_field(self, tmp_path):
         cfg = write_config(

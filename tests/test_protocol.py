@@ -17,7 +17,6 @@ from nvdetect import (
     majority_vote_error,
     turn_on_blocks,
 )
-from nvdetect.config import ProtocolConfig
 from oracles import IDENTITY_2, helstrom_operator, povm_pair, simulate_click
 
 PARAMS = NvParameters()
@@ -164,7 +163,7 @@ class TestSimulateClick:
 def one_run(fields, noise, n_cycles, t_star, n_sensors, seed, t_cycle=None):
     """The run of ``seed``, at the cycle time the command line resolves:
     (t_cycle, its sensor clicks, majorities, estimated interval)."""
-    t_cycle = ProtocolConfig(t_cycle=t_cycle).cycle_time(fields, PARAMS)
+    t_cycle = t_cycle or PARAMS.transfer_time(fields.de)
     (block,) = turn_on_blocks(fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, [seed])
     return t_cycle, block.bright[0], block.majority[0], block.intervals[0]
 

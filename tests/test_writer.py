@@ -241,7 +241,7 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
 
     config = config_mod.parse(data)
     proto, fields = config.protocol, config.fields
-    t_cycle = proto.cycle_time(fields, config.parameters)
+    t_cycle = proto.t_cycle or config.parameters.transfer_time(fields.de)
     t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     seeds = range(config.seed, config.seed + proto.n_runs)
     runs = [
