@@ -2,7 +2,8 @@
 """Write every deterministic output of the byte-identity check, then print
 one ``sha256  path`` line per file, sorted by path (relative to ``--out``).
 
-The files are those of the check recorded in ``BENCH_10.json`` (88 files):
+The files are those of the check recorded in ``BENCH_10.json`` (88 files), and since
+``BENCH_25.json`` two protocol runs more (92 files):
 
 - the six subcommands on the default config with ``bz_sweep.bloch_traces``
   true, in ``default/``;
@@ -10,7 +11,10 @@ The files are those of the check recorded in ``BENCH_10.json`` (88 files):
 - ``protocol`` on the default config with ``--seed`` 1 to 10, in
   ``protocol_seed<k>/``;
 - every op of the three benchmark workloads (``perfbench/workloads.py``) on
-  seeds 1 to 3, in ``<workload>-<seed>/op<i>/``.
+  seeds 1 to 3, in ``<workload>-<seed>/op<i>/``;
+- ``protocol`` on the configs of ``PROTOCOL_BLOCKS``, in ``<name>/``: 700 runs,
+  drawn in three click blocks, and two runs of 4,096 sensors and 9 cycles,
+  each drawn in two cycle slices. A default invocation is one block.
 
 Two checkouts that print the same listing wrote byte-identical outputs, and
 two runs in one checkout must print the same listing. From the root of a
@@ -33,6 +37,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, the benchmark's seeded configs)
 
 COMMANDS = ["perr-time", "bz-sensitivity", "array", "protocol", "appendix-b", "bloch"]
+#: protocol configs whose runs cross click blocks (``protocol._BLOCK_STREAMS``)
+PROTOCOL_BLOCKS = {
+    "protocol_runs700": {"protocol": {"n_runs": 700}},
+    "protocol_split_runs": {"protocol": {"n_sensors": 4096, "n_cycles": 9, "n_runs": 2}},
+}
 
 
 def run(argv: list[str]) -> None:
@@ -61,6 +70,8 @@ def write_outputs(out: Path, configs: Path) -> None:
             for index, (command, data) in enumerate(workloads.build(name, seed).ops):
                 config = write_config(configs / f"{name}-{seed}-op{index}.json", data)
                 run([command, "--config", config, "--out", str(out / f"{name}-{seed}" / f"op{index}")])
+    for name, data in PROTOCOL_BLOCKS.items():
+        run(["protocol", "--config", write_config(configs / f"{name}.json", data), "--out", str(out / name)])
 
 
 def main() -> int:

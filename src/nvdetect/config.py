@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters
-from .protocol import _BLOCK_STREAMS, PreparationState
+from .protocol import PreparationState
 
 SCHEMA_VERSION = 1
 
@@ -42,8 +42,8 @@ SCHEMA_VERSION = 1
 MAX_GRID_POINTS = 100_000
 #: Protocol cycles: one run's n_cycles x n_sensors clicks are held at once.
 MAX_CYCLES = 1_000
-#: Sensors per protocol cycle: one cycle's clicks fit in one click block.
-MAX_PROTOCOL_SENSORS = _BLOCK_STREAMS
+#: Sensors per protocol cycle: one cycle's clicks fit in one click block (protocol._BLOCK_STREAMS).
+MAX_PROTOCOL_SENSORS = 4096
 #: Protocol runs: one JSON text per run is kept for protocol_summary.json.
 MAX_RUNS = 100_000
 #: Fused sensor count: the majority-vote error sums N/2 + 1 binomial terms.

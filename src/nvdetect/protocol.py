@@ -132,9 +132,10 @@ def fit_decay_rate(points) -> float:
     return float(slope)
 
 
-#: Clicks drawn per block of runs; bounds the drawn uniforms whatever n_runs
-#: is (a run with more clicks is drawn in cycle slices of at most this many).
-_BLOCK_STREAMS = 4096
+#: Clicks drawn per block of runs; bounds the drawn uniforms (256 KB) whatever n_runs is (a run
+#: with more clicks is drawn in cycle slices of at most this many). The smallest power of two that
+#: holds a default invocation, 200 runs x 8 cycles x 15 sensors, so it is drawn as one block.
+_BLOCK_STREAMS = 2**15
 
 
 class ClickBlock(NamedTuple):
@@ -183,11 +184,11 @@ def turn_on_blocks(
     The cycle physics (bright probability per cycle, the informative flag)
     depends only on the configuration and is computed once, by this call.
     The returned iterator draws the runs lazily, one :class:`ClickBlock` of
-    at most ``_BLOCK_STREAMS`` clicks at a time (a run whose clicks exceed
-    that is drawn in cycle slices of its one stream but still yielded
+    at most ``_BLOCK_STREAMS`` = 32,768 clicks at a time (a run whose clicks
+    exceed that is drawn in cycle slices of its one stream but still yielded
     whole), so a consumer that handles each block and drops it holds one
-    block whatever the number of seeds. A seed must be a non-negative
-    integer.
+    block whatever the number of seeds; the 200 runs of the default
+    configuration are one block. A seed must be a non-negative integer.
     """
     if not 0.0 < t_cycle < math.inf:
         raise PreconditionError(f"t_cycle must be positive and finite, got {t_cycle!r}")

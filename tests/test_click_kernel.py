@@ -36,7 +36,7 @@ from nvdetect import cli, protocol
 from nvdetect import config as config_mod
 from nvdetect.config import ProtocolConfig
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.protocol import _BLOCK_STREAMS, _cycle_bright_probabilities, _intervals
+from nvdetect.protocol import _cycle_bright_probabilities, _intervals
 
 from oracles import (
     bracket,
@@ -58,9 +58,11 @@ ELECTRIC = NoiseModel.electric(1e5)
 POLE = PreparationState.POLE_PLUS
 
 # (fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation); each
-# t_cycle is the one the command line resolves, analytic unless configured
+# t_cycle is the one the command line resolves, analytic unless configured. The tests that draw
+# every case draw them in blocks of the split_blocks fixture's bound (conftest.py), which
+# interior_switch and cycles_split_across_blocks cross
 BATCH_CASES = {
-    # two blocks of runs, a partial cycle at 3.2 cycles
+    # two blocks of runs at the split_blocks bound, a partial cycle at 3.2 cycles
     "interior_switch": (X_SWITCH, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 15, range(40), POLE),
     # the switch lands exactly on the start of cycle 3: no partial cycle
     "switch_on_cycle_boundary": (X_SWITCH, ELECTRIC, T_CYCLE, 6, 3 * T_CYCLE, 9, range(100, 130), POLE),
@@ -82,7 +84,7 @@ BATCH_CASES = {
                                6, 2.6 * T_CYCLE, 5, range(15), PreparationState.EQUAL_SUPERPOSITION),
     "seeds_across_2_64": (X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5,
                           [2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 0, 2**32], POLE),
-    # more clicks per run than one block holds: the cycles are split
+    # more clicks per run than one block of the split_blocks bound holds: the cycles are split
     "cycles_split_across_blocks": (X_SWITCH, ELECTRIC, T_CYCLE, 300, 150.5 * T_CYCLE, 15, range(2), POLE),
 }
 
@@ -112,6 +114,7 @@ class TestClickUniforms:
     """The uniforms behind the clicks: one numpy generator per run, drawn
     cycle-major."""
 
+    @pytest.mark.usefixtures("split_blocks")
     def test_matches_numpy_bit_for_bit(self):
         for case in BATCH_CASES.values():
             assert_runs_draw_one_generator_each(*case)
@@ -127,6 +130,7 @@ class TestClickUniforms:
         assert_runs_draw_one_generator_each(X_SWITCH, ELECTRIC, T_CYCLE, 4, 1.5 * T_CYCLE, 5, seeds,
                                             POLE, want_seeds=[2**64 - 1, 12345])
 
+    @pytest.mark.usefixtures("split_blocks")
     def test_more_cycles_keep_the_first_ones(self):
         # the same seeds and switch over 8 and over 12 cycles: the first 8 agree
         fields, params, noise, t_cycle, _, t_star, n_sensors, seeds, preparation = _call_args(
@@ -178,7 +182,7 @@ class TestBlockSeeding:
             next(turn_on_blocks(*_call_args("interior_switch")))
 
     @pytest.mark.parametrize("case", ["interior_switch", "cycles_split_across_blocks"])
-    def test_uniforms_are_drawn_into_one_bounded_buffer(self, case, monkeypatch):
+    def test_uniforms_are_drawn_into_one_bounded_buffer(self, case, monkeypatch, split_blocks):
         generator, buffers = np.random.Generator, set()
 
         class Recording:  # the one generator of a call, recording the buffer it draws into
@@ -191,7 +195,7 @@ class TestBlockSeeding:
 
         monkeypatch.setattr(np.random, "Generator", Recording)
         list(turn_on_blocks(*_call_args(case)))
-        assert len(buffers) == 1 and next(iter(buffers))[1] <= _BLOCK_STREAMS
+        assert len(buffers) == 1 and next(iter(buffers))[1] <= split_blocks
 
 
 @st.composite
@@ -249,6 +253,7 @@ class TestBracketing:
 
 
 class TestTurnOnBatch:
+    @pytest.mark.usefixtures("split_blocks")
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_transcripts_match_per_click_loop(self, case):
         fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
@@ -269,13 +274,14 @@ class TestTurnOnBatch:
                 for name, value in want.items():
                     assert got[name] == value, (case, seed, name)
 
-    def test_cases_cover_certain_clicks_and_block_splits(self):
+    def test_cases_cover_certain_clicks_and_block_splits(self, split_blocks):
         assert not any(block.bright.any() for block in turn_on_blocks(*_call_args("p_bright_zero")))
         assert all(block.bright.all() for block in turn_on_blocks(*_call_args("p_bright_one")))
         _, _, _, n_cycles, _, n_sensors, seeds, _ = BATCH_CASES["cycles_split_across_blocks"]
-        assert n_cycles * n_sensors > _BLOCK_STREAMS
+        assert n_cycles * n_sensors > split_blocks
         _, _, _, n_cycles, _, n_sensors, seeds, _ = BATCH_CASES["interior_switch"]
-        assert len(seeds) * n_cycles * n_sensors > _BLOCK_STREAMS
+        assert len(seeds) * n_cycles * n_sensors > split_blocks
+        assert len(list(turn_on_blocks(*_call_args("interior_switch")))) > 1
 
     def test_runs_are_drawn_lazily(self):
         fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, _, preparation = _call_args("interior_switch")
@@ -284,7 +290,21 @@ class TestTurnOnBatch:
         )
         block = next(endless)
         assert block.seeds[:3] == [5, 6, 7]
-        assert len(block.seeds) * n_cycles * n_sensors <= _BLOCK_STREAMS
+        assert len(block.seeds) * n_cycles * n_sensors <= protocol._BLOCK_STREAMS
+
+    def test_a_default_invocation_is_one_block(self):
+        # the 200 runs of the default configuration are drawn, seeded and bracketed at once
+        config = config_mod.parse({})
+        t_cycle, _ = cli._cycle_time(config)
+        proto = config.protocol
+        blocks = list(turn_on_blocks(
+            config.fields, config.parameters, config.noise, t_cycle, proto.n_cycles, 3.2 * t_cycle,
+            proto.n_sensors, range(config.seed, config.seed + proto.n_runs), config.preparation,
+        ))
+        assert len(blocks) == 1 and len(blocks[0].seeds) == proto.n_runs == 200
+
+    def test_one_cycle_of_the_widest_accepted_run_fits_one_block(self):
+        assert config_mod.MAX_PROTOCOL_SENSORS <= protocol._BLOCK_STREAMS
 
     def test_rejects_bad_arguments(self):
         for t_cycle, n_cycles, t_star, n_sensors, seeds in (

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import config as config_mod
-from nvdetect import min_error_grid, standard_basis_error_grid, writer
+from nvdetect import min_error_grid, protocol, standard_basis_error_grid, writer
 from nvdetect.cli import _quarter_period_marks, _write_csv, main
 from nvdetect.writer import _BLOCK_ROWS
 from nvdetect.dynamics import evolve_pair_grid
@@ -209,9 +209,11 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
     assert (tmp_path / "out" / "bz_sensitivity.csv").read_bytes() == reference_csv(header, rows)
 
 
+#: The cases that cross a click block's bound are drawn in blocks of the split_blocks fixture's
+#: bound (conftest.py); the others are one block at either bound.
 PROTOCOL_CASES = {
     "one_sensor": {"protocol": {"n_sensors": 1, "n_runs": 40}},
-    # 8,192 click streams per run: each run is drawn in two cycle slices
+    # 8,192 click streams per run: each run is drawn in two cycle slices of the split_blocks bound
     "wide_run_split_across_cycle_blocks": {
         "protocol": {"n_sensors": 4096, "n_cycles": 2, "n_runs": 3},
     },
@@ -221,6 +223,7 @@ PROTOCOL_CASES = {
         "fields": {"e0": [1e6, 0, 0], "de": [0, 0, 0]},
         "protocol": {"t_cycle": 1e-6, "n_runs": 6},
     },
+    # 9,600 clicks: three blocks of the split_blocks bound
     "several_blocks": {"protocol": {"n_runs": 80}, "seed": 2**64 - 40},
     "one_run": {"protocol": {"n_runs": 1}},
     # the largest cycle time that 8 cycles admit (twice the run's span is 1.76e308 s), with the
@@ -232,8 +235,19 @@ PROTOCOL_CASES = {
 }
 
 
+SPLIT_PROTOCOL_CASES = ("several_blocks", "wide_run_split_across_cycle_blocks")
+
+
+def test_split_protocol_cases_cross_the_block_bound(split_blocks):
+    several, wide = (config_mod.parse(PROTOCOL_CASES[case]).protocol for case in SPLIT_PROTOCOL_CASES)
+    assert several.n_runs * several.n_cycles * several.n_sensors > 2 * split_blocks
+    assert wide.n_cycles * wide.n_sensors > split_blocks
+
+
 @pytest.mark.parametrize("case", sorted(PROTOCOL_CASES))
-def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
+def test_protocol_transcript_is_the_batch_runs(tmp_path, request, case):
+    if case in SPLIT_PROTOCOL_CASES:
+        request.getfixturevalue("split_blocks")
     data = PROTOCOL_CASES[case]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
@@ -287,3 +301,19 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, case):
     }
     want = json.dumps(reference, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "out" / "protocol_summary.json").read_bytes() == want.encode()
+
+
+def test_runs_do_not_depend_on_the_block_that_draws_them(tmp_path):
+    # 200 default runs (8 cycles of 15 sensors) are one click block; 700 are three, the first of
+    # them ending after run 272, so the first block boundary moves past the 200 runs
+    assert 200 * 8 * 15 <= protocol._BLOCK_STREAMS < 700 * 8 * 15 / 2
+    lines, runs = {}, {}
+    for n_runs in (200, 700):
+        cfg = tmp_path / f"runs{n_runs}.json"
+        cfg.write_text(json.dumps({"protocol": {"n_runs": n_runs}}))
+        assert main(["protocol", "--config", str(cfg), "--out", str(tmp_path / f"out{n_runs}")]) == 0
+        lines[n_runs] = (tmp_path / f"out{n_runs}" / "protocol_runs.csv").read_bytes().splitlines(True)
+        runs[n_runs] = json.loads((tmp_path / f"out{n_runs}" / "protocol_summary.json").read_text())["runs"]
+    assert len(lines[200]) == 1 + 1600 and len(lines[700]) == 1 + 5600
+    assert lines[700][:1 + 1600] == lines[200]
+    assert runs[700][:200] == runs[200]
