@@ -136,6 +136,9 @@ def fit_decay_rate(points) -> float:
 #: with more clicks is drawn in cycle slices of at most this many). The smallest power of two that
 #: holds a default invocation, 200 runs x 8 cycles x 15 sensors, so it is drawn as one block.
 _BLOCK_STREAMS = 2**15
+#: Runs per block at most: a block holds Python objects per run (its seed, interval and summary
+#: text), so runs of fewer than 8 clicks are drawn in blocks of fewer than _BLOCK_STREAMS clicks.
+_BLOCK_RUNS = 2**12
 
 
 class ClickBlock(NamedTuple):
@@ -184,11 +187,12 @@ def turn_on_blocks(
     The cycle physics (bright probability per cycle, the informative flag)
     depends only on the configuration and is computed once, by this call.
     The returned iterator draws the runs lazily, one :class:`ClickBlock` of
-    at most ``_BLOCK_STREAMS`` = 32,768 clicks at a time (a run whose clicks
-    exceed that is drawn in cycle slices of its one stream but still yielded
-    whole), so a consumer that handles each block and drops it holds one
-    block whatever the number of seeds; the 200 runs of the default
-    configuration are one block. A seed must be a non-negative integer.
+    at most ``_BLOCK_STREAMS`` = 32,768 clicks and ``_BLOCK_RUNS`` = 4,096
+    runs at a time (a run whose clicks exceed that is drawn in cycle slices
+    of its one stream but still yielded whole), so a consumer that handles
+    each block and drops it holds one block whatever the number of seeds;
+    the 200 runs of the default configuration are one block. A seed must be
+    a non-negative integer.
     """
     if not 0.0 < t_cycle < math.inf:
         raise PreconditionError(f"t_cycle must be positive and finite, got {t_cycle!r}")
@@ -270,8 +274,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def _pcg64_states(seeds):
-    """``np.random.default_rng(seed).bit_generator.state`` of every seed, a non-negative integer:
-    SeedSequence's pool hash on uint32 arrays over the seeds, then PCG64's srandom on Python ints."""
+    """The ``state`` and ``inc`` ints of ``np.random.default_rng(seed).bit_generator.state`` of
+    every seed, a non-negative integer, as two lists: SeedSequence's pool hash on uint32 arrays
+    over the seeds, then PCG64's srandom on Python ints. A run's state dict is built where it is
+    set, so a block holds two ints per run, not two nested dicts."""
     def hashmix(value, consts):  # len(consts) - 1 consecutive calls, one per row of the broadcast value
         value = (value ^ consts[:-1]) * consts[1:]
         return value ^ value >> 16
@@ -297,28 +303,29 @@ def _pcg64_states(seeds):
     out = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
     seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
     incs = [(hi << 65 | lo << 1 | 1) % 2**128 for hi, lo in zip(inc_hi, inc_lo)]
-    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
-        "state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) % 2**128, "inc": inc}}
-        for inc, hi, lo in zip(incs, seed_hi, seed_lo)]
+    return [((inc + (hi << 64 | lo)) * _PCG_MULT + inc) % 2**128
+            for inc, hi, lo in zip(incs, seed_hi, seed_lo)], incs
 
 
 def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
     """The blocks of :func:`turn_on_blocks`, drawn as they are consumed."""
     n_cycles = len(p_cycle)
-    runs_per_block = max(1, _BLOCK_STREAMS // (n_cycles * n_sensors))
+    runs_per_block = max(1, min(_BLOCK_RUNS, _BLOCK_STREAMS // (n_cycles * n_sensors)))
     rows = min(n_cycles, max(1, _BLOCK_STREAMS // n_sensors))  # cycles per slice of a run
-    rng = None
+    rng, state = None, {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # one run's at a time
     while block := list(itertools.islice(seeds, runs_per_block)):
-        states = _pcg64_states(block)
+        states, incs = _pcg64_states(block)
         if rng is None:  # the first draw loads numpy.random and checks the seeding against it
-            if np.random.default_rng(block[0]).bit_generator.state != states[0]:
+            state["state"] = {"state": states[0], "inc": incs[0]}
+            if np.random.default_rng(block[0]).bit_generator.state != state:
                 raise NumericalInvariantError(f"seed {block[0]!r}: block seeding differs from default_rng")
             rng = np.random.Generator(bitgen := np.random.PCG64(0))  # every run sets its state
             uniforms = np.empty((runs_per_block, rows, n_sensors))
         bright = np.empty((len(block), n_cycles, n_sensors), dtype=bool)
         for c in range(0, n_cycles, rows):  # one slice, unless a run is split (then alone in its block)
-            for run, state in enumerate(states):
+            for run, (s, inc) in enumerate(zip(states, incs)):
                 if c == 0:  # a later slice continues its run's stream
+                    state["state"] = {"state": s, "inc": inc}
                     bitgen.state = state
                 rng.random(out=uniforms[run, :n_cycles - c])
             bright[:, c:c + rows] = uniforms[:len(block), :n_cycles - c] < p_cycle[c:c + rows, None]

@@ -1,6 +1,7 @@
 """The one CSV writer: columns of floats, ints and text become rows of bytes, byte-equal to
 ``%.17g`` and ``%d``. The float kernel is printf from tables (Adams, "Ryu revisited", OOPSLA
-2019) with Dekker's exact split (1971) in place of 128-bit tables."""
+2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk of a few cells, such
+as the one row of an optimal-time search, is made by ``%`` itself."""
 from __future__ import annotations
 
 import itertools
@@ -13,6 +14,11 @@ from .errors import NumericalInvariantError
 
 #: Rows formatted and written at once: bounds the text held on large grids.
 _BLOCK_ROWS = 4096
+#: Cells (rows x columns) up to which a chunk is made by ``%`` cell by cell. The kernels cost
+#: about 115 numpy calls per chunk whatever its size: right after an optimal-time search (caches
+#: cold), % took 44 us for 5 cells and 197 us for 256, the kernels 238 and 242 us; they cross
+#: near 380 cells (2-vCPU Xeon).
+_SMALL_CELLS = 256
 #: Floats per kernel call, so that its arrays stay in a core's cache.
 _FLOAT_BATCH = 2048
 #: A scaled value whose fraction lies closer than this to 1/2 goes to ``%``: the product in
@@ -144,9 +150,19 @@ def _cells(column: np.ndarray):
 
 def _chunk_bytes(columns, shape, verify: bool):
     """The text of a chunk of 2-d columns that broadcast to ``shape`` (rows in C order), and
-    whether a float cell is still to be checked against ``%`` (``verify``). Column by column,
+    whether a float cell is still to be checked against ``%`` (``verify``).
+
+    A chunk of at most ``_SMALL_CELLS`` cells is made by ``%`` itself, cell by cell, and joined
+    in Python, so it needs no check. A larger one goes through the kernels: column by column,
     each row's cell and comma go where its text so far ends; then each row goes where the text
     of the rows before it ends, in order, so that it covers the tail of the one before."""
+    if shape[0] * shape[1] * len(columns) <= _SMALL_CELLS:
+        texts = []
+        for c in columns:
+            cells = np.broadcast_to(c, shape).ravel().tolist()
+            fmt = b"%.17g" if c.dtype.kind == "f" else b"%d"
+            texts.append(cells if c.dtype.kind == "S" else [fmt % v for v in cells])
+        return b"".join(b",".join(row) + b"\n" for row in zip(*texts)), verify
     floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
     if floats:
         x = np.concatenate(floats)
@@ -229,10 +245,10 @@ def _write_csv(path: Path, header: str, blocks) -> Path:
     the rows: float, int or fixed-width bytes (``S``) arrays, or float, int or text scalars; a
     value repeated along a broadcast axis is formatted once. Cells are byte-equal to ``%.17g``
     (``format(float(x), ".17g")``) and ``%d``, lines end in LF, as ``csv.writer`` would write
-    them (no text cell needs quoting). Once per file a float cell is also made by ``%``; a
-    mismatch is a :class:`NumericalInvariantError`. The directory is created on the first
-    write; if a block raises, the partial file and each directory created here that is then
-    empty are removed before the error propagates."""
+    them (no text cell needs quoting). Once per file a float cell of a chunk made by the kernels
+    is also made by ``%``; a mismatch is a :class:`NumericalInvariantError`. The directory is
+    created on the first write; if a block raises, the partial file and each directory created
+    here that is then empty are removed before the error propagates."""
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     if created:
         path.parent.mkdir(parents=True, exist_ok=True)

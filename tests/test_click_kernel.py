@@ -145,6 +145,14 @@ class TestClickUniforms:
             want = np.concatenate([getattr(block, name) for block in long])[:, :8]
             np.testing.assert_array_equal(got, want, err_msg=name)
 
+    def test_one_click_runs_are_drawn_in_blocks_of_at_most_block_runs(self):
+        # 4,099 runs of one click are 4,099 clicks, but two blocks: the runs bound the block
+        fields, params, noise, t_cycle, _, t_star, _, _, preparation = _call_args("interior_switch")
+        seeds = range(protocol._BLOCK_RUNS + 3)
+        blocks = turn_on_blocks(fields, params, noise, t_cycle, 1, t_star, 1, seeds, preparation)
+        assert [len(block.seeds) for block in blocks] == [protocol._BLOCK_RUNS, 3]
+        assert_runs_draw_one_generator_each(fields, noise, t_cycle, 1, t_star, 1, seeds, preparation)
+
     def test_importing_the_command_line_leaves_numpy_random_unloaded(self):
         # numpy.random is loaded on the first draw: importing it with the
         # package would add its import time to every invocation's start-up
@@ -173,7 +181,8 @@ class TestBlockSeeding:
     @example(seeds=[2**300 - 1, 0, 2**128, 2**128 - 1, 2**160, 5])  # widths mixed in one block
     def test_states_are_default_rngs(self, seeds):
         want = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
-        assert protocol._pcg64_states(seeds) == want
+        states, incs = protocol._pcg64_states(seeds)
+        assert [{"state": s, "inc": inc} for s, inc in zip(states, incs)] == [w["state"] for w in want]
 
     def test_a_seeding_that_is_not_numpys_breaches(self, monkeypatch):
         # a changed multiplier stands in for a numpy whose seeding no longer matches

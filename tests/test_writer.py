@@ -4,15 +4,17 @@ per-cell formatting, and the turn-on transcript it writes against the
 per-click runs of ``oracles.reference_transcript``.
 
 The writer formats a chunk of rows as numpy bytes: floats through a
-vectorized ``%.17g`` kernel, ints through a vectorized ``%d``. The reference
-here is the per-cell route: ``csv.writer`` over cells formatted with
-``format(float(x), ".17g")`` and ``str(n)``.
+vectorized ``%.17g`` kernel, ints through a vectorized ``%d``; a chunk of at
+most ``_SMALL_CELLS`` cells is made by ``%`` cell by cell instead. The
+reference here is the per-cell route: ``csv.writer`` over cells formatted
+with ``format(float(x), ".17g")`` and ``str(n)``.
 """
 import csv
 import io
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +48,8 @@ def reference_csv(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+#: The columns of a writer block, in n_rows rows (see block_columns).
+BLOCK_COLUMNS = dict(
     floats=st.lists(FLOATS, min_size=1, max_size=12),
     ints=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=12),
     texts=st.lists(TEXT, min_size=1, max_size=12),
@@ -56,16 +58,26 @@ def reference_csv(header, rows) -> bytes:
         st.integers(1, 40), st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     ),
 )
-@example(floats=[0.1], ints=[2**64], texts=["x"], scalar=-0.0, n_rows=_BLOCK_ROWS + 1)
-def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar, n_rows):
+
+
+def block_columns(floats, ints, texts, scalar, n_rows):
+    """A float, an int and a text column of n_rows cycling through the drawn values, a float
+    scalar, and text that looks like float cells: a bytes column and a text scalar."""
     column_f = np.array([floats[k % len(floats)] for k in range(n_rows)])
     column_i = np.array([ints[k % len(ints)] for k in range(n_rows)], dtype=object)
     column_s = np.array([texts[k % len(texts)] for k in range(n_rows)], dtype=object)
-    # text that looks like float cells: a bytes column and a text scalar, written as they are
     column_p = ["%.17g" % f for f in column_f[::-1].tolist()]
-    scalar_p = "%.17g" % scalar
+    return column_f, column_i, column_s, scalar, np.array(column_p, "S"), "%.17g" % scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BLOCK_COLUMNS)
+@example(floats=[0.1], ints=[2**64], texts=["x"], scalar=-0.0, n_rows=_BLOCK_ROWS + 1)
+def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar, n_rows):
+    column_f, column_i, column_s, scalar, column_p, scalar_p = block_columns(
+        floats, ints, texts, scalar, n_rows)
     path = tmp_path_factory.mktemp("csv") / "sub" / "table.csv"
-    blocks = [(column_f, column_i, column_s.astype("S"), scalar, np.array(column_p, "S"), scalar_p)]
+    blocks = [(column_f, column_i, column_s.astype("S"), scalar, column_p, scalar_p)]
     _write_csv(path, "f,i,s,c,p,q", blocks)
     want = reference_csv(
         ["f", "i", "s", "c", "p", "q"],
@@ -78,11 +90,30 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
     assert path.read_bytes() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(**BLOCK_COLUMNS)
+def test_small_chunks_and_the_kernels_write_the_same_bytes(tmp_path_factory, floats, ints, texts,
+                                                           scalar, n_rows):
+    column_f, column_i, column_s, scalar, column_p, scalar_p = block_columns(
+        floats, ints, texts, scalar, n_rows)
+    blocks = [(column_f, column_i, column_s.astype("S"), scalar, column_p, scalar_p),
+              # a 2-d block: a (3, 1) and a (1, 2) column broadcast to its 6 rows
+              (column_f[:3, None], column_i[None, :2], b"t", 7, column_p[None, :2], "q")]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    written = []
+    for bound in (0, 10**9):  # every chunk through the kernels, then every chunk through %
+        with mock.patch.object(writer, "_SMALL_CELLS", bound):
+            _write_csv(path, "f,i,s,c,p,q", blocks)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
-    shapes = []
-    chunk_bytes = writer._chunk_bytes
+    shapes, floats = [], []
+    chunk_bytes, float_cells = writer._chunk_bytes, writer._float_cells
     monkeypatch.setattr(writer, "_chunk_bytes",
                         lambda c, shape, v: (shapes.append(shape), chunk_bytes(c, shape, v))[1])
+    monkeypatch.setattr(writer, "_float_cells", lambda x: (floats.append(x.size), float_cells(x))[1])
     _write_csv(tmp_path / "a.csv", "x,y", [(np.arange(2 * _BLOCK_ROWS + 1), 7)])
     assert [a * b for a, b in shapes] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
     # consecutive blocks with one row length join; a 2-d block is cut along its first axis
@@ -90,6 +121,9 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
     _write_csv(tmp_path / "b.csv", "x,y", [(np.arange(3.0), i) for i in range(5)])
     _write_csv(tmp_path / "c.csv", "x,y", [(np.arange(_BLOCK_ROWS // 2 + 1.0), np.arange(3)[:, None])])
     assert shapes == [(5, 3)] + [(1, _BLOCK_ROWS // 2 + 1)] * 3
+    # the 30 cells of b.csv's chunk are made by %; each chunk of c.csv goes through the kernels
+    assert 5 * 3 * 2 <= writer._SMALL_CELLS < (_BLOCK_ROWS // 2 + 1) * 2
+    assert sum(floats) == 3 * (_BLOCK_ROWS // 2 + 1)
     assert (tmp_path / "b.csv").read_bytes() == b"x,y\n" + b"".join(
         b"%d,%d\n" % (x, i) for i in range(5) for x in range(3))
     assert (tmp_path / "c.csv").read_bytes() == b"x,y\n" + b"".join(
@@ -147,12 +181,25 @@ def test_every_float_through_the_fallback(monkeypatch):
 
 def test_a_wrong_float_cell_exits_3(tmp_path, monkeypatch, capsys):
     # every digit group one too low: the per-file check against % catches the first float cell
+    # of the 4 columns of the default bloch grid, a chunk that goes through the kernels
+    assert 4 * config_mod.parse({}).time_grid.n_points > writer._SMALL_CELLS
     words = writer._WORDS.copy()
     words[:10000] = np.roll(words[:10000], 1)
     monkeypatch.setattr(writer, "_WORDS", words)
     assert main(["bloch", "--out", str(tmp_path / "out")]) == 3
     assert "the CSV float formatter wrote" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_default_appendix_b_skips_the_float_kernel_and_bloch_reaches_it(tmp_path, monkeypatch):
+    sizes = []
+    float_cells = writer._float_cells
+    monkeypatch.setattr(writer, "_float_cells", lambda x: (sizes.append(x.size), float_cells(x))[1])
+    assert main(["appendix-b", "--out", str(tmp_path / "b")]) == 0
+    assert sizes == []  # its 22 rows of 5 cells are made by %
+    assert main(["bloch", "--out", str(tmp_path / "a")]) == 0
+    rows = (tmp_path / "a" / "bloch.csv").read_bytes().count(b"\n") - 1
+    assert sum(sizes) == 4 * rows  # t, x, y, z
 
 
 def g(x) -> str:
