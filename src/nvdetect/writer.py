@@ -1,7 +1,10 @@
 """The one CSV writer: columns of floats, ints and text become rows of bytes, byte-equal to
 ``%.17g`` and ``%d``. The float kernel is printf from tables (Adams, "Ryu revisited", OOPSLA
 2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk of a few cells, such
-as the one row of an optimal-time search, is made by ``%`` itself."""
+as the one row of an optimal-time search, is made by ``%`` itself. A larger chunk is laid out in
+fixed slots: each cell NUL-padded to its column's width, then a comma, and the NULs dropped once
+per chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do, nor does any
+text column the package writes (B/D clicks and majorities, x/y orientations)."""
 from __future__ import annotations
 
 import itertools
@@ -15,9 +18,9 @@ from .errors import NumericalInvariantError
 #: Rows formatted and written at once: bounds the text held on large grids.
 _BLOCK_ROWS = 4096
 #: Cells (rows x columns) up to which a chunk is made by ``%`` cell by cell. The kernels cost
-#: about 115 numpy calls per chunk whatever its size: right after an optimal-time search (caches
-#: cold), % took 44 us for 5 cells and 197 us for 256, the kernels 238 and 242 us; they cross
-#: near 380 cells (2-vCPU Xeon).
+#: about 120 numpy operations per chunk of up to _FLOAT_BATCH floats: right after an optimal-time
+#: search (caches cold), % took 81-103 us for 5 cells and 283-345 us for 255, the kernels 252-299
+#: and 302-378 us; they cross near 290 cells (2-vCPU Xeon).
 _SMALL_CELLS = 256
 #: Floats per kernel call, so that its arrays stay in a core's cache.
 _FLOAT_BATCH = 2048
@@ -33,7 +36,7 @@ _ZEROS = np.cumprod(_GROUPS[::-1] == 0, axis=0).sum(0).astype(np.int8)
 #: [1e-99, 1e99) has k in [-99, 98], or one off where log10 rounds.
 _K = np.arange(-100, 100)
 #: The words of a cell's 28-byte source row: the digit groups, the %g exponent per k (its
-#: sign and two digits, NUL-padded: "+05"), and last "-0.e".
+#: sign and two digits, NUL-padded: "+05", so byte 27 is NUL for k > -100), and last "-0.e".
 _WORDS = np.concatenate([_DIGITS, np.frombuffer(b"".join(
     (("-" if k < 0 else "+") + str(abs(k)).zfill(2)).encode().ljust(4, b"\0") for k in _K.tolist()
 ) + b"-0.e", np.uint32)])
@@ -54,8 +57,10 @@ def _power_table() -> np.ndarray:
 
 
 def _templates():
-    """The %g layouts as byte offsets into a cell's source row (fixed for k = -4 .. 16, e-style
-    per digit count, then signed), and per sign, k and digit count the layout and the length."""
+    """The %g templates: uint8 byte offsets into a cell's source row, one per sign, layout
+    (fixed for k = -4 .. 16, e-style per digit count) and digit count, cut at that count's
+    length; past it they point at byte 27, NUL in every source row whose cell the kernel keeps.
+    And per sign, k and digit count, the index of its template."""
     digits = list(range(7, 24))  # digit i of the 17 at byte 7 + i
     rows = [digits[:x + 1] + [2] + digits[x + 1:] if x >= 0 else [1, 2] + [1] * (-x - 1) + digits
             for x in range(-4, 17)]
@@ -64,20 +69,20 @@ def _templates():
                for x in range(-4, 17) for nd in range(18)]
     lengths = np.array(lengths + [len(row) for row in rows[21:] for _ in range(18)]).reshape(-1, 18)
     fixed = ((_K >= -4) & (_K <= 16))[:, None]
-    layouts = np.where(fixed, _K[:, None] + 4, 20 + np.arange(18))  # per k and digit count
-    lengths = lengths[layouts, np.arange(18)]
-    return (np.array([(sign + row + [0] * 24)[:24] for sign in ([], [0]) for row in rows], np.intp),
-            np.concatenate([layouts, layouts + len(rows)]).ravel().astype(np.int16),
-            np.concatenate([lengths, lengths + 1]).ravel().astype(np.int16))
+    layouts = np.where(fixed, _K[:, None] + 4, 20 + np.arange(18)) * 18 + np.arange(18)
+    offsets = np.array([(sign + row + [0] * 24)[:24] for sign in ([], [0]) for row in rows], np.uint8)
+    cut = np.arange(24) < np.concatenate([lengths, lengths + 1])[..., None]
+    return (np.where(cut, offsets[:, None], 27).reshape(-1, 24),
+            np.concatenate([layouts, layouts + lengths.size]).ravel().astype(np.int16))
 
 
 _POWERS = _power_table()
-_TEMPLATES, _LAYOUTS, _LENGTHS = _templates()
+_TEMPLATES, _LAYOUTS = _templates()
 
 
 def _float_cells(x: np.ndarray):
-    """``b"%.17g" % v`` for each v of the float64 array ``x``: (n, 24) uint8 cells, left-aligned,
-    their lengths, and a mask of those made without ``%``.
+    """``b"%.17g" % v`` for each v of the float64 array ``x``: (n, 24) uint8 cells, left-aligned
+    and NUL-padded, and a mask of those made without ``%`` (a cell made by ``%`` is zeroed first).
 
     With k = floor(log10 |v|), |v| 10^(16 - k) is formed to 5.3e-7 and rounded half-even to a
     17-digit N; its digits come from 4-digit groups, and byte offsets per layout put them where
@@ -111,41 +116,34 @@ def _float_cells(x: np.ndarray):
     z1, z2, z3, z4 = _ZEROS.take(words[2:6])
     nd = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))  # significant digits
     key = i * 18 + nd + np.signbit(x) * (_LAYOUTS.size // 2)
-    offsets = _TEMPLATES.take(_LAYOUTS.take(key), axis=0)
-    offsets += np.arange(0, 28 * n, 28)[:, None]
+    # each cell's template plus its source row's start: the sum is intp, out of the uint8 range
+    offsets = _TEMPLATES.take(_LAYOUTS.take(key), axis=0) + np.arange(0, 28 * n, 28)[:, None]
     cells = _WORDS.take(words.T).view(np.uint8).ravel().take(offsets, mode="clip")
-    length = _LENGTHS.take(key)
     for j in () if fast.all() else (~fast).nonzero()[0].tolist():
-        text = b"%.17g" % x[j]
-        cells[j, :len(text)], length[j] = np.frombuffer(text, np.uint8), len(text)
-    return cells, length, fast
-
-
-def _windows(flat: np.ndarray, w: int) -> np.ndarray:
-    """Every run of ``w`` bytes of the 1-d uint8 array ``flat``, as a view: row j starts at byte j."""
-    return np.ndarray((flat.size - w + 1, w), np.uint8, flat, 0, (1, 1))
+        cells[j] = np.frombuffer((b"%.17g" % x[j]).ljust(24, b"\0"), np.uint8)
+    return cells, fast
 
 
 def _cells(column: np.ndarray):
-    """The cells of a non-float column, left-aligned, and their lengths: ints as ``%d`` (those
-    past int64 one at a time), bytes as they are."""
+    """The NUL-padded cells of a non-float column: ints as ``%d``, right-aligned, their leading
+    zeros NUL (those past int64 one at a time, left-aligned), bytes as they are."""
     if column.dtype.kind in "biu" and np.can_cast(column.dtype, np.int64):
         v = column.astype(np.int64).ravel()
         u = np.abs(v).view(np.uint64)  # 2^63 for the most negative int64 too
         length = np.searchsorted(_TENS, u, side="right") + 1 + (v < 0)
         if length.max() == 1:  # digits only
-            return (u.astype(np.uint8) + ord("0"))[:, None], length
+            return (u.astype(np.uint8) + ord("0"))[:, None]
         w = 4 * -(-int(length.max()) // 4)
-        words = np.zeros((v.size, w // 2), np.uint32)  # right-aligned digits, then NULs
+        words = np.empty((v.size, w // 4), np.uint32)  # right-aligned digits after "0"s
         for j in range(w // 4):
             words[:, w // 4 - 1 - j] = _DIGITS[u // 10 ** (4 * j) % 10000]
         cells = words.view(np.uint8)
+        cells[np.arange(w) < w - length[:, None]] = 0  # the leading "0"s become NULs
         cells[v < 0, w - length[v < 0]] = ord("-")
-        return _windows(cells.reshape(-1), w)[np.arange(0, cells.size, 2 * w) + w - length], length
+        return cells
     if column.dtype.kind != "S":
         column = np.array([b"%d" % i for i in column.ravel().tolist()])
-    cells = column.view(np.uint8).reshape(column.size, column.itemsize)
-    return cells, (cells != 0).sum(1)
+    return column.view(np.uint8).reshape(column.size, column.itemsize)
 
 
 def _chunk_bytes(columns, shape, verify: bool):
@@ -153,9 +151,9 @@ def _chunk_bytes(columns, shape, verify: bool):
     whether a float cell is still to be checked against ``%`` (``verify``).
 
     A chunk of at most ``_SMALL_CELLS`` cells is made by ``%`` itself, cell by cell, and joined
-    in Python, so it needs no check. A larger one goes through the kernels: column by column,
-    each row's cell and comma go where its text so far ends; then each row goes where the text
-    of the rows before it ends, in order, so that it covers the tail of the one before."""
+    in Python, so it needs no check. A larger one goes through the kernels into one zero-filled
+    ``(*shape, width)`` array: each column's NUL-padded cells are broadcast into a fixed slot,
+    followed by a comma; the last comma becomes LF, and the nonzero bytes are the text."""
     if shape[0] * shape[1] * len(columns) <= _SMALL_CELLS:
         texts = []
         for c in columns:
@@ -167,31 +165,24 @@ def _chunk_bytes(columns, shape, verify: bool):
     if floats:
         x = np.concatenate(floats)
         parts = [_float_cells(x[lo:lo + _FLOAT_BATCH]) for lo in range(0, x.size, _FLOAT_BATCH)]
-        cells, length, fast = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        cells, fast = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         i = int(np.argmax(fast & (x != 0))) if verify else 0  # a nonzero cell made without %
         if verify and fast[i] and x[i]:
-            if cells[i, :length[i]].tobytes() != b"%.17g" % x[i]:
-                raise NumericalInvariantError(
-                    f"the CSV float formatter wrote {cells[i, :length[i]].tobytes()!r} for {x[i]!r}")
+            cell = cells[i].tobytes().rstrip(b"\0")
+            if cell != b"%.17g" % x[i]:
+                raise NumericalInvariantError(f"the CSV float formatter wrote {cell!r} for {x[i]!r}")
             verify = False
-        cells, cuts = cells[:, :int(length.max())], list(itertools.accumulate(f.size for f in floats))
-        formatted = ((cells[lo:hi], length[lo:hi]) for lo, hi in zip([0] + cuts, cuts))
+        cuts = list(itertools.accumulate(f.size for f in floats))
+        formatted = (cells[lo:hi] for lo, hi in zip([0] + cuts, cuts))
     slots = [next(formatted) if c.dtype.kind == "f" else _cells(c) for c in columns]
-    n, width = shape[0] * shape[1], sum(cells.shape[1] + 1 for cells, _ in slots)
-    text = np.empty(n * width, np.uint8)
-    starts = np.arange(0, text.size, width).reshape(shape)
-    ends, windows = [starts], {}
-    for column, (cells, length) in zip(columns, slots):  # broadcast to the chunk's rows
-        if cells.shape[1] not in windows:
-            windows[cells.shape[1]] = _windows(text, cells.shape[1])
-        windows[cells.shape[1]][ends[-1]] = cells.reshape(*column.shape, -1)
-        ends.append(ends[-1] + length.reshape(column.shape) + 1)  # past the comma
-    text[np.array(ends[1:]) - 1] = ord(",")  # no later cell reaches back over a comma
-    text[ends[-1] - 1] = ord("\n")
-    length = (ends[-1] - starts).ravel()
-    rows = np.empty(length.sum() + width, np.uint8)  # each row written over the last one's tail
-    _windows(rows, width)[np.cumsum(length) - length] = text.reshape(n, width)
-    return rows[:-width], verify
+    text = np.zeros((*shape, sum(cells.shape[1] + 1 for cells in slots)), np.uint8)
+    end = 0
+    for column, cells in zip(columns, slots):  # each column's slot, broadcast to the chunk's rows
+        text[..., end:end + cells.shape[1]] = cells.reshape(*column.shape, -1)
+        end += cells.shape[1] + 1
+        text[..., end - 1] = ord(",")
+    text[..., -1] = ord("\n")
+    return text[text != 0], verify
 
 
 def _pieces(blocks):
@@ -245,8 +236,9 @@ def _write_csv(path: Path, header: str, blocks) -> Path:
     the rows: float, int or fixed-width bytes (``S``) arrays, or float, int or text scalars; a
     value repeated along a broadcast axis is formatted once. Cells are byte-equal to ``%.17g``
     (``format(float(x), ".17g")``) and ``%d``, lines end in LF, as ``csv.writer`` would write
-    them (no text cell needs quoting). Once per file a float cell of a chunk made by the kernels
-    is also made by ``%``; a mismatch is a :class:`NumericalInvariantError`. The directory is
+    them (no text cell needs quoting, and none may hold a NUL byte: the kernels' slots drop
+    them). Once per file a float cell of a chunk made by the kernels is also made by ``%``; a
+    mismatch is a :class:`NumericalInvariantError`. The directory is
     created on the first write; if a block raises, the partial file and each directory created
     here that is then empty are removed before the error propagates."""
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))

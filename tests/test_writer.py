@@ -52,6 +52,8 @@ def reference_csv(header, rows) -> bytes:
 BLOCK_COLUMNS = dict(
     floats=st.lists(FLOATS, min_size=1, max_size=12),
     ints=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=12),
+    int64s=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=12),
+    bools=st.lists(st.booleans(), min_size=1, max_size=12),
     texts=st.lists(TEXT, min_size=1, max_size=12),
     scalar=FLOATS,
     n_rows=st.one_of(
@@ -60,31 +62,39 @@ BLOCK_COLUMNS = dict(
 )
 
 
-def block_columns(floats, ints, texts, scalar, n_rows):
-    """A float, an int and a text column of n_rows cycling through the drawn values, a float
-    scalar, and text that looks like float cells: a bytes column and a text scalar."""
+def block_columns(floats, ints, int64s, bools, texts, scalar, n_rows):
+    """A float, an object int, an int64, a bool and a text column of n_rows cycling through the
+    drawn values, a float scalar, and text that looks like float cells: a bytes column and a
+    text scalar."""
     column_f = np.array([floats[k % len(floats)] for k in range(n_rows)])
     column_i = np.array([ints[k % len(ints)] for k in range(n_rows)], dtype=object)
+    column_n = np.array([int64s[k % len(int64s)] for k in range(n_rows)], np.int64)
+    column_b = np.array([bools[k % len(bools)] for k in range(n_rows)])
     column_s = np.array([texts[k % len(texts)] for k in range(n_rows)], dtype=object)
     column_p = ["%.17g" % f for f in column_f[::-1].tolist()]
-    return column_f, column_i, column_s, scalar, np.array(column_p, "S"), "%.17g" % scalar
+    return (column_f, column_i, column_n, column_b, column_s, scalar, np.array(column_p, "S"),
+            "%.17g" % scalar)
 
 
 @settings(max_examples=60, deadline=None)
 @given(**BLOCK_COLUMNS)
-@example(floats=[0.1], ints=[2**64], texts=["x"], scalar=-0.0, n_rows=_BLOCK_ROWS + 1)
-def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar, n_rows):
-    column_f, column_i, column_s, scalar, column_p, scalar_p = block_columns(
-        floats, ints, texts, scalar, n_rows)
+@example(floats=[0.1], ints=[2**64], int64s=[-(2**63)], bools=[True], texts=["x"], scalar=-0.0,
+         n_rows=_BLOCK_ROWS + 1)
+def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, int64s, bools, texts, scalar,
+                                   n_rows):
+    column_f, column_i, column_n, column_b, column_s, scalar, column_p, scalar_p = block_columns(
+        floats, ints, int64s, bools, texts, scalar, n_rows)
     path = tmp_path_factory.mktemp("csv") / "sub" / "table.csv"
-    blocks = [(column_f, column_i, column_s.astype("S"), scalar, column_p, scalar_p)]
-    _write_csv(path, "f,i,s,c,p,q", blocks)
+    blocks = [(column_f, column_i, column_n, column_b, column_s.astype("S"), scalar, column_p,
+               scalar_p)]
+    _write_csv(path, "f,i,n,b,s,c,p,q", blocks)
     want = reference_csv(
-        ["f", "i", "s", "c", "p", "q"],
+        ["f", "i", "n", "b", "s", "c", "p", "q"],
         [
-            [format(float(f), ".17g"), str(i), s, format(float(scalar), ".17g"),
-             format(float(p), ".17g"), format(float(scalar), ".17g")]
-            for f, i, s, p in zip(column_f, column_i, column_s, column_f[::-1])
+            [format(float(f), ".17g"), str(i), str(n), str(int(b)), s,
+             format(float(scalar), ".17g"), format(float(p), ".17g"), format(float(scalar), ".17g")]
+            for f, i, n, b, s, p in zip(column_f, column_i, column_n, column_b, column_s,
+                                        column_f[::-1])
         ],
     )
     assert path.read_bytes() == want
@@ -92,18 +102,20 @@ def test_writer_matches_csv_writer(tmp_path_factory, floats, ints, texts, scalar
 
 @settings(max_examples=60, deadline=None)
 @given(**BLOCK_COLUMNS)
-def test_small_chunks_and_the_kernels_write_the_same_bytes(tmp_path_factory, floats, ints, texts,
-                                                           scalar, n_rows):
-    column_f, column_i, column_s, scalar, column_p, scalar_p = block_columns(
-        floats, ints, texts, scalar, n_rows)
-    blocks = [(column_f, column_i, column_s.astype("S"), scalar, column_p, scalar_p),
-              # a 2-d block: a (3, 1) and a (1, 2) column broadcast to its 6 rows
-              (column_f[:3, None], column_i[None, :2], b"t", 7, column_p[None, :2], "q")]
+def test_small_chunks_and_the_kernels_write_the_same_bytes(tmp_path_factory, floats, ints, int64s,
+                                                           bools, texts, scalar, n_rows):
+    column_f, column_i, column_n, column_b, column_s, scalar, column_p, scalar_p = block_columns(
+        floats, ints, int64s, bools, texts, scalar, n_rows)
+    blocks = [(column_f, column_i, column_n, column_b, column_s.astype("S"), scalar, column_p,
+               scalar_p),
+              # a 2-d block: (3, 1) and (1, 2) columns broadcast to its 6 rows
+              (column_f[:3, None], column_i[None, :2], column_n[:3, None], column_b[None, :2], b"t",
+               7, column_p[None, :2], "q")]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     written = []
     for bound in (0, 10**9):  # every chunk through the kernels, then every chunk through %
         with mock.patch.object(writer, "_SMALL_CELLS", bound):
-            _write_csv(path, "f,i,s,c,p,q", blocks)
+            _write_csv(path, "f,i,n,b,s,c,p,q", blocks)
         written.append(path.read_bytes())
     assert written[0] == written[1]
 
@@ -156,8 +168,9 @@ KERNEL_FLOATS = st.one_of(
                  1e-99, 1000000000000000.25, 120000000.0, 5e-324, float("nan"), float("-inf")])
 def test_float_kernel_matches_percent(values):
     x = np.array(values)
-    cells, length, fast = writer._float_cells(x)
-    assert [cells[i, :length[i]].tobytes() for i in range(x.size)] == [b"%.17g" % v for v in values]
+    cells, fast = writer._float_cells(x)
+    # each cell is its % text, then NULs
+    assert [c.tobytes() for c in cells] == [(b"%.17g" % v).ljust(cells.shape[1], b"\0") for v in values]
     assert fast[x == 0].all()  # +-0 is made without %
 
 
@@ -166,17 +179,18 @@ def test_float_kernel_matches_percent(values):
                        min_size=1, max_size=40))
 @example(values=[-(2**63), 2**63 - 1, 0, -1, 9, 10, 9999, 10000, -10000])
 def test_int_kernel_matches_percent(values):
-    cells, length = writer._cells(np.array(values, np.int64))
-    assert [cells[i, :length[i]].tobytes() for i in range(len(values))] == [b"%d" % v for v in values]
+    cells = writer._cells(np.array(values, np.int64))
+    # each cell is NULs, then its % text
+    assert [c.tobytes() for c in cells] == [(b"%d" % v).rjust(cells.shape[1], b"\0") for v in values]
 
 
 def test_every_float_through_the_fallback(monkeypatch):
     # a margin of 1 puts every fraction within reach of a tie: nothing is made without %
     monkeypatch.setattr(writer, "_TIE_MARGIN", 1.0)
     values = [0.1, -2.5e-7, 3.0, 1e16, 6.02214076e23, float("nan")]
-    cells, length, fast = writer._float_cells(np.array(values))
+    cells, fast = writer._float_cells(np.array(values))
     assert not fast.any()
-    assert [cells[i, :length[i]].tobytes() for i in range(len(values))] == [b"%.17g" % v for v in values]
+    assert [c.tobytes() for c in cells] == [(b"%.17g" % v).ljust(cells.shape[1], b"\0") for v in values]
 
 
 def test_a_wrong_float_cell_exits_3(tmp_path, monkeypatch, capsys):
