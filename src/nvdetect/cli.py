@@ -32,13 +32,14 @@ from .dynamics import evolve_pair_grid
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel
 from .protocol import array_error_curve, sweep_window, turn_on_blocks
-from .writer import _write_csv
+from .writer import _BLOCK_ROWS, _write_csv
 
 #: protocol_summary.json as ``json.dumps(summary, indent=2, sort_keys=True) + "\n"`` writes it:
-#: floats go through ``%r`` (float.__repr__, as in json), and each run is one ``_RUN_JSON``.
-_SUMMARY_JSON = ('{\n  "n_runs": %d,\n  "n_sensors": %d,\n  "runs": [\n%s\n  ],\n'
-                 '  "success_rate": %r,\n  "t_cycle": %r,\n  "true_t_star": %r\n}\n')
-_RUN_JSON = ('    {\n      "interval": %s,\n      "run": %d,\n      "seed": %d,\n'
+#: the head, the runs joined by ",\n", the tail. Floats go through ``%r`` (float.__repr__, as in
+#: json). A run's text is ``_RUN_JSON`` filled in once per distinct interval, then by run and seed.
+_SUMMARY_HEAD = '{\n  "n_runs": %d,\n  "n_sensors": %d,\n  "runs": [\n'
+_SUMMARY_TAIL = '\n  ],\n  "success_rate": %r,\n  "t_cycle": %r,\n  "true_t_star": %r\n}\n'
+_RUN_JSON = ('    {\n      "interval": %s,\n      "run": %%d,\n      "seed": %%d,\n'
              '      "status": "%s",\n      "success": %s,\n      "true_t_star": %r\n    }')
 
 
@@ -188,28 +189,33 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
                           f"t_cycle of a null protocol.true_t_star past the float range")
     true_t_star = proto.true_t_star if proto.true_t_star is not None else 3.2 * t_cycle
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
+    seeds = range(config.seed, config.seed + proto.n_runs)  # documented per-run seed offset
     blocks = turn_on_blocks(
         config.fields, config.parameters, config.noise, t_cycle, n_cycles, true_t_star, n_sensors,
-        range(config.seed, config.seed + proto.n_runs),  # documented per-run seed offset
-        preparation=config.preparation,
+        seeds, preparation=config.preparation,
     )
     cycles = np.arange(n_cycles)[None]
-    run_texts, successes = [], []  # one JSON object and one bool per run, as blocks are written
+    # a run's summary text depends only on its interval, save for its run and seed: one template
+    # and one success flag per distinct interval, and per run the index of its template
+    template_of, templates, hits, run_templates = {}, [], [], []
 
     def rows():
         for block in blocks:
-            first, runs = len(run_texts), len(block.seeds)  # the block's first run and its run count
+            first, runs = len(run_templates), len(block.seeds)  # the block's first run, its run count
             # one byte per click, B or D, so each cycle's clicks view as one S<n_sensors> string
             patterns = np.where(block.bright, np.uint8(ord("B")), np.uint8(ord("D")))
             yield (np.arange(first, first + runs)[:, None], cycles, cycles * t_cycle, (cycles + 1) * t_cycle,
                    patterns.view(f"S{n_sensors}")[..., 0], block.n_bright,
                    np.where(block.majority, b"B", b"D"), block.confident)
-            hits = [iv is not None and iv[0] <= true_t_star <= iv[1] for iv in block.intervals]
-            successes.extend(hits)
-            run_texts.extend(_RUN_JSON % (
-                "null" if iv is None else "[\n        %r,\n        %r\n      ]" % iv, run, seed,
-                "no_detection" if iv is None else "detected", "true" if hit else "false", true_t_star,
-            ) for run, (seed, iv, hit) in enumerate(zip(block.seeds, block.intervals, hits), first))
+            for iv in set(block.intervals).difference(template_of):
+                template_of[iv] = len(templates)
+                hits.append(iv is not None and iv[0] <= true_t_star <= iv[1])
+                templates.append(_RUN_JSON % (
+                    "null" if iv is None else "[\n        %r,\n        %r\n      ]" % iv,
+                    "no_detection" if iv is None else "detected", "true" if hits[-1] else "false",
+                    true_t_star,
+                ))
+            run_templates.extend(map(template_of.__getitem__, block.intervals))
 
     csv_path = _write_csv(
         out / "protocol_runs.csv",
@@ -217,10 +223,15 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
         rows(),
     )
     json_path = out / "protocol_summary.json"
-    json_path.write_text(_SUMMARY_JSON % (
-        proto.n_runs, n_sensors, ",\n".join(run_texts),
-        sum(successes) / max(1, len(successes)), t_cycle, true_t_star,
-    ))
+    with open(json_path, "w") as fh:  # straight to the file, the run texts _BLOCK_ROWS at a time
+        fh.write(_SUMMARY_HEAD % (proto.n_runs, n_sensors))
+        for lo in range(0, len(run_templates), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            fh.write(",\n" if lo else "")
+            fh.write(",\n".join([templates[k] % (run, seed) for run, seed, k in
+                                 zip(range(lo, hi), seeds[lo:hi], run_templates[lo:hi])]))
+        successes = sum(map(hits.__getitem__, run_templates))
+        fh.write(_SUMMARY_TAIL % (successes / max(1, len(run_templates)), t_cycle, true_t_star))
     return [csv_path, json_path]
 
 

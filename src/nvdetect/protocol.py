@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrimination import min_error_grid
-from .dynamics import bloch_generators, evolve_bloch
+from .dynamics import bloch_generators
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
@@ -136,8 +136,8 @@ def fit_decay_rate(points) -> float:
 #: with more clicks is drawn in cycle slices of at most this many). The smallest power of two that
 #: holds a default invocation, 200 runs x 8 cycles x 15 sensors, so it is drawn as one block.
 _BLOCK_STREAMS = 2**15
-#: Runs per block at most: a block holds Python objects per run (its seed, interval and summary
-#: text), so runs of fewer than 8 clicks are drawn in blocks of fewer than _BLOCK_STREAMS clicks.
+#: Runs per block at most: a block holds Python objects per run (its seed and interval), so runs
+#: of fewer than 8 clicks are drawn in blocks of fewer than _BLOCK_STREAMS clicks.
 _BLOCK_RUNS = 2**12
 
 
@@ -221,26 +221,29 @@ def _cycle_bright_probabilities(
     readout uses the Helstrom measurement of the static problem at t_cycle,
     so its bright probability is Tr(rho Pi1) of that one decision, clipped
     to [0, 1]; readout is treated as instantaneous relative to the spin
-    dynamics. Returns the (n_cycles,) bright probabilities and the
+    dynamics. The maps of the states at t_cycle and of the straddling cycle
+    are one ``expm_batch`` stack; the decision comes from the states at
+    t_cycle, then one Bloch-norm check covers every state. Returns the
+    (n_cycles,) bright probabilities and the
     informative flag (p_err < 1/2 - 1e-6); a probability that is not finite
     raises NumericalInvariantError.
     """
     gens = bloch_generators(fields, params, noise)
     r_init = np.array(bloch_vector(preparation.density_matrix()))
-    r_dark, r_bright = evolve_bloch(gens, r_init, [t_cycle])
-    curve = min_error_grid(r_dark, r_bright, fields.priors)
-    r_cycles = np.empty((3, n_cycles))  # rows x, y, z
-    for cycle in range(n_cycles):
-        t_start, t_end = cycle * t_cycle, (cycle + 1) * t_cycle
-        if true_t_star >= t_end:
-            r_cycles[:, cycle] = r_dark[:, 0]
-        elif true_t_star <= t_start:
-            r_cycles[:, cycle] = r_bright[:, 0]
-        else:
-            segments = np.array([true_t_star - t_start, t_end - true_t_star])
-            maps = expm_batch(gens * segments[:, None, None])  # baseline, then switched
-            r_cycles[:, cycle] = maps[1] @ maps[0] @ r_init
-    p_cycle = curve.decision.bright_probability(check_bloch_norms(r_cycles))
+    edges = np.arange(n_cycles + 1) * t_cycle  # cycle c covers [edges[c], edges[c + 1]]
+    dark, bright = true_t_star >= edges[1:], true_t_star <= edges[:-1]
+    straddled = np.flatnonzero(~dark & ~bright)  # at most one cycle
+    # (M0, M1) times (t_cycle, t_cycle), then the straddled cycle's (t* - start, end - t*)
+    times = np.concatenate([[t_cycle, t_cycle], true_t_star - edges[straddled],
+                            edges[straddled + 1] - true_t_star])
+    maps = expm_batch(gens * times.reshape(-1, 2)[..., None, None])
+    r_cycle = (maps[0] @ r_init).T  # the baseline and switched states at t_cycle, rows x, y, z
+    r_cycles = np.where(dark, r_cycle[:, :1], r_cycle[:, 1:])
+    if straddled.size:
+        r_cycles[:, straddled[0]] = maps[1, 1] @ maps[1, 0] @ r_init
+    curve = min_error_grid(r_cycle[:, :1], r_cycle[:, 1:], fields.priors)
+    checked = check_bloch_norms(np.concatenate([r_cycle, r_cycles], axis=1))
+    p_cycle = curve.decision.bright_probability(checked[:, 2:])
     if not np.all(np.isfinite(p_cycle)):  # a NaN would click dark in every draw
         raise NumericalInvariantError(
             f"cycle bright probabilities {p_cycle.tolist()!r} are not finite"

@@ -1,10 +1,11 @@
 """The one CSV writer: columns of floats, ints and text become rows of bytes, byte-equal to
 ``%.17g`` and ``%d``. The float kernel is printf from tables (Adams, "Ryu revisited", OOPSLA
 2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk of a few cells, such
-as the one row of an optimal-time search, is made by ``%`` itself. A larger chunk is laid out in
-fixed slots: each cell NUL-padded to its column's width, then a comma, and the NULs dropped once
-per chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do, nor does any
-text column the package writes (B/D clicks and majorities, x/y orientations)."""
+as the one row of an optimal-time search, is made by ``%`` itself, and so are the floats of a
+larger chunk that holds few, such as the cycle times of a turn-on transcript. A larger chunk is
+laid out in fixed slots: each cell NUL-padded to its column's width, then a comma, and the NULs
+dropped once per chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do,
+nor does any text column the package writes (B/D clicks and majorities, x/y orientations)."""
 from __future__ import annotations
 
 import itertools
@@ -17,7 +18,8 @@ from .errors import NumericalInvariantError
 
 #: Rows formatted and written at once: bounds the text held on large grids.
 _BLOCK_ROWS = 4096
-#: Cells (rows x columns) up to which a chunk is made by ``%`` cell by cell. The kernels cost
+#: Cells (rows x columns) up to which a chunk is made by ``%`` cell by cell, and float cells (of
+#: the columns before they broadcast) up to which a larger chunk's floats are. The kernels cost
 #: about 120 numpy operations per chunk of up to _FLOAT_BATCH floats: right after an optimal-time
 #: search (caches cold), % took 81-103 us for 5 cells and 283-345 us for 255, the kernels 252-299
 #: and 302-378 us; they cross near 290 cells (2-vCPU Xeon).
@@ -151,9 +153,11 @@ def _chunk_bytes(columns, shape, verify: bool):
     whether a float cell is still to be checked against ``%`` (``verify``).
 
     A chunk of at most ``_SMALL_CELLS`` cells is made by ``%`` itself, cell by cell, and joined
-    in Python, so it needs no check. A larger one goes through the kernels into one zero-filled
-    ``(*shape, width)`` array: each column's NUL-padded cells are broadcast into a fixed slot,
-    followed by a comma; the last comma becomes LF, and the nonzero bytes are the text."""
+    in Python, so it needs no check. A larger one goes into one zero-filled ``(*shape, width)``
+    array: each column's NUL-padded cells are broadcast into a fixed slot, followed by a comma;
+    the last comma becomes LF, and the nonzero bytes are the text. Its floats go through the
+    float kernel, unless they number at most ``_SMALL_CELLS`` before broadcasting: then ``%``
+    makes them, and the check is left to a later chunk."""
     if shape[0] * shape[1] * len(columns) <= _SMALL_CELLS:
         texts = []
         for c in columns:
@@ -162,8 +166,11 @@ def _chunk_bytes(columns, shape, verify: bool):
             texts.append(cells if c.dtype.kind == "S" else [fmt % v for v in cells])
         return b"".join(b",".join(row) + b"\n" for row in zip(*texts)), verify
     floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
-    if floats:
-        x = np.concatenate(floats)
+    x = np.concatenate(floats) if floats else np.empty(0)
+    if x.size <= _SMALL_CELLS:  # few floats, such as a transcript's cycle times: % is cheaper
+        cells = np.array([b"%.17g" % v for v in x.tolist()], "S")
+        cells = cells.view(np.uint8).reshape(x.size, cells.itemsize)
+    else:
         parts = [_float_cells(x[lo:lo + _FLOAT_BATCH]) for lo in range(0, x.size, _FLOAT_BATCH)]
         cells, fast = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         i = int(np.argmax(fast & (x != 0))) if verify else 0  # a nonzero cell made without %
@@ -172,8 +179,8 @@ def _chunk_bytes(columns, shape, verify: bool):
             if cell != b"%.17g" % x[i]:
                 raise NumericalInvariantError(f"the CSV float formatter wrote {cell!r} for {x[i]!r}")
             verify = False
-        cuts = list(itertools.accumulate(f.size for f in floats))
-        formatted = (cells[lo:hi] for lo, hi in zip([0] + cuts, cuts))
+    cuts = list(itertools.accumulate(f.size for f in floats))
+    formatted = (cells[lo:hi] for lo, hi in zip([0] + cuts, cuts))
     slots = [next(formatted) if c.dtype.kind == "f" else _cells(c) for c in columns]
     text = np.zeros((*shape, sum(cells.shape[1] + 1 for cells in slots)), np.uint8)
     end = 0

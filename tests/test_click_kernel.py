@@ -35,7 +35,9 @@ from nvdetect import (
 from nvdetect import cli, protocol
 from nvdetect import config as config_mod
 from nvdetect.config import ProtocolConfig
+from nvdetect.dynamics import bloch_generators
 from nvdetect.errors import NumericalInvariantError
+from nvdetect.linalg import bloch_vector, expm_batch
 from nvdetect.protocol import _cycle_bright_probabilities, _intervals
 
 from oracles import (
@@ -405,6 +407,30 @@ def test_example_cells_cover_the_three_decisions():
                          "pi1_zero" if dec.all_pi0[0] else "straddle_skewed")
         assert 0 < t_star % t_cycle and t_star < proto.n_cycles * t_cycle  # a straddled cycle
     assert regimes == {name: name for name in TURN_ON_CELLS}
+
+
+@pytest.mark.parametrize("name", sorted(TURN_ON_CELLS))
+def test_cycle_maps_are_one_exponential_stack(name, monkeypatch):
+    # one expm_batch call makes the maps of the states at t_cycle and of the straddled cycle, and
+    # the states equal those of evolve_pair_grid and of a two-matrix stack bit for bit
+    fields, noise, proto, t_star, preparation = TURN_ON_CELLS[name]
+    t_cycle = PARAMS.transfer_time(fields.de)
+    stacks, checked = [], []
+    monkeypatch.setattr(protocol, "expm_batch", lambda a: (stacks.append(a), expm_batch(a))[1])
+    monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: (checked.append(r), r)[1])
+    _cycle_bright_probabilities(fields, PARAMS, noise, t_cycle, proto.n_cycles, t_star, preparation)
+    assert len(stacks) == 1 and len(checked) == 1
+
+    rho_init = preparation.density_matrix()
+    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, rho_init, [t_cycle])
+    c = int(t_star // t_cycle)  # the straddled cycle
+    maps = expm_batch(bloch_generators(fields, PARAMS, noise)
+                      * np.array([t_star - c * t_cycle, (c + 1) * t_cycle - t_star])[:, None, None])
+    straddled = maps[1] @ maps[0] @ np.array(bloch_vector(rho_init))
+    want = [r_dark[:, 0], r_bright[:, 0]] + [r_dark[:, 0]] * c + [straddled]
+    want += [r_bright[:, 0]] * (proto.n_cycles - c - 1)
+    assert checked[0].shape == (3, 2 + proto.n_cycles)  # dark, bright, then each cycle
+    assert checked[0].tobytes() == np.column_stack(want).tobytes()
 
 
 @given(turn_on_cells())

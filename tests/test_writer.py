@@ -5,7 +5,8 @@ per-click runs of ``oracles.reference_transcript``.
 
 The writer formats a chunk of rows as numpy bytes: floats through a
 vectorized ``%.17g`` kernel, ints through a vectorized ``%d``; a chunk of at
-most ``_SMALL_CELLS`` cells is made by ``%`` cell by cell instead. The
+most ``_SMALL_CELLS`` cells is made by ``%`` cell by cell instead, and so are
+the floats of a larger chunk that holds at most that many. The
 reference here is the per-cell route: ``csv.writer`` over cells formatted
 with ``format(float(x), ".17g")`` and ``str(n)``.
 """
@@ -26,6 +27,7 @@ from nvdetect import min_error_grid, protocol, standard_basis_error_grid, writer
 from nvdetect.cli import _quarter_period_marks, _write_csv, main
 from nvdetect.writer import _BLOCK_ROWS
 from nvdetect.dynamics import evolve_pair_grid
+from nvdetect.errors import NumericalInvariantError
 from nvdetect.hamiltonian import FieldConfig, NoiseModel
 from oracles import reference_transcript
 
@@ -140,6 +142,28 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
         b"%d,%d\n" % (x, i) for i in range(5) for x in range(3))
     assert (tmp_path / "c.csv").read_bytes() == b"x,y\n" + b"".join(
         b"%d,%d\n" % (x, i) for i in range(3) for x in range(_BLOCK_ROWS // 2 + 1))
+
+
+def test_few_floats_of_a_large_chunk_take_percent_and_leave_the_check(tmp_path, monkeypatch):
+    # a transcript-like chunk: 40 x 8 rows of 3 cells, and only the 8 cycle times are floats
+    runs, times = np.arange(40)[:, None], np.linspace(0.0, 7e-7, 8)[None]
+    later = np.linspace(0.1, 3.0, 300)  # a later chunk of a new row length, through the kernels
+    assert 40 * 8 * 3 > writer._SMALL_CELLS >= times.size and later.size > writer._SMALL_CELLS
+    blocks = [(runs, times, b"B"), (later, 9, b"D")]
+    rows = [[str(r), g(t), "B"] for r in range(40) for t in times[0]] + [[g(x), "9", "D"] for x in later]
+    sizes, float_cells = [], writer._float_cells
+    monkeypatch.setattr(writer, "_float_cells", lambda x: (sizes.append(x.size), float_cells(x))[1])
+    _write_csv(tmp_path / "a.csv", "r,t,s", blocks)
+    assert (tmp_path / "a.csv").read_bytes() == reference_csv(["r", "t", "s"], rows)
+    assert sizes == [later.size]
+
+    def rolled(x):  # every kernel cell one row off: the later chunk is the one checked against %
+        cells, fast = float_cells(x)
+        return np.roll(cells, 1, axis=0), fast
+
+    monkeypatch.setattr(writer, "_float_cells", rolled)
+    with pytest.raises(NumericalInvariantError, match="the CSV float formatter wrote"):
+        _write_csv(tmp_path / "b.csv", "r,t,s", blocks)
 
 
 def _from_bits(bits: int) -> float:
@@ -286,6 +310,8 @@ PROTOCOL_CASES = {
     },
     # 9,600 clicks: three blocks of the split_blocks bound
     "several_blocks": {"protocol": {"n_runs": 80}, "seed": 2**64 - 40},
+    # 84,000 clicks: three blocks of the default bound, whose runs share their intervals
+    "three_default_blocks": {"protocol": {"n_runs": 700}},
     "one_run": {"protocol": {"n_runs": 1}},
     # the largest cycle time that 8 cycles admit (twice the run's span is 1.76e308 s), with the
     # switch's quarter period there: every interval bound is near the top of the float range
@@ -297,6 +323,23 @@ PROTOCOL_CASES = {
 
 
 SPLIT_PROTOCOL_CASES = ("several_blocks", "wide_run_split_across_cycle_blocks")
+
+
+def _intervals_of(runs):
+    return {tuple(run["interval"] or ()) for run in runs}
+
+
+#: What the summary of each of these cases shows: the summary is made from one text per distinct
+#: interval, and these cases cover each kind of it.
+SUMMARY_CASES = {
+    "non_informative_switch": lambda summary: _intervals_of(summary["runs"]) == {()},  # all null
+    # a detected interval that misses t*, so success is false
+    "one_sensor": lambda summary: summary["n_sensors"] == 1 and any(
+        run["interval"] and not run["success"] for run in summary["runs"]),
+    # the first and last of the three blocks (273 runs each at most) share an interval
+    "three_default_blocks": lambda summary: 700 * 8 * 15 > 2 * protocol._BLOCK_STREAMS
+    and bool(_intervals_of(summary["runs"][:273]) & _intervals_of(summary["runs"][546:])),
+}
 
 
 def test_split_protocol_cases_cross_the_block_bound(split_blocks):
@@ -362,6 +405,7 @@ def test_protocol_transcript_is_the_batch_runs(tmp_path, request, case):
     }
     want = json.dumps(reference, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "out" / "protocol_summary.json").read_bytes() == want.encode()
+    assert SUMMARY_CASES.get(case, bool)(reference)
 
 
 def test_runs_do_not_depend_on_the_block_that_draws_them(tmp_path):
