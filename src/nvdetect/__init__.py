@@ -21,10 +21,9 @@ from .discrimination import (
 )
 from .dynamics import evolve_pair_grid
 from .errors import ConfigError, PreconditionError
-from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
-from .linalg import DensityMatrix2, bloch_vector, expm_batch
+from .hamiltonian import FieldConfig, NoiseModel, NvParameters, PreparationState, bloch_generator
+from .linalg import expm_batch
 from .protocol import (
-    PreparationState,
     array_error_curve,
     fit_decay_rate,
     majority_vote_error,

@@ -52,9 +52,10 @@ def _quarter_period_marks(times: np.ndarray, params, de) -> np.ndarray:
     """1 at the grid point nearest to each quarter period t_n of the switch
     ``de`` up to times[-1], else 0, for a sorted grid of at least two points.
 
-    t_n is computed as :meth:`NvParameters.transfer_time` computes it, for
-    n = 1 .. floor(times[-1] 2|c| / pi) + 1, and ties go to the earlier point,
-    as ``np.argmin(np.abs(times - t_n))`` breaks them.
+    t_n is n times the quarter period :meth:`NvParameters.transfer_time`,
+    rounded as n pi / (2|c|), for n = 1 .. floor(times[-1] 2|c| / pi) + 1, and
+    ties go to the earlier point, as ``np.argmin(np.abs(times - t_n))`` breaks
+    them.
     """
     marks = np.zeros(times.size, dtype=np.int8)
     if params.transfer_time(de) > times[-1]:  # also without a transverse switch
@@ -85,15 +86,15 @@ def cmd_perr_time(config: RunConfig, out: Path) -> list[Path]:
               else (f"default field pair {i}",) * 3 + ("fields.b_z", "noise.rate"))
              for i, p in enumerate(pairs)]
     check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
-    rho0 = config.preparation.density_matrix()
+    r0 = config.preparation.bloch_vector
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
 
     def blocks():
         for index, (fields, noise, _) in enumerate(cells):
             is_tmin = _quarter_period_marks(times, params, fields.de)
-            r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
-            curve = min_error_grid(r0, r1, fields.priors)
-            p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
+            pair = evolve_pair_grid(fields, params, noise, r0, times)
+            curve = min_error_grid(*pair, fields.priors)
+            p_std = standard_basis_error_grid(*pair, fields.priors)
             yield index, noise.rate, times, curve.p_err, p_std, curve.p_dc, curve.p_fn, is_tmin
 
     csv_path = _write_csv(
@@ -114,12 +115,11 @@ def cmd_bz_sensitivity(config: RunConfig, out: Path) -> list[Path]:
     cells = [(dataclasses.replace(config.fields, b_z=b), config.noise, _keys("fields", b_z_key=k))
              for b, k in b_zs]
     check_cells(params, "time_grid.t_max", config.time_grid.t_max, cells)
-    rho0 = config.preparation.density_matrix()
+    r0 = config.preparation.bloch_vector
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
 
     def p_err(fields, noise, _) -> np.ndarray:
-        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
-        return min_error_grid(r0, r1, fields.priors).p_err
+        return min_error_grid(*evolve_pair_grid(fields, params, noise, r0, times), fields.priors).p_err
 
     base = p_err(*cells[0])
 
@@ -149,12 +149,11 @@ def _cycle_time(config: RunConfig) -> tuple[float, str]:
 def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     """Fused error versus sensor count at the optimal single-shot time."""
     params = config.parameters
-    rho0 = config.preparation.density_matrix()
     fields, noise = config.fields, config.noise
     t_meas, key = _cycle_time(config)
     check_cells(params, key, t_meas, [(fields, noise, _keys("fields"))])
-    r0, r1 = evolve_pair_grid(fields, params, noise, rho0, [t_meas])
-    single = min_error_grid(r0, r1, fields.priors)
+    pair = evolve_pair_grid(fields, params, noise, config.preparation.bloch_vector, [t_meas])
+    single = min_error_grid(*pair, fields.priors)
     p_dc, p_fn = float(single.p_dc[0]), float(single.p_fn[0])
 
     try:
@@ -191,8 +190,8 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     n_sensors, n_cycles = proto.n_sensors, proto.n_cycles
     seeds = range(config.seed, config.seed + proto.n_runs)  # documented per-run seed offset
     blocks = turn_on_blocks(
-        config.fields, config.parameters, config.noise, t_cycle, n_cycles, true_t_star, n_sensors,
-        seeds, preparation=config.preparation,
+        config.fields, config.parameters, config.noise, config.preparation.bloch_vector, t_cycle,
+        n_cycles, true_t_star, n_sensors, seeds,
     )
     cycles = np.arange(n_cycles)[None]
     # a run's summary text depends only on its interval, save for its run and seed: one template
@@ -248,7 +247,7 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     # a null bz_sweep.noise_rate means 1/T2, and kind none means rate 0 (parse refuses another)
     rate = 0.0 if sweep.noise_kind is NoiseKind.NONE else (
         params.kappa if sweep.noise_rate is None else sweep.noise_rate)
-    noise, rho0 = NoiseModel(sweep.noise_kind, rate), sweep.preparation.density_matrix()
+    noise, r0 = NoiseModel(sweep.noise_kind, rate), sweep.preparation.bloch_vector
     window = sweep_window(sweep.t_window, params)
     if not window[0] < window[1] <= 10.0 * params.t2:
         raise ConfigError(f"bz_sweep.t_window must be [t_lo, t_hi] with 0 <= t_lo < t_hi <= 10 * "
@@ -260,7 +259,7 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
              for o in sweep.orientations for i, e in enumerate(sweep.e_magnitudes)
              for j, b in enumerate(sweep.b_z_values)]
     check_cells(params, "bz_sweep.t_window[1]", window[1], [cell for *_, cell in cells])
-    rows = [(o.encode(), e, b, *optimal_time_search(fields, params, noise, rho0, window))
+    rows = [(o.encode(), e, b, *optimal_time_search(fields, params, noise, r0, window))
             for o, e, b, (fields, *_) in cells]
     csv_path = _write_csv(out / "bz_error_sweep.csv", "orientation,e_magnitude,b_z,t_opt,p_err_min",
                           [[np.array(column) for column in zip(*rows)]])
@@ -269,7 +268,7 @@ def cmd_appendix_b(config: RunConfig, out: Path) -> list[Path]:
     if sweep.bloch_traces:
         times = np.linspace(0.0, window[1], 201)
         for i, (*_, (fields, _, _)) in enumerate(cells):
-            _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
+            _, r1 = evolve_pair_grid(fields, params, noise, r0, times)
             written.append(_write_csv(out / f"bz_sweep_bloch_{i:03d}.csv", "t,x,y,z", [(times, *r1)]))
     return written
 
@@ -279,9 +278,8 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     params = config.parameters
     check_cells(params, "time_grid.t_max", config.time_grid.t_max,
                 [(config.fields, config.noise, _keys("fields"))])
-    rho0 = config.preparation.density_matrix()
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    pair = evolve_pair_grid(config.fields, params, config.noise, rho0, times)
+    pair = evolve_pair_grid(config.fields, params, config.noise, config.preparation.bloch_vector, times)
     return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *pair[hypothesis])])]
 
 

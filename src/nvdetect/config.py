@@ -32,8 +32,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, PreconditionError
-from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters
-from .protocol import PreparationState
+from .hamiltonian import FieldConfig, NoiseKind, NoiseModel, NvParameters, PreparationState
 
 SCHEMA_VERSION = 1
 

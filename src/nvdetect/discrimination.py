@@ -28,10 +28,12 @@ import numpy as np
 from .dynamics import bloch_generators, evolve_bloch
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
-from .linalg import DensityMatrix2, _dot_rows, bloch_vector
+from .linalg import _dot_rows
 
 #: Bracket width (s) at which the optimal-time search stops zooming.
 _SEARCH_TOL = 1e-10
+#: Intervals of the dense scan that locates the basin (2049 points).
+_DENSE_INTERVALS = 2048
 #: Intervals of each zoom scan: it shrinks the bracket of two intervals 128-fold.
 _ZOOM_INTERVALS = 256
 
@@ -117,24 +119,19 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
     )
 
 
-def standard_basis_error_grid(
-    r0, r1, priors: tuple[float, float] = (0.5, 0.5), best_assignment: bool = False
-) -> np.ndarray:
-    """Error probability of the fixed fluorescence-basis readout (staying in
-    |+1> reads "baseline", arriving in |-1> reads "field switched") at every
-    point of two (3, n) Bloch-vector arrays, rows x, y, z:
-    P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2.
-
-    With ``best_assignment`` the cheaper of the two outcome labelings is
-    returned (swapping which fluorescence outcome is declared "field
-    switched" is a free pulse-sequence choice, and for some baseline fields
-    the sensible labeling is the swapped one).
+def standard_basis_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> np.ndarray:
+    """Error probability of the fixed fluorescence-basis readout at every point
+    of two (3, n) Bloch-vector arrays, rows x, y, z, under the cheaper of its
+    two outcome labelings. Staying in |+1> read as "baseline" and arriving in
+    |-1> as "field switched" errs with
+    P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2,
+    the swapped labeling with 1 minus that: which fluorescence outcome is
+    declared "field switched" is a free pulse-sequence choice, and for some
+    baseline fields the sensible labeling is the swapped one.
     """
     p0, p1 = _checked_priors(priors)
     p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[2]) + p1 * (1.0 + np.asarray(r1)[2]))
-    if best_assignment:
-        p_err = np.minimum(p_err, 1.0 - p_err)
-    return np.clip(p_err, 0.0, 1.0)
+    return np.clip(np.minimum(p_err, 1.0 - p_err), 0.0, 1.0)
 
 
 def _flat_tolerance(fields: FieldConfig, params: NvParameters, t_hi: float) -> float:
@@ -150,13 +147,12 @@ def optimal_time_search(
     fields: FieldConfig,
     params: NvParameters,
     noise: NoiseModel,
-    rho0: DensityMatrix2,
+    r0,
     window: tuple[float, float],
-    n_grid: int = 2048,
 ) -> tuple[float, float]:
-    """Global minimum of p_err(t) over a window.
+    """Global minimum of p_err(t) over a window, from the prepared Bloch vector r0.
 
-    Dense sampling (n_grid + 1 >= 2001 points) locates the basin at the
+    Dense sampling (_DENSE_INTERVALS + 1 points) locates the basin at the
     earliest point within the flat tolerance (:func:`_flat_tolerance`) of the
     scanned minimum, which is the answer if both its neighbours are within it
     too (a flat p_err). Otherwise the bracket of its two neighbours is
@@ -166,7 +162,7 @@ def optimal_time_search(
     answer is the lowest point the scans picked: the last scan's, unless the
     bottom is flat to within the tolerance, so p_err_min never exceeds the
     dense scan's minimum by more than the tolerance. Every scan is a uniform
-    grid, one :func:`evolve_bloch` call each. The generator pair and the initial Bloch vector are built once
+    grid, one :func:`evolve_bloch` call each. The generator pair is built once
     per search. Exact ties break toward smaller t.
     """
     t_lo, t_hi = window
@@ -174,16 +170,14 @@ def optimal_time_search(
         raise PreconditionError(f"invalid search window {window!r}")
     if t_hi > 10.0 * params.t2:
         raise PreconditionError("search window must not extend beyond 10*T2")
-    if n_grid < 2000:
-        raise PreconditionError("dense sampling requires at least 2000 intervals")
 
-    gens, r_init = bloch_generators(fields, params, noise), bloch_vector(rho0)
+    gens = bloch_generators(fields, params, noise)
     tol = _flat_tolerance(fields, params, t_hi)
-    grid = np.linspace(t_lo, t_hi, n_grid + 1)
+    grid = np.linspace(t_lo, t_hi, _DENSE_INTERVALS + 1)
     best = (math.inf, t_lo)  # (p_err, t) of the lowest point a scan has picked
     while True:
-        r0, r1 = evolve_bloch(gens, r_init, grid)
-        values = min_error_grid(r0, r1, fields.priors).p_err
+        r = evolve_bloch(gens, r0, grid)
+        values = min_error_grid(r[0], r[1], fields.priors).p_err
         floor = values.min() + tol
         idx = int(np.argmax(values <= floor))  # the earliest point within tol of the minimum
         best = min(best, (float(values[idx]), float(grid[idx])))  # exact ties go to the smaller t

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, bloch_generator
-from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
+from .linalg import check_bloch_norms, expm_batch
 
 
 def _noise_direction_fields(fields: FieldConfig):
@@ -82,15 +82,16 @@ def evolve_pair_grid(
     fields: FieldConfig,
     params: NvParameters,
     noise: NoiseModel,
-    rho0: DensityMatrix2,
+    r0,
     times,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors of both hypotheses at every time, as two (3, n) arrays.
+    """Bloch vectors of both hypotheses at every time, as two (3, n) arrays,
+    from the prepared Bloch vector r0 = (x, y, z).
 
     Each hypothesis's Bloch generator is built once and propagated over the
     whole array by :func:`evolve_bloch`. Output vectors longer
     than 1 + 1e-12 raise NumericalInvariantError.
     """
-    r = evolve_bloch(bloch_generators(fields, params, noise), bloch_vector(rho0), times)
+    r = evolve_bloch(bloch_generators(fields, params, noise), r0, times)
     return r[0], r[1]
 

@@ -71,14 +71,14 @@ class NvParameters:
         """g mu_B B_z / hbar in rad/s."""
         return self.g_factor * MU_B * float(b_z) / HBAR
 
-    def transfer_time(self, e_field, n: int = 1) -> float:
-        """n pi / (2 |coupling|) in s, the n-th quarter period of the
-        precession driven by the transverse part of e_field (inf without
-        one). Started from |+1>, a pure transverse drive has moved the whole
-        population to |-1> at odd n and back at even n."""
+    def transfer_time(self, e_field) -> float:
+        """pi / (2 |coupling|) in s, the quarter period of the precession
+        driven by the transverse part of e_field (inf without one). Started
+        from |+1>, a pure transverse drive has moved the whole population to
+        |-1> after one quarter period."""
         c = self.transverse_coupling(e_field)
         coupling = math.hypot(c.real, c.imag)  # abs(c), but inf rather than OverflowError
-        return n * math.pi / (2.0 * coupling) if coupling else math.inf
+        return math.pi / (2.0 * coupling) if coupling else math.inf
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,18 @@ def _checked_priors(priors: tuple[float, float]) -> tuple[float, float]:
     if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
         raise PreconditionError(f"priors must be nonnegative and sum to 1, got {priors!r}")
     return p0, p1
+
+
+class PreparationState(enum.Enum):
+    """Supported sensor initializations, both pure states."""
+
+    POLE_PLUS = "pole_plus"
+    EQUAL_SUPERPOSITION = "equal_superposition"
+
+    @property
+    def bloch_vector(self) -> tuple[float, float, float]:
+        """(x, y, z) of the state: |+1> is the +z pole, (|+1> + |-1>)/sqrt(2) the +x axis."""
+        return (0.0, 0.0, 1.0) if self is PreparationState.POLE_PLUS else (1.0, 0.0, 0.0)
 
 
 class NoiseKind(enum.Enum):

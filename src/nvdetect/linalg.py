@@ -1,6 +1,7 @@
-"""Small dense linear algebra: the validated 2x2 density matrix, matrix
-exponentials of stacks of matrices up to 4x4, the Bloch-vector map and the
-Bloch-norm check.
+"""Small dense linear algebra: matrix exponentials of stacks of matrices up
+to 4x4, the Bloch-norm check, and the validated 2x2 density matrix that the
+test oracles in ``tests/oracles.py`` build (the package itself works on Bloch
+vectors only).
 
 The two-level basis is ordered (|+1>, |-1>) everywhere, so the Bloch +z pole
 is the |+1> population. Matrices are plain ``numpy.ndarray``. Every bound is
@@ -79,21 +80,6 @@ def _herm2_eigvals(m: np.ndarray) -> tuple[float, float]:
     half_sum = 0.5 * (a + c)
     rad = math.hypot(0.5 * (a - c), abs(m[1, 0]))
     return half_sum - rad, half_sum + rad
-
-
-def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:
-    """Map a density matrix to (x, y, z) with |+1> at the +z pole.
-
-    x = 2 Re rho_21, y = 2 Im rho_21, z = rho_11 - rho_22.
-    """
-    m = rho.matrix
-    x = 2.0 * m[1, 0].real
-    y = 2.0 * m[1, 0].imag
-    z = (m[0, 0] - m[1, 1]).real
-    norm = math.sqrt(x * x + y * y + z * z)
-    if not norm <= 1.0 + 1e-12:
-        raise NumericalInvariantError(f"Bloch norm {norm!r} exceeds 1")
-    return (x, y, z)
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

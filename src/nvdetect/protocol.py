@@ -20,7 +20,6 @@ is imported when the first run is drawn, not with the package.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import operator
@@ -33,19 +32,7 @@ from .discrimination import min_error_grid
 from .dynamics import bloch_generators
 from .errors import NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
-from .linalg import DensityMatrix2, bloch_vector, check_bloch_norms, expm_batch
-
-
-class PreparationState(enum.Enum):
-    """Supported sensor initializations."""
-
-    POLE_PLUS = "pole_plus"
-    EQUAL_SUPERPOSITION = "equal_superposition"
-
-    def density_matrix(self) -> DensityMatrix2:
-        if self is PreparationState.POLE_PLUS:
-            return DensityMatrix2.pole_plus()
-        return DensityMatrix2.equal_superposition()
+from .linalg import check_bloch_norms, expm_batch
 
 
 class ArrayErrorCurve(NamedTuple):
@@ -163,20 +150,20 @@ def turn_on_blocks(
     fields: FieldConfig,
     params: NvParameters,
     noise: NoiseModel,
+    r0,
     t_cycle: float,
     n_cycles: int,
     true_t_star: float,
     n_sensors: int,
     seeds,
-    preparation: PreparationState = PreparationState.POLE_PLUS,
 ) -> Iterator[ClickBlock]:
     """Run the turn-on detection protocol once per seed, as blocks of runs.
 
     Each run has ``n_cycles`` cycles of length ``t_cycle`` (positive and
     finite; the command line resolves it with ``cli._cycle_time``),
     and the field switches at ``true_t_star``. Cycle k covers
-    [(k-1) t_cycle, k t_cycle]: a fresh sensor is prepared at the cycle start
-    and read out at its end with the projector pair of the static-field
+    [(k-1) t_cycle, k t_cycle]: a fresh sensor is prepared in the Bloch
+    vector ``r0`` at the cycle start and read out at its end with the projector pair of the static-field
     problem at t_cycle. The sensor is never kept across cycles, which would
     need measurement back-action bookkeeping this model does not include.
     The per-cycle majority vote is "confident" when its margin is at least two votes (the single vote
@@ -203,20 +190,18 @@ def turn_on_blocks(
     if n_sensors < 1:
         raise PreconditionError("n_sensors must be >= 1")
     p_cycle, informative = _cycle_bright_probabilities(
-        fields, params, noise, t_cycle, n_cycles, true_t_star, preparation
+        fields, params, noise, r0, t_cycle, n_cycles, true_t_star
     )
     return _click_blocks(p_cycle, informative, t_cycle, n_sensors, iter(seeds))
 
 
-def _cycle_bright_probabilities(
-    fields, params, noise, t_cycle, n_cycles, true_t_star, preparation
-):
+def _cycle_bright_probabilities(fields, params, noise, r0, t_cycle, n_cycles, true_t_star):
     """The bright probability of the readout at the end of every cycle, and
     whether the switch is informative at all.
 
     A cycle that ends by t* holds the baseline state at t_cycle, one that
     starts at or after t* the switched state; the one cycle that straddles
-    t* maps the prepared state by the baseline generator up to t* and by the
+    t* maps the prepared state r0 by the baseline generator up to t* and by the
     switched one after it (noise axis following the active field). Every
     readout uses the Helstrom measurement of the static problem at t_cycle,
     so its bright probability is Tr(rho Pi1) of that one decision, clipped
@@ -229,7 +214,6 @@ def _cycle_bright_probabilities(
     raises NumericalInvariantError.
     """
     gens = bloch_generators(fields, params, noise)
-    r_init = np.array(bloch_vector(preparation.density_matrix()))
     edges = np.arange(n_cycles + 1) * t_cycle  # cycle c covers [edges[c], edges[c + 1]]
     dark, bright = true_t_star >= edges[1:], true_t_star <= edges[:-1]
     straddled = np.flatnonzero(~dark & ~bright)  # at most one cycle
@@ -237,10 +221,10 @@ def _cycle_bright_probabilities(
     times = np.concatenate([[t_cycle, t_cycle], true_t_star - edges[straddled],
                             edges[straddled + 1] - true_t_star])
     maps = expm_batch(gens * times.reshape(-1, 2)[..., None, None])
-    r_cycle = (maps[0] @ r_init).T  # the baseline and switched states at t_cycle, rows x, y, z
+    r_cycle = (maps[0] @ r0).T  # the baseline and switched states at t_cycle, rows x, y, z
     r_cycles = np.where(dark, r_cycle[:, :1], r_cycle[:, 1:])
     if straddled.size:
-        r_cycles[:, straddled[0]] = maps[1, 1] @ maps[1, 0] @ r_init
+        r_cycles[:, straddled[0]] = maps[1, 1] @ maps[1, 0] @ r0
     curve = min_error_grid(r_cycle[:, :1], r_cycle[:, 1:], fields.priors)
     checked = check_bloch_norms(np.concatenate([r_cycle, r_cycles], axis=1))
     p_cycle = curve.decision.bright_probability(checked[:, 2:])

@@ -21,8 +21,11 @@ The package decides between the hypotheses from Bloch vectors
 operator form of the same Helstrom measurement: a closed-form 2x2
 eigensolver (:func:`herm_eigen2`) applied to P1 rho1 - P0 rho0, explicit
 projectors built from its eigenvectors, and traces of density matrices
-(:func:`min_error`, :func:`standard_basis_error`); :func:`density_matrix`
-turns the package's Bloch vectors into the matrices it takes.
+(:func:`min_error`, :func:`standard_basis_error`) on the validated
+``nvdetect.linalg.DensityMatrix2``, which the package itself never builds:
+:func:`density_matrix` turns the package's Bloch vectors into the matrices
+it takes, :func:`bloch_vector` maps them back, and :func:`prepared_state`
+gives each ``PreparationState`` as a matrix.
 The package stores Bloch vectors as rows x, y, z, shape (3, n);
 :func:`min_error_vectors` and :func:`worst_bloch_norm` compute the same
 decision and norm on (n, 3) arrays with numpy's last-axis sums, a bit-for-bit
@@ -53,9 +56,10 @@ from nvdetect.hamiltonian import (
     NoiseKind,
     NoiseModel,
     NvParameters,
+    PreparationState,
     _checked_priors,
 )
-from nvdetect.linalg import TAYLOR_TERMS, DensityMatrix2, bloch_vector
+from nvdetect.linalg import TAYLOR_TERMS, DensityMatrix2
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -634,9 +638,32 @@ def evolve_pair(
 
 def density_matrix(r) -> DensityMatrix2:
     """(I + x sigma_x + y sigma_y + z sigma_z) / 2 of a Bloch vector r,
-    validated: the inverse of ``nvdetect.linalg.bloch_vector``."""
+    validated: the inverse of :func:`bloch_vector`."""
     x, y, z = (float(c) for c in r)
     return DensityMatrix2(0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]))
+
+
+def bloch_vector(rho: DensityMatrix2) -> tuple[float, float, float]:
+    """Map a density matrix to (x, y, z) with |+1> at the +z pole.
+
+    x = 2 Re rho_21, y = 2 Im rho_21, z = rho_11 - rho_22.
+    """
+    m = rho.matrix
+    x = 2.0 * m[1, 0].real
+    y = 2.0 * m[1, 0].imag
+    z = (m[0, 0] - m[1, 1]).real
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not norm <= 1.0 + 1e-12:
+        raise NumericalInvariantError(f"Bloch norm {norm!r} exceeds 1")
+    return (x, y, z)
+
+
+def prepared_state(preparation: PreparationState) -> DensityMatrix2:
+    """The density matrix of a sensor initialization, from its matrix elements
+    (the package gives each one as a Bloch vector only)."""
+    if preparation is PreparationState.POLE_PLUS:
+        return DensityMatrix2.pole_plus()
+    return DensityMatrix2.equal_superposition()
 
 
 @dataclass(frozen=True)
@@ -886,7 +913,7 @@ def reference_transcript(
     switch), as lists that compare equal to the ``tolist()`` of one run of a
     ``nvdetect.protocol.ClickBlock``.
     """
-    rho_init = preparation.density_matrix()
+    rho_init = prepared_state(preparation)
     rho_dark, rho_bright = evolve_pair(
         fields, params, noise, rho_init, t_cycle, method=Route.SUPEROPERATOR
     )

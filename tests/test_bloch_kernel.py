@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
-    DensityMatrix2,
     FieldConfig,
     NoiseModel,
     NvParameters,
@@ -30,12 +29,13 @@ from nvdetect import (
 from nvdetect import discrimination, dynamics
 from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.hamiltonian import NoiseKind, bloch_generator
-from nvdetect.linalg import _norm1, bloch_vector, check_bloch_norms
+from nvdetect.linalg import DensityMatrix2, _norm1, check_bloch_norms
 
 import oracles
 from oracles import (
     EvolutionSpec,
     Route,
+    bloch_vector,
     density_matrix,
     expm_small,
     hamiltonian_two_level,
@@ -103,9 +103,9 @@ def scenarios(draw):
                    np.linspace(0.0, 3.404288064716767e-06, 2)))
 def test_grid_kernel_matches_superoperator_and_min_error(scenario):
     fields, noise, rho0, times = scenario
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
     curve = min_error_grid(r0, r1, fields.priors)
-    p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
+    p_std = standard_basis_error_grid(r0, r1, fields.priors)
     for k, t in enumerate(times):
         s0, s1 = oracles.evolve_pair(
             fields, PARAMS, noise, rho0, float(t), method=Route.SUPEROPERATOR
@@ -131,7 +131,7 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
             assert abs(report.p_fn - curve.p_fn[k]) <= 1e-12
 
     k = len(times) // 2
-    p0, p1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [times[k]])
+    p0, p1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), [times[k]])
     assert np.max(np.abs(p0[:, 0] - r0[:, k])) <= 1e-13
     assert np.max(np.abs(p1[:, 0] - r1[:, k])) <= 1e-13
 
@@ -142,7 +142,7 @@ def test_identical_states_at_time_zero(rho0, priors):
     # at t = 0 both hypotheses still hold the prepared state; these are the
     # first rows of perr_time.csv
     fields = FieldConfig(de=(1e6, 0.0, 0.0), priors=priors)
-    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), rho0, [0.0])
+    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), bloch_vector(rho0), [0.0])
     assert np.array_equal(r0, r1)
     curve = min_error_grid(r0, r1, priors)
     report = min_error(rho0, rho0, priors)
@@ -163,7 +163,7 @@ def test_identical_states_at_time_zero(rho0, priors):
 def test_zero_switch_gives_identical_grids():
     fields = FieldConfig(e0=(1e6, 0.0, 0.0), de=(0.0, 0.0, 0.0), priors=(0.3, 0.7))
     times = np.linspace(0.0, 4e-6, 33)
-    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), PREPARATIONS[1], times)
+    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), bloch_vector(PREPARATIONS[1]), times)
     assert np.array_equal(r0, r1)
     curve = min_error_grid(r0, r1, fields.priors)
     assert np.all(curve.p_dc == 1.0) and np.all(curve.p_fn == 0.0)
@@ -174,7 +174,7 @@ def test_other_methods_loop_the_cross_check_routes():
     fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=(1e6, 0.0, 0.0))
     noise = NoiseModel.electric(1e5)
     times = np.linspace(0.0, 3e-6, 7)
-    auto = evolve_pair_grid(fields, PARAMS, noise, PREPARATIONS[0], times)
+    auto = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(PREPARATIONS[0]), times)
     for method in (Route.CLOSED, Route.SUPEROPERATOR):
         pairs = [
             oracles.evolve_pair(fields, PARAMS, noise, PREPARATIONS[0], float(t), method=method)
@@ -188,7 +188,7 @@ def test_other_methods_loop_the_cross_check_routes():
 
 def test_negative_times_rejected():
     with pytest.raises(PreconditionError):
-        evolve_pair_grid(FieldConfig(), PARAMS, NoiseModel.none(), PREPARATIONS[0], [-1e-9])
+        evolve_pair_grid(FieldConfig(), PARAMS, NoiseModel.none(), bloch_vector(PREPARATIONS[0]), [-1e-9])
 
 
 def test_bloch_generator_of_axial_noise():
@@ -424,7 +424,7 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
     reference = (per_time_stack(gens, times) @ r_init).swapaxes(1, 2)
     assert np.max(np.abs(r - reference)) <= 1e-12
 
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
     assert np.array_equal(r0, r[0]) and np.array_equal(r1, r[1])
     block = math.isqrt(n - 1) + 1
     for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1} & set(range(n))):
@@ -474,7 +474,7 @@ def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
         expected = per_time_evolve_bloch(gens, r_init, times)
         assert np.array_equal(evolve_bloch(gens, r_init, times), expected)
 
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, [3.7e-6])
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), [3.7e-6])
     expected = per_time_evolve_bloch(gens, r_init, [3.7e-6])
     assert np.array_equal(r0, expected[0]) and np.array_equal(r1, expected[1])
 
@@ -500,7 +500,7 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
     )
     fields = FieldConfig(de=(1.2e6, 0.0, 0.0), b_z=4e-6)
     discrimination.optimal_time_search(
-        fields, PARAMS, NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5)
+        fields, PARAMS, NoiseModel.magnetic(1e5), bloch_vector(PREPARATIONS[1]), (1e-9, 1e-5)
     )
     assert counts["generator"] == 2  # one per hypothesis, for the whole search
     # the dense scan, then one zoom scan: its bracket of two 4.9e-9 s intervals shrinks to 7.6e-11 s
@@ -511,7 +511,7 @@ def test_search_builds_generators_once_and_checks_every_evaluation(monkeypatch):
 @st.composite
 def searches(draw):
     """An optimal-time search cell: field pair, noise of each kind,
-    preparation, window and dense grid, with nonzero e0 and B_z, windows from
+    preparation and window, with nonzero e0 and B_z, windows from
     t = 0, and windows short enough that the minimum often lies on an edge."""
     angle = st.floats(0.0, 2.0 * math.pi)
     kind = draw(st.sampled_from(["electric", "magnetic", "none"]))
@@ -526,23 +526,21 @@ def searches(draw):
     rho0 = draw(st.sampled_from(PREPARATIONS))
     t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-6)))
     width = 10.0 ** draw(st.floats(-8.0, -5.0))
-    n_grid = draw(st.sampled_from([2000, 2048, 3001]))
-    return fields, noise, rho0, (t_lo, t_lo + width), n_grid
+    return fields, noise, rho0, (t_lo, t_lo + width)
 
 
 FLAT_CELL = (  # a field along x on the +x state under axial noise: p_err = 1/2 at every t
-    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5), 2048
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.magnetic(1e5), PREPARATIONS[1], (1e-9, 1e-5)
 )
 RIGHT_EDGE = (  # p_err falls up to the quarter period 1.47e-6 s
-    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.none(), PREPARATIONS[0], (0.0, 1e-6), 2000
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.none(), PREPARATIONS[0], (0.0, 1e-6)
 )
 LEFT_EDGE = (  # p_err rises after its dephasing-limited minimum at 1.38e-6 s
-    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.electric(1e5), PREPARATIONS[0], (1.5e-6, 2.5e-6),
-    3001,
+    FieldConfig(de=(1e6, 0.0, 0.0)), NoiseModel.electric(1e5), PREPARATIONS[0], (1.5e-6, 2.5e-6)
 )
 
 SHALLOW_CELL = (  # the +x state and a switch 1e-10 rad off x: p_err falls by 5e-13 over the window
-    FieldConfig(de=(1e4, 1e-6, 0.0)), NoiseModel.electric(0.0), PREPARATIONS[1], (0.0, 1e-6), 2000
+    FieldConfig(de=(1e4, 1e-6, 0.0)), NoiseModel.electric(0.0), PREPARATIONS[1], (0.0, 1e-6)
 )
 
 
@@ -552,8 +550,8 @@ def superoperator_p_err(fields, params, noise, rho0, t):
 
 
 def p_err_at(search, times):
-    fields, noise, rho0, _, _ = search
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, rho0, times)
+    fields, noise, rho0, _ = search
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
     return min_error_grid(r0, r1, fields.priors).p_err
 
 
@@ -564,9 +562,9 @@ def p_err_at(search, times):
 @example(SHALLOW_CELL)
 @settings(max_examples=100, deadline=None)
 def test_zoomed_search_finds_the_golden_section_minimum(search):
-    fields, noise, rho0, window, n_grid = search
-    t_star, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
-    t_ref, _ = oracles.optimal_time_search_sequential(fields, PARAMS, noise, rho0, window, n_grid)
+    fields, noise, rho0, window = search
+    t_star, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, bloch_vector(rho0), window)
+    t_ref, _ = oracles.optimal_time_search_sequential(fields, PARAMS, noise, rho0, window, 2048)
     tol = discrimination._flat_tolerance(fields, PARAMS, window[1])
     # A bottom so shallow that p_err moves by less than the flat tolerance over more than 1e-10 s
     # (the +x state and a switch within 1e-5 rad of x, say) has no minimiser to resolve to
@@ -575,14 +573,14 @@ def test_zoomed_search_finds_the_golden_section_minimum(search):
     p_star, p_ref = (p_err_at(search, [t])[0] for t in (t_star, t_ref))
     assert abs(t_star - t_ref) <= discrimination._SEARCH_TOL or abs(p_star - p_ref) <= tol
     assert abs(p_min - superoperator_p_err(fields, PARAMS, noise, rho0, t_star)) <= 1e-12
-    assert p_min <= p_err_at(search, np.linspace(*window, n_grid + 1)).min() + tol
+    assert p_min <= p_err_at(search, np.linspace(*window, 2049)).min() + tol
 
 
 def test_wide_window_zooms_until_the_bracket_is_within_the_search_tolerance():
     # T2 = 1 ms admits a 10 ms window: the dense bracket of 9.8e-6 s needs three 128-fold zooms
     params = NvParameters(t2=1e-3)
     fields, noise, rho0 = FieldConfig(de=(1e4, 0.0, 0.0)), NoiseModel.electric(1e3), PREPARATIONS[0]
-    window, n_grid = (1e-9, 1e-2), 2048
+    window = (1e-9, 1e-2)
     points = []
 
     def norms(r):
@@ -591,9 +589,9 @@ def test_wide_window_zooms_until_the_bracket_is_within_the_search_tolerance():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "check_bloch_norms", norms)
-        t_star, p_min = discrimination.optimal_time_search(fields, params, noise, rho0, window, n_grid)
+        t_star, p_min = discrimination.optimal_time_search(fields, params, noise, bloch_vector(rho0), window)
     assert points == [2049, 257, 257, 257]
-    t_ref, _ = oracles.optimal_time_search_sequential(fields, params, noise, rho0, window, n_grid)
+    t_ref, _ = oracles.optimal_time_search_sequential(fields, params, noise, rho0, window, 2048)
     assert abs(t_star - t_ref) <= discrimination._SEARCH_TOL
     assert abs(p_min - superoperator_p_err(fields, params, noise, rho0, t_star)) <= 1e-12
 
@@ -605,7 +603,7 @@ def test_search_stops_where_the_times_are_too_far_apart_to_resolve_the_search_to
     params = NvParameters(t2=math.inf)
     fields, noise, rho0 = FieldConfig(de=(0.0, 1e-6, 0.0)), NoiseModel.none(), PREPARATIONS[1]
     window = (1e3, 1e6)
-    t_star, p_min = discrimination.optimal_time_search(fields, params, noise, rho0, window)
+    t_star, p_min = discrimination.optimal_time_search(fields, params, noise, bloch_vector(rho0), window)
     assert window[1] - (window[1] - window[0]) / 2048 < t_star <= window[1]
     t_ref, _ = oracles.optimal_time_search_sequential(fields, params, noise, rho0, window)
     assert t_star == t_ref
@@ -614,14 +612,14 @@ def test_search_stops_where_the_times_are_too_far_apart_to_resolve_the_search_to
 
 @pytest.mark.parametrize("search, t_opt", [(RIGHT_EDGE, 1e-6), (LEFT_EDGE, 1.5e-6)])
 def test_edge_cells_have_their_minimum_on_the_window_edge(search, t_opt):
-    fields, noise, rho0, window, n_grid = search
-    t_star, _ = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
-    assert t_star == pytest.approx(t_opt, abs=2 * (window[1] - window[0]) / n_grid)
+    fields, noise, rho0, window = search
+    t_star, _ = discrimination.optimal_time_search(fields, PARAMS, noise, bloch_vector(rho0), window)
+    assert t_star == pytest.approx(t_opt, abs=2 * (window[1] - window[0]) / 2048)
 
 
 def test_flat_cell_has_one_half_everywhere():
-    fields, noise, rho0, window, n_grid = FLAT_CELL
-    _, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    fields, noise, rho0, window = FLAT_CELL
+    _, p_min = discrimination.optimal_time_search(fields, PARAMS, noise, bloch_vector(rho0), window)
     assert p_min == pytest.approx(0.5, abs=1e-15)
 
 
@@ -636,23 +634,22 @@ def flat_cells(draw):
     rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 3e5)))
     t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 5e-6)))
     t_hi = t_lo + draw(st.floats(1e-8, 1e-5 - t_lo))
-    n_grid = draw(st.sampled_from([2000, 2048, 3001]))
-    return FieldConfig(de=de), NoiseModel.magnetic(rate), PREPARATIONS[1], (t_lo, t_hi), n_grid
+    return FieldConfig(de=de), NoiseModel.magnetic(rate), PREPARATIONS[1], (t_lo, t_hi)
 
 
 @given(flat_cells())
 @example(FLAT_CELL)
-@example((FieldConfig(de=(1.5e6, 0.0, 0.0)), NoiseModel.magnetic(110.0), PREPARATIONS[1], (0.0, 1e-5), 3001))
+@example((FieldConfig(de=(1.5e6, 0.0, 0.0)), NoiseModel.magnetic(110.0), PREPARATIONS[1], (0.0, 1e-5)))
 @settings(max_examples=40, deadline=None)
 def test_flat_cell_has_the_same_t_opt_on_the_product_and_per_time_routes(cell):
     # the rounding noise of the two routes differs, and the earliest point within the flat
     # tolerance of the scanned minimum does not depend on it: the window start
-    fields, noise, rho0, window, n_grid = cell
+    fields, noise, rho0, window = cell
     tol = discrimination._flat_tolerance(fields, PARAMS, window[1])
-    product = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+    product = discrimination.optimal_time_search(fields, PARAMS, noise, bloch_vector(rho0), window)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discrimination, "evolve_bloch", per_time_evolve_bloch)  # every scan per time
-        per_time = discrimination.optimal_time_search(fields, PARAMS, noise, rho0, window, n_grid)
+        per_time = discrimination.optimal_time_search(fields, PARAMS, noise, bloch_vector(rho0), window)
     assert product[0] == per_time[0] == window[0]
     assert product[1] == pytest.approx(0.5, abs=tol)
     assert per_time[1] == pytest.approx(0.5, abs=tol)

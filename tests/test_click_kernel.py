@@ -37,7 +37,7 @@ from nvdetect import config as config_mod
 from nvdetect.config import ProtocolConfig
 from nvdetect.dynamics import bloch_generators
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.linalg import bloch_vector, expm_batch
+from nvdetect.linalg import expm_batch
 from nvdetect.protocol import _cycle_bright_probabilities, _intervals
 
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     helstrom_operator,
     min_error,
     povm_pair,
+    prepared_state,
     reference_transcript,
     straddling_state,
 )
@@ -58,6 +59,7 @@ Y_SWITCH = FieldConfig(e0=(0, 0, 0), de=(0, 2e6, 0))
 T_CYCLE = PARAMS.transfer_time(X_SWITCH.de)
 ELECTRIC = NoiseModel.electric(1e5)
 POLE = PreparationState.POLE_PLUS
+R_POLE = POLE.bloch_vector
 
 # (fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation); each
 # t_cycle is the one the command line resolves, analytic unless configured. The tests that draw
@@ -92,18 +94,18 @@ BATCH_CASES = {
 
 
 def _call_args(case):
+    """The arguments of ``turn_on_blocks`` for a case of BATCH_CASES."""
     fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation = BATCH_CASES[case]
-    return fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seeds, preparation
+    return fields, PARAMS, noise, preparation.bloch_vector, t_cycle, n_cycles, t_star, n_sensors, seeds
 
 
 def assert_runs_draw_one_generator_each(fields, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
                                         preparation, want_seeds=None):
     """Each run's clicks are ``default_rng(seed).random((n_cycles, n_sensors))``
     below the cycle's bright probability, bit for bit."""
-    p_cycle, _ = _cycle_bright_probabilities(fields, PARAMS, noise, t_cycle, n_cycles, t_star,
-                                             preparation)
-    blocks = list(turn_on_blocks(fields, PARAMS, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
-                                 preparation))
+    r0 = preparation.bloch_vector
+    p_cycle, _ = _cycle_bright_probabilities(fields, PARAMS, noise, r0, t_cycle, n_cycles, t_star)
+    blocks = list(turn_on_blocks(fields, PARAMS, noise, r0, t_cycle, n_cycles, t_star, n_sensors, seeds))
     bright = np.concatenate([block.bright for block in blocks])
     want_seeds = list(seeds) if want_seeds is None else want_seeds
     assert bright.shape == (len(want_seeds), n_cycles, n_sensors)
@@ -135,11 +137,9 @@ class TestClickUniforms:
     @pytest.mark.usefixtures("split_blocks")
     def test_more_cycles_keep_the_first_ones(self):
         # the same seeds and switch over 8 and over 12 cycles: the first 8 agree
-        fields, params, noise, t_cycle, _, t_star, n_sensors, seeds, preparation = _call_args(
-            "interior_switch")
+        fields, params, noise, r0, t_cycle, _, t_star, n_sensors, seeds = _call_args("interior_switch")
         short, long = (
-            list(turn_on_blocks(fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, seeds,
-                                preparation))
+            list(turn_on_blocks(fields, params, noise, r0, t_cycle, n_cycles, t_star, n_sensors, seeds))
             for n_cycles in (8, 12)
         )
         for name in ("bright", "n_bright", "majority", "confident"):
@@ -149,11 +149,11 @@ class TestClickUniforms:
 
     def test_one_click_runs_are_drawn_in_blocks_of_at_most_block_runs(self):
         # 4,099 runs of one click are 4,099 clicks, but two blocks: the runs bound the block
-        fields, params, noise, t_cycle, _, t_star, _, _, preparation = _call_args("interior_switch")
+        fields, params, noise, r0, t_cycle, _, t_star, _, _ = _call_args("interior_switch")
         seeds = range(protocol._BLOCK_RUNS + 3)
-        blocks = turn_on_blocks(fields, params, noise, t_cycle, 1, t_star, 1, seeds, preparation)
+        blocks = turn_on_blocks(fields, params, noise, r0, t_cycle, 1, t_star, 1, seeds)
         assert [len(block.seeds) for block in blocks] == [protocol._BLOCK_RUNS, 3]
-        assert_runs_draw_one_generator_each(fields, noise, t_cycle, 1, t_star, 1, seeds, preparation)
+        assert_runs_draw_one_generator_each(fields, noise, t_cycle, 1, t_star, 1, seeds, POLE)
 
     def test_importing_the_command_line_leaves_numpy_random_unloaded(self):
         # numpy.random is loaded on the first draw: importing it with the
@@ -295,9 +295,9 @@ class TestTurnOnBatch:
         assert len(list(turn_on_blocks(*_call_args("interior_switch")))) > 1
 
     def test_runs_are_drawn_lazily(self):
-        fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, _, preparation = _call_args("interior_switch")
+        fields, params, noise, r0, t_cycle, n_cycles, t_star, n_sensors, _ = _call_args("interior_switch")
         endless = turn_on_blocks(
-            fields, params, noise, t_cycle, n_cycles, t_star, n_sensors, itertools.count(5), preparation
+            fields, params, noise, r0, t_cycle, n_cycles, t_star, n_sensors, itertools.count(5)
         )
         block = next(endless)
         assert block.seeds[:3] == [5, 6, 7]
@@ -309,8 +309,8 @@ class TestTurnOnBatch:
         t_cycle, _ = cli._cycle_time(config)
         proto = config.protocol
         blocks = list(turn_on_blocks(
-            config.fields, config.parameters, config.noise, t_cycle, proto.n_cycles, 3.2 * t_cycle,
-            proto.n_sensors, range(config.seed, config.seed + proto.n_runs), config.preparation,
+            config.fields, config.parameters, config.noise, config.preparation.bloch_vector, t_cycle,
+            proto.n_cycles, 3.2 * t_cycle, proto.n_sensors, range(config.seed, config.seed + proto.n_runs),
         ))
         assert len(blocks) == 1 and len(blocks[0].seeds) == proto.n_runs == 200
 
@@ -330,7 +330,8 @@ class TestTurnOnBatch:
             (T_CYCLE, 0, 0.0, 3, [0]),
         ):
             with pytest.raises(PreconditionError):
-                list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, t_cycle, n_cycles, t_star, n_sensors, seeds))
+                list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, R_POLE, t_cycle, n_cycles, t_star, n_sensors,
+                                    seeds))
 
     def test_nan_bright_probability_breaches_before_any_click(self, monkeypatch):
         # a NaN compares False with every uniform, so it would click dark in
@@ -339,10 +340,11 @@ class TestTurnOnBatch:
         monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: np.full_like(r, math.nan))
         monkeypatch.setattr(np.random, "PCG64", None)  # drawing would fail differently
         with pytest.raises(NumericalInvariantError, match="not finite"):
-            turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [0])
+            turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, R_POLE, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [0])
 
     def test_no_seeds_give_no_runs(self):
-        assert list(turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [])) == []
+        blocks = turn_on_blocks(X_SWITCH, PARAMS, ELECTRIC, R_POLE, T_CYCLE, 8, 3.2 * T_CYCLE, 3, [])
+        assert list(blocks) == []
 
 
 def test_cycle_time_is_the_analytic_optimum_or_the_configured_value():
@@ -399,9 +401,7 @@ def test_example_cells_cover_the_three_decisions():
     regimes = {}
     for name, (fields, noise, proto, t_star, preparation) in TURN_ON_CELLS.items():
         t_cycle = PARAMS.transfer_time(fields.de)
-        r_dark, r_bright = evolve_pair_grid(
-            fields, PARAMS, noise, preparation.density_matrix(), [t_cycle]
-        )
+        r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, preparation.bloch_vector, [t_cycle])
         dec = helstrom_decision(r_dark, r_bright, fields.priors)
         regimes[name] = ("pi1_identity" if dec.all_pi1[0] else
                          "pi1_zero" if dec.all_pi0[0] else "straddle_skewed")
@@ -418,15 +418,15 @@ def test_cycle_maps_are_one_exponential_stack(name, monkeypatch):
     stacks, checked = [], []
     monkeypatch.setattr(protocol, "expm_batch", lambda a: (stacks.append(a), expm_batch(a))[1])
     monkeypatch.setattr(protocol, "check_bloch_norms", lambda r: (checked.append(r), r)[1])
-    _cycle_bright_probabilities(fields, PARAMS, noise, t_cycle, proto.n_cycles, t_star, preparation)
+    r_init = preparation.bloch_vector
+    _cycle_bright_probabilities(fields, PARAMS, noise, r_init, t_cycle, proto.n_cycles, t_star)
     assert len(stacks) == 1 and len(checked) == 1
 
-    rho_init = preparation.density_matrix()
-    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, rho_init, [t_cycle])
+    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, r_init, [t_cycle])
     c = int(t_star // t_cycle)  # the straddled cycle
     maps = expm_batch(bloch_generators(fields, PARAMS, noise)
                       * np.array([t_star - c * t_cycle, (c + 1) * t_cycle - t_star])[:, None, None])
-    straddled = maps[1] @ maps[0] @ np.array(bloch_vector(rho_init))
+    straddled = maps[1] @ maps[0] @ np.array(r_init)
     want = [r_dark[:, 0], r_bright[:, 0]] + [r_dark[:, 0]] * c + [straddled]
     want += [r_bright[:, 0]] * (proto.n_cycles - c - 1)
     assert checked[0].shape == (3, 2 + proto.n_cycles)  # dark, bright, then each cycle
@@ -441,13 +441,13 @@ def test_cycle_maps_are_one_exponential_stack(name, monkeypatch):
 def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
     fields, noise, proto, t_star, preparation = cell
     t_cycle = proto.t_cycle or PARAMS.transfer_time(fields.de)
-    rho_init = preparation.density_matrix()
+    rho_init = prepared_state(preparation)
     p_cycle, informative = _cycle_bright_probabilities(
-        fields, PARAMS, noise, t_cycle, proto.n_cycles, t_star, preparation
+        fields, PARAMS, noise, preparation.bloch_vector, t_cycle, proto.n_cycles, t_star
     )
     # the oracle decides between the package's states at t_cycle, so only the
     # decision is compared there; the straddled cycle comes from the superoperator
-    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, rho_init, [t_cycle])
+    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, preparation.bloch_vector, [t_cycle])
     rho_dark, rho_bright = density_matrix(r_dark[:, 0]), density_matrix(r_bright[:, 0])
     dec = helstrom_operator(rho_dark, rho_bright, fields.priors)
     # Rounding alone picks Pi1 where an eigenvalue is within rounding of zero

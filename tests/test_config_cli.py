@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from nvdetect import (
     ConfigError,
-    DensityMatrix2,
     FieldConfig,
     NoiseModel,
     NvParameters,
     PreconditionError,
+    PreparationState,
     evolve_pair_grid,
     optimal_time_search,
 )
@@ -35,6 +35,13 @@ from nvdetect.cli import _quarter_period_marks, main
 
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6
 TMIN_1E6 = math.pi / (2 * OMEGA_1E6)
+
+
+def quarter_period_multiple(params, de, n):
+    """n pi / (2 |c|), n pi rounded first, of the switch de: n quarter periods (inf without one)."""
+    c = params.transverse_coupling(de)
+    coupling = math.hypot(c.real, c.imag)
+    return n * math.pi / (2.0 * coupling) if coupling else math.inf
 
 
 def write_config(path, data):
@@ -570,13 +577,13 @@ class TestPerrTimeCommand:
             # put quarter periods exactly halfway between two grid points
             step = 2.0 ** math.floor(math.log2(params.transfer_time(de) / 4))
             n = rng.integers(1, 1 + int(t_max / params.transfer_time(de)), size=ties)
-            centres = [params.transfer_time(de, int(k)) for k in n]
+            centres = [quarter_period_multiple(params, de, int(k)) for k in n]
             times = np.unique(np.concatenate([times, [c - step for c in centres],
                                               [c + step for c in centres]]))
             times = times[times <= t_max]
         expected = np.zeros(times.size, dtype=np.int8)
         n = 1
-        while (t_n := params.transfer_time(de, n)) <= times[-1]:
+        while (t_n := quarter_period_multiple(params, de, n)) <= times[-1]:
             expected[np.argmin(np.abs(times - t_n))] = 1
             n += 1
         assert np.array_equal(_quarter_period_marks(times, params, de), expected)
@@ -797,7 +804,7 @@ class TestAppendixBCommand:
         }})
         assert main(["appendix-b", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         params = NvParameters()
-        noise, rho0 = NoiseModel.magnetic(params.kappa), DensityMatrix2.equal_superposition()
+        noise, r0 = NoiseModel.magnetic(params.kappa), PreparationState.EQUAL_SUPERPOSITION.bloch_vector
         times = np.linspace(0.0, window[1], 201)
         lines = (tmp_path / "out" / "bz_error_sweep.csv").read_text().splitlines()[1:]
         cells = [(o, e, b) for o in ("x", "y") for e in magnitudes for b in b_zs]
@@ -805,9 +812,9 @@ class TestAppendixBCommand:
         for i, ((o, e, b), line) in enumerate(zip(cells, lines)):
             fields = FieldConfig(de=(e, 0.0, 0.0) if o == "x" else (0.0, e, 0.0), b_z=b)
             row = line.split(",")
-            expected = optimal_time_search(fields, params, noise, rho0, window)
+            expected = optimal_time_search(fields, params, noise, r0, window)
             assert (row[0], *map(float, row[1:])) == (o, e, b, *expected)
-            _, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
+            _, r1 = evolve_pair_grid(fields, params, noise, r0, times)
             trace = np.loadtxt(tmp_path / "out" / f"bz_sweep_bloch_{i:03d}.csv", delimiter=",",
                                skiprows=1)
             assert np.array_equal(trace, np.column_stack([times, r1.T]))

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
-    DensityMatrix2,
     FieldConfig,
     NoiseModel,
     NvParameters,
     PreconditionError,
+    PreparationState,
     evolve_pair_grid,
     min_error_grid,
     optimal_time_search,
     standard_basis_error_grid,
 )
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.linalg import check_bloch_norms
+from nvdetect.linalg import DensityMatrix2, check_bloch_norms
 from oracles import (
     IDENTITY_2,
     SIGMA_X,
@@ -28,11 +28,13 @@ from oracles import (
     min_error_vectors,
     optimal_time_analytic,
     povm_pair,
+    standard_basis_error,
     worst_bloch_norm,
 )
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
+R_POLE = PreparationState.POLE_PLUS.bloch_vector
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6
 TMIN_1E6 = math.pi / (2 * OMEGA_1E6)  # 1.4705882352941176e-06 s
 
@@ -55,7 +57,7 @@ def bloch_state(x, y, z):
 
 def grid(fields, noise, times):
     """Bloch vectors of both hypotheses from POLE at every time."""
-    return evolve_pair_grid(fields, PARAMS, noise, POLE, np.atleast_1d(times))
+    return evolve_pair_grid(fields, PARAMS, noise, R_POLE, np.atleast_1d(times))
 
 
 def states_at(fields, noise, t):
@@ -251,12 +253,17 @@ class TestStandardBasis:
         fields = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0))
         noise = NoiseModel.electric(kappa)
         times = np.linspace(1e-8, 5e-7, 19)
-        got = standard_basis_error_grid(*grid(fields, noise, times))
-        for t, p in zip(times, got):
-            expected = 0.5 + 0.25 * math.exp(-kappa * t) * (
+        r0, r1 = grid(fields, noise, times)
+        got = standard_basis_error_grid(r0, r1)
+        for k, (t, p) in enumerate(zip(times, got)):
+            literal = 0.5 + 0.25 * math.exp(-kappa * t) * (
                 math.cos(2 * w1 * t) - math.cos(2 * w0 * t)
             )
-            assert p == pytest.approx(expected, abs=1e-12)
+            rho0, rho1 = density_matrix(r0[:, k]), density_matrix(r1[:, k])
+            assert standard_basis_error(rho0, rho1, best_assignment=False) == pytest.approx(
+                literal, abs=1e-12
+            )
+            assert p == pytest.approx(min(literal, 1.0 - literal), abs=1e-12)
 
     def test_zero_baseline_matches_povm_at_optimal_times(self):
         # odd quarter-period times are the error minima; both readouts vanish
@@ -264,6 +271,8 @@ class TestStandardBasis:
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
         for n in (1, 3, 5):
             r0, r1 = grid(fields, NoiseModel.none(), n * TMIN_1E6)
+            rho0, rho1 = density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
+            assert standard_basis_error(rho0, rho1, best_assignment=False) < 1e-12
             assert standard_basis_error_grid(r0, r1)[0] < 1e-12
             assert min_error_grid(r0, r1).p_err[0] < 1e-10
         p_err = report_at(fields, NoiseModel.none(), 2 * TMIN_1E6)[0]
@@ -273,9 +282,12 @@ class TestStandardBasis:
         fields = FieldConfig(e0=(1e7, 0, 0), de=(1e7, 0, 0))
         noise = NoiseModel.electric(1e5)
         r0, r1 = grid(fields, noise, np.linspace(1e-8, 1e-6, 40))
-        best = standard_basis_error_grid(r0, r1, best_assignment=True)
-        literal = standard_basis_error_grid(r0, r1)
-        assert np.all(best <= 0.5 + 1e-12)
+        best = standard_basis_error_grid(r0, r1)
+        literal = np.array([
+            standard_basis_error(density_matrix(v0), density_matrix(v1), best_assignment=False)
+            for v0, v1 in zip(r0.T, r1.T)
+        ])
+        assert np.all(best <= 0.5 + 1e-12) and np.any(literal > 0.5)
         np.testing.assert_allclose(best, np.minimum(literal, 1 - literal), rtol=0, atol=1e-15)
 
     def test_general_priors_use_trace_formula(self):
@@ -284,8 +296,11 @@ class TestStandardBasis:
         r0, r1 = grid(fields, NoiseModel.electric(1e5), 0.6e-6)
         got = standard_basis_error_grid(r0, r1, priors)[0]
         rho0, rho1 = density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
-        expected = 0.3 * rho0.matrix[1, 1].real + 0.7 * rho1.matrix[0, 0].real
-        assert got == pytest.approx(expected, abs=1e-15)
+        literal = 0.3 * rho0.matrix[1, 1].real + 0.7 * rho1.matrix[0, 0].real
+        assert standard_basis_error(rho0, rho1, priors, best_assignment=False) == pytest.approx(
+            literal, abs=1e-15
+        )
+        assert got == pytest.approx(min(literal, 1.0 - literal), abs=1e-15)
 
 
 class TestOptimalTime:
@@ -301,7 +316,7 @@ class TestOptimalTime:
     def test_search_without_decoherence_finds_analytic_time(self):
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
         t_star, p_min = optimal_time_search(
-            fields, PARAMS, NoiseModel.none(), POLE, (1e-8, 2.5e-6)
+            fields, PARAMS, NoiseModel.none(), R_POLE, (1e-8, 2.5e-6)
         )
         assert abs(t_star - TMIN_1E6) < 1e-9
         assert p_min < 1e-10
@@ -310,7 +325,7 @@ class TestOptimalTime:
         kappa = 1e5
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
         t_star, p_min = optimal_time_search(
-            fields, PARAMS, NoiseModel.electric(kappa), POLE, (1e-7, 2.5e-6)
+            fields, PARAMS, NoiseModel.electric(kappa), R_POLE, (1e-7, 2.5e-6)
         )
         # stationarity of exp(-kappa t) sin(w t) gives tan(w t) = w / kappa
         t_pred = math.atan(OMEGA_1E6 / kappa) / OMEGA_1E6
@@ -341,7 +356,7 @@ class TestOptimalTime:
     def test_invalid_window_rejected(self):
         fields = FieldConfig()
         with pytest.raises(PreconditionError):
-            optimal_time_search(fields, PARAMS, NoiseModel.none(), POLE, (2e-6, 1e-6))
+            optimal_time_search(fields, PARAMS, NoiseModel.none(), R_POLE, (2e-6, 1e-6))
 
 
 class TestBaselineInvariance:

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from nvdetect import (
-    DensityMatrix2,
     FieldConfig,
     NoiseModel,
     NvParameters,
     PreconditionError,
+    PreparationState,
     evolve_pair_grid,
 )
-from nvdetect.linalg import bloch_vector
+from nvdetect.linalg import DensityMatrix2
 
 import oracles
 from oracles import (
     EvolutionSpec,
     Route,
+    bloch_vector,
     density_matrix,
     evolve_closed_axial_field,
     evolve_closed_dephasing,
@@ -29,6 +30,7 @@ from oracles import (
 
 PARAMS = NvParameters()
 POLE = DensityMatrix2.pole_plus()
+R_POLE = PreparationState.POLE_PLUS.bloch_vector
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6  # rad/s transverse coupling for 1e6 V/m
 
 
@@ -38,7 +40,7 @@ def is_close(a: DensityMatrix2, b: DensityMatrix2, atol: float = 1e-12) -> bool:
 
 def states_at(fields, noise, t):
     """Both hypotheses' states at t from POLE, by a one-point package grid."""
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, POLE, [t])
+    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, [t])
     return density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
 
 
@@ -289,5 +291,5 @@ class TestEvolvePair:
         # driven along x from the pole: the trajectory stays on the x = 0
         # great circle of the Bloch sphere
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-        _, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.none(), POLE, np.linspace(0, 5e-6, 101))
+        _, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.none(), R_POLE, np.linspace(0, 5e-6, 101))
         assert np.max(np.abs(r1[0])) < 1e-10

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvdetect import NoiseModel, NvParameters, PreconditionError
+from nvdetect import NoiseModel, NvParameters, PreconditionError, PreparationState
+from nvdetect.linalg import DensityMatrix2
 from oracles import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    bloch_vector,
     hamiltonian_full,
     hamiltonian_two_level,
     lindblad_operator,
@@ -169,7 +171,7 @@ class TestParameters:
     def test_transfer_time_is_the_quarter_period_of_the_transverse_coupling(self):
         for de_x in (3e5, 1e6, 3e6):
             for n in (1, 2, 3):
-                assert PARAMS.transfer_time((de_x, 0.0, 0.0), n) == pytest.approx(
+                assert n * PARAMS.transfer_time((de_x, 0.0, 0.0)) == pytest.approx(
                     optimal_time_analytic(de_x, n), rel=1e-15
                 )
         # the phase of the transverse field and any axial part do not matter
@@ -177,3 +179,11 @@ class TestParameters:
             optimal_time_analytic(1e6), rel=1e-15
         )
         assert PARAMS.transfer_time((0.0, 0.0, 1e6)) == math.inf
+
+
+@pytest.mark.parametrize("preparation", list(PreparationState), ids=lambda p: p.value)
+def test_preparation_bloch_vector_is_that_of_its_density_matrix(preparation):
+    # bit for bit, signed zeros included, against the matrix elements of the validated state
+    rho = getattr(DensityMatrix2, preparation.value)()
+    assert np.array(preparation.bloch_vector).tobytes() == np.array(bloch_vector(rho)).tobytes()
+    assert all(type(c) is float for c in preparation.bloch_vector)

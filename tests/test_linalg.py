@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvdetect import (
-    DensityMatrix2,
-    PreconditionError,
-    bloch_vector,
-)
+from nvdetect import PreconditionError
 from nvdetect.errors import NumericalInvariantError
-from nvdetect.linalg import check_bloch_norms
-from oracles import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, expm_small, herm_eigen2
+from nvdetect.linalg import DensityMatrix2, check_bloch_norms
+from oracles import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, expm_small, herm_eigen2
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -182,7 +178,7 @@ class TestExpmSmall:
         np.testing.assert_allclose(expm_small(SIGMA_X, -1j * theta), expected, atol=1e-14)
 
     def test_unitary_propagator_matches_closed_form(self):
-        from nvdetect import DensityMatrix2, NvParameters
+        from nvdetect import NvParameters
         from oracles import evolve_closed_transverse, hamiltonian_two_level
 
         params = NvParameters()

@@ -45,6 +45,26 @@ def test_cli_loads_no_test_module_and_no_method_enum(tmp_path):
     assert loaded == {"test_modules": [], "with_method": []}
 
 
+def test_only_linalg_names_the_density_matrix_and_nothing_calls_bloch_vector():
+    # the package works on Bloch vectors end to end: DensityMatrix2 is defined in linalg only for
+    # the oracles, and no module builds one or maps one back
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert callee != "bloch_vector", path.name
+        if path.name != "linalg.py":
+            assert "DensityMatrix2" not in names, path.name
+
+
 def test_package_sources_import_nothing_from_the_tests():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -57,16 +77,17 @@ def test_package_sources_import_nothing_from_the_tests():
             assert not {"oracles", "tests", "conftest"} & set(roots), (path.name, roots)
 
 
-#: The operator-form Helstrom measurement, the per-click readout and the
+#: The operator-form Helstrom measurement, the per-click readout, the
 #: Hamiltonian -> Liouvillian -> Pauli-projection route to the Bloch
-#: generator, now only in ``tests/oracles.py``, and the removed per-run views
-#: of the turn-on protocol and their cycle-layout mirror of ``ProtocolConfig``.
+#: generator and the density-matrix -> Bloch-vector map, now only in
+#: ``tests/oracles.py``, and the removed per-run views of the turn-on protocol
+#: and their cycle-layout mirror of ``ProtocolConfig``.
 ORACLE_ONLY = (
     "helstrom_operator", "povm_pair", "herm_eigen2", "min_error", "evolve_pair", "simulate_click",
     "Click", "_CLICK", "DetectionRun", "run_turn_on_batch", "_detection_runs",
     "run_turn_on_protocol", "MeasurementSchedule",
     "liouvillian", "hamiltonian_two_level", "lindblad_operator", "_kron2", "dagger",
-    "_hypothesis_operators", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2",
+    "_hypothesis_operators", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2", "bloch_vector",
 )
 
 
@@ -82,3 +103,4 @@ def test_package_exposes_no_operator_form_decision():
     assert exposed == []
     assert not hasattr(importlib.import_module("nvdetect.config").ProtocolConfig, "schedule")
     assert not hasattr(nvdetect.NvParameters, "axial_shift")
+    assert not hasattr(nvdetect.PreparationState, "density_matrix")

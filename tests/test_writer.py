@@ -261,16 +261,16 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
     for command in ("perr-time", "bz-sensitivity"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     config = config_mod.parse(SWEEP)
-    params, rho0 = config.parameters, config.preparation.density_matrix()
+    params, r_init = config.parameters, config.preparation.bloch_vector
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
 
     rows = []
     for index, pair in enumerate(config.field_pairs):
         fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z)
         noise = NoiseModel(config.noise.kind, pair.kappa)
-        r0, r1 = evolve_pair_grid(fields, params, noise, rho0, times)
+        r0, r1 = evolve_pair_grid(fields, params, noise, r_init, times)
         curve = min_error_grid(r0, r1, fields.priors)
-        p_std = standard_basis_error_grid(r0, r1, fields.priors, best_assignment=True)
+        p_std = standard_basis_error_grid(r0, r1, fields.priors)
         marks = _quarter_period_marks(times, params, pair.de)
         rows += [
             [str(index), g(pair.kappa), g(t), g(a), g(b), g(c), g(d), str(m)]
@@ -281,7 +281,7 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
 
     def p_err(b_z):
         fields = FieldConfig(e0=config.fields.e0, de=config.fields.de, b_z=b_z)
-        r0, r1 = evolve_pair_grid(fields, params, config.noise, rho0, times)
+        r0, r1 = evolve_pair_grid(fields, params, config.noise, r_init, times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
     base = p_err(0.0)
