@@ -45,7 +45,7 @@ class HelstromDecision(NamedTuple):
     ("field switched") projects onto the nonnegative ones: it is the
     identity where ``all_pi1`` (lambda_minus >= 0), zero where ``all_pi0``
     (lambda_plus < 0), and (I + unit.sigma)/2 elsewhere, ``unit`` being the
-    direction of v = P1 r1 - P0 r0, shape (3, n) of rows x, y, z.
+    direction of v = P1 r1 - P0 r0, shape (..., 3, n) of rows x, y, z.
     """
 
     lambda_plus: np.ndarray
@@ -55,7 +55,7 @@ class HelstromDecision(NamedTuple):
     all_pi0: np.ndarray
 
     def bright_probability(self, r) -> np.ndarray:
-        """Tr(rho Pi1), unclipped, for Bloch vectors r of shape (3, n), rows x, y, z:
+        """Tr(rho Pi1), unclipped, for Bloch vectors r of shape (..., 3, n), rows x, y, z:
         the chance that a readout clicks "field switched"."""
         return np.where(self.all_pi1, 1.0, np.where(
             self.all_pi0, 0.0, 0.5 * (1.0 + _dot_rows(self.unit, r))
@@ -73,7 +73,7 @@ class ErrorCurve(NamedTuple):
 
 
 def helstrom_decision(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> HelstromDecision:
-    """The Helstrom measurement at every point of two (3, n) Bloch-vector arrays.
+    """The Helstrom measurement at every point of two (..., 3, n) Bloch-vector arrays.
 
     With v = P1 r1 - P0 r0 the eigenvalues are ((P1 - P0) +- |v|)/2. Zero
     eigenvalues go to Pi1, so identical states (v = 0) with P1 >= P0 give
@@ -84,16 +84,15 @@ def helstrom_decision(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> Helst
     length = np.sqrt(_dot_rows(v, v))
     lam_plus = 0.5 * ((p1 - p0) + length)
     lam_minus = 0.5 * ((p1 - p0) - length)
-    unit = v / np.where(length > 0.0, length, 1.0)  # unused where length == 0
+    unit = v / np.where(length > 0.0, length, 1.0)[..., None, :]  # unused where length == 0
     return HelstromDecision(lam_plus, lam_minus, unit, lam_minus >= 0.0, lam_plus < 0.0)
 
 
 def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCurve:
-    """Minimal-error report at every point of two (3, n) Bloch-vector arrays.
+    """Minimal-error report at every point of two (3, n) Bloch-vector arrays, or (c, 3, n) stacks.
 
-    p_dc and p_fn come from :func:`helstrom_decision`; the trace and
-    eigenvalue forms of p_err must agree to 1e-12 at every point, and a NaN
-    in either breaches that.
+    p_dc and p_fn come from :func:`helstrom_decision`; the trace and eigenvalue forms of p_err
+    must agree to 1e-12 at every point (a NaN breaches that); a breach names the point and cell.
     """
     p0, p1 = _checked_priors(priors)
     r0, r1 = np.asarray(r0, dtype=float), np.asarray(r1, dtype=float)
@@ -106,10 +105,10 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
     p_eigen = 0.5 * (1.0 - np.abs(dec.lambda_plus) - np.abs(dec.lambda_minus))
     breach = ~(np.abs(p_trace - p_eigen) <= 1e-12)  # NaN breaches too
     if np.any(breach):
-        k = int(np.argmax(breach))
+        at = np.unravel_index(np.argmax(breach), breach.shape)
         raise NumericalInvariantError(
-            f"error-probability formulas disagree at point {k}: "
-            f"trace={p_trace[k]!r} eigen={p_eigen[k]!r}"
+            f"error-probability formulas disagree{' in cell %d' % at[0] if breach.ndim > 1 else ''} at "
+            f"point {at[-1]}: trace={p_trace[at]!r} eigen={p_eigen[at]!r}"
         )
     return ErrorCurve(
         p_err=np.clip(p_trace, 0.0, 1.0),
@@ -121,7 +120,7 @@ def min_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> ErrorCur
 
 def standard_basis_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) -> np.ndarray:
     """Error probability of the fixed fluorescence-basis readout at every point
-    of two (3, n) Bloch-vector arrays, rows x, y, z, under the cheaper of its
+    of two (..., 3, n) Bloch-vector arrays, rows x, y, z, under the cheaper of its
     two outcome labelings. Staying in |+1> read as "baseline" and arriving in
     |-1> as "field switched" errs with
     P0 Tr(rho0 |-1><-1|) + P1 Tr(rho1 |+1><+1|) = (P0 (1 - z0) + P1 (1 + z1)) / 2,
@@ -130,7 +129,7 @@ def standard_basis_error_grid(r0, r1, priors: tuple[float, float] = (0.5, 0.5)) 
     baseline fields the sensible labeling is the swapped one.
     """
     p0, p1 = _checked_priors(priors)
-    p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[2]) + p1 * (1.0 + np.asarray(r1)[2]))
+    p_err = 0.5 * (p0 * (1.0 - np.asarray(r0)[..., 2, :]) + p1 * (1.0 + np.asarray(r1)[..., 2, :]))
     return np.clip(np.minimum(p_err, 1.0 - p_err), 0.0, 1.0)
 
 

@@ -11,6 +11,8 @@ Every time array is a uniform grid (a ``np.linspace``, one point included);
 for one of n points, t_k = t_0 + k h, the vectors are exp(M t_jB) (exp(M i h) r0)
 with k = j B + i and B = ceil(sqrt(n)): about 2 sqrt(n) matrices are
 exponentiated instead of n, and n matrix-vector products do the rest.
+A sweep's cells on one grid are one stack of their generator pairs, in
+groups of at most ``cli._STACK_POINTS`` grid points (one cell past that).
 
 This is the only propagator in the package. The independent reference
 routes the tests check it against (closed forms, RK4, a 4x4 superoperator

@@ -154,10 +154,10 @@ def _chunk_bytes(columns, shape, verify: bool):
 
     A chunk of at most ``_SMALL_CELLS`` cells is made by ``%`` itself, cell by cell, and joined
     in Python, so it needs no check. A larger one goes into one zero-filled ``(*shape, width)``
-    array: each column's NUL-padded cells are broadcast into a fixed slot, followed by a comma;
-    the last comma becomes LF, and the nonzero bytes are the text. Its floats go through the
-    float kernel, unless they number at most ``_SMALL_CELLS`` before broadcasting: then ``%``
-    makes them, and the check is left to a later chunk."""
+    array: each column's NUL-padded cells are broadcast into a fixed slot (for floats, as wide as
+    the chunk's widest), then a comma; the last comma becomes LF, and the nonzero bytes are the
+    text. Its floats go through the float kernel, unless they number at most ``_SMALL_CELLS``
+    before broadcasting: then ``%`` makes them, and the check is left to a later chunk."""
     if shape[0] * shape[1] * len(columns) <= _SMALL_CELLS:
         texts = []
         for c in columns:
@@ -179,6 +179,7 @@ def _chunk_bytes(columns, shape, verify: bool):
             if cell != b"%.17g" % x[i]:
                 raise NumericalInvariantError(f"the CSV float formatter wrote {cell!r} for {x[i]!r}")
             verify = False
+        cells = cells[:, :np.bitwise_or.reduce(cells.view(np.uint64)).view(np.uint8).nonzero()[0][-1] + 1]
     cuts = list(itertools.accumulate(f.size for f in floats))
     formatted = (cells[lo:hi] for lo, hi in zip([0] + cuts, cuts))
     slots = [next(formatted) if c.dtype.kind == "f" else _cells(c) for c in columns]
@@ -197,7 +198,7 @@ def _pieces(blocks):
     for block in blocks:
         columns = [np.asarray(c.encode() if isinstance(c, str) else c) for c in block]
         columns = [c if c.ndim == 2 else c.reshape(1, -1) for c in columns]
-        a, b = max(len(c) for c in columns), max(c.shape[1] for c in columns)
+        a, b = np.broadcast_shapes(*(c.shape for c in columns))  # a may be 0
         if a * b <= _BLOCK_ROWS:
             yield columns, (a, b)
             continue

@@ -7,7 +7,8 @@ point, including at the
 exceptional point of the axial-noise generator, where it is defective. A
 uniform grid's product of two exponential stacks must agree with one
 exponential per time, bit for bit on one point, and every other time array
-is refused.
+is refused. A sweep's cells propagated and decided as one stack get the
+bits each cell gets alone.
 """
 import math
 
@@ -26,7 +27,7 @@ from nvdetect import (
     min_error_grid,
     standard_basis_error_grid,
 )
-from nvdetect import discrimination, dynamics
+from nvdetect import cli, discrimination, dynamics
 from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.hamiltonian import NoiseKind, bloch_generator
 from nvdetect.linalg import DensityMatrix2, _norm1, check_bloch_norms
@@ -410,6 +411,41 @@ def uniform_windows(draw):
     t_hi = draw(st.floats(1e-7, 1e-5))
     t_lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9).map(lambda f: f * t_hi)))
     return fields, noise, rho0, (t_lo, t_hi)
+
+
+@st.composite
+def sweep_cells(draw):
+    """One to five cells of a sweep, each with its own fields, B_z, noise kind and rate, on one
+    pair of priors, with a prepared Bloch vector and a uniform grid of 1 to 40 points."""
+    p0 = draw(st.sampled_from([0.5, 0.1, 0.7]))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    cells = [(FieldConfig(e0=transverse(draw(st.floats(0.0, 1e6)), draw(angle)),
+                          de=transverse(draw(st.floats(1e4, 3e6)), draw(angle)),
+                          b_z=draw(st.one_of(st.just(0.0), st.floats(-3e-5, 3e-5))), priors=(p0, 1.0 - p0)),
+              NoiseModel(draw(st.sampled_from(list(NoiseKind))), draw(st.floats(0.0, 3e5))), None)
+             for _ in range(draw(st.integers(1, 5)))]
+    r_init = draw(st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]))
+    return cells, r_init, np.linspace(0.0, draw(st.floats(1e-7, 1e-5)), draw(st.integers(1, 40)))
+
+
+@given(sweep_cells())
+@settings(max_examples=60, deadline=None)
+def test_stacked_cells_equal_each_cell_alone(case):
+    # the slice of each cell in one evolve_bloch stack and one decision pass holds the bits of
+    # evolve_pair_grid, min_error_grid and standard_basis_error_grid of that cell alone
+    cells, r_init, times = case
+    priors = cells[0][0].priors
+    (group, r0, r1), = cli._stacked_pairs(cells, PARAMS, r_init, times)
+    curve = min_error_grid(r0, r1, priors)
+    p_std = standard_basis_error_grid(r0, r1, priors)
+    assert group == range(len(cells))
+    for i, (fields, noise, _) in enumerate(cells):
+        a0, a1 = evolve_pair_grid(fields, PARAMS, noise, r_init, times)
+        alone = min_error_grid(a0, a1, priors)
+        assert r0[i].tobytes() == a0.tobytes() and r1[i].tobytes() == a1.tobytes()
+        for got, want in zip(curve[:3] + curve.decision, alone[:3] + alone.decision):
+            assert got[i].tobytes() == want.tobytes()
+        assert p_std[i].tobytes() == standard_basis_error_grid(a0, a1, priors).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 23, 24, 100, 2049])

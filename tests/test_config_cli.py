@@ -29,8 +29,8 @@ from nvdetect import (
     evolve_pair_grid,
     optimal_time_search,
 )
+from nvdetect import cli, dynamics
 from nvdetect import config as config_mod
-from nvdetect import dynamics
 from nvdetect.cli import _quarter_period_marks, main
 
 OMEGA_1E6 = 2 * math.pi * 0.17 * 1e6
@@ -443,13 +443,22 @@ class TestCliExitCodes:
         [{"de": [3e6, 0, 0]}],
     ])
     def test_numeric_breach_exits_3_without_a_csv(self, tmp_path, capsys, monkeypatch, pairs):
-        # a kernel that lengthens the last pair's maps by 1e-9 breaches the Bloch-norm bound
+        # a kernel that lengthens the last pair's maps by 1e-9 breaches the Bloch-norm bound; a
+        # group budget of one grid makes each pair its own stack, so the rows of the first of two
+        # pairs are written before the second stack breaches
+        monkeypatch.setattr(cli, "_STACK_POINTS", config_mod.parse({}).time_grid.n_points)
         calls = iter([1.0] * (len(pairs) - 1) + [1.0 + 1e-9])
         expm_batch = dynamics.expm_batch
-        monkeypatch.setattr(dynamics, "expm_batch", lambda a: expm_batch(a) * next(calls))
+
+        def lengthened(a):
+            maps = expm_batch(a)
+            maps[-2:] *= next(calls)  # the generator pair of the stack's last cell
+            return maps
+
+        monkeypatch.setattr(dynamics, "expm_batch", lengthened)
         cfg = write_config(tmp_path / "cfg.json", {"field_pairs": pairs})
         code = main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert code == 3
+        assert code == 3 and next(calls, None) is None  # one stack per pair
         assert "Bloch norm" in capsys.readouterr().err
         assert not (tmp_path / "out" / "perr_time.csv").exists()
         assert not (tmp_path / "out").exists()
@@ -532,6 +541,43 @@ class TestCliExitCodes:
         code = main(["perr-time", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "perr_time.csv").exists()
+
+
+class TestStackedSweeps:
+    """perr-time and bz-sensitivity propagate their cells in groups of at most
+    max(1, cli._STACK_POINTS // n) cells, one evolve_bloch stack each."""
+
+    @pytest.mark.parametrize("command, data, cells, name", [
+        ("perr-time", {"field_pairs": [{"de": [1e6 * k, 0, 0], "kappa": 1e5 * (k % 2)} for k in (1, 2, 3)]},
+         3, "perr_time.csv"),
+        ("bz-sensitivity", {"b_z_values": [1e-5, 2e-5, 0.0, 3e-5]}, 5, "bz_sensitivity.csv"),
+    ])
+    def test_one_stack_per_group_writes_each_row_once_in_order(self, tmp_path, monkeypatch, command, data,
+                                                                cells, name):
+        n = SMALL_GRID["n_points"]
+        cfg = write_config(tmp_path / "cfg.json", {**data, "time_grid": SMALL_GRID})
+        stacks, evolve_bloch = [], cli.evolve_bloch
+        monkeypatch.setattr(cli, "evolve_bloch",
+                            lambda gens, *a: (stacks.append(len(gens)), evolve_bloch(gens, *a))[1])
+        texts = []  # one stack, stacks of 2 cells and a last of 1, one cell per stack
+        for budget, sizes in [(cli._STACK_POINTS, [cells]), (2 * n, [2] * (cells // 2) + [1]),
+                              (n - 1, [1] * cells)]:
+            monkeypatch.setattr(cli, "_STACK_POINTS", budget)
+            stacks.clear()
+            assert main([command, "--config", cfg, "--out", str(tmp_path / str(budget))]) == 0
+            assert stacks == [2 * size for size in sizes]  # a generator pair per cell
+            texts.append((tmp_path / str(budget) / name).read_bytes())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert texts[0].count(b"\n") == 1 + (cells - (command == "bz-sensitivity")) * n
+
+    def test_a_grid_of_max_points_is_one_cell_per_group(self, monkeypatch):
+        times = np.linspace(0.0, 4e-6, config_mod.MAX_GRID_POINTS)
+        cells = [(FieldConfig(de=(1e6 * k, 0.0, 0.0)), NoiseModel.electric(1e5), None) for k in range(1, 9)]
+        stacks = []
+        monkeypatch.setattr(cli, "evolve_bloch", lambda gens, r0, t: (stacks.append(gens.shape),
+                                                                      np.zeros((len(gens), 3, t.size)))[1])
+        groups = [group for group, *_ in cli._stacked_pairs(cells, NvParameters(), (0.0, 0.0, 1.0), times)]
+        assert groups == [range(k, k + 1) for k in range(8)] and stacks == [(2, 3, 3)] * 8
 
 
 class TestPerrTimeCommand:

@@ -185,6 +185,15 @@ class TestMinError:
         with pytest.raises(NumericalInvariantError, match=f"at point {row}"):
             min_error_grid(r0.T, r1.T)
 
+    def test_a_breach_in_a_stack_names_its_cell_and_its_point(self):
+        # in a (c, 3, n) stack of cells the point counts within its cell, not across the stack
+        r0 = np.zeros((2, 3, 4))
+        r1 = np.zeros((2, 3, 4))
+        r1[:, 2] = 1.0
+        r1[1, 0, 2] = math.nan
+        with pytest.raises(NumericalInvariantError, match="disagree in cell 1 at point 2:"):
+            min_error_grid(r0, r1)
+
     def test_equal_priors_balance_the_two_error_kinds(self):
         # holds whenever the two hypothesis states are equally mixed, which
         # is the case for a shared initial state under equal-rate collinear
