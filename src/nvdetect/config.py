@@ -298,11 +298,11 @@ def serialize(config: RunConfig) -> dict:
 
 def load(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse(data)
 

@@ -258,12 +258,14 @@ def _intervals(majority, confident, t_cycle):
 _HASH_A, _HASH_B = (np.array([[init * pow(mult, k, 2**32) % 2**32] for k in range(n)], np.uint32)
                     for init, mult, n in ((0x43B0D7E5, 0x931E8875, 21), (0x8B51F9DD, 0x58F38DED, 9)))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_U128 = 2**128 - 1  # x & _U128 is x % 2**128 for x >= 0
 
 
 def _pcg64_states(seeds):
     """The ``state`` and ``inc`` ints of ``np.random.default_rng(seed).bit_generator.state`` of
     every seed, a non-negative integer, as two lists: SeedSequence's pool hash on uint32 arrays
-    over the seeds, then PCG64's srandom on Python ints. A run's state dict is built where it is
+    over the seeds, then PCG64's srandom on Python ints, reduced mod 2**128 by the mask
+    ``_U128`` (CPython's ``%`` runs a long division). A run's state dict is built where it is
     set, so a block holds two ints per run, not two nested dicts."""
     def hashmix(value, consts):  # len(consts) - 1 consecutive calls, one per row of the broadcast value
         value = (value ^ consts[:-1]) * consts[1:]
@@ -276,8 +278,8 @@ def _pcg64_states(seeds):
     seeds = list(map(operator.index, seeds))
     if min(seeds) < 0:  # default_rng would raise ValueError
         raise PreconditionError(f"seeds must be non-negative integers, got {min(seeds)!r}")
-    bits = np.array([s.bit_length() for s in seeds])
-    width = max(4, -(-int(bits.max()) // 32))  # 32-bit words per seed, zero-padded to the pool's 4
+    width = max(4, -(-max(seeds).bit_length() // 32))  # 32-bit words per seed, zero-padded to 4
+    bits = np.array([s.bit_length() for s in seeds]) if width > 4 else None  # only for the words past 4
     raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
     words = np.frombuffer(raw, "<u4").reshape(len(seeds), width).T  # (width, seeds)
     pool = hashmix(words[:4], _HASH_A[:5])
@@ -289,8 +291,8 @@ def _pcg64_states(seeds):
         consts = consts * pow(0x931E8875, 4, 2**32)
     out = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
     seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    incs = [(hi << 65 | lo << 1 | 1) % 2**128 for hi, lo in zip(inc_hi, inc_lo)]
-    return [((inc + (hi << 64 | lo)) * _PCG_MULT + inc) % 2**128
+    incs = [(hi << 65 | lo << 1 | 1) & _U128 for hi, lo in zip(inc_hi, inc_lo)]
+    return [((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _U128
             for inc, hi, lo in zip(incs, seed_hi, seed_lo)], incs
 
 
@@ -310,11 +312,11 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
             uniforms = np.empty((runs_per_block, rows, n_sensors))
         bright = np.empty((len(block), n_cycles, n_sensors), dtype=bool)
         for c in range(0, n_cycles, rows):  # one slice, unless a run is split (then alone in its block)
-            for run, (s, inc) in enumerate(zip(states, incs)):
+            for row, s, inc in zip(uniforms[:, :n_cycles - c], states, incs):  # a view per run
                 if c == 0:  # a later slice continues its run's stream
                     state["state"] = {"state": s, "inc": inc}
                     bitgen.state = state
-                rng.random(out=uniforms[run, :n_cycles - c])
+                rng.random(out=row)
             bright[:, c:c + rows] = uniforms[:len(block), :n_cycles - c] < p_cycle[c:c + rows, None]
         n_bright = bright.sum(axis=2)
         majority = 2 * n_bright > n_sensors

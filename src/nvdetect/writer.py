@@ -2,10 +2,12 @@
 ``%.17g`` and ``%d``. The float kernel is printf from tables (Adams, "Ryu revisited", OOPSLA
 2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk of a few cells, such
 as the one row of an optimal-time search, is made by ``%`` itself, and so are the floats of a
-larger chunk that holds few, such as the cycle times of a turn-on transcript. A larger chunk is
-laid out in fixed slots: each cell NUL-padded to its column's width, then a comma, and the NULs
-dropped once per chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do,
-nor does any text column the package writes (B/D clicks and majorities, x/y orientations)."""
+larger chunk that holds few, such as the cycle times of a turn-on transcript. An int or bool
+column in [0, 9999] takes its cells from one table of right-aligned ``%d`` words, other ints come
+from 4-digit groups. A larger chunk is laid out in fixed slots: each cell NUL-padded to its
+column's width, then a comma, and the NULs dropped once per chunk. This rests on one contract: no
+cell holds a NUL byte. Numbers never do, nor does any text column the package writes (B/D clicks
+and majorities, x/y orientations)."""
 from __future__ import annotations
 
 import itertools
@@ -34,6 +36,8 @@ _TIE_MARGIN = 2e-6
 _GROUPS = np.indices((10,) * 4, np.uint8).reshape(4, -1)
 _DIGITS = np.ascontiguousarray((_GROUPS + ord("0")).T).view(np.uint32).ravel()
 _ZEROS = np.cumprod(_GROUPS[::-1] == 0, axis=0).sum(0).astype(np.int8)
+#: Row i is ``b"%d" % i`` for i = 0 .. 9999, right-aligned in 4 bytes after NULs.
+_SMALL_INTS = _DIGITS.view(np.uint8).reshape(-1, 4) * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])
 #: The tables below run over k = floor(log10 |x|) = -100 .. 99, indexed by k + 100: |x| in
 #: [1e-99, 1e99) has k in [-99, 98], or one off where log10 rounds.
 _K = np.arange(-100, 100)
@@ -128,13 +132,17 @@ def _float_cells(x: np.ndarray):
 
 def _cells(column: np.ndarray):
     """The NUL-padded cells of a non-float column: ints as ``%d``, right-aligned, their leading
-    zeros NUL (those past int64 one at a time, left-aligned), bytes as they are."""
+    zeros NUL (those past int64 one at a time, left-aligned), bytes as they are. An int or bool
+    column whose values lie in [0, 9999] is one ``take`` of ``_SMALL_INTS``, cut to its widest
+    value; other ints go through the digit-group kernel."""
+    if column.dtype.kind in "biu":
+        top = int(column.max()) if column.size else 0
+        if top <= 9999 and (not column.size or column.min() >= 0):
+            return _SMALL_INTS.take(column.ravel(), axis=0)[:, 4 - len(b"%d" % top):]
     if column.dtype.kind in "biu" and np.can_cast(column.dtype, np.int64):
         v = column.astype(np.int64).ravel()
         u = np.abs(v).view(np.uint64)  # 2^63 for the most negative int64 too
         length = np.searchsorted(_TENS, u, side="right") + 1 + (v < 0)
-        if length.max() == 1:  # digits only
-            return (u.astype(np.uint8) + ord("0"))[:, None]
         w = 4 * -(-int(length.max()) // 4)
         words = np.empty((v.size, w // 4), np.uint32)  # right-aligned digits after "0"s
         for j in range(w // 4):

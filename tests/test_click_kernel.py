@@ -181,6 +181,8 @@ class TestBlockSeeding:
     @given(seeds=st.lists(SEEDS, min_size=1, max_size=40))
     @example(seeds=[0])
     @example(seeds=[2**300 - 1, 0, 2**128, 2**128 - 1, 2**160, 5])  # widths mixed in one block
+    @example(seeds=[2**128 - 1, 0])  # four words: no per-seed bit lengths
+    @example(seeds=[2**128, 0, 1])  # five words, for one seed
     def test_states_are_default_rngs(self, seeds):
         want = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
         states, incs = protocol._pcg64_states(seeds)

@@ -196,6 +196,20 @@ class TestCliExitCodes:
         code = main(["bloch", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        b'{"seed": "\xff"}',  # not UTF-8: UnicodeDecodeError
+        b'{"seed": ' + b"1" * 5000 + b"}",  # past Python's 4,300-digit int limit: ValueError
+        b"[" * 200_000,  # nested past the recursion limit: RecursionError
+    ], ids=["not_utf8", "int_past_the_digit_limit", "nested_past_the_recursion_limit"])
+    def test_undecodable_json_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code = main(["bloch", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and f"config {path} is not valid JSON" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_non_boolean_bloch_traces_exits_2(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path / "bad.json", {"bz_sweep": {"bloch_traces": value}})

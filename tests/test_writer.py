@@ -202,10 +202,34 @@ def test_float_kernel_matches_percent(values):
 @given(values=st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-10**5, 10**5)),
                        min_size=1, max_size=40))
 @example(values=[-(2**63), 2**63 - 1, 0, -1, 9, 10, 9999, 10000, -10000])
+@example(values=[0, 7, 10, 9999])  # the small-int table
 def test_int_kernel_matches_percent(values):
     cells = writer._cells(np.array(values, np.int64))
     # each cell is NULs, then its % text
     assert [c.tobytes() for c in cells] == [(b"%d" % v).rjust(cells.shape[1], b"\0") for v in values]
+
+
+def test_small_int_table_is_percent_d():
+    # row i is b"%d" % i, right-aligned after NULs, for every i of the table
+    table = writer._SMALL_INTS
+    assert table.shape == (10000, 4) and table.dtype == np.uint8
+    assert [row.tobytes() for row in table] == [(b"%d" % i).rjust(4, b"\0") for i in range(10000)]
+    columns = [np.array([True, False, True]), np.array([0, 5, 127], np.int8),
+               np.array([255, 0, 9], np.uint8), np.array([9999, 1000, 65535], np.uint16),
+               np.array([9999, 10000, -1], np.int64), np.array([0, 9999, 42], np.uint64),
+               np.arange(10000, dtype=np.int64), np.array([3, 1, 4], np.uint64),
+               np.array([], np.int64)]
+    for column in columns:
+        cells = writer._cells(column)
+        assert len(cells) == column.size
+        # each cell is NULs, then its % text
+        assert [c.tobytes() for c in cells] == [(b"%d" % v).rjust(cells.shape[1], b"\0")
+                                                for v in column.tolist()]
+        # a column the table makes has slots as wide as its widest value
+        if column.size and 0 <= column.min() and column.max() <= 9999:
+            assert cells.shape[1] == len(b"%d" % column.max())
+    # a one-digit column keeps one-byte slots
+    assert writer._cells(np.array([0, 1, 9])).shape == (3, 1)
 
 
 def test_every_float_through_the_fallback(monkeypatch):
