@@ -41,8 +41,6 @@ _SUMMARY_HEAD = '{\n  "n_runs": %d,\n  "n_sensors": %d,\n  "runs": [\n'
 _SUMMARY_TAIL = '\n  ],\n  "success_rate": %r,\n  "t_cycle": %r,\n  "true_t_star": %r\n}\n'
 _RUN_JSON = ('    {\n      "interval": %s,\n      "run": %%d,\n      "seed": %%d,\n'
              '      "status": "%s",\n      "success": %s,\n      "true_t_star": %r\n    }')
-#: The byte of a dark and of a bright click or majority, indexed by the bool.
-_CLICK_BYTES = np.frombuffer(b"DB", "S1")
 #: Grid points (cells x times) of one evolve_bloch stack; a grid of more goes one cell at a time.
 #: Larger stacks were no faster, only larger: 2**16 points held 7 MB more at equal speed.
 _STACK_POINTS = 2**14
@@ -213,11 +211,11 @@ def cmd_protocol(config: RunConfig, out: Path) -> list[Path]:
     def rows():
         for block in blocks:
             first, runs = len(run_templates), len(block.seeds)  # the block's first run, its run count
-            # one byte per click, B or D, so each cycle's clicks view as one S<n_sensors> string
-            patterns = _CLICK_BYTES.take(block.bright)
+            # one byte per click, "D" less twice the bool ("B" when bright), so each cycle's clicks
+            # view as one S<n_sensors> string
+            clicks, majority = (ord("D") - (b.view(np.uint8) << 1) for b in (block.bright, block.majority))
             yield (np.arange(first, first + runs)[:, None], cycles, cycles * t_cycle, (cycles + 1) * t_cycle,
-                   patterns.view(f"S{n_sensors}")[..., 0], block.n_bright,
-                   _CLICK_BYTES.take(block.majority), block.confident)
+                   clicks.view(f"S{n_sensors}")[..., 0], block.n_bright, majority.view("S1"), block.confident)
             for iv in set(block.intervals).difference(template_of):
                 template_of[iv] = len(templates)
                 hits.append(iv is not None and iv[0] <= true_t_star <= iv[1])

@@ -298,10 +298,12 @@ def serialize(config: RunConfig) -> dict:
 
 def load(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse(data)

@@ -217,46 +217,20 @@ def _pieces(blocks):
                    (min(step, a - lo), min(_BLOCK_ROWS, b - blo)))
 
 
-def _chunks(blocks):
-    """``(columns, shape)`` chunks of at most ``_BLOCK_ROWS`` rows: consecutive pieces whose rows
-    have one length are joined along the first axis."""
-    pending = []
-    for piece in itertools.chain(_pieces(blocks), [None]):
-        if pending and (piece is None or piece[1][1] != pending[0][1][1]
-                        or sum(a * b for _, (a, b) in pending + [piece]) > _BLOCK_ROWS):
-            yield pending[0] if len(pending) == 1 else _joined(pending)
-            pending = []
-        pending.append(piece)
-
-
-def _joined(pieces):
-    """Pieces joined along the first axis; a 1-row column with the same bytes in every piece
-    stays one row, so it is formatted once."""
-    columns = []
-    for parts in zip(*(columns for columns, _ in pieces)):
-        first = parts[0]
-        if all(len(p) == 1 and p.shape == first.shape and p.dtype == first.dtype
-               and p.tobytes() == first.tobytes() for p in parts):
-            columns.append(first)
-        else:
-            b = max(p.shape[1] for p in parts)
-            columns.append(np.concatenate([np.broadcast_to(p, (a, b))
-                                           for p, (_, (a, _)) in zip(parts, pieces)]))
-    return columns, (sum(a for _, (a, _) in pieces), pieces[0][1][1])
-
-
 def _write_csv(path: Path, header: str, blocks) -> Path:
-    """Write the ``header`` line, then the rows of ``blocks``, at most ``_BLOCK_ROWS`` at a time.
+    """Write the ``header`` line, then the rows of ``blocks``.
 
     A block is columns that broadcast to one shape of at most two axes, its elements in C order
     the rows: float, int or fixed-width bytes (``S``) arrays, or float, int or text scalars; a
-    value repeated along a broadcast axis is formatted once. Cells are byte-equal to ``%.17g``
+    value repeated along a broadcast axis is formatted once. Each block is cut into chunks of at
+    most ``_BLOCK_ROWS`` rows, each formatted and written as it is; blocks are never joined, so a
+    producer that wants large chunks yields large blocks. Cells are byte-equal to ``%.17g``
     (``format(float(x), ".17g")``) and ``%d``, lines end in LF, as ``csv.writer`` would write
     them (no text cell needs quoting, and none may hold a NUL byte: the kernels' slots drop
     them). Once per file a float cell of a chunk made by the kernels is also made by ``%``; a
-    mismatch is a :class:`NumericalInvariantError`. The directory is
-    created on the first write; if a block raises, the partial file and each directory created
-    here that is then empty are removed before the error propagates."""
+    mismatch is a :class:`NumericalInvariantError`. The directory is created on the first
+    write; if a block raises, the partial file and each directory created here that is then
+    empty are removed before the error propagates."""
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     if created:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -264,7 +238,7 @@ def _write_csv(path: Path, header: str, blocks) -> Path:
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
             verify = True
-            for columns, shape in _chunks(blocks):
+            for columns, shape in _pieces(blocks):
                 text, verify = _chunk_bytes(columns, shape, verify)
                 fh.write(text)
     except BaseException:

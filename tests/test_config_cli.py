@@ -182,6 +182,12 @@ class TestConfig:
         config_mod.dump(cfg, path)
         assert config_mod.load(path) == cfg
 
+    @pytest.mark.parametrize("name", ["missing.json", ".", "a\0b"], ids=["missing", "directory", "nul_byte"])
+    def test_unreadable_path_is_named_as_unreadable(self, tmp_path, name):
+        # open raises OSError for the first two and ValueError for the NUL byte, before any decode
+        with pytest.raises(ConfigError, match="^cannot read config "):
+            config_mod.load(tmp_path / name)
+
 
 class TestCliExitCodes:
     def test_unknown_key_exits_2(self, tmp_path, capsys):

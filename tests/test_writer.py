@@ -130,13 +130,14 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(writer, "_float_cells", lambda x: (floats.append(x.size), float_cells(x))[1])
     _write_csv(tmp_path / "a.csv", "x,y", [(np.arange(2 * _BLOCK_ROWS + 1), 7)])
     assert [a * b for a, b in shapes] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
-    # consecutive blocks with one row length join; a 2-d block is cut along its first axis
+    # blocks are never joined, not even one-row blocks of one row length; a 2-d block is cut
+    # along its first axis
     shapes.clear()
     _write_csv(tmp_path / "b.csv", "x,y", [(np.arange(3.0), i) for i in range(5)])
     _write_csv(tmp_path / "c.csv", "x,y", [(np.arange(_BLOCK_ROWS // 2 + 1.0), np.arange(3)[:, None])])
-    assert shapes == [(5, 3)] + [(1, _BLOCK_ROWS // 2 + 1)] * 3
-    # the 30 cells of b.csv's chunk are made by %; each chunk of c.csv goes through the kernels
-    assert 5 * 3 * 2 <= writer._SMALL_CELLS < (_BLOCK_ROWS // 2 + 1) * 2
+    assert shapes == [(1, 3)] * 5 + [(1, _BLOCK_ROWS // 2 + 1)] * 3
+    # the 6 cells of each b.csv chunk are made by %; each chunk of c.csv goes through the kernels
+    assert 3 * 2 <= writer._SMALL_CELLS < (_BLOCK_ROWS // 2 + 1) * 2
     assert sum(floats) == 3 * (_BLOCK_ROWS // 2 + 1)
     assert (tmp_path / "b.csv").read_bytes() == b"x,y\n" + b"".join(
         b"%d,%d\n" % (x, i) for i in range(5) for x in range(3))
@@ -147,7 +148,7 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
 def test_few_floats_of_a_large_chunk_take_percent_and_leave_the_check(tmp_path, monkeypatch):
     # a transcript-like chunk: 40 x 8 rows of 3 cells, and only the 8 cycle times are floats
     runs, times = np.arange(40)[:, None], np.linspace(0.0, 7e-7, 8)[None]
-    later = np.linspace(0.1, 3.0, 300)  # a later chunk of a new row length, through the kernels
+    later = np.linspace(0.1, 3.0, 300)  # a later block, its own chunk, through the kernels
     assert 40 * 8 * 3 > writer._SMALL_CELLS >= times.size and later.size > writer._SMALL_CELLS
     blocks = [(runs, times, b"B"), (later, 9, b"D")]
     rows = [[str(r), g(t), "B"] for r in range(40) for t in times[0]] + [[g(x), "9", "D"] for x in later]
