@@ -11,9 +11,7 @@ override parameters, e.g.::
 import argparse
 import sys
 
-from nvdetect.cli import main as cli_main
-
-COMMANDS = ["perr-time", "bz-sensitivity", "array", "protocol", "appendix-b", "bloch"]
+from nvdetect.cli import _COMMANDS, main as cli_main
 
 
 def main() -> int:
@@ -24,7 +22,7 @@ def main() -> int:
     args = parser.parse_args()
 
     codes = []
-    for command in COMMANDS:
+    for command in _COMMANDS:
         argv = [command, "--out", args.out]
         if args.config:
             argv += ["--config", args.config]

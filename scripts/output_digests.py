@@ -30,13 +30,12 @@ import json
 import sys
 from pathlib import Path
 
-from nvdetect.cli import main as cli_main
+from nvdetect.cli import _COMMANDS, main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, the benchmark's seeded configs)
 
-COMMANDS = ["perr-time", "bz-sensitivity", "array", "protocol", "appendix-b", "bloch"]
 #: protocol configs whose runs cross click blocks (``protocol._BLOCK_STREAMS``)
 PROTOCOL_BLOCKS = {
     "protocol_runs700": {"protocol": {"n_runs": 700}},
@@ -60,7 +59,7 @@ def write_config(path: Path, data: dict) -> str:
 
 def write_outputs(out: Path, configs: Path) -> None:
     traces = write_config(configs / "bloch_traces.json", {"bz_sweep": {"bloch_traces": True}})
-    for command in COMMANDS:
+    for command in _COMMANDS:
         run([command, "--config", traces, "--out", str(out / "default")])
     run(["bloch", "--hypothesis", "0", "--config", traces, "--out", str(out / "default_h0")])
     for seed in range(1, 11):

@@ -19,15 +19,10 @@ from .discrimination import (
     optimal_time_search,
     standard_basis_error_grid,
 )
-from .dynamics import evolve_pair_grid
+from .dynamics import bloch_generators, evolve_bloch
 from .errors import ConfigError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseModel, NvParameters, PreparationState, bloch_generator
 from .linalg import expm_batch
-from .protocol import (
-    array_error_curve,
-    fit_decay_rate,
-    majority_vote_error,
-    turn_on_blocks,
-)
+from .protocol import fit_decay_rate, majority_vote_error, turn_on_blocks
 
 __version__ = "0.1.0"

@@ -28,10 +28,10 @@ import numpy as np
 from . import config as config_mod
 from .config import FieldPair, RunConfig, check_cells
 from .discrimination import min_error_grid, optimal_time_search, standard_basis_error_grid
-from .dynamics import bloch_generators, evolve_bloch, evolve_pair_grid
+from .dynamics import bloch_generators, evolve_bloch
 from .errors import ConfigError, NumericalInvariantError, PreconditionError
 from .hamiltonian import FieldConfig, NoiseKind, NoiseModel
-from .protocol import array_error_curve, sweep_window, turn_on_blocks
+from .protocol import fit_decay_rate, majority_vote_error, sweep_window, turn_on_blocks
 from .writer import _BLOCK_ROWS, _write_csv
 
 #: protocol_summary.json as ``json.dumps(summary, indent=2, sort_keys=True) + "\n"`` writes it:
@@ -162,12 +162,13 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
     fields, noise = config.fields, config.noise
     t_meas, key = _cycle_time(config)
     check_cells(params, key, t_meas, [(fields, noise, _keys("fields"))])
-    pair = evolve_pair_grid(fields, params, noise, config.preparation.bloch_vector, [t_meas])
+    pair = evolve_bloch(bloch_generators(fields, params, noise), config.preparation.bloch_vector, [t_meas])
     single = min_error_grid(*pair, fields.priors)
     p_dc, p_fn = float(single.p_dc[0]), float(single.p_fn[0])
 
     try:
-        curve = array_error_curve(config.sensor_counts, p_dc, p_fn, fields.priors)
+        p_err = [majority_vote_error(n, p_dc, p_fn, fields.priors) for n in config.sensor_counts]
+        alpha = fit_decay_rate(zip(config.sensor_counts, p_err))
     except PreconditionError as exc:
         if 0.0 in fields.priors:  # one hypothesis is certain: every error is 0
             raise ConfigError(f"fields.priors: a prior of 0 makes every fused error 0, so there is no "
@@ -178,10 +179,10 @@ def cmd_array(config: RunConfig, out: Path) -> list[Path]:
                 f"every fused error is 0 and there is no decay rate to fit"
             ) from exc
         raise ConfigError(f"sensor_counts: {exc}") from exc  # the fused error underflows to 0
-    csv_path = _write_csv(out / "array_scaling.csv", "n_sensors,p_err", [(curve.n_values, curve.p_err_n)])
+    csv_path = _write_csv(out / "array_scaling.csv", "n_sensors,p_err", [(config.sensor_counts, p_err)])
     json_path = _write_json(
         out / "array_alpha.json",
-        {"alpha": curve.alpha, "p_dc": p_dc, "p_fn": p_fn, "t_measure": t_meas},
+        {"alpha": alpha, "p_dc": p_dc, "p_fn": p_fn, "t_measure": t_meas},
     )
     return [csv_path, json_path]
 
@@ -289,8 +290,9 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
     check_cells(params, "time_grid.t_max", config.time_grid.t_max,
                 [(config.fields, config.noise, _keys("fields"))])
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
-    pair = evolve_pair_grid(config.fields, params, config.noise, config.preparation.bloch_vector, times)
-    return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *pair[hypothesis])])]
+    gens = bloch_generators(config.fields, params, config.noise)
+    r = evolve_bloch(gens, config.preparation.bloch_vector, times)
+    return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *r[hypothesis])])]
 
 
 _COMMANDS = {

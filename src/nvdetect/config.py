@@ -228,9 +228,7 @@ def parse(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     data = dict(data)
-    version = data.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    _read(int, data.pop("schema_version", SCHEMA_VERSION), "schema_version", {"choices": (SCHEMA_VERSION,)})
     # population relaxation is not modelled: null (T1 = infinity) is the one admissible t1
     params = data.get("parameters")
     if isinstance(params, dict) and "t1" in params:
@@ -307,9 +305,3 @@ def load(path) -> RunConfig:
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse(data)
-
-
-def dump(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(serialize(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -78,22 +78,3 @@ def evolve_bloch(gens: np.ndarray, r_init, times) -> np.ndarray:
     step_vectors = maps[:, len(coarse):] @ r_init  # (g, B, 3)
     r = maps[:, :len(coarse)] @ step_vectors.swapaxes(1, 2)[:, None]  # (g, J, 3, B)
     return check_bloch_norms(r.swapaxes(1, 2).reshape(len(gens), 3, -1)[:, :, :n])  # one copy
-
-
-def evolve_pair_grid(
-    fields: FieldConfig,
-    params: NvParameters,
-    noise: NoiseModel,
-    r0,
-    times,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors of both hypotheses at every time, as two (3, n) arrays,
-    from the prepared Bloch vector r0 = (x, y, z).
-
-    Each hypothesis's Bloch generator is built once and propagated over the
-    whole array by :func:`evolve_bloch`. Output vectors longer
-    than 1 + 1e-12 raise NumericalInvariantError.
-    """
-    r = evolve_bloch(bloch_generators(fields, params, noise), r0, times)
-    return r[0], r[1]
-

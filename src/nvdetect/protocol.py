@@ -35,15 +35,6 @@ from .hamiltonian import FieldConfig, NoiseModel, NvParameters, _checked_priors
 from .linalg import check_bloch_norms, expm_batch
 
 
-class ArrayErrorCurve(NamedTuple):
-    """Fused error probability versus odd sensor count, with the fitted
-    per-sensor exponential suppression rate."""
-
-    n_values: tuple[int, ...]
-    p_err_n: tuple[float, ...]
-    alpha: float
-
-
 def majority_vote_error(
     n_sensors: int,
     p01: float,
@@ -90,28 +81,16 @@ def majority_vote_error(
     return p0 * tail(p01) + p1 * tail(p10)
 
 
-def array_error_curve(
-    n_values,
-    p01: float,
-    p10: float,
-    priors: tuple[float, float] = (0.5, 0.5),
-) -> ArrayErrorCurve:
-    """Evaluate the fused error over odd sensor counts and fit its decay rate."""
-    n_values = tuple(int(n) for n in n_values)
-    p_err = tuple(majority_vote_error(n, p01, p10, priors) for n in n_values)
-    alpha = fit_decay_rate(zip(n_values, p_err))
-    return ArrayErrorCurve(n_values=n_values, p_err_n=p_err, alpha=alpha)
-
-
 def fit_decay_rate(points) -> float:
     """Least-squares slope of -ln(p) versus odd sensor count.
 
     Zero (or negative) probabilities are excluded; at least three usable
-    odd-count points are required.
+    odd-count points are required, at two or more distinct counts (one count
+    alone has no slope).
     """
     usable = [(int(n), float(p)) for n, p in points if p > 0.0 and int(n) % 2 == 1]
-    if len(usable) < 3:
-        raise PreconditionError("need at least 3 odd-count points with p > 0")
+    if len(usable) < 3 or len({n for n, _ in usable}) < 2:
+        raise PreconditionError("need at least 3 odd-count points with p > 0, at 2 or more distinct counts")
     ns = np.array([n for n, _ in usable], dtype=float)
     logs = np.array([-math.log(p) for _, p in usable])
     design = np.column_stack([ns, np.ones_like(ns)])

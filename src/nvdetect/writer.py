@@ -1,13 +1,12 @@
 """The one CSV writer: columns of floats, ints and text become rows of bytes, byte-equal to
 ``%.17g`` and ``%d``. The float kernel is printf from tables (Adams, "Ryu revisited", OOPSLA
-2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk of a few cells, such
-as the one row of an optimal-time search, is made by ``%`` itself, and so are the floats of a
-larger chunk that holds few, such as the cycle times of a turn-on transcript. An int or bool
-column in [0, 9999] takes its cells from one table of right-aligned ``%d`` words, other ints come
-from 4-digit groups. A larger chunk is laid out in fixed slots: each cell NUL-padded to its
-column's width, then a comma, and the NULs dropped once per chunk. This rests on one contract: no
-cell holds a NUL byte. Numbers never do, nor does any text column the package writes (B/D clicks
-and majorities, x/y orientations)."""
+2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk that holds few floats,
+such as the rows of an optimal-time search or the cycle times of a turn-on transcript, has them
+made by ``%`` itself. An int or bool column in [0, 9999] takes its cells from one table of
+right-aligned ``%d`` words, other ints come from 4-digit groups. Every chunk is laid out in fixed
+slots: each cell NUL-padded to its column's width, then a comma, and the NULs dropped once per
+chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do, nor does any text
+column the package writes (B/D clicks and majorities, x/y orientations)."""
 from __future__ import annotations
 
 import itertools
@@ -20,11 +19,11 @@ from .errors import NumericalInvariantError
 
 #: Rows formatted and written at once: bounds the text held on large grids.
 _BLOCK_ROWS = 4096
-#: Cells (rows x columns) up to which a chunk is made by ``%`` cell by cell, and float cells (of
-#: the columns before they broadcast) up to which a larger chunk's floats are. The kernels cost
-#: about 120 numpy operations per chunk of up to _FLOAT_BATCH floats: right after an optimal-time
-#: search (caches cold), % took 81-103 us for 5 cells and 283-345 us for 255, the kernels 252-299
-#: and 302-378 us; they cross near 290 cells (2-vCPU Xeon).
+#: Floats in a chunk (of its columns before they broadcast) up to which ``%`` formats them, one at
+#: a time; more go through the float kernel. The kernels cost about 120 numpy operations per chunk
+#: of up to _FLOAT_BATCH floats: right after an optimal-time search (caches cold), % took 81-103 us
+#: for 5 values and 283-345 us for 255, the kernels 252-299 and 302-378 us; they cross near 290
+#: values (2-vCPU Xeon).
 _SMALL_CELLS = 256
 #: Floats per kernel call, so that its arrays stay in a core's cache.
 _FLOAT_BATCH = 2048
@@ -157,22 +156,14 @@ def _cells(column: np.ndarray):
 
 
 def _chunk_bytes(columns, shape, verify: bool):
-    """The text of a chunk of 2-d columns that broadcast to ``shape`` (rows in C order), and
-    whether a float cell is still to be checked against ``%`` (``verify``).
+    """The text of a nonempty chunk of 2-d columns that broadcast to ``shape`` (rows in C order),
+    and whether a float cell is still to be checked against ``%`` (``verify``).
 
-    A chunk of at most ``_SMALL_CELLS`` cells is made by ``%`` itself, cell by cell, and joined
-    in Python, so it needs no check. A larger one goes into one zero-filled ``(*shape, width)``
-    array: each column's NUL-padded cells are broadcast into a fixed slot (for floats, as wide as
-    the chunk's widest), then a comma; the last comma becomes LF, and the nonzero bytes are the
-    text. Its floats go through the float kernel, unless they number at most ``_SMALL_CELLS``
-    before broadcasting: then ``%`` makes them, and the check is left to a later chunk."""
-    if shape[0] * shape[1] * len(columns) <= _SMALL_CELLS:
-        texts = []
-        for c in columns:
-            cells = np.broadcast_to(c, shape).ravel().tolist()
-            fmt = b"%.17g" if c.dtype.kind == "f" else b"%d"
-            texts.append(cells if c.dtype.kind == "S" else [fmt % v for v in cells])
-        return b"".join(b",".join(row) + b"\n" for row in zip(*texts)), verify
+    The chunk goes into one zero-filled ``(*shape, width)`` array: each column's NUL-padded cells
+    are broadcast into a fixed slot (for floats, as wide as the chunk's widest), then a comma; the
+    last comma becomes LF, and the nonzero bytes are the text. Its floats go through the float
+    kernel, unless they number at most ``_SMALL_CELLS`` before broadcasting: then ``%`` makes
+    them, and the check is left to a later chunk."""
     floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
     x = np.concatenate(floats) if floats else np.empty(0)
     if x.size <= _SMALL_CELLS:  # few floats, such as a transcript's cycle times: % is cheaper
@@ -202,11 +193,14 @@ def _chunk_bytes(columns, shape, verify: bool):
 
 
 def _pieces(blocks):
-    """Each block's columns as 2-d arrays and its shape, in pieces of at most ``_BLOCK_ROWS`` rows."""
+    """Each block's columns as 2-d arrays and its shape, in pieces of at most ``_BLOCK_ROWS`` rows;
+    a block of no rows (either axis 0) gives none."""
     for block in blocks:
         columns = [np.asarray(c.encode() if isinstance(c, str) else c) for c in block]
         columns = [c if c.ndim == 2 else c.reshape(1, -1) for c in columns]
-        a, b = np.broadcast_shapes(*(c.shape for c in columns))  # a may be 0
+        a, b = np.broadcast_shapes(*(c.shape for c in columns))
+        if not a * b:
+            continue
         if a * b <= _BLOCK_ROWS:
             yield columns, (a, b)
             continue
@@ -223,13 +217,13 @@ def _write_csv(path: Path, header: str, blocks) -> Path:
     A block is columns that broadcast to one shape of at most two axes, its elements in C order
     the rows: float, int or fixed-width bytes (``S``) arrays, or float, int or text scalars; a
     value repeated along a broadcast axis is formatted once. Each block is cut into chunks of at
-    most ``_BLOCK_ROWS`` rows, each formatted and written as it is; blocks are never joined, so a
-    producer that wants large chunks yields large blocks. Cells are byte-equal to ``%.17g``
-    (``format(float(x), ".17g")``) and ``%d``, lines end in LF, as ``csv.writer`` would write
-    them (no text cell needs quoting, and none may hold a NUL byte: the kernels' slots drop
-    them). Once per file a float cell of a chunk made by the kernels is also made by ``%``; a
-    mismatch is a :class:`NumericalInvariantError`. The directory is created on the first
-    write; if a block raises, the partial file and each directory created here that is then
+    most ``_BLOCK_ROWS`` rows (a block of no rows writes nothing), each laid out in slots and
+    written as it is; blocks are never joined, so a producer that wants large chunks yields large
+    blocks. Cells are byte-equal to ``%.17g`` (``format(float(x), ".17g")``) and ``%d``, lines end
+    in LF, as ``csv.writer`` would write them (no text cell needs quoting, and none may hold a NUL
+    byte: the slots drop them). Once per file a float cell made by the float kernel is also made
+    by ``%``; a mismatch is a :class:`NumericalInvariantError`. The directory is created on the
+    first write; if a block raises, the partial file and each directory created here that is then
     empty are removed before the error propagates."""
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     if created:

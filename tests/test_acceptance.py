@@ -18,7 +18,8 @@ from nvdetect import (
     NoiseModel,
     NvParameters,
     PreparationState,
-    evolve_pair_grid,
+    bloch_generators,
+    evolve_bloch,
     helstrom_decision,
     majority_vote_error,
     min_error_grid,
@@ -126,7 +127,7 @@ def test_criterion_2_zero_error_instant():
         for e0x in (0.0, 1e6):
             t_opt = optimal_time_analytic(de_x)
             fields = FieldConfig(e0=(e0x, 0, 0), de=(de_x, 0, 0))
-            r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.none(), R_POLE, [t_opt])
+            r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, NoiseModel.none()), R_POLE, [t_opt])
             worst = max(worst, float(min_error_grid(r0, r1).p_err[0]))
     assert worst < 1e-10
     print(f"ACCEPTANCE 2 PASS: max p_err at analytic optima {worst:.2e} < 1e-10")
@@ -141,7 +142,7 @@ def test_criterion_3_dephasing_minimum():
         fields = FieldConfig(e0=(0, 0, 0), de=(de_x, 0, 0))
         t_opt = optimal_time_analytic(de_x)
         assert t_opt == pytest.approx(t_ref, rel=5e-3)
-        r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, [t_opt])
+        r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, [t_opt])
         p_at_analytic = float(min_error_grid(r0, r1).p_err[0])
         assert p_at_analytic == pytest.approx(p_ref, abs=5e-4)
         t_star, p_min = optimal_time_search(
@@ -168,7 +169,7 @@ def test_criterion_4_dual_formula_identity():
     cases = []
     noise = NoiseModel.electric(PARAMS.kappa)
     fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, np.linspace(1e-8, 4e-6, 400))
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, np.linspace(1e-8, 4e-6, 400))
     cases += [(v0, v1, (0.5, 0.5)) for v0, v1 in zip(r0.T, r1.T)]
     for _ in range(2000):
         p0 = rng.uniform(0, 1)
@@ -235,7 +236,7 @@ def test_criterion_5_povm_axioms():
 def eigenvalue_pairs(fields, noise, times):
     """(lambda_plus, lambda_minus) of the package decision at every time, as
     an (n, 2) array, after checking them against the operator-form oracle."""
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, times)
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, times)
     curve = min_error_grid(r0, r1)
     spectra = np.column_stack([curve.decision.lambda_plus, curve.decision.lambda_minus])
     for (v0, v1), got in zip(zip(r0.T, r1.T), spectra):
@@ -279,7 +280,7 @@ def test_criterion_7_standard_versus_optimal_basis():
     for de_x in (1e7, 2e7):
         fields = FieldConfig(e0=(1e7, 0, 0), de=(de_x, 0, 0))
         times = np.linspace(1e-9, 1.2e-6, 24001)
-        r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, times)
+        r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, times)
         best_povm = float(np.min(min_error_grid(r0, r1).p_err))
         best_std = float(np.min(standard_basis_error_grid(r0, r1)))
         minima[de_x] = (best_std, best_povm)

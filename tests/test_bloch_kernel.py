@@ -1,7 +1,7 @@
 """The production Bloch-vector kernel against the independent routes.
 
 The closed-form Bloch generator must equal the Pauli projection of the 4x4
-Liouvillian. ``evolve_pair_grid`` + ``min_error_grid`` must reproduce the
+Liouvillian. ``evolve_bloch`` + ``min_error_grid`` must reproduce the
 4x4 superoperator propagator + the operator-form ``min_error`` oracle per
 point, including at the
 exceptional point of the axial-noise generator, where it is defective. A
@@ -22,7 +22,6 @@ from nvdetect import (
     NoiseModel,
     NvParameters,
     PreconditionError,
-    evolve_pair_grid,
     expm_batch,
     min_error_grid,
     standard_basis_error_grid,
@@ -104,7 +103,7 @@ def scenarios(draw):
                    np.linspace(0.0, 3.404288064716767e-06, 2)))
 def test_grid_kernel_matches_superoperator_and_min_error(scenario):
     fields, noise, rho0, times = scenario
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(rho0), times)
     curve = min_error_grid(r0, r1, fields.priors)
     p_std = standard_basis_error_grid(r0, r1, fields.priors)
     for k, t in enumerate(times):
@@ -132,7 +131,7 @@ def test_grid_kernel_matches_superoperator_and_min_error(scenario):
             assert abs(report.p_fn - curve.p_fn[k]) <= 1e-12
 
     k = len(times) // 2
-    p0, p1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), [times[k]])
+    p0, p1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(rho0), [times[k]])
     assert np.max(np.abs(p0[:, 0] - r0[:, k])) <= 1e-13
     assert np.max(np.abs(p1[:, 0] - r1[:, k])) <= 1e-13
 
@@ -143,7 +142,8 @@ def test_identical_states_at_time_zero(rho0, priors):
     # at t = 0 both hypotheses still hold the prepared state; these are the
     # first rows of perr_time.csv
     fields = FieldConfig(de=(1e6, 0.0, 0.0), priors=priors)
-    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), bloch_vector(rho0), [0.0])
+    gens = bloch_generators(fields, PARAMS, NoiseModel.electric(1e5))
+    r0, r1 = evolve_bloch(gens, bloch_vector(rho0), [0.0])
     assert np.array_equal(r0, r1)
     curve = min_error_grid(r0, r1, priors)
     report = min_error(rho0, rho0, priors)
@@ -164,7 +164,8 @@ def test_identical_states_at_time_zero(rho0, priors):
 def test_zero_switch_gives_identical_grids():
     fields = FieldConfig(e0=(1e6, 0.0, 0.0), de=(0.0, 0.0, 0.0), priors=(0.3, 0.7))
     times = np.linspace(0.0, 4e-6, 33)
-    r0, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.electric(1e5), bloch_vector(PREPARATIONS[1]), times)
+    gens = bloch_generators(fields, PARAMS, NoiseModel.electric(1e5))
+    r0, r1 = evolve_bloch(gens, bloch_vector(PREPARATIONS[1]), times)
     assert np.array_equal(r0, r1)
     curve = min_error_grid(r0, r1, fields.priors)
     assert np.all(curve.p_dc == 1.0) and np.all(curve.p_fn == 0.0)
@@ -175,7 +176,7 @@ def test_other_methods_loop_the_cross_check_routes():
     fields = FieldConfig(e0=(0.0, 0.0, 0.0), de=(1e6, 0.0, 0.0))
     noise = NoiseModel.electric(1e5)
     times = np.linspace(0.0, 3e-6, 7)
-    auto = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(PREPARATIONS[0]), times)
+    auto = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(PREPARATIONS[0]), times)
     for method in (Route.CLOSED, Route.SUPEROPERATOR):
         pairs = [
             oracles.evolve_pair(fields, PARAMS, noise, PREPARATIONS[0], float(t), method=method)
@@ -188,8 +189,9 @@ def test_other_methods_loop_the_cross_check_routes():
 
 
 def test_negative_times_rejected():
+    gens = bloch_generators(FieldConfig(), PARAMS, NoiseModel.none())
     with pytest.raises(PreconditionError):
-        evolve_pair_grid(FieldConfig(), PARAMS, NoiseModel.none(), bloch_vector(PREPARATIONS[0]), [-1e-9])
+        evolve_bloch(gens, bloch_vector(PREPARATIONS[0]), [-1e-9])
 
 
 def test_bloch_generator_of_axial_noise():
@@ -432,7 +434,7 @@ def sweep_cells(draw):
 @settings(max_examples=60, deadline=None)
 def test_stacked_cells_equal_each_cell_alone(case):
     # the slice of each cell in one evolve_bloch stack and one decision pass holds the bits of
-    # evolve_pair_grid, min_error_grid and standard_basis_error_grid of that cell alone
+    # evolve_bloch, min_error_grid and standard_basis_error_grid of that cell's pair alone
     cells, r_init, times = case
     priors = cells[0][0].priors
     (group, r0, r1), = cli._stacked_pairs(cells, PARAMS, r_init, times)
@@ -440,7 +442,7 @@ def test_stacked_cells_equal_each_cell_alone(case):
     p_std = standard_basis_error_grid(r0, r1, priors)
     assert group == range(len(cells))
     for i, (fields, noise, _) in enumerate(cells):
-        a0, a1 = evolve_pair_grid(fields, PARAMS, noise, r_init, times)
+        a0, a1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), r_init, times)
         alone = min_error_grid(a0, a1, priors)
         assert r0[i].tobytes() == a0.tobytes() and r1[i].tobytes() == a1.tobytes()
         for got, want in zip(curve[:3] + curve.decision, alone[:3] + alone.decision):
@@ -460,7 +462,7 @@ def test_uniform_grid_product_matches_per_time_stack_and_superoperator(n, case):
     reference = (per_time_stack(gens, times) @ r_init).swapaxes(1, 2)
     assert np.max(np.abs(r - reference)) <= 1e-12
 
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(rho0), times)
     assert np.array_equal(r0, r[0]) and np.array_equal(r1, r[1])
     block = math.isqrt(n - 1) + 1
     for k in sorted({0, 1, block - 1, block, block + 1, n // 2, n - 2, n - 1} & set(range(n))):
@@ -510,7 +512,7 @@ def test_non_uniform_and_one_point_arrays_keep_the_per_time_stack(n):
         expected = per_time_evolve_bloch(gens, r_init, times)
         assert np.array_equal(evolve_bloch(gens, r_init, times), expected)
 
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), [3.7e-6])
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(rho0), [3.7e-6])
     expected = per_time_evolve_bloch(gens, r_init, [3.7e-6])
     assert np.array_equal(r0, expected[0]) and np.array_equal(r1, expected[1])
 
@@ -587,7 +589,7 @@ def superoperator_p_err(fields, params, noise, rho0, t):
 
 def p_err_at(search, times):
     fields, noise, rho0, _ = search
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, bloch_vector(rho0), times)
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), bloch_vector(rho0), times)
     return min_error_grid(r0, r1, fields.priors).p_err
 
 

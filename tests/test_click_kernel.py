@@ -28,14 +28,13 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    evolve_pair_grid,
     helstrom_decision,
     turn_on_blocks,
 )
 from nvdetect import cli, protocol
 from nvdetect import config as config_mod
 from nvdetect.config import ProtocolConfig
-from nvdetect.dynamics import bloch_generators
+from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.errors import NumericalInvariantError
 from nvdetect.linalg import expm_batch
 from nvdetect.protocol import _cycle_bright_probabilities, _intervals
@@ -403,7 +402,8 @@ def test_example_cells_cover_the_three_decisions():
     regimes = {}
     for name, (fields, noise, proto, t_star, preparation) in TURN_ON_CELLS.items():
         t_cycle = PARAMS.transfer_time(fields.de)
-        r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, preparation.bloch_vector, [t_cycle])
+        gens = bloch_generators(fields, PARAMS, noise)
+        r_dark, r_bright = evolve_bloch(gens, preparation.bloch_vector, [t_cycle])
         dec = helstrom_decision(r_dark, r_bright, fields.priors)
         regimes[name] = ("pi1_identity" if dec.all_pi1[0] else
                          "pi1_zero" if dec.all_pi0[0] else "straddle_skewed")
@@ -414,7 +414,7 @@ def test_example_cells_cover_the_three_decisions():
 @pytest.mark.parametrize("name", sorted(TURN_ON_CELLS))
 def test_cycle_maps_are_one_exponential_stack(name, monkeypatch):
     # one expm_batch call makes the maps of the states at t_cycle and of the straddled cycle, and
-    # the states equal those of evolve_pair_grid and of a two-matrix stack bit for bit
+    # the states equal those of evolve_bloch and of a two-matrix stack bit for bit
     fields, noise, proto, t_star, preparation = TURN_ON_CELLS[name]
     t_cycle = PARAMS.transfer_time(fields.de)
     stacks, checked = [], []
@@ -424,7 +424,7 @@ def test_cycle_maps_are_one_exponential_stack(name, monkeypatch):
     _cycle_bright_probabilities(fields, PARAMS, noise, r_init, t_cycle, proto.n_cycles, t_star)
     assert len(stacks) == 1 and len(checked) == 1
 
-    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, r_init, [t_cycle])
+    r_dark, r_bright = evolve_bloch(bloch_generators(fields, PARAMS, noise), r_init, [t_cycle])
     c = int(t_star // t_cycle)  # the straddled cycle
     maps = expm_batch(bloch_generators(fields, PARAMS, noise)
                       * np.array([t_star - c * t_cycle, (c + 1) * t_cycle - t_star])[:, None, None])
@@ -449,7 +449,8 @@ def test_cycle_bright_probabilities_are_the_operator_form_trace(cell):
     )
     # the oracle decides between the package's states at t_cycle, so only the
     # decision is compared there; the straddled cycle comes from the superoperator
-    r_dark, r_bright = evolve_pair_grid(fields, PARAMS, noise, preparation.bloch_vector, [t_cycle])
+    gens = bloch_generators(fields, PARAMS, noise)
+    r_dark, r_bright = evolve_bloch(gens, preparation.bloch_vector, [t_cycle])
     rho_dark, rho_bright = density_matrix(r_dark[:, 0]), density_matrix(r_bright[:, 0])
     dec = helstrom_operator(rho_dark, rho_bright, fields.priors)
     # Rounding alone picks Pi1 where an eigenvalue is within rounding of zero

@@ -26,7 +26,8 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    evolve_pair_grid,
+    bloch_generators,
+    evolve_bloch,
     optimal_time_search,
 )
 from nvdetect import cli, dynamics
@@ -165,6 +166,17 @@ class TestConfig:
         block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
         assert config_mod.parse(json.loads(block)) == config_mod.parse({})
 
+    def test_readme_library_sketch_runs(self):
+        # the sketch calls the package's public names, so a removed or renamed one fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        point, curve = namespace["point"], namespace["curve"]
+        assert point.p_err[0] == pytest.approx(0.0684, abs=5e-5)
+        assert point.p_dc[0] == pytest.approx(point.p_fn[0], rel=1e-14)  # equal to rounding
+        assert curve.p_err.shape == namespace["p_bright"].shape == (801,)
+
     def test_partial_parameters_keep_the_other_defaults(self):
         # a missing t2 is the default 10 us, not null (no dephasing)
         cfg = config_mod.parse({"parameters": {"d_perp": 0.17}})
@@ -179,7 +191,7 @@ class TestConfig:
     def test_dump_and_load(self, tmp_path):
         cfg = config_mod.parse({"seed": 99})
         path = tmp_path / "cfg.json"
-        config_mod.dump(cfg, path)
+        path.write_text(json.dumps(config_mod.serialize(cfg)))
         assert config_mod.load(path) == cfg
 
     @pytest.mark.parametrize("name", ["missing.json", ".", "a\0b"], ids=["missing", "directory", "nul_byte"])
@@ -374,6 +386,11 @@ class TestCliExitCodes:
             # a prior of 0 makes one hypothesis certain, so every fused error is 0 as well
             ("array", {"fields": {"priors": [1.0, 0.0]}}, "fields.priors"),
             ("array", {"fields": {"priors": [0.0, 1.0]}}, "fields.priors"),
+            # three odd points at one count fix no decay rate
+            ("array", {"sensor_counts": [3, 3, 3]}, "sensor_counts"),
+            ("perr-time", {"schema_version": True}, "schema_version"),
+            ("perr-time", {"schema_version": 1.0}, "schema_version"),
+            ("perr-time", {"schema_version": 2}, "schema_version"),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # from numpy too, not only nvdetect
@@ -880,7 +897,7 @@ class TestAppendixBCommand:
             row = line.split(",")
             expected = optimal_time_search(fields, params, noise, r0, window)
             assert (row[0], *map(float, row[1:])) == (o, e, b, *expected)
-            _, r1 = evolve_pair_grid(fields, params, noise, r0, times)
+            _, r1 = evolve_bloch(bloch_generators(fields, params, noise), r0, times)
             trace = np.loadtxt(tmp_path / "out" / f"bz_sweep_bloch_{i:03d}.csv", delimiter=",",
                                skiprows=1)
             assert np.array_equal(trace, np.column_stack([times, r1.T]))

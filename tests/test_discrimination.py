@@ -11,7 +11,8 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    evolve_pair_grid,
+    bloch_generators,
+    evolve_bloch,
     min_error_grid,
     optimal_time_search,
     standard_basis_error_grid,
@@ -57,7 +58,7 @@ def bloch_state(x, y, z):
 
 def grid(fields, noise, times):
     """Bloch vectors of both hypotheses from POLE at every time."""
-    return evolve_pair_grid(fields, PARAMS, noise, R_POLE, np.atleast_1d(times))
+    return evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, np.atleast_1d(times))
 
 
 def states_at(fields, noise, t):

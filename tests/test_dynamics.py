@@ -9,7 +9,8 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    evolve_pair_grid,
+    bloch_generators,
+    evolve_bloch,
 )
 from nvdetect.linalg import DensityMatrix2
 
@@ -40,7 +41,7 @@ def is_close(a: DensityMatrix2, b: DensityMatrix2, atol: float = 1e-12) -> bool:
 
 def states_at(fields, noise, t):
     """Both hypotheses' states at t from POLE, by a one-point package grid."""
-    r0, r1 = evolve_pair_grid(fields, PARAMS, noise, R_POLE, [t])
+    r0, r1 = evolve_bloch(bloch_generators(fields, PARAMS, noise), R_POLE, [t])
     return density_matrix(r0[:, 0]), density_matrix(r1[:, 0])
 
 
@@ -291,5 +292,6 @@ class TestEvolvePair:
         # driven along x from the pole: the trajectory stays on the x = 0
         # great circle of the Bloch sphere
         fields = FieldConfig(e0=(0, 0, 0), de=(1e6, 0, 0))
-        _, r1 = evolve_pair_grid(fields, PARAMS, NoiseModel.none(), R_POLE, np.linspace(0, 5e-6, 101))
+        gens = bloch_generators(fields, PARAMS, NoiseModel.none())
+        _, r1 = evolve_bloch(gens, R_POLE, np.linspace(0, 5e-6, 101))
         assert np.max(np.abs(r1[0])) < 1e-10

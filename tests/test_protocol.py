@@ -11,7 +11,6 @@ from nvdetect import (
     NvParameters,
     PreconditionError,
     PreparationState,
-    array_error_curve,
     fit_decay_rate,
     majority_vote_error,
     turn_on_blocks,
@@ -64,8 +63,6 @@ class TestMajorityVoteError:
         for n in (0, 2, 4, 100):
             with pytest.raises(PreconditionError, match="odd"):
                 majority_vote_error(n, 0.1, 0.1)
-            with pytest.raises(PreconditionError, match="odd"):
-                array_error_curve([1, 3, n, 5], 0.1, 0.1)
 
     @given(
         n=st.sampled_from([1, 3, 5, 7, 9, 11]),
@@ -117,10 +114,19 @@ class TestFitDecayRate:
         with pytest.raises(PreconditionError):
             fit_decay_rate([(1, 0.1), (3, 0.01)])
 
+    @pytest.mark.parametrize("points", [
+        [(3, 0.01)] * 3,
+        [(3, 0.01), (3, 0.02), (3, 0.03), (1, 0.0)],  # the point at another count is not usable
+    ])
+    def test_one_distinct_count_rejected(self, points):
+        # three points at one count fix no slope (lstsq would return its minimum-norm solution)
+        with pytest.raises(PreconditionError, match="distinct"):
+            fit_decay_rate(points)
+
     def test_curve_alpha_in_reference_band(self):
-        curve = array_error_curve(range(1, 16, 2), P_SINGLE, P_SINGLE)
-        assert 0.5 <= curve.alpha <= 1.1
-        assert curve.alpha == pytest.approx(0.7426544537499663, abs=1e-10)
+        alpha = fit_decay_rate((n, majority_vote_error(n, P_SINGLE, P_SINGLE)) for n in range(1, 16, 2))
+        assert 0.5 <= alpha <= 1.1
+        assert alpha == pytest.approx(0.7426544537499663, abs=1e-10)
 
 
 class TestSimulateClick:

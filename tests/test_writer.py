@@ -3,10 +3,10 @@ against ``%``, the sweep CSVs whose shared cells it formats once against
 per-cell formatting, and the turn-on transcript it writes against the
 per-click runs of ``oracles.reference_transcript``.
 
-The writer formats a chunk of rows as numpy bytes: floats through a
-vectorized ``%.17g`` kernel, ints through a vectorized ``%d``; a chunk of at
-most ``_SMALL_CELLS`` cells is made by ``%`` cell by cell instead, and so are
-the floats of a larger chunk that holds at most that many. The
+The writer lays every chunk of rows out in fixed slots of numpy bytes: floats
+through a vectorized ``%.17g`` kernel, ints through a vectorized ``%d``; the
+floats of a chunk that holds at most ``_SMALL_CELLS`` of them are made by
+``%`` one at a time instead, and an empty block writes nothing. The
 reference here is the per-cell route: ``csv.writer`` over cells formatted
 with ``format(float(x), ".17g")`` and ``str(n)``.
 """
@@ -26,7 +26,7 @@ from nvdetect import config as config_mod
 from nvdetect import min_error_grid, protocol, standard_basis_error_grid, writer
 from nvdetect.cli import _quarter_period_marks, _write_csv, main
 from nvdetect.writer import _BLOCK_ROWS
-from nvdetect.dynamics import evolve_pair_grid
+from nvdetect.dynamics import bloch_generators, evolve_bloch
 from nvdetect.errors import NumericalInvariantError
 from nvdetect.hamiltonian import FieldConfig, NoiseModel
 from oracles import reference_transcript
@@ -115,7 +115,7 @@ def test_small_chunks_and_the_kernels_write_the_same_bytes(tmp_path_factory, flo
                7, column_p[None, :2], "q")]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     written = []
-    for bound in (0, 10**9):  # every chunk through the kernels, then every chunk through %
+    for bound in (0, 10**9):  # every float through the kernel, then every float through %
         with mock.patch.object(writer, "_SMALL_CELLS", bound):
             _write_csv(path, "f,i,n,b,s,c,p,q", blocks)
         written.append(path.read_bytes())
@@ -136,8 +136,8 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
     _write_csv(tmp_path / "b.csv", "x,y", [(np.arange(3.0), i) for i in range(5)])
     _write_csv(tmp_path / "c.csv", "x,y", [(np.arange(_BLOCK_ROWS // 2 + 1.0), np.arange(3)[:, None])])
     assert shapes == [(1, 3)] * 5 + [(1, _BLOCK_ROWS // 2 + 1)] * 3
-    # the 6 cells of each b.csv chunk are made by %; each chunk of c.csv goes through the kernels
-    assert 3 * 2 <= writer._SMALL_CELLS < (_BLOCK_ROWS // 2 + 1) * 2
+    # the 3 floats of each b.csv chunk are made by %; those of each c.csv chunk by the float kernel
+    assert 3 <= writer._SMALL_CELLS < _BLOCK_ROWS // 2 + 1
     assert sum(floats) == 3 * (_BLOCK_ROWS // 2 + 1)
     assert (tmp_path / "b.csv").read_bytes() == b"x,y\n" + b"".join(
         b"%d,%d\n" % (x, i) for i in range(5) for x in range(3))
@@ -165,6 +165,17 @@ def test_few_floats_of_a_large_chunk_take_percent_and_leave_the_check(tmp_path, 
     monkeypatch.setattr(writer, "_float_cells", rolled)
     with pytest.raises(NumericalInvariantError, match="the CSV float formatter wrote"):
         _write_csv(tmp_path / "b.csv", "r,t,s", blocks)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no_rows", "rows_of_length_0"])
+def test_an_empty_block_writes_nothing(tmp_path, shape):
+    empty = (np.zeros(shape), np.zeros(shape, np.int64), b"e")
+    before = (np.linspace(0.1, 0.7, 3), 5, b"b")  # 3 floats, made by %
+    after = (np.linspace(1.0, 2.0, 300), np.arange(300) % 7, b"a")  # 300 floats, through the kernel
+    rows = [[g(x), "5", "b"] for x in before[0]] + [[g(x), str(i), "a"] for x, i in zip(*after[:2])]
+    for blocks, want in (([empty], []), ([empty, before, empty, after, empty], rows)):
+        _write_csv(tmp_path / "a.csv", "x,i,s", blocks)
+        assert (tmp_path / "a.csv").read_bytes() == reference_csv(["x", "i", "s"], want)
 
 
 def _from_bits(bits: int) -> float:
@@ -259,7 +270,7 @@ def test_default_appendix_b_skips_the_float_kernel_and_bloch_reaches_it(tmp_path
     float_cells = writer._float_cells
     monkeypatch.setattr(writer, "_float_cells", lambda x: (sizes.append(x.size), float_cells(x))[1])
     assert main(["appendix-b", "--out", str(tmp_path / "b")]) == 0
-    assert sizes == []  # its 22 rows of 5 cells are made by %
+    assert sizes == []  # the 4 float columns of its 22 rows are 88 floats, made by %
     assert main(["bloch", "--out", str(tmp_path / "a")]) == 0
     rows = (tmp_path / "a" / "bloch.csv").read_bytes().count(b"\n") - 1
     assert sum(sizes) == 4 * rows  # t, x, y, z
@@ -293,7 +304,7 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
     for index, pair in enumerate(config.field_pairs):
         fields = FieldConfig(e0=pair.e0, de=pair.de, b_z=config.fields.b_z)
         noise = NoiseModel(config.noise.kind, pair.kappa)
-        r0, r1 = evolve_pair_grid(fields, params, noise, r_init, times)
+        r0, r1 = evolve_bloch(bloch_generators(fields, params, noise), r_init, times)
         curve = min_error_grid(r0, r1, fields.priors)
         p_std = standard_basis_error_grid(r0, r1, fields.priors)
         marks = _quarter_period_marks(times, params, pair.de)
@@ -306,7 +317,7 @@ def test_sweep_csvs_match_per_cell_formatting(tmp_path):
 
     def p_err(b_z):
         fields = FieldConfig(e0=config.fields.e0, de=config.fields.de, b_z=b_z)
-        r0, r1 = evolve_pair_grid(fields, params, config.noise, r_init, times)
+        r0, r1 = evolve_bloch(bloch_generators(fields, params, config.noise), r_init, times)
         return min_error_grid(r0, r1, fields.priors).p_err
 
     base = p_err(0.0)
