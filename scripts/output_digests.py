@@ -2,8 +2,9 @@
 """Write every deterministic output of the byte-identity check, then print
 one ``sha256  path`` line per file, sorted by path (relative to ``--out``).
 
-The files are those of the check recorded in ``BENCH_10.json`` (88 files), and since
-``BENCH_25.json`` two protocol runs more (92 files):
+The files are those of the check recorded in ``BENCH_10.json`` (88 files), since
+``BENCH_25.json`` two protocol runs more (92 files), and a third protocol run, whose
+run indexes pass 9,999, since the writer makes such ints with ``%d`` (94 files):
 
 - the six subcommands on the default config with ``bz_sweep.bloch_traces``
   true, in ``default/``;
@@ -13,8 +14,10 @@ The files are those of the check recorded in ``BENCH_10.json`` (88 files), and s
 - every op of the three benchmark workloads (``perfbench/workloads.py``) on
   seeds 1 to 3, in ``<workload>-<seed>/op<i>/``;
 - ``protocol`` on the configs of ``PROTOCOL_BLOCKS``, in ``<name>/``: 700 runs,
-  drawn in three click blocks, and two runs of 4,096 sensors and 9 cycles,
-  each drawn in two cycle slices. A default invocation is one block.
+  drawn in three click blocks, two runs of 4,096 sensors and 9 cycles, each
+  drawn in two cycle slices, and 10,050 runs of one sensor and one cycle, whose
+  run indexes pass the writer's table of ints [0, 9999]. A default invocation
+  is one block.
 
 Two checkouts that print the same listing wrote byte-identical outputs, and
 two runs in one checkout must print the same listing. From the root of a
@@ -36,10 +39,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, the benchmark's seeded configs)
 
-#: protocol configs whose runs cross click blocks (``protocol._BLOCK_STREAMS``)
+#: protocol configs whose runs cross click blocks (``protocol._BLOCK_STREAMS``), or whose run
+#: indexes pass 9,999
 PROTOCOL_BLOCKS = {
     "protocol_runs700": {"protocol": {"n_runs": 700}},
     "protocol_split_runs": {"protocol": {"n_sensors": 4096, "n_cycles": 9, "n_runs": 2}},
+    "protocol_runs10050": {"protocol": {"n_sensors": 1, "n_cycles": 1, "n_runs": 10050}},
 }
 
 

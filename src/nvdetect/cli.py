@@ -63,7 +63,8 @@ def _quarter_period_marks(times: np.ndarray, params, de) -> np.ndarray:
     marks = np.zeros(times.size, dtype=np.int8)
     if params.transfer_time(de) > times[-1]:  # also without a transverse switch
         return marks
-    coupling = abs(params.transverse_coupling(de))
+    c = params.transverse_coupling(de)
+    coupling = math.hypot(c.real, c.imag)  # |c| as transfer_time has it: abs(c) can be 1 ulp off
     t_n = np.arange(1.0, times[-1] * (2.0 * coupling / math.pi) + 2.0) * math.pi / (2.0 * coupling)
     t_n = t_n[t_n <= times[-1]]
     j = np.clip(np.searchsorted(times, t_n), 1, times.size - 1)
@@ -291,8 +292,8 @@ def cmd_bloch(config: RunConfig, out: Path, hypothesis: int = 1) -> list[Path]:
                 [(config.fields, config.noise, _keys("fields"))])
     times = np.linspace(0.0, config.time_grid.t_max, config.time_grid.n_points)
     gens = bloch_generators(config.fields, params, config.noise)
-    r = evolve_bloch(gens, config.preparation.bloch_vector, times)
-    return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *r[hypothesis])])]
+    r = evolve_bloch(gens[hypothesis:hypothesis + 1], config.preparation.bloch_vector, times)
+    return [_write_csv(out / "bloch.csv", "t,x,y,z", [(times, *r[0])])]
 
 
 _COMMANDS = {

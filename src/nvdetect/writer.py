@@ -3,10 +3,11 @@
 2019) with Dekker's exact split (1971) in place of 128-bit tables; a chunk that holds few floats,
 such as the rows of an optimal-time search or the cycle times of a turn-on transcript, has them
 made by ``%`` itself. An int or bool column in [0, 9999] takes its cells from one table of
-right-aligned ``%d`` words, other ints come from 4-digit groups. Every chunk is laid out in fixed
-slots: each cell NUL-padded to its column's width, then a comma, and the NULs dropped once per
-chunk. This rests on one contract: no cell holds a NUL byte. Numbers never do, nor does any text
-column the package writes (B/D clicks and majorities, x/y orientations)."""
+right-aligned ``%d`` words; ``%d`` makes every other int. Every chunk is laid out in fixed slots:
+each cell NUL-padded to its column's width (ints right-aligned, the rest left-aligned), then a
+comma, and the NULs dropped once per chunk. This rests on one contract: no cell holds a NUL byte.
+Numbers never do, nor does any text column the package writes (B/D clicks and majorities, x/y
+orientations)."""
 from __future__ import annotations
 
 import itertools
@@ -45,8 +46,6 @@ _K = np.arange(-100, 100)
 _WORDS = np.concatenate([_DIGITS, np.frombuffer(b"".join(
     (("-" if k < 0 else "+") + str(abs(k)).zfill(2)).encode().ljust(4, b"\0") for k in _K.tolist()
 ) + b"-0.e", np.uint32)])
-#: 10, 100, .., 10^19: the count of these at most |i| is the digit count of i less one.
-_TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _power_table() -> np.ndarray:
@@ -130,28 +129,17 @@ def _float_cells(x: np.ndarray):
 
 
 def _cells(column: np.ndarray):
-    """The NUL-padded cells of a non-float column: ints as ``%d``, right-aligned, their leading
-    zeros NUL (those past int64 one at a time, left-aligned), bytes as they are. An int or bool
-    column whose values lie in [0, 9999] is one ``take`` of ``_SMALL_INTS``, cut to its widest
-    value; other ints go through the digit-group kernel."""
+    """The NUL-padded cells of a non-float column: ints as ``%d``, right-aligned after NULs, bytes
+    as they are. An int or bool column whose values lie in [0, 9999] is one ``take`` of
+    ``_SMALL_INTS``, cut to its widest value; ``%`` makes every other int, one at a time."""
     if column.dtype.kind in "biu":
         top = int(column.max()) if column.size else 0
         if top <= 9999 and (not column.size or column.min() >= 0):
             return _SMALL_INTS.take(column.ravel(), axis=0)[:, 4 - len(b"%d" % top):]
-    if column.dtype.kind in "biu" and np.can_cast(column.dtype, np.int64):
-        v = column.astype(np.int64).ravel()
-        u = np.abs(v).view(np.uint64)  # 2^63 for the most negative int64 too
-        length = np.searchsorted(_TENS, u, side="right") + 1 + (v < 0)
-        w = 4 * -(-int(length.max()) // 4)
-        words = np.empty((v.size, w // 4), np.uint32)  # right-aligned digits after "0"s
-        for j in range(w // 4):
-            words[:, w // 4 - 1 - j] = _DIGITS[u // 10 ** (4 * j) % 10000]
-        cells = words.view(np.uint8)
-        cells[np.arange(w) < w - length[:, None]] = 0  # the leading "0"s become NULs
-        cells[v < 0, w - length[v < 0]] = ord("-")
-        return cells
     if column.dtype.kind != "S":
-        column = np.array([b"%d" % i for i in column.ravel().tolist()])
+        text = [b"%d" % i for i in column.ravel().tolist()]
+        width = max(map(len, text))
+        column = np.array([t.rjust(width, b"\0") for t in text])
     return column.view(np.uint8).reshape(column.size, column.itemsize)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from nvdetect import (
@@ -647,6 +647,9 @@ class TestPerrTimeCommand:
         ties=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a coupling whose abs() and math.hypot() differ by 1 ulp: t_517 lies on a tie
+    @example(n_points=2, t_lo=0.0, t_max=1.4e-05, jitter=True,
+             de=(111035372.67411149, -70000000.0, 0.0), ties=1, seed=2)
     @settings(max_examples=200, deadline=None)
     def test_quarter_period_marks_equal_the_argmin_loop(
         self, n_points, t_lo, t_max, jitter, de, ties, seed

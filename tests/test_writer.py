@@ -230,7 +230,7 @@ def test_small_int_table_is_percent_d():
                np.array([255, 0, 9], np.uint8), np.array([9999, 1000, 65535], np.uint16),
                np.array([9999, 10000, -1], np.int64), np.array([0, 9999, 42], np.uint64),
                np.arange(10000, dtype=np.int64), np.array([3, 1, 4], np.uint64),
-               np.array([], np.int64)]
+               np.array([2**64 - 1, 10000], np.uint64), np.array([], np.int64)]
     for column in columns:
         cells = writer._cells(column)
         assert len(cells) == column.size
