@@ -3,8 +3,9 @@
 one ``sha256  path`` line per file, sorted by path (relative to ``--out``).
 
 The files are those of the check recorded in ``BENCH_10.json`` (88 files), since
-``BENCH_25.json`` two protocol runs more (92 files), and a third protocol run, whose
-run indexes pass 9,999, since the writer makes such ints with ``%d`` (94 files):
+``BENCH_25.json`` two protocol runs more (92 files), a third protocol run, whose run indexes
+pass 9,999, since the writer makes such ints with ``%d`` (94 files), and three runs whose CSV
+blocks the writer cuts into chunks (99 files):
 
 - the six subcommands on the default config with ``bz_sweep.bloch_traces``
   true, in ``default/``;
@@ -13,11 +14,13 @@ run indexes pass 9,999, since the writer makes such ints with ``%d`` (94 files):
   ``protocol_seed<k>/``;
 - every op of the three benchmark workloads (``perfbench/workloads.py``) on
   seeds 1 to 3, in ``<workload>-<seed>/op<i>/``;
-- ``protocol`` on the configs of ``PROTOCOL_BLOCKS``, in ``<name>/``: 700 runs,
-  drawn in three click blocks, two runs of 4,096 sensors and 9 cycles, each
-  drawn in two cycle slices, and 10,050 runs of one sensor and one cycle, whose
-  run indexes pass the writer's table of ints [0, 9999]. A default invocation
-  is one block.
+- the (command, config) runs of ``BLOCK_RUNS``, in ``<name>/``: ``protocol`` on 700 runs,
+  drawn in three click blocks, on two runs of 4,096 sensors and 9 cycles, each drawn in two
+  cycle slices, and on 10,050 runs of one sensor and one cycle, whose run indexes pass the
+  writer's table of ints [0, 9999] (a default invocation is one block); and three blocks of
+  more than the writer's 4,096 rows: ``perr-time`` on 8 field pairs at 801 points, cut into
+  chunks of 5 and 3 pairs, ``bloch`` on 10,001 points, cut into three chunks, and ``protocol``
+  on 40 runs of one sensor and 1,000 cycles, cut into ten chunks of 4 runs.
 
 Two checkouts that print the same listing wrote byte-identical outputs, and
 two runs in one checkout must print the same listing. From the root of a
@@ -39,12 +42,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, the benchmark's seeded configs)
 
-#: protocol configs whose runs cross click blocks (``protocol._BLOCK_STREAMS``), or whose run
-#: indexes pass 9,999
-PROTOCOL_BLOCKS = {
-    "protocol_runs700": {"protocol": {"n_runs": 700}},
-    "protocol_split_runs": {"protocol": {"n_sensors": 4096, "n_cycles": 9, "n_runs": 2}},
-    "protocol_runs10050": {"protocol": {"n_sensors": 1, "n_cycles": 1, "n_runs": 10050}},
+#: (command, config) runs whose click blocks cross ``protocol._BLOCK_STREAMS``, whose run
+#: indexes pass 9,999, or whose CSV blocks exceed the writer's ``_BLOCK_ROWS``
+BLOCK_RUNS = {
+    "protocol_runs700": ("protocol", {"protocol": {"n_runs": 700}}),
+    "protocol_split_runs": ("protocol", {"protocol": {"n_sensors": 4096, "n_cycles": 9, "n_runs": 2}}),
+    "protocol_runs10050": ("protocol", {"protocol": {"n_sensors": 1, "n_cycles": 1, "n_runs": 10050}}),
+    "perr_time_cut": ("perr-time", {"field_pairs": [
+        {"de": [de, 0.0, 0.0], "kappa": kappa} for de in (1e6, 2e6, 3e6, 4e6) for kappa in (0.0, 1e5)]}),
+    "bloch_cut": ("bloch", {"time_grid": {"n_points": 10001}}),
+    "protocol_cut": ("protocol", {"protocol": {"n_sensors": 1, "n_cycles": 1000, "n_runs": 40}}),
 }
 
 
@@ -74,8 +81,8 @@ def write_outputs(out: Path, configs: Path) -> None:
             for index, (command, data) in enumerate(workloads.build(name, seed).ops):
                 config = write_config(configs / f"{name}-{seed}-op{index}.json", data)
                 run([command, "--config", config, "--out", str(out / f"{name}-{seed}" / f"op{index}")])
-    for name, data in PROTOCOL_BLOCKS.items():
-        run(["protocol", "--config", write_config(configs / f"{name}.json", data), "--out", str(out / name)])
+    for name, (command, data) in BLOCK_RUNS.items():
+        run([command, "--config", write_config(configs / f"{name}.json", data), "--out", str(out / name)])
 
 
 def main() -> int:

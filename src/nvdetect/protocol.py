@@ -12,11 +12,11 @@ Random streams: run i draws its clicks from the stream of
 (0-based) and sensor s is bright when draw ``c * n_sensors + s`` of that
 stream falls below the cycle's bright probability. The streams of a block of
 runs are seeded at once (:func:`_pcg64_states`) and drawn by one reused
-generator; each call checks its first run's seeding against ``default_rng``
+generator; each block checks its first run's seeding against ``default_rng``
 and raises NumericalInvariantError on a mismatch. Transcripts are
 reproducible, runs are independent, and a run's first cycles do not depend
 on ``n_cycles``; a sensor's clicks do depend on ``n_sensors``. numpy.random
-is imported when the first run is drawn, not with the package.
+is imported when the first block is requested, not with the package.
 """
 from __future__ import annotations
 
@@ -280,15 +280,14 @@ def _click_blocks(p_cycle, informative, t_cycle, n_sensors, seeds):
     n_cycles = len(p_cycle)
     runs_per_block = max(1, min(_BLOCK_RUNS, _BLOCK_STREAMS // (n_cycles * n_sensors)))
     rows = min(n_cycles, max(1, _BLOCK_STREAMS // n_sensors))  # cycles per slice of a run
-    rng, state = None, {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # one run's at a time
+    rng = np.random.Generator(bitgen := np.random.PCG64(0))  # every run sets its state
+    uniforms = np.empty((runs_per_block, rows, n_sensors))
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}  # one run's at a time
     while block := list(itertools.islice(seeds, runs_per_block)):
         states, incs = _pcg64_states(block)
-        if rng is None:  # the first draw loads numpy.random and checks the seeding against it
-            state["state"] = {"state": states[0], "inc": incs[0]}
-            if np.random.default_rng(block[0]).bit_generator.state != state:
-                raise NumericalInvariantError(f"seed {block[0]!r}: block seeding differs from default_rng")
-            rng = np.random.Generator(bitgen := np.random.PCG64(0))  # every run sets its state
-            uniforms = np.empty((runs_per_block, rows, n_sensors))
+        state["state"] = {"state": states[0], "inc": incs[0]}  # each block's seeding against numpy's
+        if np.random.default_rng(block[0]).bit_generator.state != state:
+            raise NumericalInvariantError(f"seed {block[0]!r}: block seeding differs from default_rng")
         bright = np.empty((len(block), n_cycles, n_sensors), dtype=bool)
         for c in range(0, n_cycles, rows):  # one slice, unless a run is split (then alone in its block)
             for row, s, inc in zip(uniforms[:, :n_cycles - c], states, incs):  # a view per run

@@ -123,7 +123,7 @@ def _float_cells(x: np.ndarray):
     # each cell's template plus its source row's start: the sum is intp, out of the uint8 range
     offsets = _TEMPLATES.take(_LAYOUTS.take(key), axis=0) + np.arange(0, 28 * n, 28)[:, None]
     cells = _WORDS.take(words.T).view(np.uint8).ravel().take(offsets, mode="clip")
-    for j in () if fast.all() else (~fast).nonzero()[0].tolist():
+    for j in (~fast).nonzero()[0].tolist():
         cells[j] = np.frombuffer((b"%.17g" % x[j]).ljust(24, b"\0"), np.uint8)
     return cells, fast
 
@@ -143,15 +143,15 @@ def _cells(column: np.ndarray):
     return column.view(np.uint8).reshape(column.size, column.itemsize)
 
 
-def _chunk_bytes(columns, shape, verify: bool):
-    """The text of a nonempty chunk of 2-d columns that broadcast to ``shape`` (rows in C order),
-    and whether a float cell is still to be checked against ``%`` (``verify``).
+def _chunk_bytes(columns, shape):
+    """The text of a nonempty chunk of 2-d columns that broadcast to ``shape`` (rows in C order).
 
     The chunk goes into one zero-filled ``(*shape, width)`` array: each column's NUL-padded cells
     are broadcast into a fixed slot (for floats, as wide as the chunk's widest), then a comma; the
     last comma becomes LF, and the nonzero bytes are the text. Its floats go through the float
     kernel, unless they number at most ``_SMALL_CELLS`` before broadcasting: then ``%`` makes
-    them, and the check is left to a later chunk."""
+    them. A chunk whose floats go through the kernel also makes its first nonzero kernel cell with
+    ``%``; a mismatch is a :class:`NumericalInvariantError`."""
     floats = [c.ravel() for c in columns if c.dtype.kind == "f"]
     x = np.concatenate(floats) if floats else np.empty(0)
     if x.size <= _SMALL_CELLS:  # few floats, such as a transcript's cycle times: % is cheaper
@@ -159,13 +159,10 @@ def _chunk_bytes(columns, shape, verify: bool):
         cells = cells.view(np.uint8).reshape(x.size, cells.itemsize)
     else:
         parts = [_float_cells(x[lo:lo + _FLOAT_BATCH]) for lo in range(0, x.size, _FLOAT_BATCH)]
-        cells, fast = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        i = int(np.argmax(fast & (x != 0))) if verify else 0  # a nonzero cell made without %
-        if verify and fast[i] and x[i]:
-            cell = cells[i].tobytes().rstrip(b"\0")
-            if cell != b"%.17g" % x[i]:
-                raise NumericalInvariantError(f"the CSV float formatter wrote {cell!r} for {x[i]!r}")
-            verify = False
+        cells, fast = map(np.concatenate, zip(*parts))
+        i = int(np.argmax(fast & (x != 0)))  # a nonzero cell made without %, if there is one
+        if (cell := cells[i].tobytes().rstrip(b"\0")) != b"%.17g" % x[i]:
+            raise NumericalInvariantError(f"the CSV float formatter wrote {cell!r} for {x[i]!r}")
         cells = cells[:, :np.bitwise_or.reduce(cells.view(np.uint64)).view(np.uint8).nonzero()[0][-1] + 1]
     cuts = list(itertools.accumulate(f.size for f in floats))
     formatted = (cells[lo:hi] for lo, hi in zip([0] + cuts, cuts))
@@ -177,20 +174,18 @@ def _chunk_bytes(columns, shape, verify: bool):
         end += cells.shape[1] + 1
         text[..., end - 1] = ord(",")
     text[..., -1] = ord("\n")
-    return text[text != 0], verify
+    return text[text != 0]
 
 
 def _pieces(blocks):
-    """Each block's columns as 2-d arrays and its shape, in pieces of at most ``_BLOCK_ROWS`` rows;
-    a block of no rows (either axis 0) gives none."""
+    """Each block's columns as 2-d arrays and its shape, cut into pieces of at most ``_BLOCK_ROWS``
+    rows: runs of whole rows of its first axis, or slices of one row longer than that. A block
+    that fits is one piece; a block of no rows (either axis 0) gives none."""
     for block in blocks:
         columns = [np.asarray(c.encode() if isinstance(c, str) else c) for c in block]
         columns = [c if c.ndim == 2 else c.reshape(1, -1) for c in columns]
         a, b = np.broadcast_shapes(*(c.shape for c in columns))
         if not a * b:
-            continue
-        if a * b <= _BLOCK_ROWS:
-            yield columns, (a, b)
             continue
         step = max(1, _BLOCK_ROWS // b)
         for lo, blo in itertools.product(range(0, a, step), range(0, b, _BLOCK_ROWS)):
@@ -209,20 +204,18 @@ def _write_csv(path: Path, header: str, blocks) -> Path:
     written as it is; blocks are never joined, so a producer that wants large chunks yields large
     blocks. Cells are byte-equal to ``%.17g`` (``format(float(x), ".17g")``) and ``%d``, lines end
     in LF, as ``csv.writer`` would write them (no text cell needs quoting, and none may hold a NUL
-    byte: the slots drop them). Once per file a float cell made by the float kernel is also made
-    by ``%``; a mismatch is a :class:`NumericalInvariantError`. The directory is created on the
-    first write; if a block raises, the partial file and each directory created here that is then
-    empty are removed before the error propagates."""
+    byte: the slots drop them). In every chunk whose floats go through the float kernel, one
+    kernel cell is also made by ``%``; a mismatch is a :class:`NumericalInvariantError`. The
+    directory is created on the first write; if a block raises, the partial file and each
+    directory created here that is then empty are removed before the error propagates."""
     created = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
     if created:
         path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
-            verify = True
             for columns, shape in _pieces(blocks):
-                text, verify = _chunk_bytes(columns, shape, verify)
-                fh.write(text)
+                fh.write(_chunk_bytes(columns, shape))
     except BaseException:
         path.unlink(missing_ok=True)
         for directory in created:  # innermost first

@@ -193,6 +193,24 @@ class TestBlockSeeding:
         with pytest.raises(NumericalInvariantError, match="default_rng"):
             next(turn_on_blocks(*_call_args("interior_switch")))
 
+    def test_every_block_is_checked_against_numpy(self, monkeypatch):
+        # 600 runs of 120 clicks are blocks of 273, 273 and 54 runs; only the second block's first
+        # state is off, so only a check of that block sees it
+        pcg64_states, sizes = protocol._pcg64_states, []
+
+        def second_off(seeds):
+            states, incs = pcg64_states(seeds)
+            sizes.append(len(states))
+            if len(sizes) == 2:
+                states[0] += 2
+            return states, incs
+
+        monkeypatch.setattr(protocol, "_pcg64_states", second_off)
+        *args, _ = _call_args("interior_switch")
+        with pytest.raises(NumericalInvariantError, match="default_rng"):
+            list(turn_on_blocks(*args, range(600)))
+        assert sizes == [273, 273]
+
     @pytest.mark.parametrize("case", ["interior_switch", "cycles_split_across_blocks"])
     def test_uniforms_are_drawn_into_one_bounded_buffer(self, case, monkeypatch, split_blocks):
         generator, buffers = np.random.Generator, set()

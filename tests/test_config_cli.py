@@ -858,8 +858,13 @@ class TestAppendixBCommand:
         assert p_at_finite < 0.45
 
     @pytest.mark.parametrize("kind, rate", [("magnetic_axial", 1e5), ("none", 0.0)])
-    def test_null_noise_rate_is_one_over_t2_or_0_without_noise(self, tmp_path, kind, rate):
-        # a null bz_sweep.noise_rate means 1/T2 = 1e5/s, and 0 when bz_sweep.noise_kind is none
+    def test_null_noise_rate_is_one_over_t2_or_0_without_noise(self, tmp_path, monkeypatch, kind,
+                                                                rate):
+        # a null bz_sweep.noise_rate means 1/T2 = 1e5/s, and 0 when bz_sweep.noise_kind is none;
+        # kind none ignores its rate in the physics, so the rate is read off every search's noise
+        search, noises = cli.optimal_time_search, []
+        monkeypatch.setattr(cli, "optimal_time_search", lambda fields, params, noise, *rest: (
+            noises.append(noise), search(fields, params, noise, *rest))[1])
         written = []
         for noise_rate in (None, rate):
             out = tmp_path / f"out_{noise_rate}"
@@ -870,6 +875,9 @@ class TestAppendixBCommand:
             assert main(["appendix-b", "--config", cfg, "--out", str(out)]) == 0
             written.append((out / "bz_error_sweep.csv").read_bytes())
         assert written[0] == written[1]
+        # 1/T2 is 99999.99999999999/s in floats
+        assert noises and all(noise.kind.value == kind and noise.rate == pytest.approx(rate, rel=1e-15)
+                              for noise in noises)
 
     def test_y_drive_detects_without_axial_field(self, tmp_path):
         cfg = write_config(

@@ -126,7 +126,7 @@ def test_writer_formats_chunks_of_at_most_block_rows(tmp_path, monkeypatch):
     shapes, floats = [], []
     chunk_bytes, float_cells = writer._chunk_bytes, writer._float_cells
     monkeypatch.setattr(writer, "_chunk_bytes",
-                        lambda c, shape, v: (shapes.append(shape), chunk_bytes(c, shape, v))[1])
+                        lambda c, shape: (shapes.append(shape), chunk_bytes(c, shape))[1])
     monkeypatch.setattr(writer, "_float_cells", lambda x: (floats.append(x.size), float_cells(x))[1])
     _write_csv(tmp_path / "a.csv", "x,y", [(np.arange(2 * _BLOCK_ROWS + 1), 7)])
     assert [a * b for a, b in shapes] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
@@ -165,6 +165,22 @@ def test_few_floats_of_a_large_chunk_take_percent_and_leave_the_check(tmp_path, 
     monkeypatch.setattr(writer, "_float_cells", rolled)
     with pytest.raises(NumericalInvariantError, match="the CSV float formatter wrote"):
         _write_csv(tmp_path / "b.csv", "r,t,s", blocks)
+
+
+def test_every_kernel_chunk_is_checked_against_percent(tmp_path, monkeypatch):
+    # two blocks, each a chunk of 300 kernel floats; only the second chunk's cells are one row off
+    blocks = [(np.linspace(0.1, 3.0, 300),), (np.linspace(4.0, 9.0, 300),)]
+    float_cells, sizes = writer._float_cells, []
+
+    def second_rolled(x):
+        cells, fast = float_cells(x)
+        sizes.append(x.size)
+        return (np.roll(cells, 1, axis=0) if len(sizes) == 2 else cells), fast
+
+    monkeypatch.setattr(writer, "_float_cells", second_rolled)
+    with pytest.raises(NumericalInvariantError, match="the CSV float formatter wrote"):
+        _write_csv(tmp_path / "a.csv", "x", blocks)
+    assert sizes == [300, 300]
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no_rows", "rows_of_length_0"])
